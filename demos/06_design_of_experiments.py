@@ -66,7 +66,10 @@ def part_two():
     print(f"\nbasin response over (beta1, phi, mu): {len(records)} points, "
           f"histogram {hist} (nearly binary by construction)")
 
-    X, y, names = stats.read_doe_csv("demos_06_doe_log.csv")
+    logged, names = doe.read_doe_log("demos_06_doe_log.csv")
+    good = [r for r in logged if not r.failed]
+    X = np.array([r.x for r in good])
+    y = np.array([r.y for r in good])
     fit = stats.fit_quasibinomial(X, y, feature_names=names)
     table = stats.deviance_anova(X, y, term_order=names)
     stats.write_coefficient_table(fit, table, "demos_06_glm.csv")

@@ -2,23 +2,30 @@
 
 A basin value is the fraction of an initial-condition grid (cell centres
 over the admissible resource box) whose trajectories end with Red below the
-extinction threshold first.  Full variants randomise initial phases per the
-ensemble protocol; reduced variants start the centroid difference at the
-settled free value Delta* (or a supplied grid).  Everything runs through
-the vectorised batch integrator with integer win counts, so results are
-independent of evaluation order.
+extinction threshold first (Menck et al., Nature Physics 9 (2013) 89).
+
+One engine computes it for a batch of parameter points: each (point,
+initial cell, member) triple is one member of a single batch integration.
+Members start from the phase policy: reconnaissance-settled random phases
+("ensemble", full variants), a Delta(0) grid ("delta-grid"), or the settled
+free centroid difference ("delta-star").  A cell's value is its members'
+Blue-win fraction, a point's value the mean over cells, and more than 1%
+failed members at any point is a hard error.  Win counts are integers, so
+results are independent of evaluation order; a heatmap entry equals
+``estimate_basin`` at its parameter pair.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
 from .analysis import delta_star
-from .models import CentroidCoupling, build_system, centroid_coeffs
+from .models import _REDUCED, CentroidCoupling, build_system, centroid_coeffs
 from .solver import (IntegratorSettings, integrate_batch, sample_initial_phases,
                      _batch_rk4_plain)
 
@@ -78,50 +85,54 @@ class BasinResult:
         return float(edge.mean())
 
 
-def _cell_centres(resolution, lo, hi):
-    edges = np.linspace(lo, hi, resolution + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
+def _cell_centres(resolution, hi):
+    """Cell centres over [0, hi]; hi may hold one value per point."""
+    edges = np.linspace(0.0, hi, resolution + 1, axis=-1)
+    return 0.5 * (edges[..., :-1] + edges[..., 1:])
 
 
-def _initial_delta(cfg, coupling):
-    """Free-dynamics settled centroid difference (H = 1), else 0."""
-    co = centroid_coeffs(cfg, coupling, 1.0, 1.0)
-    d = delta_star(co.C, co.S, cfg.mu)
-    return 0.0 if d is None else float(d)
+def _take(obj, index):
+    """Copy of a config/coupling with every array field indexed."""
+    return replace(obj, **{f.name: getattr(obj, f.name)[index]
+                           for f in fields(obj)
+                           if np.ndim(getattr(obj, f.name))})
 
 
-def _initial_delta3(cfg, coupling, settle_T: float = 50.0, dt: float = 0.01):
-    """Settled (Delta1, Delta2) of the three-population reduction.
+def _initial_delta3(cfg, coupling, n_points=1, settle_T: float = 50.0,
+                    dt: float = 0.01):
+    """Settled (Delta1, Delta2) of the three-population reduction, shape
+    (2, n_points).
 
     No closed form exists; integrate the free centroid subsystem (resources
     pinned at zero, so H = 1) and take the terminal values.
     """
     from .models import eco3_reduced_rhs
 
-    y = np.array([[0.0], [0.0], [0.0], [0.0], [0.0]])
     y = _batch_rk4_plain(lambda yy: eco3_reduced_rhs(yy, cfg, coupling),
-                         y, dt, settle_T)
-    return float(y[3, 0]), float(y[4, 0])
+                         np.zeros((5, n_points)), dt, settle_T)
+    return y[3:]
 
 
-def estimate_basin(model: str, cfg, spec: BasinSpec, net=None,
-                   coupling=None) -> BasinResult:
-    """Blue-win fraction over the initial-condition grid.
+def _settled_delta(system, cfg, n_points):
+    """Free-dynamics (H = 1) settled centroid difference(s) per point,
+    shape (n_delta, n_points); 0 where no fixed point exists."""
+    if system.n_pops == 3:
+        return _initial_delta3(cfg, system.coupling, n_points)
+    co = centroid_coeffs(cfg, system.coupling, 1.0, 1.0)
+    args = (np.broadcast_to(v, (n_points,)) for v in (co.C, co.S, cfg.mu))
+    return np.array([[d if d is not None else 0.0
+                      for d in map(delta_star, *args)]])
 
-    Reduced variants run one trajectory per cell (deterministic); full
-    variants run an n_sim phase ensemble per cell.  Integration failures
-    are excluded from the average when they are < 1% of the evaluations,
-    otherwise a hard error is raised.
+
+def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
+    """The basin engine: one BasinResult per parameter point.
+
+    Fields of ``cfg`` and ``coupling`` hold a scalar or one value per
+    point.  Every (point, initial cell, member) triple is one member of a
+    single batch integration; the member's start state follows the phase
+    policy.
     """
     system = build_system(model, cfg, net=net, coupling=coupling)
-    dim_caps = (cfg.K1, cfg.K2) if model in ("eco3", "eco3-reduced") else (1.0, 1.0)
-    p1c = _cell_centres(spec.grid[0], 0.0, dim_caps[0])
-    p2c = _cell_centres(spec.grid[1], 0.0, dim_caps[1])
-    g1, g2 = np.meshgrid(p1c, p2c, indexing="ij")
-    cells = np.stack([g1.ravel(), g2.ravel()])      # (2, n_cells)
-    n_cells = cells.shape[1]
-    settings = spec.settings
-
     policy = spec.phase_policy
     if policy == "auto":
         policy = "delta-star" if system.reduced else "ensemble"
@@ -130,182 +141,84 @@ def estimate_basin(model: str, cfg, spec: BasinSpec, net=None,
     if not system.reduced and policy != "ensemble":
         raise ValueError("full variants use the ensemble phase policy")
 
-    if system.reduced and policy == "delta-grid":
+    r1, r2 = spec.grid
+    n_cells = r1 * r2
+    caps = (cfg.K1, cfg.K2) if system.n_pops == 3 else (1.0, 1.0)
+    p1c, p2c = (np.broadcast_to(_cell_centres(r, k), (n_points, r))
+                for r, k in zip(spec.grid, caps))
+    rows = [np.repeat(p1c, r2, axis=1)[:, :, None],
+            np.tile(p2c, r1)[:, :, None]]             # (points, cells, 1)
+    if system.n_pops == 3:
+        p3 = spec.p3_init if spec.p3_init is not None else 0.5 * cfg.K3
+        rows.append(np.reshape(p3, (-1, 1, 1)))
+
+    settings = spec.settings
+    if policy == "ensemble":
+        start = sample_initial_phases(system.net.n_total, spec.n_sim,
+                                      spec.seed)
+        if spec.recon_T > 0:
+            start = _batch_rk4_plain(system.phase_rhs(), start,
+                                     settings.dt_init, spec.recon_T)
+        start = start[:, None, None, :]               # (nodes, 1, 1, members)
+    elif policy == "delta-grid":
         m = spec.delta_resolution
         d0s = -np.pi + 2.0 * np.pi * (np.arange(m) + 0.5) / m
-        P0 = np.repeat(cells, m, axis=1)
-        rows = [P0[0], P0[1]]
-        if system.n_pops == 3:
-            p3 = spec.p3_init if spec.p3_init is not None else 0.5 * cfg.K3
-            rows.append(np.full(P0.shape[1], p3))
-        rows.append(np.tile(d0s, n_cells))
-        if system.dim - system.n_pops == 2:
-            rows.append(np.zeros(P0.shape[1]))
-        y0 = np.vstack(rows)
-        out = integrate_batch(system.rhs, y0, settings.dt_init,
-                              settings.t_end, cfg.P_D, system.n_pops)
-        winner = out.winner.reshape(n_cells, m)
-        ok = winner >= 0
-        per_cell = np.where(ok.sum(axis=1) > 0,
-                            (winner == 1).sum(axis=1)
-                            / np.maximum(ok.sum(axis=1), 1),
-                            np.nan).reshape(spec.grid)
-        n_failed = int((~ok).sum())
-        n_eval = n_cells * m
-    elif system.reduced:
-        if system.n_pops == 3:
-            p3 = spec.p3_init if spec.p3_init is not None else 0.5 * cfg.K3
-            d1, d2 = _initial_delta3(cfg, system.coupling)
-            extra = [np.full(n_cells, p3), np.full(n_cells, d1),
-                     np.full(n_cells, d2)]
-        else:
-            d0 = _initial_delta(cfg, system.coupling)
-            extra = [np.full(n_cells, d0)]
-        y0 = np.vstack([cells] + extra)
-        out = integrate_batch(system.rhs, y0, settings.dt_init,
-                              settings.t_end, cfg.P_D, system.n_pops)
-        wins = (out.winner == 1).astype(float)
-        failed = out.winner == -1
-        per_cell = np.where(failed, np.nan, wins).reshape(spec.grid)
-        n_failed = int(failed.sum())
-        n_eval = n_cells
+        start = np.zeros((system.dim - system.n_pops, 1, 1, m))
+        start[0, 0, 0] = d0s                          # Delta2(0) stays 0
     else:
-        n_sim = spec.n_sim
-        n_nodes = system.net.n_total
-        theta0 = sample_initial_phases(n_nodes, n_sim, spec.seed)
-        if spec.recon_T > 0:
-            theta0 = _batch_rk4_plain(system.phase_rhs(), theta0,
-                                      settings.dt_init, spec.recon_T)
-        # batch = all cells x all members
-        P0 = np.repeat(cells, n_sim, axis=1)
-        if system.n_pops == 3:
-            p3 = spec.p3_init if spec.p3_init is not None else 0.5 * cfg.K3
-            P0 = np.vstack([P0, np.full(P0.shape[1], p3)])
-        th = np.tile(theta0, n_cells)
-        y0 = np.vstack([P0, th])
-        out = integrate_batch(system.rhs, y0, settings.dt_init,
-                              settings.t_end, cfg.P_D, system.n_pops)
-        winner = out.winner.reshape(n_cells, n_sim)
-        ok = winner >= 0
-        wins = (winner == 1).sum(axis=1)
-        valid = ok.sum(axis=1)
-        per_cell = np.where(valid > 0, wins / np.maximum(valid, 1),
-                            np.nan).reshape(spec.grid)
-        n_failed = int((~ok).sum())
-        n_eval = n_cells * n_sim
+        start = _settled_delta(system, cfg, n_points)[:, :, None, None]
+    n_mem = start.shape[-1]
+    shape = (n_points, n_cells, n_mem)
+    y0 = np.stack([np.broadcast_to(r, shape).ravel()
+                   for r in rows + list(start)])
 
-    if n_failed > 0.01 * n_eval:
-        raise RuntimeError(
-            f"{n_failed}/{n_eval} integrations failed (> 1%)")
-    value = float(np.nanmean(per_cell))
-    return BasinResult(value=value, per_cell=per_cell, n_evaluated=n_eval,
-                       n_failed=n_failed, axes=(p1c, p2c))
+    # per-point parameters spread over the point's members, then sliced
+    # in lockstep as decided members leave the batch
+    point_of = np.repeat(np.arange(n_points), n_cells * n_mem)
+    live = [_take(cfg, point_of), _take(system.coupling, point_of)]
+    rhs, on_compact = system.rhs, None
+    if system.reduced:
+        fn = _REDUCED[model][0]
 
+        def rhs(y):
+            return fn(y, *live)
 
-def _heatmap_cell(args):
-    model, cfg, spec, x_name, x_val, y_name, y_val, net, coupling = args
-    from .models import _REDUCED
+        def on_compact(keep):
+            live[:] = [_take(p, keep) for p in live]
 
-    c = replace(cfg, **{x_name: x_val, y_name: y_val})
-    swept = {x_name, y_name}
-    if model in _REDUCED:
-        if net is not None:
-            coup = replace(CentroidCoupling.from_network(net),
-                           phi=c.phi, psi=c.psi)
-        elif coupling is not None:
-            coup = replace(coupling, **{k: getattr(c, k2)
-                                        for k, k2 in (("g12", "gamma1"),
-                                                      ("g21", "gamma2"),
-                                                      ("phi", "phi"),
-                                                      ("psi", "psi"))
-                                        if k2 in swept})
-        else:
-            coup = CentroidCoupling.from_config(c)
-        return estimate_basin(model, c, spec, coupling=coup).value
-    net_c = net
-    if net is not None and swept & {"phi", "psi"}:
-        net_c = net.with_frustration(c.phi, c.psi)
-    return estimate_basin(model, c, spec, net=net_c).value
+    out = integrate_batch(rhs, y0, settings.dt_init, settings.t_end,
+                          live[0].P_D, system.n_pops, on_compact=on_compact)
+
+    winner = out.winner.reshape(shape)
+    ok = winner >= 0
+    valid = ok.sum(axis=2)
+    per_cell = np.where(valid > 0,
+                        (winner == 1).sum(axis=2) / np.maximum(valid, 1),
+                        np.nan)
+    n_failed = (~ok).sum(axis=(1, 2))
+    n_eval = n_cells * n_mem
+    over = np.nonzero(n_failed > 0.01 * n_eval)[0]
+    if over.size:
+        raise RuntimeError(f"{n_failed[over[0]]}/{n_eval} integrations failed "
+                           f"(> 1%) at parameter point {over[0]}")
+    return [BasinResult(value=float(np.nanmean(per_cell[i])),
+                        per_cell=per_cell[i].reshape(spec.grid),
+                        n_evaluated=n_eval, n_failed=int(n_failed[i]),
+                        axes=(np.array(p1c[i]), np.array(p2c[i])))
+            for i in range(n_points)]
 
 
-def _delta_star_array(C, S, mu):
-    """Vectorised stable centroid fixed point; 0.0 where none exists."""
-    C, S, mu = np.broadcast_arrays(np.asarray(C, float), np.asarray(S, float),
-                                   np.asarray(mu, float))
-    K = C * C + S * S - mu * mu
-    sq = np.sqrt(np.maximum(K, 0.0))
-    d1, d2 = mu - S, C + sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v1 = 2.0 * np.arctan((C - sq) / np.where(d1 == 0, 1e-300, d1))
-        v2 = 2.0 * np.arctan((mu + S) / np.where(d2 == 0, 1e-300, d2))
-    val = np.where(np.abs(d1) >= np.abs(d2), v1, v2)
-    val = np.where((np.abs(d1) < 1e-300) & (np.abs(d2) < 1e-300), np.pi, val)
-    return np.where(K < 0, 0.0, val)
+def estimate_basin(model: str, cfg, spec: BasinSpec, net=None,
+                   coupling=None) -> BasinResult:
+    """Blue-win fraction over the initial-condition grid.
 
-
-_COUPLING_NAMES = ("gamma1", "gamma2", "phi", "psi")
-
-
-def _heatmap_reduced_batched(model, cfg, x_name, x_values, y_name, y_values,
-                             spec):
-    """One vectorised run over every (parameter pair, initial cell)."""
-    from dataclasses import replace as dc_replace
-
-    from .models import _REDUCED
-
-    fn, n_pops, n_delta = _REDUCED[model]
-    nx, ny = x_values.size, y_values.size
-    n_par = nx * ny
-    xv = np.tile(x_values, ny)                    # row-major over (y, x)
-    yv = np.repeat(y_values, nx)
-    caps = (cfg.K1, cfg.K2) if model == "eco3-reduced" else (1.0, 1.0)
-    p1c = _cell_centres(spec.grid[0], 0.0, caps[0])
-    p2c = _cell_centres(spec.grid[1], 0.0, caps[1])
-    g1, g2 = np.meshgrid(p1c, p2c, indexing="ij")
-    cells = np.stack([g1.ravel(), g2.ravel()])
-    n_cells = cells.shape[1]
-
-    par = {x_name: np.repeat(xv, n_cells), y_name: np.repeat(yv, n_cells)}
-    cfg_b = dc_replace(cfg, **par)
-    coup_b = CentroidCoupling(
-        g12=cfg_b.gamma1, g21=cfg_b.gamma2, phi=cfg_b.phi, psi=cfg_b.psi)
-
-    co = centroid_coeffs(cfg_b, coup_b, 1.0, 1.0)
-    d0 = _delta_star_array(co.C, co.S, cfg_b.mu)
-    d0 = np.broadcast_to(d0, (n_par * n_cells,)).copy()
-    P0 = np.tile(cells, n_par)
-    rows = [P0[0], P0[1]]
-    if n_pops == 3:
-        p3 = spec.p3_init if spec.p3_init is not None else 0.5 * cfg.K3
-        rows.append(np.full(n_par * n_cells, p3))
-    rows.append(d0)
-    if n_delta == 2:
-        rows.append(np.zeros(n_par * n_cells))
-    y0 = np.vstack(rows)
-
-    holder = {"cfg": cfg_b, "coup": coup_b}
-
-    def rhs(y):
-        return fn(y, holder["cfg"], holder["coup"])
-
-    def on_compact(keep):
-        arrays = {k: v[keep] for k, v in
-                  ((n, getattr(holder["cfg"], n)) for n in par)}
-        holder["cfg"] = dc_replace(holder["cfg"], **arrays)
-        holder["coup"] = CentroidCoupling(
-            g12=holder["cfg"].gamma1, g21=holder["cfg"].gamma2,
-            phi=holder["cfg"].phi, psi=holder["cfg"].psi)
-
-    out = integrate_batch(rhs, y0, spec.settings.dt_init,
-                          spec.settings.t_end, cfg.P_D, n_pops,
-                          on_compact=on_compact)
-    wins = (out.winner == 1).reshape(n_par, n_cells)
-    ok = (out.winner >= 0).reshape(n_par, n_cells)
-    n_failed = int((~ok).sum())
-    if n_failed > 0.01 * out.winner.size:
-        raise RuntimeError(f"{n_failed}/{out.winner.size} integrations failed")
-    vals = wins.sum(axis=1) / np.maximum(ok.sum(axis=1), 1)
-    return vals.reshape(ny, nx)
+    Reduced variants run one trajectory per cell (delta-star) or
+    delta_resolution per cell (delta-grid); full variants run an n_sim
+    phase ensemble per cell.  Integration failures are excluded from the
+    average when they are < 1% of the evaluations, otherwise a hard error
+    is raised.
+    """
+    return _basins(model, cfg, spec, net=net, coupling=coupling)[0]
 
 
 def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
@@ -313,9 +226,13 @@ def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
                   jobs: int = 1):
     """Basin value per (x, y) parameter pair; row index follows y.
 
-    Reduced variants without an explicit network coupling run as one
-    vectorised batch over all parameter pairs and cells; full variants
-    fall back to per-cell evaluation (optionally across processes).
+    Reduced variants run as one engine call over every parameter pair,
+    whatever the phase policy.  Their coupling is ``from_network(net)``,
+    else ``coupling``, else the config's, with swept gamma1/gamma2/phi/psi
+    overriding g12/g21/phi/psi.  Full variants keep their frustration in
+    the network matrices, so they call ``estimate_basin`` per pair
+    (optionally across ``jobs`` processes) on the network re-derived for
+    swept phi/psi.  Each entry equals ``estimate_basin`` at its pair.
     """
     if x_name == y_name:
         raise ValueError("heatmap needs two distinct parameter names")
@@ -324,23 +241,37 @@ def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
             raise ValueError(f"unknown parameter {name!r}")
     x_values = np.asarray(x_values, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
-    from .models import _REDUCED
+    nx, ny = x_values.size, y_values.size
+    swept = {x_name: np.tile(x_values, ny),            # row-major over (y, x)
+             y_name: np.repeat(y_values, nx)}
 
-    if model in _REDUCED and coupling is None and net is None:
-        matrix = _heatmap_reduced_batched(model, cfg, x_name, x_values,
-                                          y_name, y_values, spec)
-        return matrix, x_values, y_values
-    tasks = [(model, cfg, spec, x_name, float(xv), y_name, float(yv),
-              net, coupling)
-             for yv in y_values for xv in x_values]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_heatmap_cell, tasks))
+    if model in _REDUCED:
+        if net is not None:
+            coupling = CentroidCoupling.from_network(net)
+        elif coupling is None:
+            coupling = CentroidCoupling.from_config(cfg)
+        coupling = replace(coupling, **{
+            k: swept[name] for k, name in (("g12", "gamma1"),
+                                           ("g21", "gamma2"),
+                                           ("phi", "phi"), ("psi", "psi"))
+            if name in swept})
+        results = _basins(model, replace(cfg, **swept), spec, nx * ny,
+                          coupling=coupling)
     else:
-        flat = [_heatmap_cell(t) for t in tasks]
-    matrix = np.array(flat).reshape(y_values.size, x_values.size)
+        cfgs = [replace(cfg, **{x_name: float(xv), y_name: float(yv)})
+                for xv, yv in zip(swept[x_name], swept[y_name])]
+        nets = [net.with_frustration(c.phi, c.psi)
+                if net is not None and {"phi", "psi"} & swept.keys() else net
+                for c in cfgs]
+        args = (repeat(model), cfgs, repeat(spec), nets)
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(estimate_basin, *args))
+        else:
+            results = list(map(estimate_basin, *args))
+    matrix = np.array([r.value for r in results]).reshape(ny, nx)
     return matrix, x_values, y_values
 
 

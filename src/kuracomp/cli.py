@@ -335,7 +335,10 @@ def _task_doe(config, system, cfg, net, settings, recon_T, seed, outdir):
 
 def _task_glm(config, system, cfg, net, settings, recon_T, seed, outdir):
     task = config["task"]
-    X, y, names = stats.read_doe_csv(task["input"])
+    records, names = doe.read_doe_log(task["input"])
+    good = [r for r in records if not r.failed]
+    X = np.array([r.x for r in good])
+    y = np.array([r.y for r in good])
     fit = stats.fit_quasibinomial(X, y, feature_names=names)
     table = stats.deviance_anova(X, y, term_order=names)
     stats.write_coefficient_table(fit, table, outdir / "glm_coefficients.csv")

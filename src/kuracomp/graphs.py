@@ -314,9 +314,6 @@ class CoupledNetwork:
     def tactical_global(self, pop: int) -> np.ndarray:
         return self.global_nodes(pop, self.tactical[pop])
 
-    def omega_mean(self, pop: int) -> float:
-        return float(self.omega[self.nodes_of(pop)].mean())
-
 
 def assemble(populations, interlinks, sigma, xi, phi, psi,
              strategic=None, tactical=None, omega=None) -> CoupledNetwork:

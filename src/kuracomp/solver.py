@@ -370,10 +370,12 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
 
     Decided members are removed from the batch; when the right-hand side
     captures per-member parameter arrays, pass ``on_compact(keep_mask)``
-    to slice those arrays in lockstep.
+    to slice those arrays in lockstep.  ``p_death`` may also hold one
+    threshold per member.
     """
     y = np.array(y0, dtype=float)
     dim, B = y.shape
+    p_death = np.broadcast_to(np.asarray(p_death, dtype=float), (B,))
     winner = np.full(B, -2, dtype=int)      # -2 = still running
     t_event = np.full(B, t_end, dtype=float)
     y_final = np.array(y)
@@ -382,9 +384,10 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
     n_steps = int(np.ceil((t_end - t_offset) / dt - 1e-12))
 
     def compact(keep):
-        nonlocal y, active
+        nonlocal y, active, p_death
         y = y[:, keep]
         active = active[keep]
+        p_death = p_death[keep]
         if on_compact is not None:
             on_compact(keep)
 
@@ -421,9 +424,9 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
             idx = np.nonzero(anyc)[0]
             for i in idx:
                 tb1 = _bisect_component(y[:, i], k1[:, i], y_new[:, i],
-                                        f_new[:, i], h, 0, p_death) if crossed1[i] else np.inf
+                                        f_new[:, i], h, 0, p_death[i]) if crossed1[i] else np.inf
                 tb2 = _bisect_component(y[:, i], k1[:, i], y_new[:, i],
-                                        f_new[:, i], h, 1, p_death) if crossed2[i] else np.inf
+                                        f_new[:, i], h, 1, p_death[i]) if crossed2[i] else np.inf
                 member = active[i]
                 if tb2 <= tb1:
                     winner[member] = 1

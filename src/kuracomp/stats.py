@@ -25,7 +25,6 @@ __all__ = [
     "deviance_anova",
     "permutation_importance",
     "binomial_deviance",
-    "read_doe_csv",
     "write_coefficient_table",
 ]
 
@@ -245,22 +244,6 @@ def permutation_importance(fit: GlmFit, X, y, n_repeats: int = 10,
 # ---------------------------------------------------------------------------
 # CSV interfaces
 # ---------------------------------------------------------------------------
-
-def read_doe_csv(path):
-    """Read a DOE log CSV into (X, y, factor_names)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = header[2:-2]
-        xs, ys = [], []
-        for row in reader:
-            y = float(row[-2])
-            if not np.isfinite(y):
-                continue
-            xs.append([float(v) for v in row[2:-2]])
-            ys.append(y)
-    return np.array(xs), np.array(ys), names
-
 
 def write_coefficient_table(fit: GlmFit, table: DevianceTable, path):
     """Coefficient table CSV: term, Estimate, Std. Error, t-value, Deviance%."""

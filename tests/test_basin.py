@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuracomp import basin, graphs, models
-from kuracomp.models import ModelConfig
+from kuracomp.models import CentroidCoupling, ModelConfig
 from kuracomp.solver import IntegratorSettings
 
 
@@ -128,6 +132,9 @@ def test_heatmap_rejects_bad_params():
     with pytest.raises(ValueError):
         basin.basin_heatmap("simple-reduced", _cfg(), "beta1", [1],
                             "bogus", [2], _spec())
+    with pytest.raises(ValueError, match="no phases"):
+        basin.basin_heatmap("simple-reduced", _cfg(), "beta1", [1],
+                            "mu", [0.2], _spec(phase_policy="ensemble"))
 
 
 def test_spec_validation():
@@ -175,16 +182,96 @@ def test_refinement_bounded_by_boundary_fraction():
 
 
 def test_heatmap_percell_path_order_invariant():
-    # force the per-cell path by passing the coupling explicitly; two
-    # workers must reproduce the single-worker matrix exactly
-    from kuracomp.models import CentroidCoupling
-
-    cfg = _cfg()
-    coup = CentroidCoupling.from_config(cfg)
-    spec = _spec(grid=(4, 4), t_end=80.0)
-    kw = dict(spec=spec, coupling=coup)
-    m1, _, _ = basin.basin_heatmap("simple-reduced", cfg, "beta1",
-                                   [1.5, 3.5], "mu", [0.1, 0.3], **kw)
-    m2, _, _ = basin.basin_heatmap("simple-reduced", cfg, "beta1",
-                                   [1.5, 3.5], "mu", [0.1, 0.3], jobs=2, **kw)
+    # full variants evaluate each parameter pair separately; two workers
+    # must reproduce the single-worker matrix exactly
+    spec = basin.BasinSpec(grid=(2, 2), n_sim=3, seed=7, recon_T=2.0,
+                           settings=IntegratorSettings(dt_init=0.02,
+                                                       t_end=20.0))
+    kw = dict(spec=spec, net=_two_pop_net())
+    m1, _, _ = basin.basin_heatmap("simple", _cfg(), "beta1",
+                                   [1.5, 3.5], "phi", [0.1, 0.3], **kw)
+    m2, _, _ = basin.basin_heatmap("simple", _cfg(), "beta1",
+                                   [1.5, 3.5], "phi", [0.1, 0.3], jobs=2, **kw)
     assert np.array_equal(m1, m2)
+
+
+def test_heatmap_honours_delta_grid_policy():
+    # regression: the batched reduced heatmap used to start every member at
+    # Delta* whatever the phase policy, returning [0, 1, 1] here
+    cfg = ModelConfig(beta2=3.5, gamma2=0.3, mu=0.2, phi=0.2, psi=0.0)
+    spec = _spec(t_end=120.0, phase_policy="delta-grid")
+    betas = [2.0, 2.3, 2.6]
+    mat, _, _ = basin.basin_heatmap("simple-reduced", cfg, "beta1", betas,
+                                    "psi", [0.0], spec)
+    expected = [basin.estimate_basin("simple-reduced",
+                                     cfg.with_overrides(beta1=b), spec).value
+                for b in betas]
+    assert np.array_equal(mat, [expected])
+    assert 0.0 < mat[0, 1] < 1.0
+
+
+def _two_pop_net():
+    g = graphs.Graph(n=3, edges=((0, 1), (1, 2)))
+    return graphs.assemble([g, g], {(0, 1): [(0, 0)]}, sigma=[2.0, 2.0],
+                           xi={(0, 1): 3.0, (1, 0): 3.0}, phi=0.2, psi=0.0,
+                           strategic=[(0,), (0,)], tactical=[(1, 2), (1, 2)],
+                           omega=[np.full(3, 0.6), np.full(3, 0.4)])
+
+
+def _three_pop_net():
+    g = graphs.Graph(n=2, edges=((0, 1),))
+    xi = {(i, j): 0.5 + 0.25 * (i + j) for i in range(3) for j in range(3)
+          if i != j}
+    return graphs.assemble([g, g, g], {(0, 1): [(0, 0)], (0, 2): [(1, 0)],
+                                       (1, 2): [(1, 1)]},
+                           sigma=[1.0, 1.0, 1.0], xi=xi, phi=0.3, psi=0.1)
+
+
+_SWEEPABLE = {"beta1": (0.5, 6.0), "mu": (-0.6, 0.6), "gamma1": (0.0, 2.0),
+              "gamma2": (0.0, 2.0), "phi": (-1.0, 1.0), "psi": (-1.0, 1.0),
+              "P_D": (1e-4, 1e-2), "K1": (5.0, 15.0)}
+_COUPLING_OF = {"gamma1": "g12", "gamma2": "g21", "phi": "phi", "psi": "psi"}
+
+
+@st.composite
+def _heatmap_axes(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_SWEEPABLE)), min_size=2,
+                          max_size=2, unique=True))
+    values = [draw(st.lists(st.floats(*_SWEEPABLE[n]), min_size=1,
+                            max_size=2)) for n in names]
+    return names, values
+
+
+@pytest.mark.parametrize("source", ["config", "coupling", "network"])
+@pytest.mark.parametrize("policy", ["delta-star", "delta-grid"])
+@pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
+                                   "eco3-reduced"])
+@settings(max_examples=3, deadline=None)
+@given(axes=_heatmap_axes())
+def test_heatmap_entry_equals_estimate_basin(model, policy, source, axes):
+    (x_name, y_name), (xs, ys) = axes
+    cfg = _cfg(alpha=5.0) if model == "eco3-reduced" else _cfg()
+    spec = basin.BasinSpec(grid=(2, 2), phase_policy=policy,
+                           delta_resolution=3,
+                           settings=IntegratorSettings(dt_init=0.05,
+                                                       t_end=30.0))
+    net = coupling = None
+    base = CentroidCoupling.from_config(cfg)
+    if source == "network":
+        net = _three_pop_net() if model == "eco3-reduced" else _two_pop_net()
+        base = CentroidCoupling.from_network(net)
+    elif source == "coupling":
+        base = coupling = CentroidCoupling(g12=0.7, g21=1.3, g13=0.4,
+                                           g23=0.2, g31=0.5, g32=0.6,
+                                           phi=0.3, psi=-0.2)
+    mat, _, _ = basin.basin_heatmap(model, cfg, x_name, xs, y_name, ys, spec,
+                                    net=net, coupling=coupling)
+    for j, yv in enumerate(ys):
+        for i, xv in enumerate(xs):
+            point = {x_name: xv, y_name: yv}
+            coup = replace(base, **{_COUPLING_OF[k]: v
+                                    for k, v in point.items()
+                                    if k in _COUPLING_OF})
+            want = basin.estimate_basin(model, replace(cfg, **point), spec,
+                                        coupling=coup).value
+            assert np.array_equal(mat[j, i], want, equal_nan=True)

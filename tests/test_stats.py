@@ -198,16 +198,25 @@ def test_coefficient_table_csv(tmp_path):
     assert len(lines) == 4
 
 
-def test_read_doe_csv_roundtrip(tmp_path):
-    from kuracomp import doe
+def test_read_doe_log_feeds_glm(tmp_path):
+    from kuracomp import cli, doe
 
     g = lambda x: float(np.clip(x[0] * 0.8 + 0.1, 0, 1))
     recs = doe.run_doe(g, [(0.0, 1.0), (0.0, 1.0)], k_init=6, n_total=9,
                        seed=11)
-    path = tmp_path / "log.csv"
-    doe.write_doe_log(recs, path, ["f1", "f2"])
-    X, y, names = stats.read_doe_csv(path)
+    failed = doe.DesignRecord(x=np.array([0.5, 0.5]), y=np.nan, z=np.nan,
+                              iteration=9, source="acquisition", failed=True)
+    tables = []
+    for name, log in (("clean", recs), ("with_failed", recs + [failed])):
+        path = tmp_path / f"{name}.csv"
+        doe.write_doe_log(log, path, ["f1", "f2"])
+        cli.run("simple-cs", overrides=["task.type=glm",
+                                        f"task.input={path}"],
+                out_dir=tmp_path / name, seed=0)
+        tables.append((tmp_path / name / "glm_coefficients.csv").read_text())
+    records, names = doe.read_doe_log(path)
     assert names == ["f1", "f2"]
-    assert X.shape == (9, 2) and y.shape == (9,)
-    fit = stats.fit_quasibinomial(X, y, feature_names=names)
-    assert np.isfinite(fit.coefficients).all()
+    assert [r.failed for r in records] == [False] * 9 + [True]
+    # failed rows are skipped before the fit
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[1].startswith("(Intercept),")
