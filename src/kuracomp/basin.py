@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import delta_star
 from .models import _REDUCED, CentroidCoupling, build_system, centroid_coeffs
-from .solver import (IntegratorSettings, integrate_batch, sample_initial_phases,
-                     _batch_rk4_plain)
+from .solver import (IntegratorSettings, integrate_batch, reconnoitred_phases,
+                     _rk4)
 
 __all__ = ["BasinSpec", "BasinResult", "estimate_basin", "basin_heatmap",
            "heatmap_to_csv"]
@@ -108,8 +108,8 @@ def _initial_delta3(cfg, coupling, n_points=1, settle_T: float = 50.0,
     """
     from .models import eco3_reduced_rhs
 
-    y = _batch_rk4_plain(lambda yy: eco3_reduced_rhs(yy, cfg, coupling),
-                         np.zeros((5, n_points)), dt, settle_T)
+    y = _rk4(lambda yy: eco3_reduced_rhs(yy, cfg, coupling),
+             np.zeros((5, n_points)), dt, settle_T)
     return y[3:]
 
 
@@ -154,11 +154,8 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
 
     settings = spec.settings
     if policy == "ensemble":
-        start = sample_initial_phases(system.net.n_total, spec.n_sim,
-                                      spec.seed)
-        if spec.recon_T > 0:
-            start = _batch_rk4_plain(system.phase_rhs(), start,
-                                     settings.dt_init, spec.recon_T)
+        start = reconnoitred_phases(system, spec.n_sim, spec.seed,
+                                    settings.dt_init, spec.recon_T)
         start = start[:, None, None, :]               # (nodes, 1, 1, members)
     elif policy == "delta-grid":
         m = spec.delta_resolution
@@ -187,7 +184,7 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
             live[:] = [_take(p, keep) for p in live]
 
     out = integrate_batch(rhs, y0, settings.dt_init, settings.t_end,
-                          live[0].P_D, system.n_pops, on_compact=on_compact)
+                          live[0].P_D, on_compact=on_compact)
 
     winner = out.winner.reshape(shape)
     ok = winner >= 0

@@ -3,21 +3,24 @@
 ``integrate`` is an embedded Dormand-Prince 5(4) pair with PI step-size
 control, cubic-Hermite dense output, and event location by bisection on the
 dense interpolant (|dt| <= 1e-9).  ``method="rk4"`` switches to fixed-step
-classical RK4 for bit-reproducible baselines.
+classical RK4 for bit-reproducible baselines.  It, the batch runner,
+reconnaissance and settling share one RK4 step and one schedule:
+ceil((t_end - t0)/dt) steps, never padded with a rounding-sized sliver, so
+a trajectory and a batch member from the same start agree bitwise.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 where only the phase dynamics run (feedback H = 1, resources frozen),
 followed by the full hybrid system until one competitor falls below the
 extinction threshold P_D or the horizon is reached.
 
-``ensemble`` and the internal batch runner evaluate many trajectories at
-once (vectorised fixed-step RK4 over a trailing batch axis) with integer
-win counts, so aggregation is order-independent and deterministic.
+``ensemble`` and the batch runner evaluate many trajectories at once
+(vectorised over a trailing batch axis) with integer win counts, so
+aggregation is order-independent and deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +39,8 @@ __all__ = [
 ]
 
 EVENT_TIME_TOL = 1e-9
+STEADY_TOL = 1e-9        # batch members with max|dy/dt| below this are settled
+CHECK_EVERY = 25         # batch steps between steady-state/finiteness checks
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -65,8 +70,8 @@ class StiffnessError(RuntimeError):
 class IntegratorSettings:
     """Tolerances and horizon for the integrators.
 
-    ``dt_init`` doubles as the fixed step of method="rk4" and as the step
-    of the vectorised batch runner.
+    ``dt_init`` doubles as the step of the one fixed-step RK4 kernel:
+    method="rk4", the vectorised batch runner and reconnaissance.
     """
 
     method: str = "rk45"
@@ -151,7 +156,7 @@ def _error_norm(err, y0, y1, rtol, atol):
 
 
 def _scan_events(events, t0, y0, f0, t1, y1, f1, hits):
-    """Record every event crossing in [t0, t1]; return the first terminal
+    """Record every event crossing in (t0, t1]; return the first terminal
     hit (t, y) or None."""
     found = []
     for ev in events:
@@ -167,13 +172,13 @@ def _scan_events(events, t0, y0, f0, t1, y1, f1, hits):
 
 
 def _locate_event(ev, t0, y0, f0, t1, y1, f1):
-    """Bisection on the dense interpolant down to |dt| <= 1e-9."""
+    """Bisection on the dense interpolant down to |dt| <= 1e-9; a crossing
+    is a sign change in (t0, t1] in the event's direction."""
     g0 = ev.fn(t0, y0)
     g1 = ev.fn(t1, y1)
-    if g0 == 0.0:
-        return t0, y0
-    crossed = (g0 < 0 <= g1) if ev.direction > 0 else \
-              (g0 > 0 >= g1) if ev.direction < 0 else (np.sign(g0) != np.sign(g1))
+    rising, falling = g0 < 0 <= g1, g0 > 0 >= g1
+    crossed = rising if ev.direction > 0 else \
+        falling if ev.direction < 0 else rising or falling
     if not crossed:
         return None
     a, b = t0, t1
@@ -212,19 +217,17 @@ def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
         raise ValueError("t_end must exceed t0")
     t, y = t0, y0
     f = np.asarray(rhs(t, y), dtype=float)
-    ts, ys, fs, hits = [t], [y.copy()], [f.copy()], []
+    out = ([t], [y.copy()], [f.copy()], [])
     h = min(settings.dt_init, settings.dt_max, span)
     err_prev = 1.0
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
     k = np.empty((7,) + y.shape)
-    status = "completed"
 
     while t < t_end:
         h = min(h, t_end - t, settings.dt_max)
         if h < 1e-14 * span:
-            raise StiffnessError(
-                f"step size underflow at t={t}",
-                Trajectory(np.array(ts), np.array(ys), np.array(fs), hits, "stiff"))
+            raise StiffnessError(f"step size underflow at t={t}",
+                                 _trajectory(out, "stiff"))
         k[0] = f
         for i in range(1, 7):
             k[i] = rhs(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
@@ -234,56 +237,75 @@ def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
         if err <= 1.0 or h <= 1e-13 * span:
             t_new = t + h
             f_new = k[6].copy()  # FSAL: last stage is rhs(t_new, y_new)
-            stop = _scan_events(events, t, y, f, t_new, y_new, f_new, hits)
-            if stop is not None:
-                t_ev, y_ev = stop
-                ts.append(t_ev)
-                ys.append(y_ev)
-                fs.append(np.asarray(rhs(t_ev, y_ev), dtype=float))
-                status = "event"
-                break
+            if _append_step(rhs, events, out, t, y, f, t_new, y_new, f_new):
+                return _trajectory(out, "event")
             t, y, f = t_new, y_new, f_new
-            ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
             fac = safety * err ** -0.14 * err_prev ** 0.08 if err > 0 else fac_max
             h *= min(fac_max, max(fac_min, fac))
             err_prev = max(err, 1e-4)
         else:
             h *= min(1.0, max(0.1, safety * err ** -0.2))
 
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs), hits, status)
+    return _trajectory(out, "completed")
 
 
 def _integrate_rk4(rhs, y0, settings, t0, events):
     """Classical fixed-step RK4 with the same dense output and events."""
-    t_end, dt = settings.t_end, settings.dt_init
-    t, y = t0, y0
-    f = np.asarray(rhs(t, y), dtype=float)
-    ts, ys, fs, hits = [t], [y.copy()], [f.copy()], []
-    status = "completed"
-    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
+    y, f = y0, np.asarray(rhs(t0, y0), dtype=float)
+    out = ([t0], [y.copy()], [f.copy()], [])
+    for t, h in _rk4_grid(t0, settings.t_end, settings.dt_init):
+        y_new = _rk4_step(rhs, t, y, f, h)
+        f_new = np.asarray(rhs(t + h, y_new), dtype=float)
+        if _append_step(rhs, events, out, t, y, f, t + h, y_new, f_new):
+            return _trajectory(out, "event")
+        y, f = y_new, f_new
+    return _trajectory(out, "completed")
+
+
+def _append_step(rhs, events, out, t0, y0, f0, t1, y1, f1):
+    """Append the accepted step's end to ``out`` = (ts, ys, fs, hits), or
+    its first terminal event instead; True if an event stopped the run."""
+    stop = _scan_events(events, t0, y0, f0, t1, y1, f1, out[3])
+    if stop is not None:
+        t1, y1 = stop
+        f1 = np.asarray(rhs(t1, y1), dtype=float)
+    out[0].append(t1)
+    out[1].append(y1.copy())
+    out[2].append(f1.copy())
+    return stop is not None
+
+
+def _trajectory(out, status):
+    return Trajectory(*map(np.array, out[:3]), out[3], status)
+
+
+def _rk4_step(rhs, t, y, k1, h):
+    """One classical RK4 step of size h from (t, y), given k1 = rhs(t, y)."""
+    k2 = rhs(t + h / 2, y + (h / 2) * k1)
+    k3 = rhs(t + h / 2, y + (h / 2) * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _rk4_grid(t0, t_end, dt):
+    """The fixed-step schedule: (t, h) for ceil((t_end - t0)/dt) steps of
+    min(dt, t_end - t).  The 1e-12 margin keeps a quotient that rounds just
+    above an integer from adding a rounding-sized last step."""
+    t = t0
+    for _ in range(int(np.ceil((t_end - t0) / dt - 1e-12))):
         h = min(dt, t_end - t)
-        k1 = f
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y_new = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t_new = t + h
-        f_new = np.asarray(rhs(t_new, y_new), dtype=float)
-        stop = _scan_events(events, t, y, f, t_new, y_new, f_new, hits)
-        if stop is not None:
-            t_ev, y_ev = stop
-            ts.append(t_ev)
-            ys.append(y_ev)
-            fs.append(np.asarray(rhs(t_ev, y_ev), dtype=float))
-            status = "event"
-            break
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y.copy())
-        fs.append(f.copy())
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs), hits, status)
+        yield t, h
+        t += h
+
+
+def _rk4(rhs, y, dt, t_end):
+    """Final state of fixed-step RK4 on dy/dt = rhs(y) over [0, t_end]; for
+    reconnaissance and settling, which need no events, steady stop or
+    compaction."""
+    step_rhs = lambda t, yy: rhs(yy)
+    for t, h in _rk4_grid(0.0, t_end, dt):
+        y = _rk4_step(step_rhs, t, y, rhs(y), h)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +341,9 @@ def run_scenario(system, state0, settings: IntegratorSettings,
         raise ValueError(f"state has shape {y.shape}, expected ({system.dim},)")
     m = system.n_pops
     if not system.reduced and recon_T > 0:
-        recon_settings = IntegratorSettings(
-            method=settings.method, rtol=settings.rtol, atol=settings.atol,
-            dt_init=settings.dt_init, dt_max=settings.dt_max, t_end=recon_T)
         phase_rhs = system.phase_rhs()
-        traj = integrate(lambda t, th: phase_rhs(th), y[m:], recon_settings)
+        traj = integrate(lambda t, th: phase_rhs(th), y[m:],
+                         replace(settings, t_end=recon_T))
         y = np.concatenate([y[:m], traj.y[-1]])
 
     rhs = system.rhs
@@ -339,7 +359,7 @@ def run_scenario(system, state0, settings: IntegratorSettings,
 
 
 # ---------------------------------------------------------------------------
-# batch runner (vectorised fixed-step RK4 with event bisection)
+# batch runner (vectorised over members, with event bisection)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -358,9 +378,8 @@ class BatchOutcome:
         }
 
 
-def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
-                    steady_tol: float = 1e-9, check_every: int = 25,
-                    t_offset: float = 0.0, on_compact=None) -> BatchOutcome:
+def integrate_batch(rhs, y0, dt, t_end, p_death, *,
+                    on_compact=None) -> BatchOutcome:
     """Fixed-step RK4 over a batch; stops members on P_1/P_2 threshold
     crossings (bisected inside the step) or on reaching a fixed point.
 
@@ -380,8 +399,7 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
     t_event = np.full(B, t_end, dtype=float)
     y_final = np.array(y)
     active = np.arange(B)
-    t = t_offset
-    n_steps = int(np.ceil((t_end - t_offset) / dt - 1e-12))
+    step_rhs = lambda t, yy: rhs(yy)
 
     def compact(keep):
         nonlocal y, active, p_death
@@ -391,13 +409,13 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
         if on_compact is not None:
             on_compact(keep)
 
-    step = 0
-    while step < n_steps and active.size:
-        h = min(dt, t_end - t)
+    for step, (t, h) in enumerate(_rk4_grid(0.0, t_end, dt)):
+        if not active.size:
+            break
         k1 = rhs(y)
-        if step % check_every == 0:
+        if step % CHECK_EVERY == 0:
             bad = ~np.all(np.isfinite(k1), axis=0)
-            steady = (np.max(np.abs(k1), axis=0) < steady_tol) & ~bad
+            steady = (np.max(np.abs(k1), axis=0) < STEADY_TOL) & ~bad
             if bad.any():
                 winner[active[bad]] = -1
                 y_final[:, active[bad]] = y[:, bad]
@@ -412,10 +430,7 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
                 compact(keep)
                 if not active.size:
                     break
-        k2 = rhs(y + (h / 2) * k1)
-        k3 = rhs(y + (h / 2) * k2)
-        k4 = rhs(y + h * k3)
-        y_new = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y_new = _rk4_step(step_rhs, t, y, k1, h)
         crossed1 = (y[0] > p_death) & (y_new[0] <= p_death)
         crossed2 = (y[1] > p_death) & (y_new[1] <= p_death)
         anyc = crossed1 | crossed2
@@ -439,8 +454,6 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, n_pops,
             compact(~anyc)
         else:
             y = y_new
-        t += h
-        step += 1
     if active.size:
         winner[active] = 0
         y_final[:, active] = y
@@ -474,13 +487,15 @@ class EnsembleResult:
     t_events: np.ndarray
 
 
-def sample_initial_phases(n_nodes: int, n_sim: int, seed: int) -> np.ndarray:
-    """theta_i(0) ~ U[0, 2pi) i.i.d.; member i draws its own substream."""
-    out = np.empty((n_nodes, n_sim))
-    for i in range(n_sim):
-        rng = substream(seed, "ensemble", i)
-        out[:, i] = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)
-    return out
+def reconnoitred_phases(system, n_sim: int, seed: int, dt: float,
+                        recon_T: float) -> np.ndarray:
+    """Ensemble start phases, shape (n_nodes, n_sim): theta_i(0) ~ U[0, 2pi)
+    i.i.d., member i from its own substream, then recon_T of phase-only
+    dynamics (H = 1); recon_T = 0 takes no step."""
+    n = system.net.n_total
+    theta = np.stack([substream(seed, "ensemble", i).uniform(
+        0.0, 2.0 * np.pi, size=n) for i in range(n_sim)], axis=1)
+    return _rk4(system.phase_rhs(), theta, dt, recon_T)
 
 
 def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
@@ -492,13 +507,10 @@ def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
         raise ValueError("ensemble applies to full variants (random phases)")
     m = system.n_pops
     P0 = np.asarray(P0, dtype=float).reshape(m)
-    theta0 = sample_initial_phases(system.net.n_total, n_sim, seed)
-    if recon_T > 0:
-        phase_rhs = system.phase_rhs()
-        theta0 = _batch_rk4_plain(phase_rhs, theta0, settings.dt_init, recon_T)
+    theta0 = reconnoitred_phases(system, n_sim, seed, settings.dt_init, recon_T)
     y0 = np.concatenate([np.repeat(P0[:, None], n_sim, axis=1), theta0], axis=0)
     out = integrate_batch(system.rhs, y0, settings.dt_init, settings.t_end,
-                          p_death, m)
+                          p_death)
     counts = {
         "blue": int((out.winner == 1).sum()),
         "red": int((out.winner == 2).sum()),
@@ -507,18 +519,3 @@ def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
     }
     return EnsembleResult(n_sim=n_sim, counts=counts, fractions=out.fractions(),
                           winners=out.winner, t_events=out.t_event)
-
-
-def _batch_rk4_plain(rhs, y0, dt, t_end):
-    """Fixed-step RK4 without events; returns the final state."""
-    y = np.array(y0, dtype=float)
-    t = 0.0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        k1 = rhs(y)
-        k2 = rhs(y + (h / 2) * k1)
-        k3 = rhs(y + (h / 2) * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from kuracomp import analysis, graphs, models, solver
 from kuracomp.models import CentroidCoupling, ModelConfig
@@ -184,10 +186,86 @@ def test_batch_matches_single_trajectory():
     out_single = solver.run_scenario(system, y0, st, recon_T=0.0,
                                      p_death=1e-4)
     out_batch = solver.integrate_batch(system.rhs, y0[:, None], 0.01, 100.0,
-                                       1e-4, 2)
+                                       1e-4)
     assert out_batch.winner[0] == 1
     assert out_single.winner == "blue"
     assert out_batch.t_event[0] == pytest.approx(out_single.t_event, abs=1e-5)
+
+
+@pytest.mark.parametrize("t_end,dt", [(10.0, 0.01), (50.0, 0.01),
+                                       (7.3, 0.02), (7.31, 0.02)])
+def test_rk4_schedule_has_no_sliver_step(t_end, dt):
+    st = IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end)
+    traj = solver.integrate(lambda t, y: -y, np.array([1.0]), st)
+    assert len(traj.t) - 1 == int(np.ceil(t_end / dt - 1e-12))
+    assert np.diff(traj.t).min() > 1e-9
+    assert traj.t[-1] == pytest.approx(t_end, abs=1e-9)
+
+
+def test_rk4_trajectory_equals_batch_member():
+    cfg = ModelConfig(r1=3.0, r2=2.5, beta1=4.0, beta2=2.0, mu=0.2, phi=0.2,
+                      gamma1=1.0, gamma2=1.0)
+    system = models.build_system("simple-reduced", cfg)
+    y0 = np.array([0.5, 0.5, 0.1])
+    st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
+    traj = solver.integrate(lambda t, y: system.rhs(y), y0, st)
+    # no threshold below -inf, and the flow stays far from steady
+    out = solver.integrate_batch(system.rhs, y0[:, None], 0.01, 10.0,
+                                 -np.inf)
+    assert out.winner[0] == 0
+    assert np.array_equal(traj.y[-1], out.y_final[:, 0])
+
+
+@pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
+                                   "eco3-reduced"])
+@settings(max_examples=5, deadline=None)
+@given(data=hst.data())
+def test_batch_columns_equal_single_member_runs(model, data):
+    unit = hst.floats(0.05, 1.0)
+    cfg = ModelConfig(r1=data.draw(hst.floats(0.5, 4.0)),
+                      r2=data.draw(hst.floats(0.5, 4.0)),
+                      beta1=data.draw(hst.floats(0.0, 6.0)),
+                      beta2=data.draw(hst.floats(0.0, 6.0)),
+                      mu=data.draw(hst.floats(-0.5, 0.5)),
+                      phi=data.draw(hst.floats(-1.0, 1.0)),
+                      P_D=data.draw(hst.floats(1e-3, 0.2)))
+    system = models.build_system(model, cfg)
+    B = data.draw(hst.integers(2, 5))
+    caps = [cfg.K1, cfg.K2, cfg.K3] if system.n_pops == 3 else [1.0, 1.0]
+    rows = [[cap * data.draw(unit) for _ in range(B)] for cap in caps]
+    rows += [[data.draw(hst.floats(-np.pi, np.pi)) for _ in range(B)]
+             for _ in range(system.dim - system.n_pops)]
+    y0 = np.array(rows)
+    t_end = data.draw(hst.floats(0.5, 15.0))
+    batch = solver.integrate_batch(system.rhs, y0, 0.05, t_end, cfg.P_D)
+    for b in range(B):
+        one = solver.integrate_batch(system.rhs, y0[:, b:b + 1], 0.05, t_end,
+                                     cfg.P_D)
+        assert one.winner[0] == batch.winner[b]
+        assert one.t_event[0] == batch.t_event[b]
+        np.testing.assert_array_equal(one.y_final[:, 0], batch.y_final[:, b])
+
+
+@pytest.mark.parametrize("direction", [0, 1])
+def test_event_on_step_boundary_recorded_once(direction):
+    # y reaches 0 exactly at t = 0.5, the end of the second step
+    st = IntegratorSettings(method="rk4", dt_init=0.25, t_end=1.0)
+    ev = Event(fn=lambda t, y: y[0], name="zero", direction=direction,
+               terminal=False)
+    traj = solver.integrate(lambda t, y: np.ones(1), np.array([-0.5]), st,
+                            events=[ev])
+    assert len(traj.events) == 1
+    assert traj.events[0].t == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_rising_event_ignores_falling_start_on_zero(method):
+    st = IntegratorSettings(method=method, dt_init=0.1, t_end=1.0)
+    ev = Event(fn=lambda t, y: y[0], name="rise", direction=1)
+    traj = solver.integrate(lambda t, y: -np.ones(1), np.array([0.0]), st,
+                            events=[ev])
+    assert traj.status == "completed" and not traj.events
+    assert traj.t[-1] == pytest.approx(1.0)
 
 
 def test_trajectory_csv_headers(tmp_path):
