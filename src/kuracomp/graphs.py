@@ -217,6 +217,8 @@ class CoupledNetwork:
     _phi_mat: np.ndarray = field(init=False, default=None, repr=False)
     _m_sin: np.ndarray = field(init=False, default=None, repr=False)
     _m_cos: np.ndarray = field(init=False, default=None, repr=False)
+    # the phase plan models.py builds on the first full-variant RHS call
+    _plan: object = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         sizes = [g.n for g in self.populations]

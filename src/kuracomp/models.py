@@ -32,7 +32,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .phase import circular_centroid, kuramoto_rhs, order_parameter
+# kuramoto_rhs, circular_centroid and order_parameter stay importable here:
+# perfbench traces the phase layer at these names.
+from .phase import (_kuramoto_rates, circular_centroid, kuramoto_rhs,  # noqa: F401
+                    order_parameter)
 
 __all__ = [
     "ModelConfig",
@@ -202,30 +205,74 @@ def _initiative(delta):
     return 0.5 * (np.sin(delta) + 2.0)
 
 
-def _order_powers(theta, net, n):
-    """Strategic/tactical order parameters O_S^n, O_T^n per population."""
-    o_s, o_t = [], []
-    for p in range(net.n_pops):
-        o_s.append(order_parameter(theta, net.strategic_global(p)) ** n)
-        o_t.append(order_parameter(theta, net.tactical_global(p)) ** n)
-    return o_s, o_t
+@dataclass(frozen=True)
+class _PhasePlan:
+    """Index arrays the full-variant right-hand sides read phases through.
+
+    ``centroid_groups`` holds one ``(idx, pops)`` pair per distinct size L
+    among populations 1 and 2 (the only centroids a variant reads): ``idx``
+    of shape (L, len(pops)) lists the nodes of each population in ``pops``
+    column by column, so one centroid call covers them all.  Row p of
+    ``order_weights`` (shape (2 * n_pops, n_total)) averages the strategic
+    nodes of population p and row n_pops + p its tactical nodes; it is None
+    when some strategic or tactical set is empty and has no order
+    parameter.  ``feedback_row`` picks each node's row of [H_1, H_2, 1].
+    """
+
+    centroid_groups: tuple
+    order_weights: np.ndarray
+    feedback_row: np.ndarray
 
 
-def _population_H(net, P, capacities):
-    """Feedback H per node: clip(1 - P_adv/K_adv, 0, 1); 1 for a third pop."""
-    parts = []
-    k1, k2 = capacities
-    h1 = np.asarray(np.clip(1.0 - P[1] / k2, 0.0, 1.0), dtype=float)
-    h2 = np.asarray(np.clip(1.0 - P[0] / k1, 0.0, 1.0), dtype=float)
-    values = [h1, h2, np.ones_like(h1)]
-    for p in range(net.n_pops):
-        val = values[min(p, 2)]
-        parts.append(np.broadcast_to(val, (net.sizes[p],) + val.shape))
-    return np.concatenate(parts, axis=0)
+def _phase_plan(net) -> _PhasePlan:
+    """The network's phase plan, built on first use and cached on it."""
+    if net._plan is None:
+        groups = {}
+        for p in range(min(net.n_pops, 2)):
+            groups.setdefault(net.sizes[p], []).append(p)
+        centroid_groups = tuple(
+            (np.stack([np.arange(net.offsets[p], net.offsets[p + 1])
+                       for p in pops], axis=1), tuple(pops))
+            for pops in groups.values())
+        subsets = ([net.strategic_global(p) for p in range(net.n_pops)]
+                   + [net.tactical_global(p) for p in range(net.n_pops)])
+        weights = None
+        if all(len(nodes) for nodes in subsets):
+            weights = np.zeros((len(subsets), net.n_total))
+            for row, nodes in enumerate(subsets):
+                weights[row, nodes] = 1.0 / len(nodes)
+        rows = np.minimum(np.repeat(np.arange(net.n_pops), net.sizes), 2)
+        net._plan = _PhasePlan(centroid_groups, weights, rows)
+    return net._plan
 
 
-def _centroids(theta, net):
-    return [circular_centroid(theta[net.nodes_of(p)]) for p in range(net.n_pops)]
+def _phases(theta, net, n=None):
+    """sin(theta), cos(theta), the centroids [th1, th2] of populations 1 and
+    2 and, for an exponent n, the order-parameter powers (O_S^n, O_T^n), each
+    indexed by population.  One centroid call per distinct population size
+    and one product with the plan's order weights."""
+    plan = _phase_plan(net)
+    s, c = np.sin(theta), np.cos(theta)
+    th = [None, None]
+    for idx, pops in plan.centroid_groups:
+        for p, centroid in zip(pops, circular_centroid(theta[idx])):
+            th[p] = centroid
+    if n is None:
+        return s, c, th, None
+    if plan.order_weights is None:
+        raise ValueError("order parameter of an empty subset")
+    g = plan.order_weights
+    o = np.hypot(g @ c, g @ s) ** n
+    return s, c, th, (o[:net.n_pops], o[net.n_pops:])
+
+
+def _phase_rates(s, c, net, P, k1, k2):
+    """d(theta)/dt under feedback H = clip(1 - P_adv/K_adv, 0, 1) on
+    populations 1 and 2 and H = 1 on a third."""
+    h1 = np.clip(1.0 - P[1] / k2, 0.0, 1.0)
+    h2 = np.clip(1.0 - P[0] / k1, 0.0, 1.0)
+    h = np.stack([h1, h2, np.ones_like(h1)])[_phase_plan(net).feedback_row]
+    return _kuramoto_rates(s, c, net, h)
 
 
 # ---------------------------------------------------------------------------
@@ -235,33 +282,29 @@ def _centroids(theta, net):
 def simple_rhs(y, cfg: ModelConfig, net):
     """Two-population logistic/bilinear competition with full phase vector."""
     P, theta = y[:2], y[2:]
-    th1, th2 = _centroids(theta, net)
+    s, c, (th1, th2), _ = _phases(theta, net)
     dP1 = cfg.r1 * P[0] * (1 - P[0]) - cfg.beta2 * P[0] * P[1] * _initiative(th2 - th1)
     dP2 = cfg.r2 * P[1] * (1 - P[1]) - cfg.beta1 * P[1] * P[0] * _initiative(th1 - th2)
-    h = _population_H(net, P, (1.0, 1.0))
-    dtheta = kuramoto_rhs(theta, net, h)
+    dtheta = _phase_rates(s, c, net, P, 1.0, 1.0)
     return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
 
 
 def feedback_rhs(y, cfg: ModelConfig, net):
     """"simple" plus order-parameter feedback O_S^n on growth, O_T^n on reduction."""
     P, theta = y[:2], y[2:]
-    th1, th2 = _centroids(theta, net)
-    o_s, o_t = _order_powers(theta, net, cfg.p_exponent)
+    s, c, (th1, th2), (o_s, o_t) = _phases(theta, net, cfg.p_exponent)
     dP1 = (cfg.r1 * P[0] * (1 - P[0]) * o_s[0]
            - cfg.beta2 * P[0] * P[1] * o_t[1] * _initiative(th2 - th1))
     dP2 = (cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
            - cfg.beta1 * P[1] * P[0] * o_t[0] * _initiative(th1 - th2))
-    h = _population_H(net, P, (1.0, 1.0))
-    dtheta = kuramoto_rhs(theta, net, h)
+    dtheta = _phase_rates(s, c, net, P, 1.0, 1.0)
     return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
 
 
 def eco2_rhs(y, cfg: ModelConfig, net):
     """Nondimensional ecology variant, two populations, full phase vector."""
     P, theta = y[:2], y[2:]
-    th1, th2 = _centroids(theta, net)
-    o_s, o_t = _order_powers(theta, net, cfg.p_exponent)
+    s, c, (th1, th2), (o_s, o_t) = _phases(theta, net, cfg.p_exponent)
     recruit1 = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
     holling = cfg.beta1 * P[1] / (1 + cfg.tau * cfg.beta1 * P[1])
     dP1 = (recruit1 * P[0] * (1 - P[0]) * o_s[0]
@@ -269,8 +312,7 @@ def eco2_rhs(y, cfg: ModelConfig, net):
            - cfg.x1 * P[0])
     dP2 = (cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
            - holling * P[0] * o_t[0] * _initiative(th1 - th2))
-    h = _population_H(net, P, (1.0, 1.0))
-    dtheta = kuramoto_rhs(theta, net, h)
+    dtheta = _phase_rates(s, c, net, P, 1.0, 1.0)
     return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
 
 
@@ -278,8 +320,7 @@ def eco3_rhs(y, cfg: ModelConfig, net):
     """Dimensional three-population variant; the third population is
     non-trophic (no reduction terms touch it)."""
     P, theta = y[:3], y[3:]
-    th1, th2 = _centroids(theta, net)[:2]
-    o_s, o_t = _order_powers(theta, net, cfg.p_exponent)
+    s, c, (th1, th2), (o_s, o_t) = _phases(theta, net, cfg.p_exponent)
     r1s = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
     r3s = (cfg.r3 + cfg.r3_max * P[0]) / (1 + P[0])
     beta1s = (cfg.beta1 + cfg.beta1_min * P[2]) / (1 + P[2])
@@ -292,8 +333,7 @@ def eco3_rhs(y, cfg: ModelConfig, net):
     dP2 = (cfg.r2 * P[1] * (1 - P[1] / cfg.K2) * o_s[1]
            - f12s * P[0] * o_t[0] * _initiative(th1 - th2))
     dP3 = r3s * P[2] * (1 - P[2] / cfg.K3) * o_s[2] - x3s * P[2]
-    h = _population_H(net, P, (cfg.K1, cfg.K2))
-    dtheta = kuramoto_rhs(theta, net, h)
+    dtheta = _phase_rates(s, c, net, P, cfg.K1, cfg.K2)
     return np.concatenate([np.stack([dP1, dP2, dP3]), dtheta], axis=0)
 
 

@@ -37,10 +37,14 @@ def kuramoto_rhs(theta, net, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim > 0 and h.shape[0] not in (1, n):
         raise ValueError("h must broadcast against theta")
+    return _kuramoto_rates(np.sin(theta), np.cos(theta), net, h)
+
+
+def _kuramoto_rates(s, c, net, h) -> np.ndarray:
+    """:func:`kuramoto_rhs` from s = sin(theta), c = cos(theta), unchecked."""
     m_sin, m_cos = net.coupling_matrices()
-    s, c = np.sin(theta), np.cos(theta)
     coupling = c * (m_cos @ s + m_sin @ c) + s * (m_sin @ s - m_cos @ c)
-    omega = net.omega if theta.ndim == 1 else net.omega[:, None]
+    omega = net.omega if s.ndim == 1 else net.omega[:, None]
     return omega + h * coupling
 
 

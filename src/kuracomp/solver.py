@@ -208,13 +208,13 @@ def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
     raised.
     """
     y0 = np.asarray(y0, dtype=float).copy()
-    if settings.method == "rk4":
-        return _integrate_rk4(rhs, y0, settings, t0, events)
-
     t_end = settings.t_end
     span = t_end - t0
     if span <= 0:
         raise ValueError("t_end must exceed t0")
+    if settings.method == "rk4":
+        return _integrate_rk4(rhs, y0, settings, t0, events)
+
     t, y = t0, y0
     f = np.asarray(rhs(t, y), dtype=float)
     out = ([t], [y.copy()], [f.copy()], [])

@@ -246,7 +246,7 @@ def _heatmap_axes(draw):
 @pytest.mark.parametrize("policy", ["delta-star", "delta-grid"])
 @pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
                                    "eco3-reduced"])
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=3)
 @given(axes=_heatmap_axes())
 def test_heatmap_entry_equals_estimate_basin(model, policy, source, axes):
     (x_name, y_name), (xs, ys) = axes

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from kuracomp import graphs, models, phase
 from kuracomp.models import CentroidCoupling, ModelConfig
@@ -228,8 +230,13 @@ def test_initiative_factor_bounds():
 
 
 def test_h_clamped_when_adversary_exceeds_one():
-    net = _small_net()
-    h = models._population_H(net, np.array([1.4, 0.2]), (1.0, 1.0))
+    net = _small_net()                               # omega = 0
+    theta = np.random.default_rng(0).uniform(0, 2 * np.pi, net.n_total)
+    free = phase.kuramoto_rhs(theta, net, 1.0)      # H = 1
+    assert np.all(free != 0.0)
+    dy = models.simple_rhs(np.concatenate([[1.4, 0.2], theta]),
+                           ModelConfig(), net)
+    h = dy[2:] / free
     assert np.all(h[net.nodes_of(1)] == 0.0)           # 1 - 1.4 clamps to 0
     assert np.allclose(h[net.nodes_of(0)], 0.8)
 
@@ -280,3 +287,120 @@ def test_hybrid_state_pack_unpack():
         models.HybridState(P=[0.5, 0.5])
     with pytest.raises(ValueError):
         models.HybridState(P=[0.5], theta=[0.0], delta=[0.0])
+
+
+# ---------------------------------------------------------------------------
+# the phase plan against the per-population phase layer
+# ---------------------------------------------------------------------------
+
+_FULL_RHS = {"simple": models.simple_rhs, "feedback": models.feedback_rhs,
+             "eco2": models.eco2_rhs, "eco3": models.eco3_rhs}
+
+
+def _oracle_rhs(variant, y, cfg, net):
+    """The full right-hand side from the public phase layer, one population
+    at a time: a centroid and two order parameters per population and H
+    broadcast over each population's nodes."""
+    m = net.n_pops
+    P, theta = y[:m], y[m:]
+    th = [phase.circular_centroid(theta[net.nodes_of(p)]) for p in range(m)]
+    k1, k2 = (cfg.K1, cfg.K2) if variant == "eco3" else (1.0, 1.0)
+    h1 = np.clip(1.0 - P[1] / k2, 0.0, 1.0)
+    h2 = np.clip(1.0 - P[0] / k1, 0.0, 1.0)
+    h_pop = [h1, h2] + [np.ones_like(h1)] * (m - 2)
+    h = np.concatenate([np.broadcast_to(h_pop[p], (net.sizes[p],) + h1.shape)
+                        for p in range(m)])
+    dtheta = phase.kuramoto_rhs(theta, net, h)
+    i12 = models._initiative(th[1] - th[0])
+    i21 = models._initiative(th[0] - th[1])
+    if variant == "simple":
+        dP = [cfg.r1 * P[0] * (1 - P[0]) - cfg.beta2 * P[0] * P[1] * i12,
+              cfg.r2 * P[1] * (1 - P[1]) - cfg.beta1 * P[1] * P[0] * i21]
+        return np.concatenate([np.stack(dP), dtheta])
+    n = cfg.p_exponent
+    o_s = [phase.order_parameter(theta, net.strategic_global(p)) ** n
+           for p in range(m)]
+    o_t = [phase.order_parameter(theta, net.tactical_global(p)) ** n
+           for p in range(m)]
+    if variant == "feedback":
+        dP = [cfg.r1 * P[0] * (1 - P[0]) * o_s[0]
+              - cfg.beta2 * P[0] * P[1] * o_t[1] * i12,
+              cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
+              - cfg.beta1 * P[1] * P[0] * o_t[0] * i21]
+    elif variant == "eco2":
+        recruit1 = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
+        holling = cfg.beta1 * P[1] / (1 + cfg.tau * cfg.beta1 * P[1])
+        dP = [recruit1 * P[0] * (1 - P[0]) * o_s[0]
+              - cfg.beta2 * P[0] * P[1] * o_t[1] * i12 - cfg.x1 * P[0],
+              cfg.r2 * P[1] * (1 - P[1]) * o_s[1] - holling * P[0] * o_t[0] * i21]
+    else:
+        r1s = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
+        r3s = (cfg.r3 + cfg.r3_max * P[0]) / (1 + P[0])
+        beta1s = (cfg.beta1 + cfg.beta1_min * P[2]) / (1 + P[2])
+        f12s = beta1s * P[1] / (1 + cfg.tau * beta1s * P[1])
+        x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P[0] / (1 + P[0])
+               + (cfg.x3_max - cfg.x3) * P[1] / (1 + P[1]))
+        dP = [r1s * P[0] * (1 - P[0] / cfg.K1) * o_s[0]
+              - cfg.beta2 * P[0] * P[1] * o_t[1] * i12 - cfg.x1 * P[0],
+              cfg.r2 * P[1] * (1 - P[1] / cfg.K2) * o_s[1]
+              - f12s * P[0] * o_t[0] * i21,
+              r3s * P[2] * (1 - P[2] / cfg.K3) * o_s[2] - x3s * P[2]]
+    return np.concatenate([np.stack(dP), dtheta])
+
+
+def _random_net(rng, sizes):
+    """Erdos-Renyi populations of the given sizes, random cross links,
+    couplings, frustration, frequencies and strategic/tactical split (both
+    sets non-empty wherever a population has two nodes or more)."""
+    pops = [graphs.gen_erdos_renyi(n, 0.6, rng) for n in sizes]
+    links, xi = {}, {}
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
+            pairs = {(int(rng.integers(sizes[i])), int(rng.integers(sizes[j])))
+                     for _ in range(3)}
+            links[(i, j)] = sorted(pairs)
+            xi[(i, j)], xi[(j, i)] = rng.uniform(0.0, 2.0, 2)
+    strategic, tactical = [], []
+    for n in sizes:
+        order = rng.permutation(n)
+        k = int(rng.integers(1, n)) if n > 1 else int(rng.integers(2))
+        strategic.append(tuple(sorted(order[:k])))
+        tactical.append(tuple(sorted(order[k:])))
+    return graphs.assemble(pops, links, sigma=rng.uniform(0.0, 2.0, len(sizes)),
+                           xi=xi, phi=rng.uniform(-1, 1), psi=rng.uniform(-1, 1),
+                           strategic=strategic, tactical=tactical,
+                           omega=rng.normal(size=sum(sizes)))
+
+
+@pytest.mark.parametrize("variant", sorted(_FULL_RHS))
+@settings(max_examples=100)
+@given(sizes=hst.lists(hst.integers(1, 6), min_size=3, max_size=3),
+       batch=hst.one_of(hst.none(), hst.integers(1, 6)),
+       p_exponent=hst.sampled_from([1, 2]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_phase_plan_rhs_equals_per_population_oracle(variant, sizes, batch,
+                                                     p_exponent, seed):
+    rng = np.random.default_rng(seed)
+    m = 3 if variant == "eco3" else 2
+    net = _random_net(rng, sizes[:m])
+    cfg = ModelConfig(p_exponent=p_exponent, K1=rng.uniform(0.5, 10.0),
+                      K2=rng.uniform(0.5, 10.0))
+    caps = [cfg.K1, cfg.K2, cfg.K3] if m == 3 else [1.0, 1.0]
+    shape = () if batch is None else (batch,)
+    # P up to 1.5 capacities, so some H clamp to 0
+    P = np.stack([rng.uniform(0.0, 1.5 * k, shape) for k in caps])
+    theta = rng.uniform(-10.0, 10.0, (net.n_total,) + shape)
+    y = np.concatenate([P, theta])
+    _, _, th, _ = models._phases(theta, net)
+    for p in range(2):
+        assert np.array_equal(th[p],
+                              phase.circular_centroid(theta[net.nodes_of(p)]))
+    try:
+        want = _oracle_rhs(variant, y, cfg, net)
+    except ValueError:                   # a strategic or tactical set is empty
+        with pytest.raises(ValueError, match="empty subset"):
+            _FULL_RHS[variant](y, cfg, net)
+        return
+    got = _FULL_RHS[variant](y, cfg, net)
+    assert got.shape == want.shape == y.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

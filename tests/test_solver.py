@@ -41,6 +41,17 @@ def test_rk4_fixed_step():
     assert np.array_equal(traj.y, traj2.y)
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("t0, t_end", [(0.0, -1.0), (0.0, 0.0), (2.0, 1.5)])
+def test_horizon_must_exceed_start(method, t0, t_end):
+    st = IntegratorSettings(method=method, dt_init=0.01, t_end=t_end)
+    with pytest.raises(ValueError, match="t_end must exceed t0"):
+        solver.integrate(lambda t, y: -y, np.array([1.0]), st, t0=t0)
+    # the reconnaissance kernel takes zero steps on a zero horizon
+    y = np.array([1.0, 2.0])
+    assert solver._rk4(lambda yy: -yy, y, 0.01, 0.0) is y
+
+
 def test_tolerance_halving_property():
     def rhs(t, y):
         return np.array([y[1], -np.sin(y[0])])
@@ -218,7 +229,7 @@ def test_rk4_trajectory_equals_batch_member():
 
 @pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
                                    "eco3-reduced"])
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5)
 @given(data=hst.data())
 def test_batch_columns_equal_single_member_runs(model, data):
     unit = hst.floats(0.05, 1.0)
