@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (CentroidCoupling, ModelConfig, build_system,
-                     centroid_coeffs, eco2_reduced_rhs, simple_reduced_rhs)
+                     centroid_coeffs, eco2_reduced_rhs, model_params,
+                     simple_reduced_rhs)
 from .solver import IntegratorSettings, run_scenario
 
 __all__ = [
@@ -223,7 +224,7 @@ def simple_reduced_jacobian(state, cfg: ModelConfig,
     """Hand-coded Jacobian of the reduced two-population model."""
     P1, P2, d = state
     g1, g2 = coupling.g12, coupling.g21
-    phi, psi = coupling.phi, coupling.psi
+    phi, psi = cfg.phi, cfg.psi
     co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
     sd, cd = np.sin(d), np.cos(d)
     return np.array([
@@ -243,7 +244,7 @@ def eco2_reduced_jacobian(state, cfg: ModelConfig,
     """Hand-coded Jacobian of the reduced nondimensional ecology model."""
     P1, P2, d = state
     g1, g2 = coupling.g12, coupling.g21
-    phi, psi = coupling.phi, coupling.psi
+    phi, psi = cfg.phi, cfg.psi
     co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
     sd, cd = np.sin(d), np.cos(d)
     a, t = cfg.alpha, cfg.tau
@@ -576,7 +577,7 @@ class SweepRow:
     terminal_state: np.ndarray = None
 
 
-def _label_attractor(traj, p_death):
+def _label_attractor(traj):
     if traj.status == "event":
         return "extinction"
     t, y = traj.t, traj.y
@@ -602,36 +603,33 @@ def _label_attractor(traj, p_death):
 def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
                       coupling: CentroidCoupling = None,
                       settings: IntegratorSettings = None,
-                      start_state=None, p_death: float = 1e-4) -> list:
+                      start_state=None) -> list:
     """For each grid value: recompute fixed points, classify stability, and
     run one long trajectory from a standard start to label the attractor."""
     if variant not in ("simple-reduced", "eco2-reduced"):
         raise ValueError("sweep supports the reduced two-population variants")
-    if not hasattr(cfg, param):
-        raise ValueError(f"unknown parameter {param!r}")
+    model_params(variant, (param,), coupling=coupling)
     if settings is None:
         settings = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=200.0)
     rows = []
     for value in np.asarray(values, dtype=float):
         c = cfg.with_overrides(**{param: float(value)})
-        coup = coupling
-        if coup is None or param in ("gamma1", "gamma2", "phi", "psi"):
-            coup = CentroidCoupling.from_config(c)
+        system = build_system(variant, c, coupling=coupling)
+        coup = system.coupling
         if variant == "simple-reduced":
             records = simple_fixed_points(c, coup)
         else:
             records = eco2_fixed_points(c, coup)
         for rec in records:
             rows.append(SweepRow(param_value=float(value), record=rec))
-        system = build_system(variant, c, coupling=coup)
         if start_state is None:
             d0 = _delta_at(c, coup, 0.5, 0.5)
             y0 = np.array([0.5, 0.5, d0 if d0 is not None else 0.0])
         else:
             y0 = np.asarray(start_state, dtype=float)
         outcome = run_scenario(system, y0, settings, recon_T=0.0,
-                               p_death=p_death)
-        label = _label_attractor(outcome.trajectory, p_death)
+                               p_death=c.P_D)
+        label = _label_attractor(outcome.trajectory)
         rows.append(SweepRow(param_value=float(value), attractor=label,
                              terminal_state=outcome.trajectory.y[-1]))
     return rows

@@ -25,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from .analysis import delta_star
-from .models import _REDUCED, CentroidCoupling, build_system, centroid_coeffs
+from .models import _REDUCED, build_system, centroid_coeffs, model_params
 from .solver import (IntegratorSettings, integrate_batch, reconnoitred_phases,
                      _rk4)
 
@@ -124,6 +124,18 @@ def _settled_delta(system, cfg, n_points):
                       for d in map(delta_star, *args)]])
 
 
+def _phase_policy(spec, system):
+    """The spec's phase policy resolved for ``system``."""
+    policy = spec.phase_policy
+    if policy == "auto":
+        return "delta-star" if system.reduced else "ensemble"
+    if system.reduced and policy == "ensemble":
+        raise ValueError("reduced variants have no phases to randomise")
+    if not system.reduced and policy != "ensemble":
+        raise ValueError("full variants use the ensemble phase policy")
+    return policy
+
+
 def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
     """The basin engine: one BasinResult per parameter point.
 
@@ -133,13 +145,7 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
     policy.
     """
     system = build_system(model, cfg, net=net, coupling=coupling)
-    policy = spec.phase_policy
-    if policy == "auto":
-        policy = "delta-star" if system.reduced else "ensemble"
-    if system.reduced and policy == "ensemble":
-        raise ValueError("reduced variants have no phases to randomise")
-    if not system.reduced and policy != "ensemble":
-        raise ValueError("full variants use the ensemble phase policy")
+    policy = _phase_policy(spec, system)
 
     r1, r2 = spec.grid
     n_cells = r1 * r2
@@ -171,11 +177,11 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
 
     # per-point parameters spread over the point's members, then sliced
     # in lockstep as decided members leave the batch
-    point_of = np.repeat(np.arange(n_points), n_cells * n_mem)
-    live = [_take(cfg, point_of), _take(system.coupling, point_of)]
-    rhs, on_compact = system.rhs, None
+    rhs, on_compact, p_death = system.rhs, None, cfg.P_D
     if system.reduced:
-        fn = _REDUCED[model][0]
+        point_of = np.repeat(np.arange(n_points), n_cells * n_mem)
+        live = [_take(cfg, point_of), _take(system.coupling, point_of)]
+        fn, p_death = _REDUCED[model][0], live[0].P_D
 
         def rhs(y):
             return fn(y, *live)
@@ -184,7 +190,7 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
             live[:] = [_take(p, keep) for p in live]
 
     out = integrate_batch(rhs, y0, settings.dt_init, settings.t_end,
-                          live[0].P_D, on_compact=on_compact)
+                          p_death, on_compact=on_compact)
 
     winner = out.winner.reshape(shape)
     ok = winner >= 0
@@ -223,19 +229,15 @@ def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
                   jobs: int = 1):
     """Basin value per (x, y) parameter pair; row index follows y.
 
-    Reduced variants run as one engine call over every parameter pair,
-    whatever the phase policy.  Their coupling is ``from_network(net)``,
-    else ``coupling``, else the config's, with swept gamma1/gamma2/phi/psi
-    overriding g12/g21/phi/psi.  Full variants keep their frustration in
-    the network matrices, so they call ``estimate_basin`` per pair
-    (optionally across ``jobs`` processes) on the network re-derived for
-    swept phi/psi.  Each entry equals ``estimate_basin`` at its pair.
+    Each entry equals ``estimate_basin`` at its pair with the same ``net``
+    and ``coupling``; both names must be fields the variant reads.  Reduced
+    variants run as one engine call over every pair, whatever the phase
+    policy; full variants call ``estimate_basin`` per pair, optionally
+    across ``jobs`` processes.
     """
     if x_name == y_name:
         raise ValueError("heatmap needs two distinct parameter names")
-    for name in (x_name, y_name):
-        if not hasattr(cfg, name):
-            raise ValueError(f"unknown parameter {name!r}")
+    model_params(model, (x_name, y_name), net=net, coupling=coupling)
     x_values = np.asarray(x_values, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
     nx, ny = x_values.size, y_values.size
@@ -243,24 +245,12 @@ def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
              y_name: np.repeat(y_values, nx)}
 
     if model in _REDUCED:
-        if net is not None:
-            coupling = CentroidCoupling.from_network(net)
-        elif coupling is None:
-            coupling = CentroidCoupling.from_config(cfg)
-        coupling = replace(coupling, **{
-            k: swept[name] for k, name in (("g12", "gamma1"),
-                                           ("g21", "gamma2"),
-                                           ("phi", "phi"), ("psi", "psi"))
-            if name in swept})
         results = _basins(model, replace(cfg, **swept), spec, nx * ny,
-                          coupling=coupling)
+                          net=net, coupling=coupling)
     else:
         cfgs = [replace(cfg, **{x_name: float(xv), y_name: float(yv)})
                 for xv, yv in zip(swept[x_name], swept[y_name])]
-        nets = [net.with_frustration(c.phi, c.psi)
-                if net is not None and {"phi", "psi"} & swept.keys() else net
-                for c in cfgs]
-        args = (repeat(model), cfgs, repeat(spec), nets)
+        args = (repeat(model), cfgs, repeat(spec), repeat(net))
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, basin, doe, stats
-from .models import MODEL_VARIANTS, CentroidCoupling, ModelConfig, build_system
+from .models import (_REDUCED, MODEL_VARIANTS, ModelConfig, build_system,
+                     model_params)
 from .presets import build_network, get_preset, preset_names
 from .solver import IntegratorSettings, StiffnessError, ensemble, run_scenario
 
@@ -52,12 +53,10 @@ CONFIG_SCHEMA = {
                 "interlinks": {"type": "object"},
                 "sigma": {"type": "array", "items": {"type": "number"}},
                 "xi": {"type": ["object", "string"]},
-                "phi": {"type": "number"},
-                "psi": {"type": "number"},
                 "mu": {"type": "number"},
                 "nu": {"type": "number"},
                 "strategic": {"type": "array"},
-                "omega": {"type": ["string", "array"]},
+                "omega": {"type": "array"},
             },
         },
         "solver": {
@@ -163,23 +162,45 @@ def config_hash(config: dict) -> str:
 
 
 def _build(config: dict):
-    """(system, cfg, net, settings, recon_T) from a validated config."""
+    """(system, cfg, net, settings, recon_T, seed) from a validated config."""
+    model, task = config["model"], config["task"]
+    if (task["type"] in ("fixed-points", "sweep")
+            and model not in ("simple-reduced", "eco2-reduced")):
+        raise ValidationFailure(f"{task['type']} supports the simple-reduced"
+                                " and eco2-reduced variants")
     params = dict(config.get("params", {}))
     cfg = ModelConfig(**params).validate()
     seed = int(config.get("seed", 0))
     net = None
     if "network" in config:
-        section = dict(config["network"])
-        section.setdefault("mu", cfg.mu)
-        section.setdefault("nu", cfg.nu)
-        section.setdefault("phi", cfg.phi)
-        section.setdefault("psi", cfg.psi)
-        net = build_network(section, seed)
+        net = build_network(config["network"], seed)
+        drawn = {"mu", "nu"} if net.n_pops == 3 else {"mu"}
+        if ({"mu", "nu", "omega"} & config["network"].keys()
+                not in ([set()] if model in _REDUCED else [{"omega"}, drawn])):
+            raise ValidationFailure(
+                "a full variant's network frequencies are network.omega or "
+                f"drawn at network.{'/'.join(sorted(drawn))}; a reduced "
+                "variant reads none from its network")
+    axes = {"sweep": ["param"], "heatmap": ["x_param", "y_param"]}
+    varied = [task.get(k) for k in axes.get(task["type"], [])]
+    if task["type"] == "doe":
+        varied += [f.get("name") for f in task.get("factors", [])]
+    model_params(model, list(params) + varied, net=net)
     sv = dict(config.get("solver", {}))
+    batch = task["type"] in ("basin", "heatmap", "doe") or (
+        task["type"] == "simulate" and "n_sim" in task)
+    ignored = [k for k in ("rtol", "atol", "dt_max") if k in sv]
+    ignored += ["method"] if sv.get("method") == "rk45" else []
+    if batch and ignored:
+        raise ValidationFailure(
+            f"{task['type']} runs fixed-step RK4 at solver.dt_init and would "
+            f"ignore solver.{', solver.'.join(ignored)}")
     recon_T = sv.pop("recon_T", 50.0)
     settings = IntegratorSettings(**sv)
-    system = build_system(config["model"], cfg, net=net)
-    return system, cfg, net, settings, recon_T, seed
+    system = build_system(model, cfg, net=net)
+    if task["type"] in ("basin", "heatmap", "doe"):
+        basin._phase_policy(_basin_spec(task, settings, seed), system)
+    return system, cfg, system.net, settings, recon_T, seed
 
 
 def _initial_state(system, cfg, task):
@@ -232,15 +253,13 @@ def _task_simulate(config, system, cfg, net, settings, recon_T, seed, outdir):
 
 
 def _task_fixed_points(config, system, cfg, net, settings, recon_T, seed, outdir):
-    coupling = system.coupling or CentroidCoupling.from_config(cfg)
     diags = []
-    if config["model"].startswith("eco2"):
-        records = analysis.eco2_fixed_points(cfg, coupling, diagnostics=diags)
-    elif config["model"].startswith("simple"):
-        records = analysis.simple_fixed_points(cfg, coupling, diagnostics=diags)
+    if config["model"] == "eco2-reduced":
+        records = analysis.eco2_fixed_points(cfg, system.coupling,
+                                             diagnostics=diags)
     else:
-        raise ValidationFailure(
-            "fixed-points supports the simple/eco2 variants")
+        records = analysis.simple_fixed_points(cfg, system.coupling,
+                                               diagnostics=diags)
     rows = ["label,P1,P2,Delta1,max_real_eig,class,residual,status"]
     for rec in records:
         rows.append(",".join(
@@ -257,9 +276,10 @@ def _task_sweep(config, system, cfg, net, settings, recon_T, seed, outdir):
     task = config["task"]
     lo, hi = task["range"]
     values = np.linspace(lo, hi, task.get("n_points", 21))
+    coupling = system.coupling if net is not None else None
     rows = analysis.sweep_bifurcation(config["model"], cfg, task["param"],
-                                      values, coupling=system.coupling,
-                                      settings=settings, p_death=cfg.P_D)
+                                      values, coupling=coupling,
+                                      settings=settings)
     analysis.sweep_to_csv(rows, outdir / "sweep.csv", n_pops=system.n_pops,
                           n_delta=system.dim - system.n_pops)
     return {"n_rows": len(rows)}
@@ -314,8 +334,6 @@ def _task_doe(config, system, cfg, net, settings, recon_T, seed, outdir):
     factors = [(f["name"], float(f["lo"]), float(f["hi"]))
                for f in task["factors"]]
     for name, lo, hi in factors:
-        if not hasattr(cfg, name):
-            raise ValidationFailure(f"unknown factor {name!r}")
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValidationFailure(f"factor {name!r} needs a finite range")
     spec = _basin_spec(task, settings, seed, recon_T)
@@ -454,10 +472,15 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
     config = validate_config(config)
     if "task" not in config or "type" not in config.get("task", {}):
         raise ValidationFailure("config needs task.type")
+    started = time.time()
+    try:
+        system, cfg, net, settings, recon_T, master_seed = _build(config)
+    except ValueError as exc:       # the library rejects the config
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise
+        raise ValidationFailure(str(exc)) from exc
     outdir = Path(config.get("output", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    system, cfg, net, settings, recon_T, master_seed = _build(config)
     with open(outdir / "resolved_config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True, default=float)
     task_type = config["task"]["type"]

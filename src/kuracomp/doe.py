@@ -352,9 +352,10 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
     """NOLH initialisation followed by acquisition with objective
     re-evaluation after every new response.
 
-    ``g`` maps a parameter vector to a response in [0, 1]; evaluation
-    failures (exceptions or non-finite values) flag the record and leave
-    the surrogate data untouched.  Passing previously logged records as
+    ``g`` maps a parameter vector to a response in [0, 1]; numerical
+    failures (``RuntimeError``, ``LinAlgError`` or non-finite values) flag
+    the record and leave the surrogate data untouched, and any other
+    exception propagates.  Passing previously logged records as
     ``resume`` replays the loop without re-running ``g`` for them, so a
     campaign continues exactly from its log plus the master seed.
     """
@@ -373,7 +374,7 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
         else:
             try:
                 y = float(g(x))
-            except Exception:
+            except (RuntimeError, np.linalg.LinAlgError):
                 y = np.nan
         failed = not np.isfinite(y)
         records.append(DesignRecord(x=x, y=y, z=np.nan, iteration=iteration,

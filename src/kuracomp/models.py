@@ -51,6 +51,7 @@ __all__ = [
     "eco3_rhs",
     "eco3_reduced_rhs",
     "build_system",
+    "model_params",
     "MODEL_VARIANTS",
 ]
 
@@ -60,9 +61,9 @@ class ModelConfig:
     """Every scalar parameter of the competition and phase dynamics.
 
     Defaults are the dimensional three-population case-study values; the
-    nondimensional variants ignore the carrying capacities K_i.  Fields may
-    hold numpy arrays (broadcast against the state) in batched parameter
-    sweeps.
+    nondimensional variants do not read the carrying capacities K_i
+    (``model_params`` lists what each variant reads).  Fields may hold
+    numpy arrays (broadcast against the state) in batched parameter sweeps.
     """
 
     r1: float = 3.0           # Blue recruitment rate
@@ -115,7 +116,7 @@ class CentroidCoupling:
     """Effective couplings of the centroid-reduced phase dynamics.
 
     g_ij = xi_ij * d_T^(ij) / N_i; the two-population reduction uses only
-    (g12, g21, phi, psi).
+    (g12, g21).  The frustration phi/psi is always the config's.
     """
 
     g12: float = 1.0
@@ -124,12 +125,10 @@ class CentroidCoupling:
     g23: float = 0.0
     g31: float = 0.0
     g32: float = 0.0
-    phi: float = 0.0
-    psi: float = 0.0
 
     @classmethod
     def from_config(cls, cfg: ModelConfig) -> "CentroidCoupling":
-        return cls(g12=cfg.gamma1, g21=cfg.gamma2, phi=cfg.phi, psi=cfg.psi)
+        return cls(g12=cfg.gamma1, g21=cfg.gamma2)
 
     @classmethod
     def from_network(cls, net) -> "CentroidCoupling":
@@ -142,7 +141,7 @@ class CentroidCoupling:
             d = stats.d_T.get((i, j), 0)
             return net.xi.get((i, j), 0.0) * d / sizes[i]
 
-        kwargs = dict(g12=g(0, 1), g21=g(1, 0), phi=net.phi, psi=net.psi)
+        kwargs = dict(g12=g(0, 1), g21=g(1, 0))
         if net.n_pops >= 3:
             kwargs.update(g13=g(0, 2), g23=g(1, 2), g31=g(2, 0), g32=g(2, 1))
         return cls(**kwargs)
@@ -150,11 +149,16 @@ class CentroidCoupling:
 
 @dataclass
 class CentroidCoeffs:
-    """C, S and the discriminant K = C^2 + S^2 - mu^2."""
+    """C, S and mu of the centroid ODE."""
 
     C: float
     S: float
-    K_disc: float
+    mu: float
+
+    @property
+    def K_disc(self):
+        """The discriminant K = C^2 + S^2 - mu^2."""
+        return self.C * self.C + self.S * self.S - self.mu ** 2
 
 
 @dataclass
@@ -193,11 +197,10 @@ def centroid_coeffs(cfg: ModelConfig, coupling: CentroidCoupling, H1, H2) -> Cen
 
     C = g12*H1*cos(phi) + g21*H2*cos(psi)
     S = g12*H1*sin(phi) - g21*H2*sin(psi)
-    K = C^2 + S^2 - mu^2
     """
-    c = coupling.g12 * H1 * np.cos(coupling.phi) + coupling.g21 * H2 * np.cos(coupling.psi)
-    s = coupling.g12 * H1 * np.sin(coupling.phi) - coupling.g21 * H2 * np.sin(coupling.psi)
-    return CentroidCoeffs(C=c, S=s, K_disc=c * c + s * s - cfg.mu ** 2)
+    c = coupling.g12 * H1 * np.cos(cfg.phi) + coupling.g21 * H2 * np.cos(cfg.psi)
+    s = coupling.g12 * H1 * np.sin(cfg.phi) - coupling.g21 * H2 * np.sin(cfg.psi)
+    return CentroidCoeffs(C=c, S=s, mu=cfg.mu)
 
 
 def _initiative(delta):
@@ -214,9 +217,10 @@ class _PhasePlan:
     of shape (L, len(pops)) lists the nodes of each population in ``pops``
     column by column, so one centroid call covers them all.  Row p of
     ``order_weights`` (shape (2 * n_pops, n_total)) averages the strategic
-    nodes of population p and row n_pops + p its tactical nodes; it is None
-    when some strategic or tactical set is empty and has no order
-    parameter.  ``feedback_row`` picks each node's row of [H_1, H_2, 1].
+    nodes of population p and row n_pops + p its tactical nodes; the row of
+    an empty set is NaN, as it has no order parameter (``build_system``
+    rejects a network whose empty set a variant reads).  ``feedback_row``
+    picks each node's row of [H_1, H_2, 1].
     """
 
     centroid_groups: tuple
@@ -236,11 +240,12 @@ def _phase_plan(net) -> _PhasePlan:
             for pops in groups.values())
         subsets = ([net.strategic_global(p) for p in range(net.n_pops)]
                    + [net.tactical_global(p) for p in range(net.n_pops)])
-        weights = None
-        if all(len(nodes) for nodes in subsets):
-            weights = np.zeros((len(subsets), net.n_total))
-            for row, nodes in enumerate(subsets):
+        weights = np.zeros((len(subsets), net.n_total))
+        for row, nodes in enumerate(subsets):
+            if len(nodes):
                 weights[row, nodes] = 1.0 / len(nodes)
+            else:
+                weights[row] = np.nan
         rows = np.minimum(np.repeat(np.arange(net.n_pops), net.sizes), 2)
         net._plan = _PhasePlan(centroid_groups, weights, rows)
     return net._plan
@@ -259,8 +264,6 @@ def _phases(theta, net, n=None):
             th[p] = centroid
     if n is None:
         return s, c, th, None
-    if plan.order_weights is None:
-        raise ValueError("order parameter of an empty subset")
     g = plan.order_weights
     o = np.hypot(g @ c, g @ s) ** n
     return s, c, th, (o[:net.n_pops], o[net.n_pops:])
@@ -382,9 +385,9 @@ def eco3_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling):
     # dimensional feedback: H = clip(1 - P_adv/K_adv, 0, 1)
     h1 = np.clip(1.0 - P2 / cfg.K2, 0.0, 1.0)
     h2 = np.clip(1.0 - P1 / cfg.K1, 0.0, 1.0)
-    blue_terms = coupling.g12 * np.sin(d1 - coupling.phi) + coupling.g13 * np.sin(d2)
+    blue_terms = coupling.g12 * np.sin(d1 - cfg.phi) + coupling.g13 * np.sin(d2)
     dd1 = (cfg.mu - h1 * blue_terms
-           - h2 * (coupling.g21 * np.sin(d1 + coupling.psi)
+           - h2 * (coupling.g21 * np.sin(d1 + cfg.psi)
                    - coupling.g23 * np.sin(d2 - d1)))
     dd2 = (cfg.nu - h1 * blue_terms
            - coupling.g31 * np.sin(d2) - coupling.g32 * np.sin(d2 - d1))
@@ -405,8 +408,8 @@ class ModelSystem:
     dim: int
     rhs: callable            # rhs(y) -> dy, y of shape (dim,) or (dim, B)
     labels: list             # CSV column labels after "t"
-    net: object = None
-    coupling: object = None
+    net: object = None       # full variants: frustration bound to the config
+    coupling: object = None  # reduced variants only
 
     def phase_rhs(self):
         """Phase-only dynamics with H = 1 (reconnaissance)."""
@@ -435,15 +438,52 @@ _REDUCED = {
 
 MODEL_VARIANTS = tuple(list(_FULL) + list(_REDUCED))
 
+# The ModelConfig fields each variant reads (a full variant's frequencies
+# are its network's); model_params adds gamma1/gamma2 where they give g.
+_SIMPLE = ("r1", "r2", "beta1", "beta2", "phi", "psi", "P_D")
+_ECO2 = _SIMPLE + ("alpha", "tau", "x1")
+_ECO3 = _ECO2 + ("r3", "r3_max", "beta1_min", "x3", "x3_min", "x3_max",
+                 "K1", "K2", "K3")
+_PARAMS = {"simple": _SIMPLE, "feedback": _SIMPLE + ("p_exponent",),
+           "eco2": _ECO2 + ("p_exponent",), "eco3": _ECO3 + ("p_exponent",),
+           "simple-reduced": _SIMPLE + ("mu",),
+           "eco2-reduced": _ECO2 + ("mu",), "eco3-reduced": _ECO3 + ("mu", "nu")}
+
+# populations whose (strategic, tactical) order parameters a variant reads
+_ORDER_SETS = {"feedback": (2, 2), "eco2": (2, 2), "eco3": (3, 2)}
+
+
+def model_params(name: str, names=(), net=None, coupling=None) -> tuple:
+    """The ModelConfig fields a system of variant ``name`` built with
+    ``net``/``coupling`` reads; ValueError if ``names`` holds another."""
+    supplied = name in _FULL or net is not None or coupling is not None
+    read = _PARAMS[name] + (() if supplied else ("gamma1", "gamma2"))
+    unread = [n for n in names if n not in read]
+    if unread:
+        raise ValueError(f"variant {name!r} does not read {', '.join(unread)}")
+    return read
+
 
 def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelSystem:
-    """Bind a variant name to its config and network/coupling data."""
+    """Bind a variant name to its config and network/coupling data: a full
+    variant runs on ``net`` rebound to cfg.phi/psi (unless they match), a
+    reduced one takes g from ``coupling``, else ``net``, else cfg.gamma*."""
     if name in _FULL:
         fn, n_pops = _FULL[name]
-        if net is None:
-            raise ValueError(f"variant {name!r} needs a coupled network")
+        if net is None or coupling is not None:
+            raise ValueError(f"variant {name!r} needs a coupled network and "
+                             "no coupling")
         if net.n_pops != n_pops:
             raise ValueError(f"variant {name!r} needs {n_pops} populations")
+        for kind, n in zip(("strategic", "tactical"),
+                           _ORDER_SETS.get(name, (0, 0))):
+            for p in range(n):
+                if not getattr(net, kind)[p]:
+                    raise ValueError(f"variant {name!r} reads the {kind} order"
+                                     f" parameter of population {p + 1}, "
+                                     f"whose {kind} set is empty")
+        if (net.phi, net.psi) != (cfg.phi, cfg.psi):
+            net = net.with_frustration(cfg.phi, cfg.psi)
         labels = [f"P{i + 1}" for i in range(n_pops)]
         labels += [f"theta_{k}" for k in range(net.n_total)]
         return ModelSystem(
@@ -451,10 +491,11 @@ def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelS
             dim=n_pops + net.n_total,
             rhs=lambda y: fn(y, cfg, net),
             labels=labels, net=net,
-            coupling=CentroidCoupling.from_network(net),
         )
     if name in _REDUCED:
         fn, n_pops, n_delta = _REDUCED[name]
+        if net is not None and coupling is not None:
+            raise ValueError("pass a network or a coupling, not both")
         if coupling is None:
             coupling = (CentroidCoupling.from_network(net) if net is not None
                         else CentroidCoupling.from_config(cfg))

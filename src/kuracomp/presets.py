@@ -8,9 +8,9 @@ Red 6-21, Red 6-21 <-> Green 6-21 (1-based labels), couplings normalised
 as xi_ij = N_i / d_T^(ij).
 
 Intrinsic frequencies are U[0, 1] draws per competitor recentred so the
-population means hit the configured (mu, nu) exactly, with the third
-population pinned at 0.5; the reduced and networked variants then share
-identical effective frequency differences.
+population means hit the network section's (mu, nu) exactly, with the third
+population pinned at 0.5.  Frustration is a model parameter, which
+``models.build_system`` binds to the network.
 """
 
 from __future__ import annotations
@@ -51,7 +51,12 @@ def sample_omega(sizes, mu, nu, seed, green_constant: float = 0.5):
 
 
 def build_network(section: dict, master_seed: int):
-    """Construct a CoupledNetwork from a config network section."""
+    """Construct a CoupledNetwork from a config network section.
+
+    Frequencies are an explicit ``omega`` list, else drawn at ``mu`` (and
+    ``nu`` with three populations), else zero.  The frustration is zero
+    until ``models.build_system`` binds it to a config.
+    """
     section = dict(section)
     preset = section.pop("preset", None)
     if preset == "paper-usecase":
@@ -109,26 +114,25 @@ def build_network(section: dict, master_seed: int):
         strategic = [p[0] for p in parts]
         tactical = [p[1] for p in parts]
 
-    omega_spec = section.get("omega", "recentred-uniform")
-    if omega_spec == "recentred-uniform":
-        omega = sample_omega([g.n for g in pops], section.get("mu", 0.0),
-                             section.get("nu", 0.0), master_seed)
-    elif isinstance(omega_spec, list):
-        omega = [np.asarray(o, dtype=float) for o in omega_spec]
-    else:
-        raise ValueError(f"unknown omega spec {omega_spec!r}")
+    omega = section.get("omega")
+    if omega is None and "mu" in section:
+        if len(pops) == 3 and "nu" not in section:
+            raise ValueError("three populations draw frequencies at network "
+                             "mu and nu")
+        omega = sample_omega([g.n for g in pops], section["mu"],
+                             section.get("nu"), master_seed)
 
     return assemble(pops, interlinks, sigma=section["sigma"], xi=xi,
-                    phi=section.get("phi", 0.0), psi=section.get("psi", 0.0),
-                    strategic=strategic, tactical=tactical, omega=omega)
+                    phi=0.0, psi=0.0, strategic=strategic, tactical=tactical,
+                    omega=omega)
 
 
 def network_to_config(net) -> dict:
     """Serialise a CoupledNetwork to an explicit config network section.
 
-    The result rebuilds an identical network through ``build_network``
-    regardless of the master seed (graphs, links, frequencies all stored
-    verbatim).
+    The result rebuilds an identical network, up to its frustration (a
+    model parameter), through ``build_network`` regardless of the master
+    seed (graphs, links, frequencies all stored verbatim).
     """
     section = {
         "populations": [{"kind": "explicit", "n": g.n,
@@ -138,8 +142,6 @@ def network_to_config(net) -> dict:
                        for (i, j), links in net.interlinks.items()},
         "sigma": [float(s) for s in net.sigma],
         "xi": {f"{i}-{j}": float(v) for (i, j), v in net.xi.items()},
-        "phi": float(net.phi),
-        "psi": float(net.psi),
         "strategic": [list(s) for s in net.strategic],
         "omega": [[float(w) for w in net.omega[net.nodes_of(p)]]
                   for p in range(net.n_pops)],
@@ -182,8 +184,7 @@ def _eco3_params(**overrides) -> dict:
         "alpha": 2.0, "tau": 1.0, "x1": 0.25,
         "x3": 0.25, "x3_min": 0.125, "x3_max": 0.5,
         "K1": 10.0, "K2": 10.0, "K3": 10.0,
-        "mu": 0.25, "nu": -0.25, "phi": 0.5, "psi": 0.0,
-        "p_exponent": 1, "P_D": 1e-4,
+        "phi": 0.5, "psi": 0.0, "p_exponent": 1, "P_D": 1e-4,
     }
     params.update(overrides)
     return params
@@ -196,15 +197,15 @@ PRESETS = {
         "params": {"r1": 3.0, "r2": 2.5, "beta1": 2.0, "beta2": 2.0,
                    "gamma1": 1.0, "gamma2": 1.0, "mu": 0.2, "phi": 0.2,
                    "psi": 0.0, "P_D": 1e-4},
-        "solver": {"method": "rk45", "t_end": 200.0},
+        "solver": {"t_end": 200.0},
         "task": {"type": "fixed-points"},
     },
     # networked two-population model with synchronisation feedback
     "paper-2pop": {
         "model": "feedback",
         "params": {"r1": 3.0, "r2": 2.5, "beta1": 2.0, "beta2": 2.0,
-                   "mu": 0.2, "phi": 0.2, "psi": 0.0, "P_D": 1e-4},
-        "network": {"preset": "paper-2pop", "mu": 0.2, "phi": 0.2, "psi": 0.0},
+                   "phi": 0.2, "psi": 0.0, "P_D": 1e-4},
+        "network": {"preset": "paper-2pop", "mu": 0.2},
         "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 60.0,
                    "recon_T": 0.0},
         "task": {"type": "simulate", "initial": {"P": [0.5, 0.5],
@@ -217,15 +218,14 @@ PRESETS = {
                    "alpha": 20.0, "tau": 1.0, "x1": 0.25,
                    "gamma1": 1.0, "gamma2": 1.0, "mu": 0.25, "phi": 0.2,
                    "psi": 0.0, "P_D": 1e-4},
-        "solver": {"method": "rk45", "t_end": 200.0},
+        "solver": {"t_end": 200.0},
         "task": {"type": "fixed-points"},
     },
     # dimensional three-population case study
     "eco3-cs": {
         "model": "eco3",
         "params": _eco3_params(),
-        "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25,
-                    "phi": 0.5, "psi": 0.0},
+        "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25},
         "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 100.0,
                    "recon_T": 50.0},
         "task": {"type": "simulate", "initial": {"P": [5.0, 5.0, 5.0]}},
@@ -234,8 +234,7 @@ PRESETS = {
     "fig3a": {
         "model": "eco3",
         "params": _eco3_params(beta1=1.5, phi=-np.pi / 2),
-        "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25,
-                    "phi": -np.pi / 2, "psi": 0.0},
+        "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25},
         "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 100.0,
                    "recon_T": 50.0},
         "task": {"type": "simulate", "initial": {"P": [5.0, 5.0, 5.0]}},
@@ -244,8 +243,7 @@ PRESETS = {
     "fig3b": {
         "model": "eco3",
         "params": _eco3_params(beta1=5.0, phi=np.pi / 2),
-        "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25,
-                    "phi": np.pi / 2, "psi": 0.0},
+        "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25},
         "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 100.0,
                    "recon_T": 50.0},
         "task": {"type": "simulate", "initial": {"P": [5.0, 5.0, 5.0]}},

@@ -272,7 +272,6 @@ def test_criterion_7_scenario_classes():
     info = {}
     for name, phi in (("fig3a", -np.pi / 4), ("fig3b", np.pi / 4)):
         p = presets.get_preset(name)
-        p["network"]["phi"] = phi
         p["params"]["phi"] = phi
         net = presets.build_network(p["network"], master_seed=42)
         cfg = ModelConfig(**p["params"])

@@ -76,8 +76,8 @@ def test_basin_full_model_ensemble():
 def test_heatmap_constant_model_is_constant():
     spec = _spec(grid=(5, 5))
     mat, xs, ys = basin.basin_heatmap(
-        "simple-reduced", _cfg(beta1=0.0), "x1", [0.0, 0.1],
-        "x3", [0.0, 0.2], spec)     # x1/x3 unused by this variant
+        "simple-reduced", _cfg(beta1=0.0), "beta2", [1.0, 2.0],
+        "gamma2", [0.5, 1.0], spec)  # Blue cannot reduce Red at beta1 = 0
     assert mat.shape == (2, 2)
     assert np.all(mat == mat[0, 0])
 
@@ -230,16 +230,26 @@ def _three_pop_net():
 _SWEEPABLE = {"beta1": (0.5, 6.0), "mu": (-0.6, 0.6), "gamma1": (0.0, 2.0),
               "gamma2": (0.0, 2.0), "phi": (-1.0, 1.0), "psi": (-1.0, 1.0),
               "P_D": (1e-4, 1e-2), "K1": (5.0, 15.0)}
-_COUPLING_OF = {"gamma1": "g12", "gamma2": "g21", "phi": "phi", "psi": "psi"}
 
 
 @st.composite
-def _heatmap_axes(draw):
-    names = draw(st.lists(st.sampled_from(sorted(_SWEEPABLE)), min_size=2,
+def _heatmap_axes(draw, names):
+    names = draw(st.lists(st.sampled_from(sorted(names)), min_size=2,
                           max_size=2, unique=True))
     values = [draw(st.lists(st.floats(*_SWEEPABLE[n]), min_size=1,
                             max_size=2)) for n in names]
     return names, values
+
+
+def _source(model, source):
+    """(net, coupling) that supply a reduced variant's g12/g21."""
+    if source == "network":
+        return (_three_pop_net() if model == "eco3-reduced"
+                else _two_pop_net()), None
+    if source == "coupling":
+        return None, CentroidCoupling(g12=0.7, g21=1.3, g13=0.4, g23=0.2,
+                                      g31=0.5, g32=0.6)
+    return None, None
 
 
 @pytest.mark.parametrize("source", ["config", "coupling", "network"])
@@ -247,31 +257,40 @@ def _heatmap_axes(draw):
 @pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
                                    "eco3-reduced"])
 @settings(max_examples=3)
-@given(axes=_heatmap_axes())
-def test_heatmap_entry_equals_estimate_basin(model, policy, source, axes):
-    (x_name, y_name), (xs, ys) = axes
+@given(data=st.data())
+def test_heatmap_entry_equals_estimate_basin(model, policy, source, data):
+    net, coupling = _source(model, source)
+    axes = set(_SWEEPABLE) & set(models.model_params(model, net=net,
+                                                     coupling=coupling))
+    (x_name, y_name), (xs, ys) = data.draw(_heatmap_axes(axes))
     cfg = _cfg(alpha=5.0) if model == "eco3-reduced" else _cfg()
     spec = basin.BasinSpec(grid=(2, 2), phase_policy=policy,
                            delta_resolution=3,
                            settings=IntegratorSettings(dt_init=0.05,
                                                        t_end=30.0))
-    net = coupling = None
-    base = CentroidCoupling.from_config(cfg)
-    if source == "network":
-        net = _three_pop_net() if model == "eco3-reduced" else _two_pop_net()
-        base = CentroidCoupling.from_network(net)
-    elif source == "coupling":
-        base = coupling = CentroidCoupling(g12=0.7, g21=1.3, g13=0.4,
-                                           g23=0.2, g31=0.5, g32=0.6,
-                                           phi=0.3, psi=-0.2)
     mat, _, _ = basin.basin_heatmap(model, cfg, x_name, xs, y_name, ys, spec,
                                     net=net, coupling=coupling)
     for j, yv in enumerate(ys):
         for i, xv in enumerate(xs):
             point = {x_name: xv, y_name: yv}
-            coup = replace(base, **{_COUPLING_OF[k]: v
-                                    for k, v in point.items()
-                                    if k in _COUPLING_OF})
             want = basin.estimate_basin(model, replace(cfg, **point), spec,
-                                        coupling=coup).value
+                                        net=net, coupling=coupling).value
             assert np.array_equal(mat[j, i], want, equal_nan=True)
+
+
+@pytest.mark.parametrize("model", ["simple", "simple-reduced"])
+def test_heatmap_frustration_is_the_configs(model):
+    # a network built at phi = 0.2 swept to phi = -1.2: the heatmap entry,
+    # estimate_basin and the full variant's network all use the config's phi
+    net = _two_pop_net()
+    cfg = _cfg(beta1=2.5, phi=-1.2)
+    spec = basin.BasinSpec(grid=(3, 3), n_sim=3, seed=1, recon_T=5.0,
+                           settings=IntegratorSettings(dt_init=0.02,
+                                                       t_end=60.0))
+    mat, _, _ = basin.basin_heatmap(model, cfg, "beta1", [2.5], "phi",
+                                    [-1.2], spec, net=net)
+    want = basin.estimate_basin(model, cfg, spec, net=net).value
+    assert mat[0, 0] == want
+    at_net = basin.estimate_basin(model, replace(cfg, phi=0.2), spec,
+                                  net=net).value
+    assert want != at_net

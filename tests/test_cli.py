@@ -186,3 +186,52 @@ def test_fig3b_preset_blue_win_trajectory(tmp_path):
     assert summary["winner"] == "blue"
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,P1,P2,P3,theta_0")
+
+
+@pytest.mark.parametrize("args", [
+    ["fixed-points", "-c", "simple-cs", "-o", "K1=-1"],
+    ["fixed-points", "-c", "fig3b"],
+    ["basin", "-c", "simple-cs", "-o", "task.phase_policy=ensemble"],
+    ["simulate", "-c", "fig3a", "-o", "network.preset=nope"],
+    ["simulate", "-c", "fig3a", "-o", "mu=0.3"],
+    ["simulate", "-c", "fig3a", "-o", "network.phi=0.3"],
+    ["simulate", "-c", "fig3a", "-o", "network.omega=[[0.0]]"],
+    ["simulate", "-c", "paper-2pop", "-o", "network.nu=0.1"],
+    ["simulate", "-c", "simple-cs", "-o", "network.preset=paper-2pop",
+     "-o", "network.mu=0.2"],
+])
+def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_linalg_error_while_building_exits_3(tmp_path, monkeypatch):
+    def fail(section, seed):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(cli, "build_network", fail)
+    assert cli.main(["simulate", "-c", "fig3a",
+                     "--out", str(tmp_path / "out")]) == 3
+
+
+_DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "-c", "fig3b", "-o", "task.n_sim=2"],
+    ["basin", "-c", "simple-cs"],
+    ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[1,2]", "-o", "task.y_param=phi",
+     "-o", "task.y_range=[0,1]"],
+    ["doe", "-c", "simple-cs", "-o", _DOE, "-o", "task.k_init=2",
+     "-o", "task.n_total=2"],
+])
+@pytest.mark.parametrize("setting", ["solver.method=rk45", "solver.rtol=1e-6",
+                                     "solver.atol=1e-9", "solver.dt_max=0.5"])
+def test_batch_tasks_reject_adaptive_solver_settings(args, setting, tmp_path,
+                                                     capsys):
+    # batch tasks run fixed-step RK4 at dt_init and would ignore these
+    assert cli.main(args + ["-o", setting, "--out", str(tmp_path)]) == 2
+    assert "fixed-step RK4" in capsys.readouterr().err

@@ -175,6 +175,25 @@ def test_run_doe_flags_failures():
     assert len(good) + len(failed) == len(recs)
 
 
+def test_run_doe_propagates_programming_errors():
+    # only numerical failures become failed records; a bug in g surfaces
+    def g(x):
+        if x[0] > 0.5:
+            return float(x[0]) / 0
+        return float(x[0])
+
+    with pytest.raises(ZeroDivisionError):
+        doe.run_doe(g, [(0.0, 1.0)], k_init=4, n_total=4, seed=0)
+
+
+def test_run_doe_flags_linalg_failures():
+    def g(x):
+        raise np.linalg.LinAlgError("singular")
+
+    recs = doe.run_doe(g, [(0.0, 1.0)], k_init=3, n_total=4, seed=0)
+    assert all(r.failed for r in recs)
+
+
 def test_run_doe_deterministic():
     g = lambda x: float(abs(np.sin(5 * x[0]) * x[1]))
     a = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=8, n_total=14, seed=9)

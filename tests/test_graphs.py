@@ -198,7 +198,9 @@ def test_network_config_roundtrip():
     section = network_to_config(net)
     rebuilt = build_network(section, master_seed=999)   # seed must not matter
     assert np.array_equal(rebuilt.weight_matrix(), net.weight_matrix())
-    assert np.array_equal(rebuilt.frustration_matrix(),
-                          net.frustration_matrix())
+    # frustration is a model parameter, bound when a system is built
+    assert "phi" not in section and not rebuilt.frustration_matrix().any()
+    assert np.array_equal(rebuilt.with_frustration(0.1, 0.2)
+                          .frustration_matrix(), net.frustration_matrix())
     assert np.array_equal(rebuilt.omega, net.omega)
     assert rebuilt.strategic == net.strategic

@@ -1,25 +1,29 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from kuracomp import graphs, models, phase
+from kuracomp import basin, cli, graphs, models, phase
 from kuracomp.models import CentroidCoupling, ModelConfig
+from kuracomp.presets import network_to_config
 
 
-def _coupling(phi=0.2, psi=0.0):
-    return CentroidCoupling(g12=1.0, g21=1.0, phi=phi, psi=psi)
+def _coupling():
+    return CentroidCoupling(g12=1.0, g21=1.0)
 
 
 def test_centroid_coeffs_symmetric():
-    cfg = ModelConfig(mu=0.0)
-    co = models.centroid_coeffs(cfg, _coupling(phi=0.0), 1.0, 1.0)
+    cfg = ModelConfig(mu=0.0, phi=0.0, psi=0.0)
+    co = models.centroid_coeffs(cfg, _coupling(), 1.0, 1.0)
     assert (co.C, co.S, co.K_disc) == (2.0, 0.0, 4.0)
 
 
 def test_centroid_coeffs_frustrated():
-    cfg = ModelConfig(mu=0.2)
-    co = models.centroid_coeffs(cfg, _coupling(phi=0.2), 1.0, 1.0)
+    cfg = ModelConfig(mu=0.2, phi=0.2, psi=0.0)
+    co = models.centroid_coeffs(cfg, _coupling(), 1.0, 1.0)
     assert co.C == pytest.approx(1.980067, abs=1e-6)
     assert co.S == pytest.approx(0.198669, abs=1e-6)
     assert co.K_disc == pytest.approx(3.920133, abs=1e-6)
@@ -35,9 +39,8 @@ def test_centroid_coeffs_suppressed():
 def test_k_disc_invariant():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        cfg = ModelConfig(mu=rng.normal())
-        coup = CentroidCoupling(g12=rng.uniform(0, 2), g21=rng.uniform(0, 2),
-                                phi=rng.normal(), psi=rng.normal())
+        cfg = ModelConfig(mu=rng.normal(), phi=rng.normal(), psi=rng.normal())
+        coup = CentroidCoupling(g12=rng.uniform(0, 2), g21=rng.uniform(0, 2))
         co = models.centroid_coeffs(cfg, coup, rng.uniform(), rng.uniform())
         assert co.K_disc == pytest.approx(co.C ** 2 + co.S ** 2 - cfg.mu ** 2)
 
@@ -321,7 +324,7 @@ def _oracle_rhs(variant, y, cfg, net):
     o_s = [phase.order_parameter(theta, net.strategic_global(p)) ** n
            for p in range(m)]
     o_t = [phase.order_parameter(theta, net.tactical_global(p)) ** n
-           for p in range(m)]
+           for p in range(2)]
     if variant == "feedback":
         dP = [cfg.r1 * P[0] * (1 - P[0]) * o_s[0]
               - cfg.beta2 * P[0] * P[1] * o_t[1] * i12,
@@ -397,10 +400,135 @@ def test_phase_plan_rhs_equals_per_population_oracle(variant, sizes, batch,
                               phase.circular_centroid(theta[net.nodes_of(p)]))
     try:
         want = _oracle_rhs(variant, y, cfg, net)
-    except ValueError:                   # a strategic or tactical set is empty
-        with pytest.raises(ValueError, match="empty subset"):
-            _FULL_RHS[variant](y, cfg, net)
+    except ValueError:                   # a set the variant reads is empty
+        with pytest.raises(ValueError, match="set is empty"):
+            models.build_system(variant, cfg, net=net)
+        assert not np.isfinite(_FULL_RHS[variant](y, cfg, net)).all()
         return
+    models.build_system(variant, cfg, net=net)
     got = _FULL_RHS[variant](y, cfg, net)
     assert got.shape == want.shape == y.shape
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one owner per model parameter
+# ---------------------------------------------------------------------------
+
+_SOURCES = ([(v, "network") for v in models._FULL]
+            + [(v, s) for v in models._REDUCED
+               for s in ("config", "coupling", "network")])
+
+
+def _owner_net(rng, m):
+    """Populations of 4-6 nodes with strategic and tactical sets of two
+    nodes or more (so no order parameter is identically 1) and cross links
+    both ways between every pair (so phi and psi both act)."""
+    sizes = [int(n) for n in rng.integers(4, 7, m)]
+    pops = [graphs.gen_erdos_renyi(n, 0.6, rng) for n in sizes]
+    links = {(i, j): sorted({(int(rng.integers(sizes[i])),
+                              int(rng.integers(sizes[j]))) for _ in range(3)})
+             for i in range(m) for j in range(i + 1, m)}
+    xi = {(i, j): rng.uniform(0.5, 2.0) for i in range(m) for j in range(m)
+          if i != j}
+    splits = [(rng.permutation(n).tolist(), int(rng.integers(2, n - 1)))
+              for n in sizes]
+    return graphs.assemble(
+        pops, links, sigma=rng.uniform(0.5, 2.0, m), xi=xi, phi=0.0, psi=0.0,
+        strategic=[tuple(sorted(o[:k])) for o, k in splits],
+        tactical=[tuple(sorted(o[k:])) for o, k in splits],
+        omega=rng.normal(size=sum(sizes)))
+
+
+@pytest.mark.parametrize("variant,source", _SOURCES)
+@settings(max_examples=10)
+@given(seed=hst.integers(0, 2 ** 32 - 1))
+def test_each_parameter_has_one_owner(variant, source, seed):
+    rng = np.random.default_rng(seed)
+    m = 3 if variant.startswith("eco3") else 2
+    net = _owner_net(rng, m) if source == "network" else None
+    coupling = (CentroidCoupling(*rng.uniform(0.2, 2.0, 6))
+                if source == "coupling" else None)
+    cfg = ModelConfig(mu=rng.normal(), nu=rng.normal(),
+                      phi=rng.uniform(-1, 1), psi=rng.uniform(-1, 1),
+                      gamma1=rng.uniform(0.2, 2.0),
+                      gamma2=rng.uniform(0.2, 2.0),
+                      p_exponent=int(rng.integers(1, 3)))
+    caps = [cfg.K1, cfg.K2, cfg.K3][:m] if m == 3 else [1.0] * m
+    P = rng.uniform(0.05, 0.95, m) * caps
+    tail = rng.uniform(-np.pi, np.pi,
+                       net.n_total if variant in models._FULL else m - 1)
+    y = np.concatenate([P, tail])
+
+    def rhs(c):
+        return models.build_system(variant, c, net=net,
+                                   coupling=coupling).rhs(y)
+
+    # every field the table lists moves the right-hand side (P_D is the
+    # extinction threshold the runs read)
+    read = models.model_params(variant, net=net, coupling=coupling)
+    base = rhs(cfg)
+    for name in read:
+        if name != "P_D":
+            value = (3 - cfg.p_exponent if name == "p_exponent"
+                     else getattr(cfg, name) + 0.3)
+            assert not np.array_equal(rhs(replace(cfg, **{name: value})),
+                                      base), name
+
+    # every other field is rejected as a heatmap axis
+    spec = basin.BasinSpec(grid=(1, 1))
+    for name in (f.name for f in fields(ModelConfig)):
+        if name not in read:
+            with pytest.raises(ValueError, match="does not read"):
+                basin.basin_heatmap(variant, cfg, name, [1.0], "r1", [1.0],
+                                    spec, net=net, coupling=coupling)
+
+
+@pytest.mark.parametrize("variant,source",
+                         [vs for vs in _SOURCES if vs[1] != "coupling"])
+def test_cli_rejects_parameters_a_variant_does_not_read(variant, source,
+                                                        tmp_path):
+    config = {"model": variant}
+    net = None
+    if source == "network":
+        net = _owner_net(np.random.default_rng(0),
+                         3 if variant.startswith("eco3") else 2)
+        config["network"] = network_to_config(net)
+        if variant in models._REDUCED:      # reads only the couplings
+            del config["network"]["omega"]
+    read = models.model_params(variant, net=net)
+    path = tmp_path / "config.json"
+    for name in (f.name for f in fields(ModelConfig)):
+        if name not in read:
+            config["params"] = {name: getattr(ModelConfig(), name)}
+            path.write_text(json.dumps(config))
+            assert cli.main(["simulate", "-c", str(path),
+                             "--out", str(tmp_path / "out")]) == 2, name
+
+
+def test_empty_order_set_fails_at_build_time():
+    tree = graphs.gen_kary_tree(2, 2)
+    er5 = graphs.gen_erdos_renyi(5, 0.6, 1)      # all five nodes strategic
+    er7 = graphs.gen_erdos_renyi(7, 0.6, 1)
+
+    def net(pops):
+        links = {(i, j): [(0, 0)] for i in range(len(pops))
+                 for j in range(i + 1, len(pops))}
+        return graphs.assemble(pops, links, sigma=[1.0] * len(pops),
+                               xi=graphs.xi_paper_normalization(pops, links),
+                               phi=0.0, psi=0.0)
+
+    cfg = ModelConfig()
+    with pytest.raises(ValueError, match="tactical order parameter of "
+                                         "population 2"):
+        models.build_system("eco3", cfg, net=net([tree, er5, er5]))
+    for variant in ("feedback", "eco2"):
+        with pytest.raises(ValueError, match="population 2"):
+            models.build_system(variant, cfg, net=net([tree, er5]))
+    models.build_system("simple", cfg, net=net([tree, er5]))
+    # eco3 never reads population 3's tactical order parameter
+    system = models.build_system("eco3", cfg, net=net([tree, er7, er5]))
+    theta = np.random.default_rng(0).uniform(-np.pi, np.pi,
+                                             system.net.n_total)
+    assert np.all(np.isfinite(system.rhs(np.concatenate([[5.0] * 3,
+                                                          theta]))))
