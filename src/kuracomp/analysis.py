@@ -11,13 +11,14 @@ Fixed points of the reduced two-population variants come from their printed
 closed forms; the interior points couple Delta* back through the C/S
 coefficients and are resolved by damped fixed-point iteration (Newton
 fallback).  The interior points of the ecology variant are the roots of a
-cubic in P2, evaluated through the Cardano-style cube-root expressions and
-cross-checked against the cubic residual.
+cubic in P2, evaluated through the Cardano-style cube-root expressions.  An
+interior point is kept only when the right-hand side vanishes there to
+RESIDUAL_GATE, after a Newton polish where the iteration alone misses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +48,13 @@ __all__ = [
 
 _HYPERBOLIC_TOL = 1e-10
 RESIDUAL_GATE = 1e-8
+FD_REL_STEP = 1e-6        # fd_jacobian step relative to max(1, |x_i|)
+IMAG_TOL = 1e-8           # cubic roots with larger |Im| are complex
+# damped fixed-point iteration of the interior points, then Newton
+_DAMPING = 0.5
+_FP_TOL = 1e-12
+_FP_MAX_ITER = 10_000
+_NEWTON_MAX_ITER = 50
 
 
 class NumericalError(RuntimeError):
@@ -180,14 +188,14 @@ def slip_period(C, S, mu):
 # Jacobians and classification
 # ---------------------------------------------------------------------------
 
-def fd_jacobian(f, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, step h_i = rel_step * max(1, |x_i|)."""
+def fd_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian, step h_i = FD_REL_STEP * max(1, |x_i|)."""
     x = np.asarray(x, dtype=float)
     n = x.size
     fx = np.asarray(f(x), dtype=float)
     jac = np.empty((fx.size, n))
     for i in range(n):
-        h = rel_step * max(1.0, abs(x[i]))
+        h = FD_REL_STEP * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -203,9 +211,9 @@ def eigenvalues(matrix) -> np.ndarray:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def classify(eigs, tol: float = _HYPERBOLIC_TOL) -> str:
+def classify(eigs) -> str:
     re = np.real(np.asarray(eigs))
-    if np.any(np.abs(re) <= tol):
+    if np.any(np.abs(re) <= _HYPERBOLIC_TOL):
         return "nonhyperbolic"
     return "stable" if np.all(re < 0) else "unstable"
 
@@ -344,8 +352,7 @@ def _simple_fp4_map(cfg, delta):
     return p1, p2
 
 
-def _solve_simple_fp4(cfg, coupling, rhs, notes, damping=0.5,
-                      tol=1e-12, max_iter=10_000):
+def _solve_simple_fp4(cfg, coupling, rhs, notes):
     d = _delta_at(cfg, coupling, 0.5, 0.5)
     if d is None:
         d = 0.0
@@ -354,21 +361,21 @@ def _solve_simple_fp4(cfg, coupling, rhs, notes, damping=0.5,
         notes.append("FP4: singular denominator")
         return None
     p1, p2 = pm
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         pm = _simple_fp4_map(cfg, d)
         if pm is None:
             notes.append("FP4: singular denominator during iteration")
             return None
-        p1_new = p1 + damping * (pm[0] - p1)
-        p2_new = p2 + damping * (pm[1] - p2)
+        p1_new = p1 + _DAMPING * (pm[0] - p1)
+        p2_new = p2 + _DAMPING * (pm[1] - p2)
         d_tgt = _delta_at(cfg, coupling, p1_new, p2_new)
         if d_tgt is None:
             notes.append("FP4: centroid fixed point vanished during iteration")
             return None
-        d_new = d + damping * (d_tgt - d)
+        d_new = d + _DAMPING * (d_tgt - d)
         change = max(abs(p1_new - p1), abs(p2_new - p2), abs(d_new - d))
         p1, p2, d = p1_new, p2_new, d_new
-        if change < tol:
+        if change < _FP_TOL:
             break
     state = np.array([p1, p2, d])
     if np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
@@ -379,9 +386,9 @@ def _solve_simple_fp4(cfg, coupling, rhs, notes, damping=0.5,
     return state
 
 
-def _newton_polish(rhs, state, max_iter=50):
+def _newton_polish(rhs, state):
     x = np.asarray(state, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         r = np.asarray(rhs(x), dtype=float)
         if np.max(np.abs(r)) < 1e-13:
             return x
@@ -462,7 +469,7 @@ def eco2_back_substitute(cfg: ModelConfig, p2, delta):
 
 
 def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
-                      diagnostics: list = None, imag_tol: float = 1e-8) -> list:
+                      diagnostics: list = None) -> list:
     """FP1..FP5 of the reduced nondimensional ecology model.
 
     FP1: (0, 0); FP2: (0, 1); FP3-FP5: interior candidates from the cubic
@@ -487,8 +494,7 @@ def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
     if d_init is None:
         d_init = 0.0
     for k, label in enumerate(("FP3", "FP4", "FP5")):
-        sol = _solve_eco2_interior(cfg, coupling, k, d_init, notes, label,
-                                   imag_tol=imag_tol)
+        sol = _solve_eco2_interior(cfg, coupling, k, d_init, notes, label)
         if sol is None:
             continue
         state, physical = sol
@@ -503,28 +509,26 @@ def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
     return records
 
 
-def _solve_eco2_interior(cfg, coupling, branch, d_init, notes, label,
-                         damping=0.5, tol=1e-12, max_iter=10_000,
-                         imag_tol=1e-8):
+def _solve_eco2_interior(cfg, coupling, branch, d_init, notes, label):
     d = d_init
     p2 = None
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         roots = eco2_cubic_roots(cfg, d)
         root = roots[branch]
-        if abs(root.imag) > imag_tol:
+        if abs(root.imag) > IMAG_TOL:
             notes.append(f"{label}: complex root (|Im| = {abs(root.imag):.2e})")
             return None
         p2_tgt = float(root.real)
-        p2 = p2_tgt if p2 is None else p2 + damping * (p2_tgt - p2)
+        p2 = p2_tgt if p2 is None else p2 + _DAMPING * (p2_tgt - p2)
         p1 = float(eco2_back_substitute(cfg, p2, d))
         d_tgt = _delta_at(cfg, coupling, p1, p2)
         if d_tgt is None:
             notes.append(f"{label}: centroid fixed point vanished during iteration")
             return None
-        d_new = d + damping * (d_tgt - d)
+        d_new = d + _DAMPING * (d_tgt - d)
         change = max(abs(d_new - d), abs(p2_tgt - p2))
         d = d_new
-        if change < tol:
+        if change < _FP_TOL:
             break
     p1 = float(eco2_back_substitute(cfg, p2, d))
     physical = bool(0.0 - 1e-12 <= p2 <= 1.0 + 1e-12
@@ -602,10 +606,10 @@ def _label_attractor(traj):
 
 def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
                       coupling: CentroidCoupling = None,
-                      settings: IntegratorSettings = None,
-                      start_state=None) -> list:
+                      settings: IntegratorSettings = None) -> list:
     """For each grid value: recompute fixed points, classify stability, and
-    run one long trajectory from a standard start to label the attractor."""
+    run one long trajectory from P = (0.5, 0.5) and the centroid fixed point
+    there (0 if none) to label the attractor."""
     if variant not in ("simple-reduced", "eco2-reduced"):
         raise ValueError("sweep supports the reduced two-population variants")
     model_params(variant, (param,), coupling=coupling)
@@ -622,11 +626,8 @@ def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
             records = eco2_fixed_points(c, coup)
         for rec in records:
             rows.append(SweepRow(param_value=float(value), record=rec))
-        if start_state is None:
-            d0 = _delta_at(c, coup, 0.5, 0.5)
-            y0 = np.array([0.5, 0.5, d0 if d0 is not None else 0.0])
-        else:
-            y0 = np.asarray(start_state, dtype=float)
+        d0 = _delta_at(c, coup, 0.5, 0.5)
+        y0 = np.array([0.5, 0.5, d0 if d0 is not None else 0.0])
         outcome = run_scenario(system, y0, settings, recon_T=0.0,
                                p_death=c.P_D)
         label = _label_attractor(outcome.trajectory)
@@ -635,15 +636,11 @@ def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
     return rows
 
 
-def sweep_to_csv(rows, path, n_pops: int = 2, n_delta: int = 1):
-    """CSV per the sweep-table layout: param,fp_label,P1,P2[,P3],
-    Delta1[,Delta2],max_real_eig,class.  Trajectory rows use fp_label
-    "traj" and put the attractor label in the class column."""
-    p_cols = [f"P{i + 1}" for i in range(n_pops)]
-    d_cols = ["Delta1", "Delta2"][:n_delta]
-    header = ",".join(["param", "fp_label"] + p_cols + d_cols
-                      + ["max_real_eig", "class"])
-    lines = [header]
+def sweep_to_csv(rows, path):
+    """CSV per the sweep-table layout: param,fp_label,P1,P2,Delta1,
+    max_real_eig,class.  Trajectory rows use fp_label "traj" and put the
+    attractor label in the class column."""
+    lines = ["param,fp_label,P1,P2,Delta1,max_real_eig,class"]
     for row in rows:
         if row.record is not None:
             rec = row.record
@@ -652,7 +649,7 @@ def sweep_to_csv(rows, path, n_pops: int = 2, n_delta: int = 1):
                                   + vals + [f"{rec.max_real_eig:.12g}",
                                             rec.classification]))
         else:
-            vals = [f"{v:.12g}" for v in row.terminal_state[:n_pops + n_delta]]
+            vals = [f"{v:.12g}" for v in row.terminal_state]
             lines.append(",".join([f"{row.param_value:.12g}", "traj"]
                                   + vals + ["", row.attractor]))
     with open(path, "w") as fh:

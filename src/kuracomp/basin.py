@@ -32,6 +32,9 @@ from .solver import (IntegratorSettings, integrate_batch, reconnoitred_phases,
 __all__ = ["BasinSpec", "BasinResult", "estimate_basin", "basin_heatmap",
            "heatmap_to_csv"]
 
+SETTLE_T = 50.0          # free three-population centroid settling time
+SETTLE_DT = 0.01
+
 
 @dataclass
 class BasinSpec:
@@ -98,8 +101,7 @@ def _take(obj, index):
                            if np.ndim(getattr(obj, f.name))})
 
 
-def _initial_delta3(cfg, coupling, n_points=1, settle_T: float = 50.0,
-                    dt: float = 0.01):
+def _initial_delta3(cfg, coupling, n_points=1):
     """Settled (Delta1, Delta2) of the three-population reduction, shape
     (2, n_points).
 
@@ -109,7 +111,7 @@ def _initial_delta3(cfg, coupling, n_points=1, settle_T: float = 50.0,
     from .models import eco3_reduced_rhs
 
     y = _rk4(lambda yy: eco3_reduced_rhs(yy, cfg, coupling),
-             np.zeros((5, n_points)), dt, settle_T)
+             np.zeros((5, n_points)), SETTLE_DT, SETTLE_T)
     return y[3:]
 
 

@@ -183,8 +183,12 @@ def _build(config: dict):
                 "variant reads none from its network")
     axes = {"sweep": ["param"], "heatmap": ["x_param", "y_param"]}
     varied = [task.get(k) for k in axes.get(task["type"], [])]
+    if task["type"] == "heatmap" and varied[0] == varied[1]:
+        raise ValidationFailure("heatmap needs two distinct parameter names")
     if task["type"] == "doe":
         varied += [f.get("name") for f in task.get("factors", [])]
+        if task.get("n_total", 1) < task.get("k_init", 1):
+            raise ValidationFailure("doe needs task.n_total >= task.k_init")
     model_params(model, list(params) + varied, net=net)
     sv = dict(config.get("solver", {}))
     batch = task["type"] in ("basin", "heatmap", "doe") or (
@@ -280,8 +284,7 @@ def _task_sweep(config, system, cfg, net, settings, recon_T, seed, outdir):
     rows = analysis.sweep_bifurcation(config["model"], cfg, task["param"],
                                       values, coupling=coupling,
                                       settings=settings)
-    analysis.sweep_to_csv(rows, outdir / "sweep.csv", n_pops=system.n_pops,
-                          n_delta=system.dim - system.n_pops)
+    analysis.sweep_to_csv(rows, outdir / "sweep.csv")
     return {"n_rows": len(rows)}
 
 
@@ -386,10 +389,12 @@ def _write_json(path, payload):
 
 _SVG_STOPS = np.array([[68, 1, 84], [59, 82, 139], [33, 145, 140],
                        [94, 201, 98], [253, 231, 37]], dtype=float)
+_SVG_CELL = 14           # pixels per heatmap entry
 
 
-def _write_svg_heatmap(matrix, path, cell: int = 14):
+def _write_svg_heatmap(matrix, path):
     ny, nx = matrix.shape
+    cell = _SVG_CELL
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{nx * cell}" height="{ny * cell}">']
     for i in range(ny):

@@ -35,6 +35,13 @@ __all__ = [
     "read_doe_log",
 ]
 
+CORR_TARGET = 0.05       # design annealing stops at this max |correlation|
+MAX_PROPOSALS = 200_000  # design annealing swap budget
+KAPPA = 2.0              # UCB exploration weight
+N_STARTS = 64            # acquisition multi-start seeds
+N_ASCENT = 60            # acquisition ascent iterations
+REFIT_EVERY = 10         # acquisitions between GP hyperparameter fits
+
 
 class SurrogateError(RuntimeError):
     pass
@@ -60,8 +67,7 @@ def _max_abs_corr(levels) -> float:
     return float(off.max())
 
 
-def build_design(d: int, k: int, ranges, seed, target: float = 0.05,
-                 max_proposals: int = 200_000) -> DesignMatrix:
+def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
     """Latin hypercube of k samples in d factors with column correlations
     annealed toward zero by random within-column swaps.
 
@@ -86,9 +92,9 @@ def build_design(d: int, k: int, ranges, seed, target: float = 0.05,
         np.fill_diagonal(corr, 0.0)
         energy = float((corr ** 2).sum())
         temp = 1e-3
-        cool = np.exp(np.log(1e-4) / max_proposals)   # decay to temp*1e-4
-        for it in range(max_proposals):
-            if it % 256 == 0 and float(np.abs(corr).max()) <= target:
+        cool = np.exp(np.log(1e-4) / MAX_PROPOSALS)   # decay to temp*1e-4
+        for it in range(MAX_PROPOSALS):
+            if it % 256 == 0 and float(np.abs(corr).max()) <= CORR_TARGET:
                 break
             col = rng.integers(d)
             a, b = rng.integers(k), rng.integers(k)
@@ -161,8 +167,9 @@ def kde_density(ys, bandwidth="auto"):
     return density
 
 
-def objective(ys, bandwidth="auto"):
-    """Stratification scores z_m = F(y_m)/max F, F = 1/kde(y_m).
+def objective(ys):
+    """Stratification scores z_m = F(y_m)/max F, F = 1/kde(y_m), with the
+    Silverman bandwidth (0.05 for fewer than two distinct responses).
 
     Recomputed over the full response set on every call (the responses'
     density changes as samples accrue).
@@ -170,9 +177,8 @@ def objective(ys, bandwidth="auto"):
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if ys.size == 0:
         raise ValueError("objective needs at least one sample")
-    if bandwidth == "auto" and (ys.size < 2 or np.ptp(ys) == 0):
-        bandwidth = 0.05
-    dens = kde_density(ys, bandwidth)
+    flat = ys.size < 2 or np.ptp(ys) == 0
+    dens = kde_density(ys, 0.05 if flat else "auto")
     f = 1.0 / np.maximum(dens(ys), 1e-300)
     return f / f.max()
 
@@ -290,8 +296,7 @@ def _from_unit(u, ranges):
 
 
 def bo_step(x_data, z_data, ranges, seed, surrogate: GaussianProcess = None,
-            kappa: float = 2.0, refit: bool = False, n_starts: int = 64,
-            n_ascent: int = 60):
+            kappa: float = KAPPA, refit: bool = False):
     """Next acquisition point: argmax of mu(x) + kappa*sigma(x).
 
     Multi-start local search from scrambled-Sobol seeds; all starts ascend
@@ -311,11 +316,11 @@ def bo_step(x_data, z_data, ranges, seed, surrogate: GaussianProcess = None,
 
     sob = qmc.Sobol(d, scramble=True,
                     seed=substream(seed, "doe", "acquire-starts"))
-    u = sob.random(n_starts)
+    u = sob.random(N_STARTS)
     mean, sd, dm, ds = surrogate.predict_with_grad(u)
     acq = mean + kappa * sd
-    step = np.full(n_starts, 0.25)
-    for _ in range(n_ascent):
+    step = np.full(N_STARTS, 0.25)
+    for _ in range(N_ASCENT):
         grad = dm + kappa * ds
         u_new = np.clip(u + step[:, None] * grad, 0.0, 1.0)
         mean, sd, dm_new, ds_new = surrogate.predict_with_grad(u_new)
@@ -347,8 +352,7 @@ class DesignRecord:
 
 
 def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
-            kappa: float = 2.0, kde_bandwidth="auto",
-            refit_every: int = 10, resume=None) -> list:
+            resume=None) -> list:
     """NOLH initialisation followed by acquisition with objective
     re-evaluation after every new response.
 
@@ -387,7 +391,7 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
         good = [r for r in records if not r.failed]
         if not good:
             return
-        zs = objective(np.array([r.y for r in good]), kde_bandwidth)
+        zs = objective(np.array([r.y for r in good]))
         for rec, z in zip(good, zs):
             rec.z = float(z)
 
@@ -395,7 +399,7 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
     surrogate = GaussianProcess(d=d)
     for n in range(k_init, n_total):
         good = [r for r in records if not r.failed]
-        refit = ((n - k_init) % refit_every == 0)
+        refit = ((n - k_init) % REFIT_EVERY == 0)
         if n < len(replay):
             # replayed acquisition: keep the surrogate state in lockstep
             # without re-running the search
@@ -412,8 +416,7 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
             x_arr = np.array([r.x for r in good])
             z_arr = np.array([r.z for r in good])
             x_next, surrogate = bo_step(x_arr, z_arr, ranges, seed=seed,
-                                        surrogate=surrogate, kappa=kappa,
-                                        refit=refit)
+                                        surrogate=surrogate, refit=refit)
         evaluate(x_next, n, "acquisition")
         reevaluate()
     return records

@@ -182,15 +182,14 @@ def gen_watts_strogatz(n: int, k: int, p_rewire: float, seed) -> Graph:
     return Graph(n=n, edges=edges, kind="watts-strogatz")
 
 
-def default_partition(g: Graph, branching: int | None = None) -> tuple:
+def default_partition(g: Graph) -> tuple:
     """Default strategic/tactical split.
 
-    Trees: strategic = root + first layer; other graphs: strategic = the
-    first min(5, n) nodes.  Tactical is the remainder.
+    Trees: strategic = root + first layer (the root's degree gives its
+    size); other graphs: strategic = the first min(5, n) nodes.  Tactical
+    is the remainder.
     """
-    if g.kind == "kary-tree" and branching is not None:
-        n_s = min(1 + branching, g.n)
-    elif g.kind == "kary-tree":
+    if g.kind == "kary-tree":
         n_s = min(1 + max(g.degrees()[0], 1), g.n)
     else:
         n_s = min(5, g.n)

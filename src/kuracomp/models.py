@@ -28,7 +28,7 @@ config fields, which is what the basin/heatmap batch runner relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "ModelConfig",
     "CentroidCoupling",
     "CentroidCoeffs",
-    "HybridState",
     "centroid_coeffs",
     "simple_rhs",
     "simple_reduced_rhs",
@@ -159,37 +158,6 @@ class CentroidCoeffs:
     def K_disc(self):
         """The discriminant K = C^2 + S^2 - mu^2."""
         return self.C * self.C + self.S * self.S - self.mu ** 2
-
-
-@dataclass
-class HybridState:
-    """Population resources plus either a full phase vector (full variants)
-    or centroid difference(s) (reduced variants) at one time."""
-
-    P: np.ndarray
-    theta: np.ndarray = None
-    delta: np.ndarray = None
-
-    def __post_init__(self):
-        self.P = np.atleast_1d(np.asarray(self.P, dtype=float))
-        if (self.theta is None) == (self.delta is None):
-            raise ValueError("provide exactly one of theta or delta")
-        if self.theta is not None:
-            self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        else:
-            self.delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
-
-    def pack(self) -> np.ndarray:
-        tail = self.theta if self.theta is not None else self.delta
-        return np.concatenate([self.P, tail])
-
-    @classmethod
-    def unpack(cls, y, system) -> "HybridState":
-        y = np.asarray(y, dtype=float)
-        m = system.n_pops
-        if system.reduced:
-            return cls(P=y[:m], delta=y[m:])
-        return cls(P=y[:m], theta=y[m:])
 
 
 def centroid_coeffs(cfg: ModelConfig, coupling: CentroidCoupling, H1, H2) -> CentroidCoeffs:

@@ -84,35 +84,21 @@ def winding_number(theta) -> int:
     return int(q) if np.ndim(q) == 0 else q.astype(int)
 
 
-def circular_centroid(theta, method: str = "recurrence"):
+def circular_centroid(theta):
     """Running-mean centroid of phases on the circle, in [0, 2pi).
 
-    method="recurrence" (default): at step n shift the incoming phase by
-    the 2pi*k minimising |theta_n - c + 2pi k| before averaging; the tie
-    at exactly pi breaks toward the smaller k.  method="modshift" is the
-    coarser variant that shifts by sgn(c - pi)*2pi whenever the new phase
-    is more than pi from the running mean.
-
-    Accepts shape (n,) or (n, B); reduces over the first axis.
+    At step n the incoming phase is shifted by the 2pi*k minimising
+    |theta_n - c + 2pi k| before averaging; the tie at exactly pi breaks
+    toward the smaller k.  Accepts shape (n,) or (n, B); reduces over the
+    first axis.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape[0] < 1:
         raise ValueError("centroid of an empty phase set")
-    if method == "recurrence":
-        c = np.array(theta[0], dtype=float, copy=True)
-        for n in range(2, theta.shape[0] + 1):
-            t = theta[n - 1]
-            k = np.ceil((c - t) / TWO_PI - 0.5)
-            c = c + (t - c + TWO_PI * k) / n
-    elif method == "modshift":
-        tilde = np.mod(theta, TWO_PI)
-        c = np.array(tilde[0], dtype=float, copy=True)
-        for n in range(2, theta.shape[0] + 1):
-            t = tilde[n - 1]
-            shifted = np.where(np.abs(t - c) > np.pi,
-                               t + np.sign(c - np.pi) * TWO_PI, t)
-            c = c + (shifted - c) / n
-    else:
-        raise ValueError(f"unknown centroid method {method!r}")
+    c = np.array(theta[0], dtype=float, copy=True)
+    for n in range(2, theta.shape[0] + 1):
+        t = theta[n - 1]
+        k = np.ceil((c - t) / TWO_PI - 0.5)
+        c = c + (t - c + TWO_PI * k) / n
     out = np.mod(c, TWO_PI)
     return float(out) if np.ndim(out) == 0 else out

@@ -25,8 +25,10 @@ from .graphs import (assemble, default_partition, gen_erdos_renyi,
 __all__ = ["PRESETS", "preset_names", "get_preset", "build_network",
            "sample_omega"]
 
+GREEN_OMEGA = 0.5        # the pinned frequency of a third population
 
-def sample_omega(sizes, mu, nu, seed, green_constant: float = 0.5):
+
+def sample_omega(sizes, mu, nu, seed):
     """Per-population frequency vectors with exact mean differences.
 
     Competitor draws are U[0, 1] recentred so mean(pop1) - mean(pop2) = mu
@@ -35,15 +37,15 @@ def sample_omega(sizes, mu, nu, seed, green_constant: float = 0.5):
     """
     n_pops = len(sizes)
     if n_pops == 3:
-        m1 = green_constant + nu
+        m1 = GREEN_OMEGA + nu
     else:
         m1 = 0.5 + 0.5 * mu
     m2 = m1 - mu
-    targets = [m1, m2] + ([green_constant] if n_pops == 3 else [])
+    targets = [m1, m2] + ([GREEN_OMEGA] if n_pops == 3 else [])
     out = []
     for p, (n, target) in enumerate(zip(sizes, targets)):
         if n_pops == 3 and p == 2:
-            out.append(np.full(n, green_constant))
+            out.append(np.full(n, GREEN_OMEGA))
             continue
         draws = substream(seed, "omega", p).uniform(0.0, 1.0, size=n)
         out.append(draws - draws.mean() + target)
@@ -132,17 +134,18 @@ def network_to_config(net) -> dict:
 
     The result rebuilds an identical network, up to its frustration (a
     model parameter), through ``build_network`` regardless of the master
-    seed (graphs, links, frequencies all stored verbatim).
+    seed (graphs, links, frequencies all stored verbatim), and holds only
+    JSON types, whatever integer type the network's node indices have.
     """
     section = {
-        "populations": [{"kind": "explicit", "n": g.n,
-                         "edges": [list(e) for e in g.edges]}
+        "populations": [{"kind": "explicit", "n": int(g.n),
+                         "edges": [list(map(int, e)) for e in g.edges]}
                         for g in net.populations],
-        "interlinks": {f"{i}-{j}": [list(p) for p in links.pairs]
+        "interlinks": {f"{i}-{j}": [list(map(int, p)) for p in links.pairs]
                        for (i, j), links in net.interlinks.items()},
         "sigma": [float(s) for s in net.sigma],
         "xi": {f"{i}-{j}": float(v) for (i, j), v in net.xi.items()},
-        "strategic": [list(s) for s in net.strategic],
+        "strategic": [list(map(int, s)) for s in net.strategic],
         "omega": [[float(w) for w in net.omega[net.nodes_of(p)]]
                   for p in range(net.n_pops)],
     }

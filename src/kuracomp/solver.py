@@ -155,12 +155,13 @@ def _error_norm(err, y0, y1, rtol, atol):
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _scan_events(events, t0, y0, f0, t1, y1, f1, hits):
-    """Record every event crossing in (t0, t1]; return the first terminal
-    hit (t, y) or None."""
+def _scan_events(events, t0, y0, f0, h, y1, f1, hits):
+    """Record every event crossing in (t0, t0 + h]; return the first
+    terminal hit (t, y) or None.  Hits are ordered by time, ties by their
+    order in ``events``."""
     found = []
     for ev in events:
-        loc = _locate_event(ev, t0, y0, f0, t1, y1, f1)
+        loc = _locate_event(ev, t0, y0, f0, h, y1, f1)
         if loc is not None:
             found.append((loc[0], loc[1], ev))
     found.sort(key=lambda item: item[0])
@@ -171,22 +172,22 @@ def _scan_events(events, t0, y0, f0, t1, y1, f1, hits):
     return None
 
 
-def _locate_event(ev, t0, y0, f0, t1, y1, f1):
-    """Bisection on the dense interpolant down to |dt| <= 1e-9; a crossing
-    is a sign change in (t0, t1] in the event's direction."""
+def _locate_event(ev, t0, y0, f0, h, y1, f1):
+    """Bisection of the offset s in [0, h] on the step's dense interpolant
+    down to |ds| <= 1e-9; a crossing is a sign change in (t0, t0 + h] in
+    the event's direction.  Returns (t0 + s, y(t0 + s)) or None."""
     g0 = ev.fn(t0, y0)
-    g1 = ev.fn(t1, y1)
+    g1 = ev.fn(t0 + h, y1)
     rising, falling = g0 < 0 <= g1, g0 > 0 >= g1
     crossed = rising if ev.direction > 0 else \
         falling if ev.direction < 0 else rising or falling
     if not crossed:
         return None
-    a, b = t0, t1
+    a, b = 0.0, h
     ga = g0
     while (b - a) > EVENT_TIME_TOL:
         m = 0.5 * (a + b)
-        ym = _hermite(t0, y0, f0, t1, y1, f1, m)
-        gm = ev.fn(m, ym)
+        gm = ev.fn(t0 + m, _hermite(0.0, y0, f0, h, y1, f1, m))
         if gm == 0.0:
             a = b = m
             break
@@ -194,8 +195,8 @@ def _locate_event(ev, t0, y0, f0, t1, y1, f1):
             a, ga = m, gm
         else:
             b = m
-    t_ev = 0.5 * (a + b)
-    return t_ev, _hermite(t0, y0, f0, t1, y1, f1, t_ev)
+    s = 0.5 * (a + b)
+    return t0 + s, _hermite(0.0, y0, f0, h, y1, f1, s)
 
 
 def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
@@ -235,11 +236,10 @@ def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
         err_vec = h * (_E @ k.reshape(7, -1)).reshape(y.shape)
         err = _error_norm(err_vec, y, y_new, settings.rtol, settings.atol)
         if err <= 1.0 or h <= 1e-13 * span:
-            t_new = t + h
-            f_new = k[6].copy()  # FSAL: last stage is rhs(t_new, y_new)
-            if _append_step(rhs, events, out, t, y, f, t_new, y_new, f_new):
+            f_new = k[6].copy()  # FSAL: last stage is rhs(t + h, y_new)
+            if _append_step(rhs, events, out, t, y, f, h, y_new, f_new):
                 return _trajectory(out, "event")
-            t, y, f = t_new, y_new, f_new
+            t, y, f = t + h, y_new, f_new
             fac = safety * err ** -0.14 * err_prev ** 0.08 if err > 0 else fac_max
             h *= min(fac_max, max(fac_min, fac))
             err_prev = max(err, 1e-4)
@@ -256,16 +256,18 @@ def _integrate_rk4(rhs, y0, settings, t0, events):
     for t, h in _rk4_grid(t0, settings.t_end, settings.dt_init):
         y_new = _rk4_step(rhs, t, y, f, h)
         f_new = np.asarray(rhs(t + h, y_new), dtype=float)
-        if _append_step(rhs, events, out, t, y, f, t + h, y_new, f_new):
+        if _append_step(rhs, events, out, t, y, f, h, y_new, f_new):
             return _trajectory(out, "event")
         y, f = y_new, f_new
     return _trajectory(out, "completed")
 
 
-def _append_step(rhs, events, out, t0, y0, f0, t1, y1, f1):
-    """Append the accepted step's end to ``out`` = (ts, ys, fs, hits), or
-    its first terminal event instead; True if an event stopped the run."""
-    stop = _scan_events(events, t0, y0, f0, t1, y1, f1, out[3])
+def _append_step(rhs, events, out, t0, y0, f0, h, y1, f1):
+    """Append the end of the accepted step of size h to ``out`` = (ts, ys,
+    fs, hits), or its first terminal event instead; True if an event
+    stopped the run."""
+    t1 = t0 + h
+    stop = _scan_events(events, t0, y0, f0, h, y1, f1, out[3])
     if stop is not None:
         t1, y1 = stop
         f1 = np.asarray(rhs(t1, y1), dtype=float)
@@ -316,10 +318,11 @@ def _rk4(rhs, y, dt, t_end):
 class ScenarioOutcome:
     winner: str              # "blue" | "red" | "stalemate"
     t_event: float
-    trajectory: Trajectory = None
+    trajectory: Trajectory
 
 
 def _threshold_events(p_death):
+    """P2 then P1 falling through p_death; the order makes Blue win a tie."""
     evs = []
     for idx, name in ((1, "red-extinct"), (0, "blue-extinct")):
         evs.append(Event(fn=lambda t, y, i=idx: y[i] - p_death,
@@ -328,8 +331,8 @@ def _threshold_events(p_death):
 
 
 def run_scenario(system, state0, settings: IntegratorSettings,
-                 recon_T: float = 50.0, p_death: float = 1e-4,
-                 keep_trajectory: bool = True) -> ScenarioOutcome:
+                 recon_T: float = 50.0,
+                 p_death: float = 1e-4) -> ScenarioOutcome:
     """Reconnaissance (phase-only, H=1) then competition until extinction.
 
     Reduced variants skip reconnaissance: their centroid difference is
@@ -352,10 +355,9 @@ def run_scenario(system, state0, settings: IntegratorSettings,
     if traj.status == "event" and traj.events:
         hit = traj.events[-1]
         winner = "blue" if hit.name == "red-extinct" else "red"
-        return ScenarioOutcome(winner=winner, t_event=hit.t,
-                               trajectory=traj if keep_trajectory else None)
+        return ScenarioOutcome(winner=winner, t_event=hit.t, trajectory=traj)
     return ScenarioOutcome(winner="stalemate", t_event=settings.t_end,
-                           trajectory=traj if keep_trajectory else None)
+                           trajectory=traj)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +383,8 @@ class BatchOutcome:
 def integrate_batch(rhs, y0, dt, t_end, p_death, *,
                     on_compact=None) -> BatchOutcome:
     """Fixed-step RK4 over a batch; stops members on P_1/P_2 threshold
-    crossings (bisected inside the step) or on reaching a fixed point.
+    crossings, located inside the step as ``run_scenario`` locates them, or
+    on reaching a fixed point.
 
     ``y0`` has shape (dim, B); ``rhs(y)`` must broadcast over the batch
     axis.  Winners: 1 if P2 crossed p_death first, 2 if P1 did, 0 at the
@@ -436,19 +439,13 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
         anyc = crossed1 | crossed2
         if anyc.any():
             f_new = rhs(y_new)
-            idx = np.nonzero(anyc)[0]
-            for i in idx:
-                tb1 = _bisect_component(y[:, i], k1[:, i], y_new[:, i],
-                                        f_new[:, i], h, 0, p_death[i]) if crossed1[i] else np.inf
-                tb2 = _bisect_component(y[:, i], k1[:, i], y_new[:, i],
-                                        f_new[:, i], h, 1, p_death[i]) if crossed2[i] else np.inf
+            for i in np.nonzero(anyc)[0]:
+                hits = []
+                _scan_events(_threshold_events(p_death[i]), t, y[:, i],
+                             k1[:, i], h, y_new[:, i], f_new[:, i], hits)
                 member = active[i]
-                if tb2 <= tb1:
-                    winner[member] = 1
-                    t_event[member] = t + tb2
-                else:
-                    winner[member] = 2
-                    t_event[member] = t + tb1
+                winner[member] = 1 if hits[0].name == "red-extinct" else 2
+                t_event[member] = hits[0].t
                 y_final[:, member] = y_new[:, i]
             y = y_new
             compact(~anyc)
@@ -459,19 +456,6 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
         y_final[:, active] = y
     winner[winner == -2] = 0
     return BatchOutcome(winner=winner, t_event=t_event, y_final=y_final)
-
-
-def _bisect_component(y0, f0, y1, f1, h, comp, threshold):
-    """Crossing time (within the step) of y[comp] through threshold."""
-    a, b = 0.0, h
-    while (b - a) > EVENT_TIME_TOL:
-        m = 0.5 * (a + b)
-        ym = _hermite(0.0, y0, f0, h, y1, f1, m)
-        if ym[comp] - threshold > 0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

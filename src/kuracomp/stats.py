@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _MU_CLIP = 1e-10
+_IRLS_TOL = 1e-10         # relative deviance change that ends IRLS
+_IRLS_MAX_ITER = 100
 
 
 class RankDeficiencyError(ValueError):
@@ -44,16 +46,14 @@ def _expit(eta):
     return out
 
 
-def binomial_deviance(y, mu, weights=None) -> float:
-    """2 * sum w [y ln(y/mu) + (1-y) ln((1-y)/(1-mu))], 0*ln(0) = 0."""
+def binomial_deviance(y, mu) -> float:
+    """2 * sum [y ln(y/mu) + (1-y) ln((1-y)/(1-mu))], 0*ln(0) = 0."""
     y = np.asarray(y, dtype=float)
     mu = np.clip(np.asarray(mu, dtype=float), _MU_CLIP, 1.0 - _MU_CLIP)
-    if weights is None:
-        weights = np.ones_like(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
         t2 = np.where(y < 1, (1.0 - y) * np.log((1.0 - y) / (1.0 - mu)), 0.0)
-    return float(2.0 * (weights * (t1 + t2)).sum())
+    return float(2.0 * (t1 + t2).sum())
 
 
 @dataclass
@@ -69,21 +69,13 @@ class GlmFit:
     feature_names: list
     X: np.ndarray
     y: np.ndarray
-    weights: np.ndarray
 
     def predict(self, X) -> np.ndarray:
         return _expit(np.asarray(X, dtype=float) @ self.coefficients)
 
-    def score(self, X=None, y=None) -> float:
-        """Deviance-based R^2 analog: 1 - D(y, mu)/D_null."""
-        X = self.X if X is None else np.asarray(X, dtype=float)
-        y = self.y if y is None else np.asarray(y, dtype=float)
-        dev = binomial_deviance(y, self.predict(X), self.weights)
-        return 1.0 - dev / self.null_deviance if self.null_deviance > 0 else 0.0
-
 
 def _check_rank(X, names):
-    q, r, piv = linalg.qr(X, mode="economic", pivoting=True)
+    _, r, piv = linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
     rank = int((diag > tol).sum())
@@ -92,25 +84,24 @@ def _check_rank(X, names):
         raise RankDeficiencyError(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(map(str, dependent)))
-    _ = q
 
 
-def _irls(X, y, weights, tol=1e-10, max_iter=100):
+def _irls(X, y):
     mu = np.clip(y, 0.05, 0.95) * 0.5 + 0.25       # mild shrink toward 0.5
     eta = np.log(mu / (1.0 - mu))
     beta = np.zeros(X.shape[1])
-    dev = binomial_deviance(y, mu, weights)
+    dev = binomial_deviance(y, mu)
     converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _IRLS_MAX_ITER + 1):
         mu = np.clip(_expit(eta), _MU_CLIP, 1.0 - _MU_CLIP)
-        w = weights * mu * (1.0 - mu)
+        w = mu * (1.0 - mu)
         zeta = eta + (y - mu) / (mu * (1.0 - mu))
         sw = np.sqrt(w)
         beta, *_ = np.linalg.lstsq(X * sw[:, None], zeta * sw, rcond=None)
         eta = X @ beta
-        dev_new = binomial_deviance(y, _expit(eta), weights)
-        if abs(dev_new - dev) <= tol * (abs(dev_new) + 0.1):
+        dev_new = binomial_deviance(y, _expit(eta))
+        if abs(dev_new - dev) <= _IRLS_TOL * (abs(dev_new) + 0.1):
             dev = dev_new
             converged = True
             break
@@ -118,9 +109,9 @@ def _irls(X, y, weights, tol=1e-10, max_iter=100):
     return beta, dev, converged, n_iter
 
 
-def fit_quasibinomial(X, y, feature_names=None, weights=None,
-                      add_intercept: bool = True) -> GlmFit:
-    """Quasi-binomial GLM by IRLS (logit link).
+def fit_quasibinomial(X, y, feature_names=None) -> GlmFit:
+    """Quasi-binomial GLM by IRLS (logit link) with an intercept column
+    "(Intercept)" ahead of the features.
 
     Convergence: relative deviance change <= 1e-10, at most 100 iterations
     (a non-converged fit is returned flagged).  Rank deficiency raises,
@@ -132,21 +123,16 @@ def fit_quasibinomial(X, y, feature_names=None, weights=None,
         raise ValueError("responses must lie in [0, 1]")
     if feature_names is None:
         feature_names = [f"x{i + 1}" for i in range(X.shape[1])]
-    feature_names = list(feature_names)
-    if add_intercept:
-        X = np.column_stack([np.ones(len(y)), X])
-        feature_names = ["(Intercept)"] + feature_names
-    if weights is None:
-        weights = np.ones(len(y))
-    weights = np.asarray(weights, dtype=float)
+    X = np.column_stack([np.ones(len(y)), X])
+    feature_names = ["(Intercept)"] + list(feature_names)
     _check_rank(X, feature_names)
 
-    beta, dev, converged, n_iter = _irls(X, y, weights)
+    beta, dev, converged, n_iter = _irls(X, y)
     mu = np.clip(_expit(X @ beta), _MU_CLIP, 1.0 - _MU_CLIP)
     n, p = X.shape
-    pearson = float((weights * (y - mu) ** 2 / (mu * (1.0 - mu))).sum())
+    pearson = float(((y - mu) ** 2 / (mu * (1.0 - mu))).sum())
     dispersion = pearson / (n - p) if n > p else np.nan
-    w = weights * mu * (1.0 - mu)
+    w = mu * (1.0 - mu)
     xtwx = X.T @ (X * w[:, None])
     cov = np.linalg.inv(xtwx) * dispersion
     se = np.sqrt(np.diag(cov))
@@ -154,14 +140,11 @@ def fit_quasibinomial(X, y, feature_names=None, weights=None,
         tvals = np.where(se > 0, beta / se, np.nan)
 
     # intercept-only deviance for the null model
-    if add_intercept or np.allclose(X[:, 0], 1.0):
-        b0, null_dev, *_ = _irls(np.ones((n, 1)), y, weights)
-    else:
-        null_dev = binomial_deviance(y, np.full(n, y.mean()), weights)
+    _, null_dev, *_ = _irls(np.ones((n, 1)), y)
     return GlmFit(coefficients=beta, std_errors=se, t_values=tvals,
                   dispersion=dispersion, null_deviance=null_dev,
                   residual_deviance=dev, converged=converged, n_iter=n_iter,
-                  feature_names=feature_names, X=X, y=y, weights=weights)
+                  feature_names=feature_names, X=X, y=y)
 
 
 @dataclass
@@ -173,7 +156,7 @@ class DevianceTable:
     residual_deviance: float
 
 
-def deviance_anova(X, y, term_order=None, weights=None) -> DevianceTable:
+def deviance_anova(X, y, term_order=None) -> DevianceTable:
     """Sequential (type-I) deviance decomposition.
 
     Terms are added one at a time in the given order; each row is that
@@ -186,13 +169,12 @@ def deviance_anova(X, y, term_order=None, weights=None) -> DevianceTable:
         term_order = [f"x{i + 1}" for i in range(n_terms)]
     if len(term_order) != n_terms:
         raise ValueError("one term name per column required")
-    full = fit_quasibinomial(X, y, feature_names=term_order, weights=weights)
+    full = fit_quasibinomial(X, y, feature_names=term_order)
     devs = [full.null_deviance]
     for j in range(1, n_terms + 1):
         if j < n_terms:
             sub = fit_quasibinomial(X[:, :j], y,
-                                    feature_names=term_order[:j],
-                                    weights=weights)
+                                    feature_names=term_order[:j])
             devs.append(sub.residual_deviance)
         else:
             devs.append(full.residual_deviance)
@@ -214,19 +196,13 @@ def permutation_importance(fit: GlmFit, X, y, n_repeats: int = 10,
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    if fit.feature_names[0] == "(Intercept)":
-        names = fit.feature_names[1:]
-        predict = lambda feats: fit.predict(
-            np.column_stack([np.ones(len(y)), feats]))
-    else:
-        names = fit.feature_names
-        predict = fit.predict
+    names = fit.feature_names[1:]
     if X.shape[1] != len(names):
         raise ValueError("X must carry the fit's feature columns")
 
     def score(feats):
-        dev = binomial_deviance(y, predict(feats), fit.weights)
-        return 1.0 - dev / fit.null_deviance
+        mu = fit.predict(np.column_stack([np.ones(len(y)), feats]))
+        return 1.0 - binomial_deviance(y, mu) / fit.null_deviance
 
     base = score(X)
     importances = {}
@@ -242,7 +218,7 @@ def permutation_importance(fit: GlmFit, X, y, n_repeats: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# CSV interfaces
+# coefficient table CSV
 # ---------------------------------------------------------------------------
 
 def write_coefficient_table(fit: GlmFit, table: DevianceTable, path):

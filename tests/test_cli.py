@@ -188,6 +188,9 @@ def test_fig3b_preset_blue_win_trajectory(tmp_path):
     assert header.startswith("t,P1,P2,P3,theta_0")
 
 
+_DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
+
+
 @pytest.mark.parametrize("args", [
     ["fixed-points", "-c", "simple-cs", "-o", "K1=-1"],
     ["fixed-points", "-c", "fig3b"],
@@ -199,6 +202,11 @@ def test_fig3b_preset_blue_win_trajectory(tmp_path):
     ["simulate", "-c", "paper-2pop", "-o", "network.nu=0.1"],
     ["simulate", "-c", "simple-cs", "-o", "network.preset=paper-2pop",
      "-o", "network.mu=0.2"],
+    ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[1,2]", "-o", "task.y_param=beta1",
+     "-o", "task.y_range=[1,2]"],
+    ["doe", "-c", "simple-cs", "-o", _DOE, "-o", "task.k_init=5",
+     "-o", "task.n_total=3"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -214,9 +222,6 @@ def test_linalg_error_while_building_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_network", fail)
     assert cli.main(["simulate", "-c", "fig3a",
                      "--out", str(tmp_path / "out")]) == 3
-
-
-_DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -170,9 +172,15 @@ def test_weight_matrix_invariants():
 
 def test_default_partition():
     t = graphs.gen_kary_tree(4, 2)
-    s, tt = graphs.default_partition(t, branching=4)
+    s, tt = graphs.default_partition(t)
     assert s == tuple(range(5))
     assert tt == tuple(range(5, 21))
+    # a tree's strategic set is its root and first layer
+    for branching in range(1, 6):
+        for layers in range(1, 4):
+            s, _ = graphs.default_partition(
+                graphs.gen_kary_tree(branching, layers))
+            assert s == tuple(range(1 + branching))
     er = graphs.gen_erdos_renyi(21, 0.2, 0)
     s2, _ = graphs.default_partition(er)
     assert s2 == tuple(range(5))
@@ -204,3 +212,24 @@ def test_network_config_roundtrip():
                           .frustration_matrix(), net.frustration_matrix())
     assert np.array_equal(rebuilt.omega, net.omega)
     assert rebuilt.strategic == net.strategic
+
+
+def test_network_config_with_numpy_indices_survives_json():
+    # node indices cut from numpy arrays are numpy integers
+    from kuracomp.presets import build_network, network_to_config
+
+    iu, ju = np.triu_indices(4, k=1)
+    g = graphs.Graph(n=np.int64(4), edges=tuple(zip(iu, ju)))
+    order = np.random.default_rng(5).permutation(4)
+    net = graphs.assemble([g, g], {(0, 1): [tuple(order[:2]),
+                                            tuple(order[2:])]},
+                          sigma=[1.0, 2.0], xi={(0, 1): 1.5, (1, 0): 0.5},
+                          phi=0.0, psi=0.0,
+                          strategic=[tuple(sorted(order[:2]))] * 2,
+                          tactical=[tuple(sorted(order[2:]))] * 2)
+    section = json.loads(json.dumps(network_to_config(net)))
+    rebuilt = build_network(section, master_seed=0)
+    assert np.array_equal(rebuilt.weight_matrix(), net.weight_matrix())
+    assert rebuilt.interlinks[(0, 1)].pairs == net.interlinks[(0, 1)].pairs
+    assert rebuilt.strategic == net.strategic
+    assert rebuilt.tactical == net.tactical

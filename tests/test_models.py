@@ -278,20 +278,6 @@ def test_build_system_registry():
     assert sys_red.labels == ["P1", "P2", "Delta1"]
 
 
-def test_hybrid_state_pack_unpack():
-    cfg = ModelConfig(gamma1=1.0, gamma2=1.0)
-    system = models.build_system("simple-reduced", cfg)
-    st = models.HybridState(P=[0.4, 0.6], delta=[0.3])
-    y = st.pack()
-    assert y.shape == (3,)
-    back = models.HybridState.unpack(y, system)
-    assert np.allclose(back.P, [0.4, 0.6]) and back.delta[0] == 0.3
-    with pytest.raises(ValueError):
-        models.HybridState(P=[0.5, 0.5])
-    with pytest.raises(ValueError):
-        models.HybridState(P=[0.5], theta=[0.0], delta=[0.0])
-
-
 # ---------------------------------------------------------------------------
 # the phase plan against the per-population phase layer
 # ---------------------------------------------------------------------------
@@ -431,7 +417,7 @@ def _owner_net(rng, m):
              for i in range(m) for j in range(i + 1, m)}
     xi = {(i, j): rng.uniform(0.5, 2.0) for i in range(m) for j in range(m)
           if i != j}
-    splits = [(rng.permutation(n).tolist(), int(rng.integers(2, n - 1)))
+    splits = [(rng.permutation(n), int(rng.integers(2, n - 1)))
               for n in sizes]
     return graphs.assemble(
         pops, links, sigma=rng.uniform(0.5, 2.0, m), xi=xi, phi=0.0, psi=0.0,

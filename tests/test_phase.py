@@ -152,13 +152,6 @@ def test_centroid_synchronized():
     assert phase.order_parameter(theta) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_centroid_modshift_variant():
-    theta = np.array([0.1, 0.2, 0.3])
-    assert phase.circular_centroid(theta, method="modshift") == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        phase.circular_centroid(theta, method="bogus")
-
-
 def test_centroid_batched():
     rng = np.random.default_rng(9)
     thetas = rng.uniform(0, TWO_PI, (7, 5))

@@ -130,7 +130,7 @@ def test_scenario_blue_cannot_win_with_zero_beta1():
         for p2 in np.linspace(0.1, 0.9, 5):
             y0 = np.concatenate([[p1, p2], np.zeros(6)])
             out = solver.run_scenario(system, y0, st, recon_T=0.0,
-                                      p_death=1e-4, keep_trajectory=False)
+                                      p_death=1e-4)
             assert out.winner != "blue"
 
 
@@ -188,19 +188,33 @@ def test_ensemble_degenerate_no_phase_influence():
     assert res.counts["stalemate"] == 10     # populations decoupled from phases
 
 
-def test_batch_matches_single_trajectory():
-    cfg = ModelConfig(r1=3.0, r2=2.5, beta1=4.0, beta2=2.0, mu=0.2, phi=0.2,
-                      gamma1=1.0, gamma2=1.0)
-    system = models.build_system("simple-reduced", cfg)
-    y0 = np.array([0.5, 0.5, 0.1])
-    st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=100.0)
-    out_single = solver.run_scenario(system, y0, st, recon_T=0.0,
-                                     p_death=1e-4)
-    out_batch = solver.integrate_batch(system.rhs, y0[:, None], 0.01, 100.0,
-                                       1e-4)
-    assert out_batch.winner[0] == 1
-    assert out_single.winner == "blue"
-    assert out_batch.t_event[0] == pytest.approx(out_single.t_event, abs=1e-5)
+@settings(max_examples=10, deadline=None)
+@given(data=hst.data())
+def test_batch_matches_single_trajectory(data):
+    # run_scenario and integrate_batch locate crossings with one bisector,
+    # so a B = 1 batch gives the RK4 scenario's winner and event time bitwise
+    cfg = ModelConfig(r1=data.draw(hst.floats(0.5, 4.0)),
+                      r2=data.draw(hst.floats(0.5, 4.0)),
+                      beta1=data.draw(hst.floats(0.0, 8.0)),
+                      beta2=data.draw(hst.floats(0.0, 6.0)),
+                      mu=data.draw(hst.floats(-0.5, 0.5)),
+                      phi=data.draw(hst.floats(-1.0, 1.0)),
+                      P_D=data.draw(hst.floats(1e-3, 0.2)))
+    t_end = data.draw(hst.floats(1.0, 20.0))
+    st = IntegratorSettings(method="rk4", dt_init=0.02, t_end=t_end)
+    codes = {"stalemate": 0, "blue": 1, "red": 2}
+    for model in ("simple-reduced", "eco2-reduced", "eco3-reduced"):
+        system = models.build_system(model, cfg)
+        caps = [cfg.K1, cfg.K2, cfg.K3] if system.n_pops == 3 else [1.0, 1.0]
+        y0 = np.array([cap * data.draw(hst.floats(0.05, 1.0)) for cap in caps]
+                      + [data.draw(hst.floats(-np.pi, np.pi))
+                         for _ in range(system.dim - system.n_pops)])
+        single = solver.run_scenario(system, y0, st, recon_T=0.0,
+                                     p_death=cfg.P_D)
+        batch = solver.integrate_batch(system.rhs, y0[:, None], 0.02, t_end,
+                                       cfg.P_D)
+        assert batch.winner[0] == codes[single.winner]
+        assert batch.t_event[0] == single.t_event
 
 
 @pytest.mark.parametrize("t_end,dt", [(10.0, 0.01), (50.0, 0.01),
