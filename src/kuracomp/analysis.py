@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (CentroidCoupling, ModelConfig, build_system,
-                     centroid_coeffs, eco2_reduced_rhs, model_params,
-                     simple_reduced_rhs)
-from .solver import IntegratorSettings, run_scenario
+from .models import (CentroidCoupling, ModelConfig, _member_rhs, _take,
+                     build_system, centroid_coeffs, eco2_reduced_rhs,
+                     model_params, simple_reduced_rhs)
+from .solver import (IntegratorSettings, _drive, _threshold_events,  # noqa: F401
+                     run_scenario)   # perfbench traces run_scenario here
 
 __all__ = [
     "FixedPointRecord",
@@ -301,12 +302,8 @@ def _make_record(label, state, rhs, jac_fn, physical=True) -> FixedPointRecord:
         status="verified" if physical else "outside-range")
 
 
-def _coeffs_at(cfg, coupling, P1, P2):
-    return centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
-
-
 def _delta_at(cfg, coupling, P1, P2):
-    co = _coeffs_at(cfg, coupling, P1, P2)
+    co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
     return delta_star(co.C, co.S, cfg.mu)
 
 
@@ -597,11 +594,10 @@ def _label_attractor(traj):
     if denom <= 0:
         return "fixed-point"
     ac = np.correlate(ps, ps, mode="full")[ps.size - 1:] / denom
-    # first local max after the initial decay
-    for lag in range(2, ac.size - 1):
-        if ac[lag] > 0.5 and ac[lag] >= ac[lag - 1] and ac[lag] >= ac[lag + 1]:
-            return "limit-cycle"
-    return "irregular"
+    # a local max above 0.5 after the initial decay (lags >= 2)
+    mid = ac[2:-1]
+    peak = (mid > 0.5) & (mid >= ac[1:-2]) & (mid >= ac[3:])
+    return "limit-cycle" if peak.any() else "irregular"
 
 
 def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
@@ -609,30 +605,37 @@ def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
                       settings: IntegratorSettings = None) -> list:
     """For each grid value: recompute fixed points, classify stability, and
     run one long trajectory from P = (0.5, 0.5) and the centroid fixed point
-    there (0 if none) to label the attractor."""
+    there (0 if none) to label the attractor.  The trajectories are one
+    batch integration; each equals its point's ``run_scenario`` with no
+    reconnaissance, bit for bit."""
     if variant not in ("simple-reduced", "eco2-reduced"):
         raise ValueError("sweep supports the reduced two-population variants")
     model_params(variant, (param,), coupling=coupling)
     if settings is None:
         settings = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=200.0)
-    rows = []
-    for value in np.asarray(values, dtype=float):
-        c = cfg.with_overrides(**{param: float(value)})
-        system = build_system(variant, c, coupling=coupling)
-        coup = system.coupling
-        if variant == "simple-reduced":
-            records = simple_fixed_points(c, coup)
-        else:
-            records = eco2_fixed_points(c, coup)
-        for rec in records:
-            rows.append(SweepRow(param_value=float(value), record=rec))
+    values = np.asarray(values, dtype=float)
+    swept = cfg.with_overrides(**{param: values})
+    coupling = build_system(variant, swept, coupling=coupling).coupling
+    fixed_points = (simple_fixed_points if variant == "simple-reduced"
+                    else eco2_fixed_points)
+    point_rows, y0 = [], []
+    for i, value in enumerate(values):
+        c, coup = _take(swept, i), _take(coupling, i)
+        point_rows.append([SweepRow(param_value=float(value), record=rec)
+                           for rec in fixed_points(c, coup)])
         d0 = _delta_at(c, coup, 0.5, 0.5)
-        y0 = np.array([0.5, 0.5, d0 if d0 is not None else 0.0])
-        outcome = run_scenario(system, y0, settings, recon_T=0.0,
-                               p_death=c.P_D)
-        label = _label_attractor(outcome.trajectory)
-        rows.append(SweepRow(param_value=float(value), attractor=label,
-                             terminal_state=outcome.trajectory.y[-1]))
+        y0.append([0.5, 0.5, d0 if d0 is not None else 0.0])
+    # one batch member per point, with the point's parameters
+    rhs, on_compact = _member_rhs(variant, swept, coupling)
+    p_death = np.broadcast_to(swept.P_D, values.shape)
+    trajs = _drive(lambda t, y: rhs(y), np.array(y0).T, settings,
+                   events=lambda j: _threshold_events(p_death[j]),
+                   on_compact=on_compact)
+    rows = []
+    for value, fp_rows, traj in zip(values, point_rows, trajs):
+        rows += fp_rows + [SweepRow(param_value=float(value),
+                                    attractor=_label_attractor(traj),
+                                    terminal_state=traj.y[-1])]
     return rows
 
 

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
 
 from .analysis import delta_star
-from .models import _REDUCED, build_system, centroid_coeffs, model_params
+from .models import (_REDUCED, _member_rhs, _take, build_system,
+                     centroid_coeffs, model_params)
 from .solver import (IntegratorSettings, integrate_batch, reconnoitred_phases,
                      _rk4)
 
@@ -92,13 +93,6 @@ def _cell_centres(resolution, hi):
     """Cell centres over [0, hi]; hi may hold one value per point."""
     edges = np.linspace(0.0, hi, resolution + 1, axis=-1)
     return 0.5 * (edges[..., :-1] + edges[..., 1:])
-
-
-def _take(obj, index):
-    """Copy of a config/coupling with every array field indexed."""
-    return replace(obj, **{f.name: getattr(obj, f.name)[index]
-                           for f in fields(obj)
-                           if np.ndim(getattr(obj, f.name))})
 
 
 def _initial_delta3(cfg, coupling, n_points=1):
@@ -182,14 +176,10 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
     rhs, on_compact, p_death = system.rhs, None, cfg.P_D
     if system.reduced:
         point_of = np.repeat(np.arange(n_points), n_cells * n_mem)
-        live = [_take(cfg, point_of), _take(system.coupling, point_of)]
-        fn, p_death = _REDUCED[model][0], live[0].P_D
-
-        def rhs(y):
-            return fn(y, *live)
-
-        def on_compact(keep):
-            live[:] = [_take(p, keep) for p in live]
+        members = _take(cfg, point_of)
+        rhs, on_compact = _member_rhs(model, members,
+                                      _take(system.coupling, point_of))
+        p_death = members.P_D
 
     out = integrate_batch(rhs, y0, settings.dt_init, settings.t_end,
                           p_death, on_compact=on_compact)

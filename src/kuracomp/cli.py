@@ -93,7 +93,8 @@ CONFIG_SCHEMA = {
                 "phase_policy": {"enum": ["auto", "ensemble",
                                            "delta-star", "delta-grid"]},
                 "delta_resolution": {"type": "integer", "minimum": 1},
-                "factors": {"type": "array"},
+                "factors": {"type": "array", "items": {
+                    "type": "object", "required": ["name", "lo", "hi"]}},
                 "k_init": {"type": "integer", "minimum": 1},
                 "n_total": {"type": "integer", "minimum": 1},
                 "input": {"type": "string"},
@@ -181,13 +182,20 @@ def _build(config: dict):
                 "a full variant's network frequencies are network.omega or "
                 f"drawn at network.{'/'.join(sorted(drawn))}; a reduced "
                 "variant reads none from its network")
-    axes = {"sweep": ["param"], "heatmap": ["x_param", "y_param"]}
-    varied = [task.get(k) for k in axes.get(task["type"], [])]
+    needed = {"sweep": ("param", "range"),       # read without a default
+              "heatmap": ("x_param", "x_range", "y_param", "y_range"),
+              "doe": ("factors", "k_init", "n_total"),
+              "glm": ("input",)}.get(task["type"], ())
+    missing = [k for k in needed if k not in task]
+    if missing:
+        raise ValidationFailure(f"{task['type']} needs task."
+                                + ", task.".join(missing))
+    varied = [task[k] for k in needed if k.endswith("param")]
     if task["type"] == "heatmap" and varied[0] == varied[1]:
         raise ValidationFailure("heatmap needs two distinct parameter names")
     if task["type"] == "doe":
-        varied += [f.get("name") for f in task.get("factors", [])]
-        if task.get("n_total", 1) < task.get("k_init", 1):
+        varied += [f["name"] for f in task["factors"]]
+        if task["n_total"] < task["k_init"]:
             raise ValidationFailure("doe needs task.n_total >= task.k_init")
     model_params(model, list(params) + varied, net=net)
     sv = dict(config.get("solver", {}))
@@ -208,29 +216,19 @@ def _build(config: dict):
 
 
 def _initial_state(system, cfg, task):
-    init = task.get("initial", {})
-    m = system.n_pops
-    if "P" in init:
-        P = np.asarray(init["P"], dtype=float)
-    else:
-        caps = [cfg.K1, cfg.K2, cfg.K3][:m] if system.name.startswith("eco3") \
-            else [1.0] * m
-        P = 0.5 * np.asarray(caps)
+    init, m = task.get("initial", {}), system.n_pops
+    caps = ([cfg.K1, cfg.K2, cfg.K3][:m] if system.name.startswith("eco3")
+            else [1.0] * m)
+    P = np.asarray(init["P"], dtype=float) if "P" in init \
+        else 0.5 * np.asarray(caps)
     if system.reduced:
-        n_delta = system.dim - m
-        if "delta" in init:
-            delta = np.atleast_1d(np.asarray(init["delta"], dtype=float))
-        else:
-            delta = np.zeros(n_delta)
-        return np.concatenate([P, delta])
-    if "delta" in init:
-        d = float(np.atleast_1d(init["delta"])[0])
-        theta = np.zeros(system.net.n_total)
-        theta[system.net.nodes_of(1)] = -d
-        return np.concatenate([P, theta])
-    if "theta" in init:
-        return np.concatenate([P, np.asarray(init["theta"], dtype=float)])
+        delta = init.get("delta", np.zeros(system.dim - m))
+        return np.concatenate([P, np.atleast_1d(np.asarray(delta, float))])
     theta = np.zeros(system.net.n_total)
+    if "delta" in init:
+        theta[system.net.nodes_of(1)] = -float(np.atleast_1d(init["delta"])[0])
+    elif "theta" in init:
+        theta = np.asarray(init["theta"], dtype=float)
     return np.concatenate([P, theta])
 
 
@@ -258,12 +256,9 @@ def _task_simulate(config, system, cfg, net, settings, recon_T, seed, outdir):
 
 def _task_fixed_points(config, system, cfg, net, settings, recon_T, seed, outdir):
     diags = []
-    if config["model"] == "eco2-reduced":
-        records = analysis.eco2_fixed_points(cfg, system.coupling,
-                                             diagnostics=diags)
-    else:
-        records = analysis.simple_fixed_points(cfg, system.coupling,
-                                               diagnostics=diags)
+    fixed_points = (analysis.eco2_fixed_points if config["model"] ==
+                    "eco2-reduced" else analysis.simple_fixed_points)
+    records = fixed_points(cfg, system.coupling, diagnostics=diags)
     rows = ["label,P1,P2,Delta1,max_real_eig,class,residual,status"]
     for rec in records:
         rows.append(",".join(

@@ -90,7 +90,6 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
         norm = np.sqrt((centred ** 2).sum(axis=0))
         corr = (centred.T @ centred) / np.outer(norm, norm)
         np.fill_diagonal(corr, 0.0)
-        energy = float((corr ** 2).sum())
         temp = 1e-3
         cool = np.exp(np.log(1e-4) / MAX_PROPOSALS)   # decay to temp*1e-4
         for it in range(MAX_PROPOSALS):
@@ -109,7 +108,6 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
             if d_energy <= 0 or rng.random() < np.exp(-d_energy / temp):
                 corr[col] = new_row
                 corr[:, col] = new_row
-                energy += d_energy
                 centred[[a, b], col] = centred[[b, a], col]
                 levels[[a, b], col] = levels[[b, a], col]
             temp *= cool

@@ -28,7 +28,7 @@ config fields, which is what the basin/heatmap batch runner relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -169,6 +169,24 @@ def centroid_coeffs(cfg: ModelConfig, coupling: CentroidCoupling, H1, H2) -> Cen
     c = coupling.g12 * H1 * np.cos(cfg.phi) + coupling.g21 * H2 * np.cos(cfg.psi)
     s = coupling.g12 * H1 * np.sin(cfg.phi) - coupling.g21 * H2 * np.sin(cfg.psi)
     return CentroidCoeffs(C=c, S=s, mu=cfg.mu)
+
+
+def _take(obj, index):
+    """Copy of a config/coupling with every array field indexed."""
+    return replace(obj, **{f.name: getattr(obj, f.name)[index]
+                           for f in fields(obj)
+                           if np.ndim(getattr(obj, f.name))})
+
+
+def _member_rhs(name, cfg, coupling):
+    """A reduced variant's rhs(y) over members with the array fields of cfg
+    and coupling, and the on_compact(keep) slicing them in lockstep."""
+    fn, live = _REDUCED[name][0], [cfg, coupling]
+
+    def on_compact(keep):
+        live[:] = [_take(p, keep) for p in live]
+
+    return (lambda y: fn(y, *live)), on_compact
 
 
 def _initiative(delta):

@@ -61,16 +61,12 @@ def build_network(section: dict, master_seed: int):
     """
     section = dict(section)
     preset = section.pop("preset", None)
-    if preset == "paper-usecase":
-        base = _paper_usecase_section()
-        base.update(section)
-        section = base
-    elif preset == "paper-2pop":
-        base = _paper_2pop_section()
-        base.update(section)
-        section = base
-    elif preset is not None:
-        raise ValueError(f"unknown network preset {preset!r}")
+    bases = {"paper-usecase": _paper_usecase_section,
+             "paper-2pop": _paper_2pop_section}
+    if preset is not None:
+        if preset not in bases:
+            raise ValueError(f"unknown network preset {preset!r}")
+        section = {**bases[preset](), **section}
 
     pops = []
     for i, spec in enumerate(section["populations"]):
@@ -93,19 +89,12 @@ def build_network(section: dict, master_seed: int):
         else:
             raise ValueError(f"unknown graph kind {kind!r}")
 
-    interlinks = {}
-    for key, pairs in section.get("interlinks", {}).items():
-        i, j = (int(v) for v in key.split("-"))
-        interlinks[(i, j)] = [tuple(p) for p in pairs]
-
+    pair = lambda key: tuple(int(v) for v in key.split("-"))    # "i-j"
+    interlinks = {pair(key): [tuple(p) for p in pairs]
+                  for key, pairs in section.get("interlinks", {}).items()}
     xi_section = section.get("xi", "paper")
-    if xi_section == "paper":
-        xi = xi_paper_normalization(pops, interlinks)
-    else:
-        xi = {}
-        for key, value in xi_section.items():
-            i, j = (int(v) for v in key.split("-"))
-            xi[(i, j)] = float(value)
+    xi = (xi_paper_normalization(pops, interlinks) if xi_section == "paper"
+          else {pair(key): float(v) for key, v in xi_section.items()})
 
     if "strategic" in section:
         strategic = [tuple(s) for s in section["strategic"]]
@@ -137,7 +126,7 @@ def network_to_config(net) -> dict:
     seed (graphs, links, frequencies all stored verbatim), and holds only
     JSON types, whatever integer type the network's node indices have.
     """
-    section = {
+    return {
         "populations": [{"kind": "explicit", "n": int(g.n),
                          "edges": [list(map(int, e)) for e in g.edges]}
                         for g in net.populations],
@@ -149,7 +138,6 @@ def network_to_config(net) -> dict:
         "omega": [[float(w) for w in net.omega[net.nodes_of(p)]]
                   for p in range(net.n_pops)],
     }
-    return section
 
 
 def _paper_usecase_section() -> dict:

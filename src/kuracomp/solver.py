@@ -1,12 +1,13 @@
 """ODE integration and the simulation protocol.
 
-``integrate`` is an embedded Dormand-Prince 5(4) pair with PI step-size
-control, cubic-Hermite dense output, and event location by bisection on the
-dense interpolant (|dt| <= 1e-9).  ``method="rk4"`` switches to fixed-step
-classical RK4 for bit-reproducible baselines.  It, the batch runner,
+One driver, ``_drive``, integrates a batch of trajectories, y of shape
+(dim, B): an embedded Dormand-Prince 5(4) pair with per-member PI step-size
+control, or fixed-step classical RK4 (``method="rk4"``) for bit-reproducible
+baselines, with cubic-Hermite dense output and event location by bisection
+on it (|dt| <= 1e-9).  ``integrate`` is its B = 1 case, and a batch member
+equals its B = 1 run bit for bit.  RK4 runs, the batch runner,
 reconnaissance and settling share one RK4 step and one schedule:
-ceil((t_end - t0)/dt) steps, never padded with a rounding-sized sliver, so
-a trajectory and a batch member from the same start agree bitwise.
+ceil((t_end - t0)/dt) steps, never padded with a rounding-sized sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 where only the phase dynamics run (feedback H = 1, resources frozen),
@@ -53,17 +54,17 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
 
 
 class StiffnessError(RuntimeError):
-    """Step size underflowed; carries the partial trajectory."""
+    """Step underflow; carries the member index and partial trajectory."""
 
-    def __init__(self, message, trajectory=None):
+    def __init__(self, message, trajectory=None, member=None):
         super().__init__(message)
         self.trajectory = trajectory
+        self.member = member
 
 
 @dataclass
@@ -117,19 +118,14 @@ class Trajectory:
     events: list = field(default_factory=list)
     status: str = "completed"
 
-    @property
-    def dim(self) -> int:
-        return self.y.shape[1]
-
     def interpolate(self, ts):
         """Cubic-Hermite evaluation at arbitrary times within the span."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        idx = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 2)
-        out = np.empty((ts.size, self.dim))
-        for m, (i, tm) in enumerate(zip(idx, ts)):
-            out[m] = _hermite(self.t[i], self.y[i], self.f[i],
-                              self.t[i + 1], self.y[i + 1], self.f[i + 1], tm)
-        return out
+        i = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0,
+                    len(self.t) - 2)
+        return _hermite(self.t[i, None], self.y[i], self.f[i],
+                        self.t[i + 1, None], self.y[i + 1], self.f[i + 1],
+                        ts[:, None])
 
     def to_csv(self, path, labels):
         header = "t," + ",".join(labels)
@@ -139,20 +135,19 @@ class Trajectory:
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, t):
+    """Cubic Hermite interpolant at t, or y0 on an empty interval.  The
+    arguments broadcast, and the powers are libm pow (``float_power``), so
+    one call over many intervals equals a call per interval."""
     h = t1 - t0
-    if h == 0:
-        return y0.copy()
-    s = (t - t0) / h
-    h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-    h10 = s ** 3 - 2 * s ** 2 + s
-    h01 = -2 * s ** 3 + 3 * s ** 2
-    h11 = s ** 3 - s ** 2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
-def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (t - t0) / h
+        s2, s3 = np.float_power(s, 2), np.float_power(s, 3)
+        h00 = 2 * s3 - 3 * s2 + 1
+        h10 = s3 - 2 * s2 + s
+        h01 = -2 * s3 + 3 * s2
+        h11 = s3 - s2
+        y = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+    return np.where(h == 0, y0, y)
 
 
 def _scan_events(events, t0, y0, f0, h, y1, f1, hits):
@@ -172,19 +167,22 @@ def _scan_events(events, t0, y0, f0, h, y1, f1, hits):
     return None
 
 
+def _crossed(ev, g0, g1):
+    """Whether g went from g0 to g1 across zero in the event's direction
+    (elementwise): rising g0 < 0 <= g1, falling g0 > 0 >= g1."""
+    rising, falling = (g0 < 0) & (0 <= g1), (g0 > 0) & (0 >= g1)
+    return rising if ev.direction > 0 else \
+        falling if ev.direction < 0 else rising | falling
+
+
 def _locate_event(ev, t0, y0, f0, h, y1, f1):
     """Bisection of the offset s in [0, h] on the step's dense interpolant
     down to |ds| <= 1e-9; a crossing is a sign change in (t0, t0 + h] in
     the event's direction.  Returns (t0 + s, y(t0 + s)) or None."""
-    g0 = ev.fn(t0, y0)
-    g1 = ev.fn(t0 + h, y1)
-    rising, falling = g0 < 0 <= g1, g0 > 0 >= g1
-    crossed = rising if ev.direction > 0 else \
-        falling if ev.direction < 0 else rising or falling
-    if not crossed:
+    ga = ev.fn(t0, y0)
+    if not _crossed(ev, ga, ev.fn(t0 + h, y1)):
         return None
     a, b = 0.0, h
-    ga = g0
     while (b - a) > EVENT_TIME_TOL:
         m = 0.5 * (a + b)
         gm = ev.fn(t0 + m, _hermite(0.0, y0, f0, h, y1, f1, m))
@@ -201,84 +199,124 @@ def _locate_event(ev, t0, y0, f0, h, y1, f1):
 
 def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
               events=()) -> Trajectory:
-    """Integrate dy/dt = rhs(t, y) from t0 to settings.t_end.
+    """Integrate dy/dt = rhs(t, y) from t0 to settings.t_end: the one-member
+    case of ``_drive``.  Terminal events truncate the trajectory at the
+    located crossing; on step underflow a StiffnessError carrying the
+    partial trajectory is raised."""
+    return _drive(lambda t, y: np.asarray(rhs(t[0], y[:, 0]),
+                                          dtype=float)[:, None],
+                  np.asarray(y0, dtype=float)[:, None], settings, t0,
+                  (lambda j: events) if events else None)[0]
 
-    Terminal events truncate the trajectory at the located crossing.  The
-    local error per step is held at or below atol + rtol*|y| (RMS norm);
-    on step underflow a StiffnessError carrying the partial trajectory is
-    raised.
+
+def _combine(coeffs, ks):
+    """sum_i coeffs[i]*ks[i] accumulated in index order, zero terms skipped;
+    elementwise, unlike a BLAS contraction, so no member depends on B."""
+    terms = [c * k for c, k in zip(coeffs, ks) if c]
+    return sum(terms[1:], terms[0])
+
+
+def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None):
+    """A Trajectory per column of y0 (dim, B); ``rhs(t, y)`` takes the live
+    members' times (n,) and states (dim, n).
+
+    "rk45" is Dormand-Prince 5(4) with PI step control (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4-II.5; Gustafsson, Lundh & Soderlind, BIT 28
+    (1988) 270): each member keeps its own t, h and error history and
+    accepts or rejects its step on its own.  "rk4" steps on ``_rk4_grid``.
+    ``events(j)`` gives member j's Events and, for an index array, those
+    members' Events with fns that broadcast over columns; only members whose
+    step changed an event's sign are bisected, column by column.  Members
+    leave at t_end or a terminal event; ``on_compact(keep)`` slices the
+    per-member data ``rhs`` captures.  Step underflow raises StiffnessError
+    for the first member it hits.
     """
-    y0 = np.asarray(y0, dtype=float).copy()
-    t_end = settings.t_end
+    y = np.array(y0, dtype=float)
+    B, t_end, rk4 = y.shape[1], settings.t_end, settings.method == "rk4"
     span = t_end - t0
     if span <= 0:
         raise ValueError("t_end must exceed t0")
-    if settings.method == "rk4":
-        return _integrate_rk4(rhs, y0, settings, t0, events)
-
-    t, y = t0, y0
+    t = np.full(B, float(t0))
     f = np.asarray(rhs(t, y), dtype=float)
-    out = ([t], [y.copy()], [f.copy()], [])
-    h = min(settings.dt_init, settings.dt_max, span)
-    err_prev = 1.0
-    safety, fac_min, fac_max = 0.9, 0.2, 5.0
-    k = np.empty((7,) + y.shape)
-
-    while t < t_end:
-        h = min(h, t_end - t, settings.dt_max)
-        if h < 1e-14 * span:
-            raise StiffnessError(f"step size underflow at t={t}",
-                                 _trajectory(out, "stiff"))
-        k[0] = f
-        for i in range(1, 7):
-            k[i] = rhs(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-        y_new = y + h * (_B5 @ k.reshape(7, -1)).reshape(y.shape)
-        err_vec = h * (_E @ k.reshape(7, -1)).reshape(y.shape)
-        err = _error_norm(err_vec, y, y_new, settings.rtol, settings.atol)
-        if err <= 1.0 or h <= 1e-13 * span:
-            f_new = k[6].copy()  # FSAL: last stage is rhs(t + h, y_new)
-            if _append_step(rhs, events, out, t, y, f, h, y_new, f_new):
-                return _trajectory(out, "event")
-            t, y, f = t + h, y_new, f_new
-            fac = safety * err ** -0.14 * err_prev ** 0.08 if err > 0 else fac_max
-            h *= min(fac_max, max(fac_min, fac))
-            err_prev = max(err, 1e-4)
+    active, hits, status = np.arange(B), [[] for _ in range(B)], ["completed"] * B
+    log = [(active, t, y, f)]             # accepted points, in time order
+    h = np.full(B, min(settings.dt_init, settings.dt_max, span))
+    err_prev, grid = np.ones(B), _rk4_grid(t0, t_end, settings.dt_init)
+    while active.size:
+        if rk4:
+            step = next(grid, None)
+            if step is None:
+                break
+            hs, ok = np.full(active.size, step[1]), np.ones(active.size, bool)
+            y_new = _rk4_step(rhs, t, y, f, step[1])
+            f_new = np.asarray(rhs(t + hs, y_new), dtype=float)
         else:
-            h *= min(1.0, max(0.1, safety * err ** -0.2))
+            hs = np.minimum(np.minimum(h, t_end - t), settings.dt_max)
+            stiff = hs < 1e-14 * span
+            if stiff.any():
+                i = np.argmax(stiff)
+                j = active[i]
+                raise StiffnessError(
+                    f"step size underflow at t={t[i]} (member {j})",
+                    _trajectories(log, hits, ["stiff"] * B, [j])[0], j)
+            k = [f]
+            for i in range(1, 7):
+                y_new = y + hs * _combine(_A[i], k)
+                k.append(np.asarray(rhs(t + _C[i] * hs, y_new), dtype=float))
+            f_new = k[6]      # FSAL: the last stage is the solution (_A[6])
+            scale = settings.atol + settings.rtol * np.maximum(np.abs(y),
+                                                              np.abs(y_new))
+            q = np.ascontiguousarray(np.square(hs * _combine(_E, k) / scale).T)
+            err = np.sqrt(np.add.reduce(q, axis=1) / q.shape[1])   # RMS
+            ok = (err <= 1.0) | (hs <= 1e-13 * span)
+            with np.errstate(divide="ignore"):   # libm pow, unlike array **
+                grow = np.where(err > 0, 0.9 * np.float_power(err, -0.14)
+                                * np.float_power(err_prev, 0.08), 5.0)
+                shrink = np.fmax(0.1, 0.9 * np.float_power(err, -0.2))
+            h = hs * np.where(ok, np.fmin(5.0, np.fmax(0.2, grow)),
+                              np.fmin(1.0, shrink))
+            err_prev = np.where(ok, np.maximum(err, 1e-4), err_prev)
 
-    return _trajectory(out, "completed")
+        t1, stop = t + hs, np.zeros(active.size, bool)
+        if events is not None:
+            maybe = ok.copy()         # one member: _scan_events checks it
+            if active.size > 1:
+                maybe &= np.logical_or.reduce([
+                    _crossed(ev, ev.fn(t, y), ev.fn(t1, y_new))
+                    for ev in events(active)])
+            for i in np.nonzero(maybe)[0]:
+                j = active[i]
+                hit = _scan_events(events(j), t[i], y[:, i], f[:, i], hs[i],
+                                   y_new[:, i], f_new[:, i], hits[j])
+                if hit is not None:
+                    stop[i], status[j] = True, "event"
+                    t1[i], y_new[:, i] = hit
+            if stop.any():
+                f_new = np.where(stop, rhs(t1, y_new), f_new)
+        if not ok.all():
+            t1, y_new, f_new = (np.where(ok, a, b) for a, b in
+                                ((t1, t), (y_new, y), (f_new, f)))
+        log.append((active[ok], t1[ok], y_new[:, ok], f_new[:, ok]))
+        t, y, f = t1, y_new, f_new
+        done = stop if rk4 else stop | (t >= t_end)    # rk4: the whole grid
+        if done.any():
+            keep = ~done
+            active, t, y, f = active[keep], t[keep], y[:, keep], f[:, keep]
+            h, err_prev = h[keep], err_prev[keep]
+            if on_compact is not None:
+                on_compact(keep)
+    return _trajectories(log, hits, status, range(B))
 
 
-def _integrate_rk4(rhs, y0, settings, t0, events):
-    """Classical fixed-step RK4 with the same dense output and events."""
-    y, f = y0, np.asarray(rhs(t0, y0), dtype=float)
-    out = ([t0], [y.copy()], [f.copy()], [])
-    for t, h in _rk4_grid(t0, settings.t_end, settings.dt_init):
-        y_new = _rk4_step(rhs, t, y, f, h)
-        f_new = np.asarray(rhs(t + h, y_new), dtype=float)
-        if _append_step(rhs, events, out, t, y, f, h, y_new, f_new):
-            return _trajectory(out, "event")
-        y, f = y_new, f_new
-    return _trajectory(out, "completed")
-
-
-def _append_step(rhs, events, out, t0, y0, f0, h, y1, f1):
-    """Append the end of the accepted step of size h to ``out`` = (ts, ys,
-    fs, hits), or its first terminal event instead; True if an event
-    stopped the run."""
-    t1 = t0 + h
-    stop = _scan_events(events, t0, y0, f0, h, y1, f1, out[3])
-    if stop is not None:
-        t1, y1 = stop
-        f1 = np.asarray(rhs(t1, y1), dtype=float)
-    out[0].append(t1)
-    out[1].append(y1.copy())
-    out[2].append(f1.copy())
-    return stop is not None
-
-
-def _trajectory(out, status):
-    return Trajectory(*map(np.array, out[:3]), out[3], status)
+def _trajectories(log, hits, status, members):
+    """Each member's Trajectory, as views of the emptied, time-sorted log."""
+    ids, ts, ys, fs = (np.concatenate(part, axis=-1) for part in zip(*log))
+    log.clear()
+    order = np.argsort(ids, kind="stable")       # stable keeps time order
+    ids, ts, ys, fs = ids[order], ts[order], ys.T[order], fs.T[order]
+    return [Trajectory(ts[a:b], ys[a:b], fs[a:b], hits[j], status[j])
+            for j, (a, b) in zip(members, np.searchsorted(
+                ids, [(j, j + 1) for j in members]))]
 
 
 def _rk4_step(rhs, t, y, k1, h):
@@ -323,11 +361,8 @@ class ScenarioOutcome:
 
 def _threshold_events(p_death):
     """P2 then P1 falling through p_death; the order makes Blue win a tie."""
-    evs = []
-    for idx, name in ((1, "red-extinct"), (0, "blue-extinct")):
-        evs.append(Event(fn=lambda t, y, i=idx: y[i] - p_death,
-                         name=name, direction=-1, terminal=True))
-    return evs
+    return [Event(fn=lambda t, y, i=i: y[i] - p_death, name=name, direction=-1)
+            for i, name in ((1, "red-extinct"), (0, "blue-extinct"))]
 
 
 def run_scenario(system, state0, settings: IntegratorSettings,
@@ -349,8 +384,7 @@ def run_scenario(system, state0, settings: IntegratorSettings,
                          replace(settings, t_end=recon_T))
         y = np.concatenate([y[:m], traj.y[-1]])
 
-    rhs = system.rhs
-    traj = integrate(lambda t, yy: rhs(yy), y, settings,
+    traj = integrate(lambda t, yy: system.rhs(yy), y, settings,
                      events=_threshold_events(p_death))
     if traj.status == "event" and traj.events:
         hit = traj.events[-1]
@@ -369,15 +403,6 @@ class BatchOutcome:
     winner: np.ndarray       # int codes: 0 stalemate, 1 blue, 2 red, -1 failed
     t_event: np.ndarray
     y_final: np.ndarray
-
-    def fractions(self) -> dict:
-        ok = self.winner >= 0
-        n = max(int(ok.sum()), 1)
-        return {
-            "blue": float((self.winner == 1).sum()) / n,
-            "red": float((self.winner == 2).sum()) / n,
-            "stalemate": float((self.winner == 0).sum()) / n,
-        }
 
 
 def integrate_batch(rhs, y0, dt, t_end, p_death, *,
@@ -406,9 +431,7 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
 
     def compact(keep):
         nonlocal y, active, p_death
-        y = y[:, keep]
-        active = active[keep]
-        p_death = p_death[keep]
+        y, active, p_death = y[:, keep], active[keep], p_death[keep]
         if on_compact is not None:
             on_compact(keep)
 
@@ -419,14 +442,9 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
         if step % CHECK_EVERY == 0:
             bad = ~np.all(np.isfinite(k1), axis=0)
             steady = (np.max(np.abs(k1), axis=0) < STEADY_TOL) & ~bad
-            if bad.any():
-                winner[active[bad]] = -1
-                y_final[:, active[bad]] = y[:, bad]
-            if steady.any():
-                winner[active[steady]] = 0
-                t_event[active[steady]] = t_end
-                y_final[:, active[steady]] = y[:, steady]
-            done = bad | steady
+            done = bad | steady             # t_event stays t_end
+            winner[active[bad]], winner[active[steady]] = -1, 0
+            y_final[:, active[done]] = y[:, done]
             if done.any():
                 keep = ~done
                 k1 = k1[:, keep]
@@ -434,9 +452,7 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
                 if not active.size:
                     break
         y_new = _rk4_step(step_rhs, t, y, k1, h)
-        crossed1 = (y[0] > p_death) & (y_new[0] <= p_death)
-        crossed2 = (y[1] > p_death) & (y_new[1] <= p_death)
-        anyc = crossed1 | crossed2
+        anyc = ((y[:2] > p_death) & (y_new[:2] <= p_death)).any(axis=0)
         if anyc.any():
             f_new = rhs(y_new)
             for i in np.nonzero(anyc)[0]:
@@ -451,10 +467,8 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
             compact(~anyc)
         else:
             y = y_new
-    if active.size:
-        winner[active] = 0
-        y_final[:, active] = y
-    winner[winner == -2] = 0
+    winner[active] = 0              # every other member left with its code
+    y_final[:, active] = y
     return BatchOutcome(winner=winner, t_event=t_event, y_final=y_final)
 
 
@@ -495,11 +509,9 @@ def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
     y0 = np.concatenate([np.repeat(P0[:, None], n_sim, axis=1), theta0], axis=0)
     out = integrate_batch(system.rhs, y0, settings.dt_init, settings.t_end,
                           p_death)
-    counts = {
-        "blue": int((out.winner == 1).sum()),
-        "red": int((out.winner == 2).sum()),
-        "stalemate": int((out.winner == 0).sum()),
-        "failed": int((out.winner == -1).sum()),
-    }
-    return EnsembleResult(n_sim=n_sim, counts=counts, fractions=out.fractions(),
+    counts = {name: int((out.winner == code).sum()) for name, code in
+              (("blue", 1), ("red", 2), ("stalemate", 0), ("failed", -1))}
+    n_ok = max(n_sim - counts["failed"], 1)
+    fractions = {k: counts[k] / n_ok for k in ("blue", "red", "stalemate")}
+    return EnsembleResult(n_sim=n_sim, counts=counts, fractions=fractions,
                           winners=out.winner, t_events=out.t_event)

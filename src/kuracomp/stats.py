@@ -170,14 +170,10 @@ def deviance_anova(X, y, term_order=None) -> DevianceTable:
     if len(term_order) != n_terms:
         raise ValueError("one term name per column required")
     full = fit_quasibinomial(X, y, feature_names=term_order)
-    devs = [full.null_deviance]
-    for j in range(1, n_terms + 1):
-        if j < n_terms:
-            sub = fit_quasibinomial(X[:, :j], y,
-                                    feature_names=term_order[:j])
-            devs.append(sub.residual_deviance)
-        else:
-            devs.append(full.residual_deviance)
+    devs = ([full.null_deviance]
+            + [fit_quasibinomial(X[:, :j], y, feature_names=term_order[:j])
+               .residual_deviance for j in range(1, n_terms)]
+            + [full.residual_deviance])
     reductions = -np.diff(devs)
     total = full.null_deviance - full.residual_deviance
     percentages = 100.0 * reductions / total if total > 0 else np.zeros(n_terms)

@@ -349,6 +349,30 @@ def test_sweep_single_point_matches_direct_analysis():
         assert a.classification == b.classification
 
 
+@pytest.mark.parametrize("param,values", [("beta1", [1.0, 4.0, 9.0, 14.0]),
+                                          ("P_D", [0.001, 0.03, 0.09]),
+                                          ("mu", [0.2, 1.0, 3.0])])
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_sweep_trajectories_equal_per_point_scenarios(param, values, method):
+    # one batch for every point; each member is its point's own run
+    cfg = _cs_config(beta2=0.5)
+    st = IntegratorSettings(method=method, rtol=1e-7, atol=1e-9,
+                            dt_init=0.02, t_end=40.0)
+    rows = analysis.sweep_bifurcation("simple-reduced", cfg, param, values,
+                                      settings=st)
+    traj_rows = [r for r in rows if r.record is None]
+    assert [r.param_value for r in traj_rows] == values
+    for row in traj_rows:
+        c = cfg.with_overrides(**{param: row.param_value})
+        system = models.build_system("simple-reduced", c)
+        d0 = analysis._delta_at(c, system.coupling, 0.5, 0.5)
+        y0 = np.array([0.5, 0.5, d0 if d0 is not None else 0.0])
+        one = solver.run_scenario(system, y0, st, recon_T=0.0, p_death=c.P_D)
+        assert row.attractor == analysis._label_attractor(one.trajectory)
+        np.testing.assert_array_equal(row.terminal_state,
+                                      one.trajectory.y[-1])
+
+
 def test_sweep_csv_layout(tmp_path):
     cfg = _cs_config()
     rows = analysis.sweep_bifurcation(

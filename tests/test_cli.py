@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from kuracomp import cli
+from kuracomp import cli, models
 from kuracomp.presets import get_preset, preset_names
 
 
@@ -207,12 +207,26 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
      "-o", "task.y_range=[1,2]"],
     ["doe", "-c", "simple-cs", "-o", _DOE, "-o", "task.k_init=5",
      "-o", "task.n_total=3"],
+    ["sweep", "-c", "simple-cs", "-o", "task.range=[1,2]"],
+    ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[1,2]", "-o", "task.y_range=[1,2]"],
+    ["doe", "-c", "simple-cs", "-o", "task.k_init=2", "-o", "task.n_total=2"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_sweep_step_underflow_exits_3(tmp_path, monkeypatch, capsys):
+    # a right-hand side that blows up at t = 2 from the sweep's P = 0.5
+    monkeypatch.setitem(models._REDUCED, "simple-reduced",
+                        (lambda y, cfg, coupling: y ** 2, 2, 1))
+    assert cli.main(["sweep", "-c", "simple-cs", "-o", "task.param=beta1",
+                     "-o", "task.range=[1,2]", "-o", "task.n_points=3",
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "step size underflow" in capsys.readouterr().err
 
 
 def test_linalg_error_while_building_exits_3(tmp_path, monkeypatch):

@@ -329,3 +329,107 @@ def test_tolerance_halving_on_case_study_preset():
     yc = solver.integrate(lambda t, y: system.rhs(y), y0, coarse).y[-1]
     yf = solver.integrate(lambda t, y: system.rhs(y), y0, fine).y[-1]
     assert np.max(np.abs(yc - yf)) < 2e-8 * 100
+
+
+def _member_runs(model, cfg, y0, st):
+    """Every column of y0 as one member of a driver batch, member j with
+    the j-th value of each array field of ``cfg``."""
+    rhs, on_compact = models._member_rhs(
+        model, cfg, models.CentroidCoupling.from_config(cfg))
+    p_death = np.broadcast_to(cfg.P_D, y0.shape[1:])
+    return solver._drive(lambda t, y: rhs(y), y0, st,
+                         events=lambda j: solver._threshold_events(p_death[j]),
+                         on_compact=on_compact)
+
+
+# per-member parameter ranges: fast phase slips (oscillating members), a
+# strong Blue with a high threshold (extinctions), or anything
+_KINDS = {"slip": dict(mu=(2.5, 4.0), beta1=(0.0, 1.5), beta2=(0.0, 1.5)),
+          "extinct": dict(beta1=(4.0, 8.0), P_D=(0.02, 0.09)),
+          "any": {}}
+_RANGES = dict(r1=(0.5, 4.0), r2=(0.5, 4.0), beta1=(0.0, 8.0),
+               beta2=(0.0, 6.0), alpha=(0.5, 20.0), mu=(-4.0, 4.0),
+               phi=(-1.0, 1.0), gamma1=(0.1, 1.5), gamma2=(0.1, 1.5),
+               P_D=(1e-3, 0.09))
+
+
+@pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced"])
+@settings(max_examples=8, deadline=None)
+@given(data=hst.data())
+def test_driver_members_equal_their_single_runs(model, data):
+    B = data.draw(hst.integers(3, 6))
+    members = []
+    for _ in range(B):
+        kind = _KINDS[data.draw(hst.sampled_from(sorted(_KINDS)))]
+        members.append({k: data.draw(hst.floats(*r))
+                        for k, r in {**_RANGES, **kind}.items()})
+    cfg = ModelConfig(**{k: np.array([m[k] for m in members])
+                         for k in _RANGES})
+    unit, angle = hst.floats(0.05, 1.0), hst.floats(-np.pi, np.pi)
+    y0 = np.array([[data.draw(unit) for _ in range(B)] for _ in range(2)]
+                  + [[data.draw(angle) for _ in range(B)]])
+    method = data.draw(hst.sampled_from(["rk45", "rk4"]))
+    st = IntegratorSettings(method=method, rtol=1e-7, atol=1e-9, dt_init=0.05,
+                            t_end=data.draw(hst.floats(20.0, 40.0)))
+    fn = models._REDUCED[model][0]
+    for j, got in enumerate(_member_runs(model, cfg, y0, st)):
+        cj = models._take(cfg, j)
+        cpl = models.CentroidCoupling.from_config(cj)
+        one = solver.integrate(lambda t, y: fn(y, cj, cpl), y0[:, j], st,
+                               events=solver._threshold_events(cj.P_D))
+        assert got.status == one.status
+        assert len(got.t) == len(one.t)
+        for a, b in ((got.t, one.t), (got.y, one.y), (got.f, one.f)):
+            np.testing.assert_array_equal(a, b)
+        assert [(h.name, h.t) for h in got.events] == \
+            [(h.name, h.t) for h in one.events]
+        for a, b in zip(got.events, one.events):
+            np.testing.assert_array_equal(a.y, b.y)
+
+
+def test_stiffness_inside_a_batch_names_the_member():
+    st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=2.0)
+    y0 = np.array([[-1.0, 1.0, 0.2]])        # only member 1 blows up (t = 1)
+    with pytest.raises(solver.StiffnessError) as err:
+        solver._drive(lambda t, y: y ** 2, y0, st)
+    assert err.value.member == 1
+    with pytest.raises(solver.StiffnessError) as one:
+        solver.integrate(lambda t, y: y ** 2, np.array([1.0]), st)
+    got, want = err.value.trajectory, one.value.trajectory
+    assert got.status == "stiff" and got.t[-1] < 1.01
+    np.testing.assert_array_equal(got.t, want.t)
+    np.testing.assert_array_equal(got.y, want.y)
+
+
+def _hermite_loop(traj, ts):
+    """Trajectory.interpolate as one scalar Hermite evaluation per time."""
+    idx = np.clip(np.searchsorted(traj.t, ts, side="right") - 1, 0,
+                  len(traj.t) - 2)
+    out = np.empty((ts.size, traj.y.shape[1]))
+    for m, (i, tm) in enumerate(zip(idx, ts)):
+        t0, t1 = traj.t[i], traj.t[i + 1]
+        y0, y1, f0, f1 = traj.y[i], traj.y[i + 1], traj.f[i], traj.f[i + 1]
+        h = t1 - t0
+        if h == 0:
+            out[m] = y0
+            continue
+        s = (tm - t0) / h
+        h00 = 2 * s ** 3 - 3 * s ** 2 + 1
+        h10 = s ** 3 - 2 * s ** 2 + s
+        h01 = -2 * s ** 3 + 3 * s ** 2
+        h11 = s ** 3 - s ** 2
+        out[m] = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+    return out
+
+
+def test_interpolate_equals_per_time_hermite_loop():
+    st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=7.0)
+    traj = solver.integrate(lambda t, y: np.array([y[1], -np.sin(y[0])]),
+                            np.array([1.0, 0.0]), st)
+    ts = np.concatenate([traj.t, np.linspace(0.0, 7.0, 2001), [7.0]])
+    np.testing.assert_array_equal(traj.interpolate(ts), _hermite_loop(traj, ts))
+    # an empty last interval (an event on a step's end) gives its left state
+    flat = solver.Trajectory(np.array([0.0, 1.0, 1.0]),
+                             np.arange(6.0).reshape(3, 2), np.ones((3, 2)))
+    ts = np.array([0.5, 1.0, 2.0])
+    np.testing.assert_array_equal(flat.interpolate(ts), _hermite_loop(flat, ts))
