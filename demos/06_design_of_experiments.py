@@ -29,12 +29,12 @@ def chi2_uniform(ys, bins=10):
 
 
 def part_one():
-    g = lambda x: float((x[0] * x[1]) ** 2)
+    g = lambda X: (X[:, 0] * X[:, 1]) ** 2
     ranges = [(0.0, 1.0), (0.0, 1.0)]
     recs = doe.run_doe(g, ranges, k_init=20, n_total=60, seed=0)
     ys_bo = np.array([r.y for r in recs if not r.failed])
     lhs = doe.build_design(2, 60, ranges, seed=0)
-    ys_lhs = np.array([g(x) for x in lhs.points])
+    ys_lhs = g(lhs.points)
     print("synthetic response (x1*x2)^2, budget 60:")
     print(f"  plain design: histogram "
           f"{np.histogram(ys_lhs, bins=5, range=(0, 1))[0]}, "
@@ -52,10 +52,11 @@ def part_two():
                                                        t_end=80.0))
     factors = [("beta1", 0.5, 5.0), ("phi", -1.0, 1.0), ("mu", -0.8, 0.8)]
 
-    def g(x):
-        c = cfg.with_overrides(**{n: float(v)
-                                  for (n, _, _), v in zip(factors, x)})
-        return basin.estimate_basin("simple-reduced", c, spec).value
+    def g(X):      # every row of X in one basin-engine call
+        c = cfg.with_overrides(**{n: X[:, j]
+                                  for j, (n, _, _) in enumerate(factors)})
+        return [r.value for r in
+                basin.estimate_basins("simple-reduced", c, spec, len(X))]
 
     records = doe.run_doe(g, [(lo, hi) for _, lo, hi in factors],
                           k_init=20, n_total=45, seed=0)

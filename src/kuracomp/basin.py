@@ -9,9 +9,14 @@ initial cell, member) triple is one member of a single batch integration.
 Members start from the phase policy: reconnaissance-settled random phases
 ("ensemble", full variants), a Delta(0) grid ("delta-grid"), or the settled
 free centroid difference ("delta-star").  A cell's value is its members'
-Blue-win fraction, a point's value the mean over cells, and more than 1%
-failed members at any point is a hard error.  Win counts are integers, so
-results are independent of evaluation order; a heatmap entry equals
+Blue-win fraction and a point's value the mean over cells.
+
+Failures are reported per point: a point with more than 1% failed members
+gets value NaN and its failure count, and the other points of the batch
+are unaffected.  ``estimate_basins`` returns such results as they are (the
+DOE flags the NaN point's record); ``estimate_basin`` and ``basin_heatmap``
+raise ``RuntimeError`` at the first such point.  Win counts are integers,
+so results are independent of evaluation order; a heatmap entry equals
 ``estimate_basin`` at its parameter pair.
 """
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -30,11 +35,12 @@ from .models import (_REDUCED, _member_rhs, _take, build_system,
 from .solver import (IntegratorSettings, integrate_batch, reconnoitred_phases,
                      _rk4)
 
-__all__ = ["BasinSpec", "BasinResult", "estimate_basin", "basin_heatmap",
-           "heatmap_to_csv"]
+__all__ = ["BasinSpec", "BasinResult", "estimate_basin", "estimate_basins",
+           "basin_heatmap", "heatmap_to_csv"]
 
 SETTLE_T = 50.0          # free three-population centroid settling time
 SETTLE_DT = 0.01
+MAX_FAILED = 0.01        # failed-member share above which a point is NaN
 
 
 @dataclass
@@ -138,7 +144,7 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
     Fields of ``cfg`` and ``coupling`` hold a scalar or one value per
     point.  Every (point, initial cell, member) triple is one member of a
     single batch integration; the member's start state follows the phase
-    policy.
+    policy.  A point with more than 1% failed members gets value NaN.
     """
     system = build_system(model, cfg, net=net, coupling=coupling)
     policy = _phase_policy(spec, system)
@@ -192,15 +198,48 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
                         np.nan)
     n_failed = (~ok).sum(axis=(1, 2))
     n_eval = n_cells * n_mem
-    over = np.nonzero(n_failed > 0.01 * n_eval)[0]
-    if over.size:
-        raise RuntimeError(f"{n_failed[over[0]]}/{n_eval} integrations failed "
-                           f"(> 1%) at parameter point {over[0]}")
-    return [BasinResult(value=float(np.nanmean(per_cell[i])),
+    return [BasinResult(value=(np.nan if n_failed[i] > MAX_FAILED * n_eval
+                               else float(np.nanmean(per_cell[i]))),
                         per_cell=per_cell[i].reshape(spec.grid),
                         n_evaluated=n_eval, n_failed=int(n_failed[i]),
                         axes=(np.array(p1c[i]), np.array(p2c[i])))
             for i in range(n_points)]
+
+
+def _raise_failed(results):
+    """``results``, or RuntimeError at the first point whose failed members
+    made its value NaN."""
+    for i, r in enumerate(results):
+        if np.isnan(r.value):
+            raise RuntimeError(f"{r.n_failed}/{r.n_evaluated} integrations "
+                               f"failed (> 1%) at parameter point {i}")
+    return results
+
+
+def estimate_basins(model: str, cfg, spec: BasinSpec, n_points: int,
+                    net=None, coupling=None, jobs: int = 1) -> list:
+    """One BasinResult per parameter point; a point with more than 1%
+    failed members has value NaN.
+
+    Fields of ``cfg`` hold a scalar or one value per point.  Reduced
+    variants run as one engine call over every point; full variants run
+    one engine call per point (each point's frustration needs its own
+    network), optionally across ``jobs`` processes.
+    """
+    if model in _REDUCED:
+        return _basins(model, cfg, spec, n_points, net=net, coupling=coupling)
+    swept = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)
+             if np.ndim(getattr(cfg, f.name))]
+    cfgs = [replace(cfg, **{name: float(v[i]) for name, v in swept})
+            for i in range(n_points)]
+    args = (repeat(model), cfgs, repeat(spec), repeat(1), repeat(net),
+            repeat(coupling))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return [r for rs in pool.map(_basins, *args) for r in rs]
+    return [r for rs in map(_basins, *args) for r in rs]
 
 
 def estimate_basin(model: str, cfg, spec: BasinSpec, net=None,
@@ -213,7 +252,8 @@ def estimate_basin(model: str, cfg, spec: BasinSpec, net=None,
     average when they are < 1% of the evaluations, otherwise a hard error
     is raised.
     """
-    return _basins(model, cfg, spec, net=net, coupling=coupling)[0]
+    return _raise_failed(_basins(model, cfg, spec, net=net,
+                                 coupling=coupling))[0]
 
 
 def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
@@ -222,10 +262,10 @@ def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
     """Basin value per (x, y) parameter pair; row index follows y.
 
     Each entry equals ``estimate_basin`` at its pair with the same ``net``
-    and ``coupling``; both names must be fields the variant reads.  Reduced
-    variants run as one engine call over every pair, whatever the phase
-    policy; full variants call ``estimate_basin`` per pair, optionally
-    across ``jobs`` processes.
+    and ``coupling``, and a pair with more than 1% failed members raises
+    as it does; both names must be fields the variant reads.  The pairs go
+    through ``estimate_basins``, so ``jobs`` only matters for full
+    variants.
     """
     if x_name == y_name:
         raise ValueError("heatmap needs two distinct parameter names")
@@ -235,21 +275,9 @@ def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
     nx, ny = x_values.size, y_values.size
     swept = {x_name: np.tile(x_values, ny),            # row-major over (y, x)
              y_name: np.repeat(y_values, nx)}
-
-    if model in _REDUCED:
-        results = _basins(model, replace(cfg, **swept), spec, nx * ny,
-                          net=net, coupling=coupling)
-    else:
-        cfgs = [replace(cfg, **{x_name: float(xv), y_name: float(yv)})
-                for xv, yv in zip(swept[x_name], swept[y_name])]
-        args = (repeat(model), cfgs, repeat(spec), repeat(net))
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(estimate_basin, *args))
-        else:
-            results = list(map(estimate_basin, *args))
+    results = _raise_failed(estimate_basins(
+        model, replace(cfg, **swept), spec, nx * ny, net=net,
+        coupling=coupling, jobs=jobs))
     matrix = np.array([r.value for r in results]).reshape(ny, nx)
     return matrix, x_values, y_values
 

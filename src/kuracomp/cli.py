@@ -29,6 +29,9 @@ TASK_TYPES = ("simulate", "fixed-points", "sweep", "basin", "heatmap",
 
 _PARAM_FIELDS = [f.name for f in fields(ModelConfig)]
 
+_PAIR = {"type": "array", "items": {"type": "number"},      # (lo, hi)
+         "minItems": 2, "maxItems": 2}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -81,20 +84,23 @@ CONFIG_SCHEMA = {
                 "initial": {"type": "object"},
                 "n_sim": {"type": "integer", "minimum": 1},
                 "param": {"type": "string"},
-                "range": {"type": "array"},
+                "range": _PAIR,
                 "n_points": {"type": "integer", "minimum": 1},
                 "x_param": {"type": "string"},
-                "x_range": {"type": "array"},
+                "x_range": _PAIR,
                 "x_points": {"type": "integer", "minimum": 2},
                 "y_param": {"type": "string"},
-                "y_range": {"type": "array"},
+                "y_range": _PAIR,
                 "y_points": {"type": "integer", "minimum": 2},
                 "grid": {"type": "array"},
                 "phase_policy": {"enum": ["auto", "ensemble",
                                            "delta-star", "delta-grid"]},
                 "delta_resolution": {"type": "integer", "minimum": 1},
                 "factors": {"type": "array", "items": {
-                    "type": "object", "required": ["name", "lo", "hi"]}},
+                    "type": "object", "required": ["name", "lo", "hi"],
+                    "properties": {"name": {"type": "string"},
+                                   "lo": {"type": "number"},
+                                   "hi": {"type": "number"}}}},
                 "k_init": {"type": "integer", "minimum": 1},
                 "n_total": {"type": "integer", "minimum": 1},
                 "input": {"type": "string"},
@@ -197,6 +203,10 @@ def _build(config: dict):
         varied += [f["name"] for f in task["factors"]]
         if task["n_total"] < task["k_init"]:
             raise ValidationFailure("doe needs task.n_total >= task.k_init")
+        for f in task["factors"]:
+            if not np.isfinite([f["lo"], f["hi"]]).all() or f["lo"] >= f["hi"]:
+                raise ValidationFailure(f"factor {f['name']!r} needs a finite "
+                                        "range with lo < hi")
     model_params(model, list(params) + varied, net=net)
     sv = dict(config.get("solver", {}))
     batch = task["type"] in ("basin", "heatmap", "doe") or (
@@ -331,16 +341,14 @@ def _task_doe(config, system, cfg, net, settings, recon_T, seed, outdir):
     task = config["task"]
     factors = [(f["name"], float(f["lo"]), float(f["hi"]))
                for f in task["factors"]]
-    for name, lo, hi in factors:
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValidationFailure(f"factor {name!r} needs a finite range")
     spec = _basin_spec(task, settings, seed, recon_T)
     model = config["model"]
 
-    def g(x):
-        c = replace(cfg, **{name: float(v)
-                            for (name, _, _), v in zip(factors, x)})
-        return basin.estimate_basin(model, c, spec, net=net).value
+    def g(X):
+        c = replace(cfg, **{name: X[:, j]
+                            for j, (name, _, _) in enumerate(factors)})
+        return [r.value for r in basin.estimate_basins(model, c, spec, len(X),
+                                                       net=net)]
 
     records = doe.run_doe(g, [(lo, hi) for _, lo, hi in factors],
                           task["k_init"], task["n_total"], seed)

@@ -354,12 +354,16 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
     """NOLH initialisation followed by acquisition with objective
     re-evaluation after every new response.
 
-    ``g`` maps a parameter vector to a response in [0, 1]; numerical
-    failures (``RuntimeError``, ``LinAlgError`` or non-finite values) flag
-    the record and leave the surrogate data untouched, and any other
-    exception propagates.  Passing previously logged records as
-    ``resume`` replays the loop without re-running ``g`` for them, so a
-    campaign continues exactly from its log plus the master seed.
+    ``g`` is the batched response: X of shape (n, d) to responses in
+    [0, 1] of shape (n,).  The design rows are scored in one call and each
+    acquisition in a call of one row.  A non-finite ``y[i]`` flags record i;
+    a ``RuntimeError`` or ``LinAlgError`` raised by ``g`` flags every
+    record of that call, and any other exception propagates.  Flagged
+    records leave the surrogate data untouched.  Passing previously logged
+    records as ``resume`` replays the loop without re-running ``g`` for
+    them (a resume that stops inside the design scores the missing rows in
+    one call), so a campaign continues exactly from its log plus the
+    master seed.
     """
     if n_total < k_init:
         raise ValueError("n_total must be >= k_init")
@@ -368,22 +372,28 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
     records = []
     replay = list(resume) if resume else []
 
-    def evaluate(x, iteration, source):
-        x = np.asarray(x, dtype=float)
-        if iteration < len(replay):
-            x = np.asarray(replay[iteration].x, dtype=float)
-            y = replay[iteration].y
-        else:
+    def evaluate(X, source):
+        """Records for the rows of X: those in the log replayed, the rest
+        scored in one call of ``g``."""
+        old = replay[len(records):len(records) + len(X)]
+        new = X[len(old):]
+        ys = [r.y for r in old]
+        if len(new):
             try:
-                y = float(g(x))
+                y = np.asarray(g(new), dtype=float)
             except (RuntimeError, np.linalg.LinAlgError):
-                y = np.nan
-        failed = not np.isfinite(y)
-        records.append(DesignRecord(x=x, y=y, z=np.nan, iteration=iteration,
-                                    source=source, failed=failed))
+                y = np.full(len(new), np.nan)
+            if y.shape != (len(new),):
+                raise ValueError(f"g returned shape {y.shape} for "
+                                 f"{len(new)} rows")
+            ys += list(y)
+        xs = [np.asarray(r.x, dtype=float) for r in old] + list(new)
+        for x, y in zip(xs, ys):
+            records.append(DesignRecord(x=x, y=float(y), z=np.nan,
+                                        iteration=len(records), source=source,
+                                        failed=not np.isfinite(y)))
 
-    for i, x in enumerate(design.points):
-        evaluate(x, i, "nolh")
+    evaluate(design.points, "nolh")
 
     def reevaluate():
         good = [r for r in records if not r.failed]
@@ -415,7 +425,7 @@ def run_doe(g, ranges, k_init: int, n_total: int, seed: int,
             z_arr = np.array([r.z for r in good])
             x_next, surrogate = bo_step(x_arr, z_arr, ranges, seed=seed,
                                         surrogate=surrogate, refit=refit)
-        evaluate(x_next, n, "acquisition")
+        evaluate(np.asarray(x_next, dtype=float)[None, :], "acquisition")
         reevaluate()
     return records
 

@@ -291,8 +291,8 @@ def test_criterion_7_scenario_classes():
 def test_criterion_8_doe_stratification():
     t0 = time.time()
 
-    def g(x):
-        return float((x[0] * x[1]) ** 2)
+    def g(X):
+        return (X[:, 0] * X[:, 1]) ** 2
 
     def chi2_uniform(ys, bins=10):
         h, _ = np.histogram(np.clip(ys, 0, 1), bins=bins, range=(0, 1))
@@ -306,7 +306,7 @@ def test_criterion_8_doe_stratification():
         recs = doe.run_doe(g, ranges, k_init, n_total, seed=800 + s)
         ys_bo = np.array([r.y for r in recs if not r.failed])
         lhs = doe.build_design(2, n_total, ranges, seed=800 + s)
-        ys_lhs = np.array([g(x) for x in lhs.points])
+        ys_lhs = g(lhs.points)
         chis_bo.append(chi2_uniform(ys_bo))
         chis_lhs.append(chi2_uniform(ys_lhs))
     ok = np.mean(chis_bo) < np.mean(chis_lhs)

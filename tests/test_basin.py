@@ -294,3 +294,81 @@ def test_heatmap_frustration_is_the_configs(model):
     at_net = basin.estimate_basin(model, replace(cfg, phi=0.2), spec,
                                   net=net).value
     assert want != at_net
+
+
+def _poison(monkeypatch, pick):
+    """Members for which ``pick(members)`` holds get a NaN derivative, so
+    each of them fails at the first step; the mask follows compaction."""
+    real = basin._member_rhs
+
+    def poisoned(name, members, coupling):
+        rhs, on_compact = real(name, members, coupling)
+        bad = [np.asarray(pick(members))]
+
+        def compact(keep):
+            if bad[0].ndim:
+                bad[0] = bad[0][keep]
+            on_compact(keep)
+
+        return (lambda y: np.where(bad[0], np.nan, rhs(y))), compact
+
+    monkeypatch.setattr(basin, "_member_rhs", poisoned)
+
+
+def test_failed_point_is_nan_and_leaves_the_batch_alone(monkeypatch):
+    spec = _spec()
+    want = basin.estimate_basin("simple-reduced", _cfg(beta1=2.3), spec)
+    _poison(monkeypatch, lambda m: m.beta1 == 2.7)
+    bad, good = basin._basins("simple-reduced",
+                              _cfg(beta1=np.array([2.7, 2.3])), spec, 2)
+    assert np.isnan(bad.value)
+    assert bad.n_failed == bad.n_evaluated == 25
+    assert good.n_failed == 0
+    assert good.value == want.value
+    assert np.array_equal(good.per_cell, want.per_cell)
+    with pytest.raises(RuntimeError, match=r"25/25 .* parameter point 0"):
+        basin.estimate_basin("simple-reduced", _cfg(beta1=2.7), spec)
+    with pytest.raises(RuntimeError, match="parameter point 1"):
+        basin.basin_heatmap("simple-reduced", _cfg(), "beta1", [2.3, 2.7],
+                            "phi", [0.2], spec)
+
+
+@pytest.mark.parametrize("n_bad", [1, 2])
+def test_failure_rule_is_more_than_one_percent(monkeypatch, n_bad):
+    # 100 members: one failure is tolerated, two make the point NaN
+    _poison(monkeypatch, lambda m: np.arange(m.beta1.size) < n_bad)
+    (res,) = basin._basins("simple-reduced", _cfg(beta1=np.array([2.3])),
+                           _spec(grid=(10, 10)), 1)
+    assert res.n_failed == n_bad
+    assert np.isnan(res.value) == (n_bad == 2)
+    if n_bad == 1:
+        assert res.value == np.nanmean(res.per_cell)
+
+
+def test_cli_doe_writes_one_nan_row_for_a_failed_point(tmp_path, monkeypatch):
+    import csv
+
+    from kuracomp import cli, doe
+
+    overrides = ["task.type=doe",
+                 'task.factors=[{"name":"beta1","lo":1.0,"hi":5.0},'
+                 '{"name":"phi","lo":-0.5,"hi":0.5}]',
+                 "task.k_init=5", "task.n_total=5", "task.grid=[3,3]",
+                 "solver.t_end=40", "solver.dt_init=0.05"]
+
+    def log(out):
+        cli.run("simple-cs", overrides=list(overrides), out_dir=out, seed=1)
+        with open(out / "doe_log.csv") as fh:
+            return list(csv.DictReader(fh))
+
+    clean = log(tmp_path / "clean")
+    bad = doe.build_design(2, 5, [(1.0, 5.0), (-0.5, 0.5)], seed=1).points[2]
+    _poison(monkeypatch, lambda m: m.beta1 == bad[0])
+    poisoned = log(tmp_path / "poisoned")
+    assert poisoned[2]["basin"] == poisoned[2]["objective"] == "nan"
+    # every other row keeps its point and basin value; the objective is a
+    # density over the surviving responses, so it moves
+    for i, (a, b) in enumerate(zip(clean, poisoned)):
+        if i != 2:
+            a.pop("objective"), b.pop("objective")
+            assert a == b

@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kuracomp import cli, models
+from kuracomp import basin, cli, doe, models
 from kuracomp.presets import get_preset, preset_names
 
 
@@ -211,6 +216,14 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
     ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
      "-o", "task.x_range=[1,2]", "-o", "task.y_range=[1,2]"],
     ["doe", "-c", "simple-cs", "-o", "task.k_init=2", "-o", "task.n_total=2"],
+    ["sweep", "-c", "simple-cs", "-o", "task.param=beta1",
+     "-o", "task.range=[1]"],
+    ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[1,2,3]", "-o", "task.y_param=phi",
+     "-o", "task.y_range=[0,1]"],
+    ["doe", "-c", "simple-cs", "-o",
+     'task.factors=[{"name":"beta1","lo":5.0,"hi":1.0}]',
+     "-o", "task.k_init=2", "-o", "task.n_total=2"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -254,3 +267,52 @@ def test_batch_tasks_reject_adaptive_solver_settings(args, setting, tmp_path,
     # batch tasks run fixed-step RK4 at dt_init and would ignore these
     assert cli.main(args + ["-o", setting, "--out", str(tmp_path)]) == 2
     assert "fixed-step RK4" in capsys.readouterr().err
+
+
+_FACTOR_SPANS = {"beta1": (0.5, 6.0), "mu": (-0.8, 0.8), "phi": (-1.0, 1.0),
+                 "psi": (-1.0, 1.0), "gamma2": (0.2, 2.0),
+                 "alpha": (1.0, 10.0), "x1": (0.0, 0.5)}
+
+
+@st.composite
+def _doe_task(draw, model):
+    names = draw(st.lists(
+        st.sampled_from(sorted(set(_FACTOR_SPANS)
+                               & set(models.model_params(model)))),
+        min_size=2, max_size=2, unique=True))
+    factors = []
+    for name in names:
+        lo, hi = _FACTOR_SPANS[name]
+        a = draw(st.floats(0.0, 0.8))
+        b = draw(st.floats(a + 0.1, 1.0))
+        factors.append({"name": name, "lo": lo + a * (hi - lo),
+                        "hi": lo + b * (hi - lo)})
+    k_init = draw(st.integers(5, 6))   # below 5 the design anneals for seconds
+    return {"type": "doe", "factors": factors, "k_init": k_init,
+            "n_total": k_init + draw(st.integers(0, 2)),
+            "grid": draw(st.sampled_from([[1, 1], [2, 2], [2, 3]])),
+            "phase_policy": draw(st.sampled_from(["delta-star",
+                                                  "delta-grid"])),
+            "delta_resolution": 2}
+
+
+@pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced"])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_doe_records_equal_per_point_estimate_basin(model, data):
+    # the batched design and the acquisitions score each record exactly as
+    # estimate_basin does at that record's point
+    config = {"model": model, "params": {"beta2": 2.0, "r2": 2.5, "mu": 0.2},
+              "seed": 3, "solver": {"dt_init": 0.05, "t_end": 30.0},
+              "task": data.draw(_doe_task(model))}
+    with tempfile.TemporaryDirectory() as out:
+        cli.run_config(config, out_dir=out)
+        records, names = doe.read_doe_log(Path(out) / "doe_log.csv")
+    _, cfg, net, settings_, recon_T, seed = cli._build(config)
+    spec = cli._basin_spec(config["task"], settings_, seed, recon_T)
+    assert len(records) == config["task"]["n_total"]
+    for rec in records:
+        point = dict(zip(names, map(float, rec.x)))
+        want = basin.estimate_basin(model, replace(cfg, **point), spec,
+                                    net=net).value
+        assert np.array_equal(rec.y, want, equal_nan=True)

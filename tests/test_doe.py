@@ -146,14 +146,14 @@ def test_bo_step_constant_targets_explore():
 
 
 def test_run_doe_pure_design_when_budget_equals_init():
-    g = lambda x: float(x[0])
+    g = lambda X: X[:, 0]
     recs = doe.run_doe(g, [(0.0, 1.0)], k_init=6, n_total=6, seed=0)
     assert len(recs) == 6
     assert all(r.source == "nolh" for r in recs)
 
 
 def test_run_doe_reevaluation_contract():
-    g = lambda x: float(0.5 * x[0] + 0.25)
+    g = lambda X: 0.5 * X[:, 0] + 0.25
     recs = doe.run_doe(g, [(0.0, 1.0)], k_init=5, n_total=12, seed=1)
     good = [r for r in recs if not r.failed]
     zs = doe.objective(np.array([r.y for r in good]))
@@ -162,32 +162,45 @@ def test_run_doe_reevaluation_contract():
 
 
 def test_run_doe_flags_failures():
-    def g(x):
-        if x[0] > 0.8:
-            raise RuntimeError("boom")
-        return float(x[0])
+    # a non-finite response flags only its own record
+    def g(X):
+        return np.where(X[:, 0] > 0.8, np.nan, X[:, 0])
 
     recs = doe.run_doe(g, [(0.0, 1.0)], k_init=10, n_total=12, seed=2)
     failed = [r for r in recs if r.failed]
     assert failed
     assert all(np.isnan(r.y) for r in failed)
+    assert all(r.x[0] > 0.8 for r in failed)
     good = [r for r in recs if not r.failed]
+    assert all(r.y == r.x[0] for r in good)
     assert len(good) + len(failed) == len(recs)
+
+
+def test_run_doe_raise_flags_the_whole_call():
+    # a numerical exception flags every record of the call that raised:
+    # the whole design here, then only the acquisitions that raise
+    def g(X):
+        if (X[:, 0] > 0.8).any():
+            raise RuntimeError("boom")
+        return X[:, 0]
+
+    recs = doe.run_doe(g, [(0.0, 1.0)], k_init=10, n_total=14, seed=2)
+    assert all(r.failed and np.isnan(r.y) for r in recs[:10])
+    for r in recs[10:]:
+        assert r.failed == (r.x[0] > 0.8)
 
 
 def test_run_doe_propagates_programming_errors():
     # only numerical failures become failed records; a bug in g surfaces
-    def g(x):
-        if x[0] > 0.5:
-            return float(x[0]) / 0
-        return float(x[0])
+    def g(X):
+        return [float(x) / 0 if x > 0.5 else float(x) for x in X[:, 0]]
 
     with pytest.raises(ZeroDivisionError):
         doe.run_doe(g, [(0.0, 1.0)], k_init=4, n_total=4, seed=0)
 
 
 def test_run_doe_flags_linalg_failures():
-    def g(x):
+    def g(X):
         raise np.linalg.LinAlgError("singular")
 
     recs = doe.run_doe(g, [(0.0, 1.0)], k_init=3, n_total=4, seed=0)
@@ -195,7 +208,7 @@ def test_run_doe_flags_linalg_failures():
 
 
 def test_run_doe_deterministic():
-    g = lambda x: float(abs(np.sin(5 * x[0]) * x[1]))
+    g = lambda X: np.abs(np.sin(5 * X[:, 0]) * X[:, 1])
     a = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=8, n_total=14, seed=9)
     b = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=8, n_total=14, seed=9)
     for ra, rb in zip(a, b):
@@ -204,7 +217,7 @@ def test_run_doe_deterministic():
 
 
 def test_doe_log_roundtrip(tmp_path):
-    g = lambda x: float(x[0] * x[1])
+    g = lambda X: X[:, 0] * X[:, 1]
     recs = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=5, n_total=8, seed=4)
     path = tmp_path / "log.csv"
     doe.write_doe_log(recs, path, ["a", "b"])
@@ -217,22 +230,47 @@ def test_doe_log_roundtrip(tmp_path):
         assert ra.source == rb.source
 
 
-def test_run_doe_resume_from_log(tmp_path):
-    g = lambda x: float(abs(np.sin(4 * x[0]) * x[1]))
-    full = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=6, n_total=12, seed=21)
-    partial = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=6, n_total=9, seed=21)
-    path = tmp_path / "partial.csv"
-    doe.write_doe_log(partial, path, ["a", "b"])
-    loaded, _ = doe.read_doe_log(path)
+def test_run_doe_scores_the_design_in_one_call():
     calls = []
 
-    def g_counting(x):
-        calls.append(x)
-        return g(x)
+    def g(X):
+        calls.append(X.shape)
+        return X[:, 0] * X[:, 1]
 
-    resumed = doe.run_doe(g_counting, [(0.0, 1.0)] * 2, k_init=6, n_total=12,
-                          seed=21, resume=loaded)
-    assert len(calls) == 3                    # only the new points evaluated
-    for ra, rb in zip(full, resumed):
-        assert np.allclose(ra.x, rb.x, atol=1e-9)
-        assert ra.y == pytest.approx(rb.y, abs=1e-9)
+    recs = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=7, n_total=11, seed=5)
+    assert calls == [(7, 2)] + [(1, 2)] * 4
+    assert [r.iteration for r in recs] == list(range(11))
+
+
+def test_run_doe_rejects_a_response_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="shape"):
+        doe.run_doe(lambda X: X[:1, 0], [(0.0, 1.0)], k_init=3, n_total=3,
+                    seed=0)
+
+
+def test_run_doe_resume_from_log(tmp_path):
+    g = lambda X: np.abs(np.sin(4 * X[:, 0]) * X[:, 1])
+    full = doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=6, n_total=12, seed=21)
+    # a shorter campaign, and a log cut off inside the design
+    partials = {9: doe.run_doe(g, [(0.0, 1.0)] * 2, k_init=6, n_total=9,
+                               seed=21),
+                4: full[:4]}
+    for stop, partial in partials.items():
+        path = tmp_path / f"partial{stop}.csv"
+        doe.write_doe_log(partial, path, ["a", "b"])
+        loaded, _ = doe.read_doe_log(path)
+        calls = []
+
+        def g_counting(X):
+            calls.append(len(X))
+            return g(X)
+
+        resumed = doe.run_doe(g_counting, [(0.0, 1.0)] * 2, k_init=6,
+                              n_total=12, seed=21, resume=loaded)
+        # only the missing rows are scored: the rest of the design in one
+        # call, then one row per acquisition
+        assert calls == [6 - stop] * (stop < 6) + [1] * (12 - max(stop, 6))
+        for ra, rb in zip(full, resumed):
+            assert np.allclose(ra.x, rb.x, atol=1e-9)
+            assert ra.y == pytest.approx(rb.y, abs=1e-9)
+            assert ra.source == rb.source

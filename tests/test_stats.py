@@ -201,7 +201,7 @@ def test_coefficient_table_csv(tmp_path):
 def test_read_doe_log_feeds_glm(tmp_path):
     from kuracomp import cli, doe
 
-    g = lambda x: float(np.clip(x[0] * 0.8 + 0.1, 0, 1))
+    g = lambda X: np.clip(X[:, 0] * 0.8 + 0.1, 0, 1)
     recs = doe.run_doe(g, [(0.0, 1.0), (0.0, 1.0)], k_init=6, n_total=9,
                        seed=11)
     failed = doe.DesignRecord(x=np.array([0.5, 0.5]), y=np.nan, z=np.nan,
