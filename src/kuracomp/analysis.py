@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (CentroidCoupling, ModelConfig, _member_rhs, _take,
-                     build_system, centroid_coeffs, eco2_reduced_rhs,
+from .models import (CentroidCoupling, ModelConfig, _frustration, _member_rhs,
+                     _take, build_system, centroid_coeffs, eco2_reduced_rhs,
                      model_params, simple_reduced_rhs)
 from .solver import (IntegratorSettings, _drive, _threshold_events,  # noqa: F401
                      run_scenario)   # perfbench traces run_scenario here
@@ -321,7 +321,8 @@ def simple_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
     if coupling is None:
         coupling = CentroidCoupling.from_config(cfg)
     notes = diagnostics if diagnostics is not None else []
-    rhs = lambda s: simple_reduced_rhs(s, cfg, coupling)
+    fr = _frustration(cfg)
+    rhs = lambda s: simple_reduced_rhs(s, cfg, coupling, fr)
     jac = lambda s: simple_reduced_jacobian(s, cfg, coupling)
     records = []
     for label, (p1, p2) in (("FP1", (1.0, 0.0)), ("FP2", (0.0, 1.0)),
@@ -477,7 +478,8 @@ def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
     if coupling is None:
         coupling = CentroidCoupling.from_config(cfg)
     notes = diagnostics if diagnostics is not None else []
-    rhs = lambda s: eco2_reduced_rhs(s, cfg, coupling)
+    fr = _frustration(cfg)
+    rhs = lambda s: eco2_reduced_rhs(s, cfg, coupling, fr)
     jac = lambda s: eco2_reduced_jacobian(s, cfg, coupling)
     records = []
     for label, (p1, p2) in (("FP1", (0.0, 0.0)), ("FP2", (0.0, 1.0))):

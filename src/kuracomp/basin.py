@@ -108,9 +108,10 @@ def _initial_delta3(cfg, coupling, n_points=1):
     No closed form exists; integrate the free centroid subsystem (resources
     pinned at zero, so H = 1) and take the terminal values.
     """
-    from .models import eco3_reduced_rhs
+    from .models import _frustration, eco3_reduced_rhs
 
-    y = _rk4(lambda yy: eco3_reduced_rhs(yy, cfg, coupling),
+    fr = _frustration(cfg)
+    y = _rk4(lambda yy: eco3_reduced_rhs(yy, cfg, coupling, fr),
              np.zeros((5, n_points)), SETTLE_DT, SETTLE_T)
     return y[3:]
 

@@ -85,15 +85,19 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
 
     if d >= 2 and k >= 3:
         # anneal on the sum of squared pair correlations (smooth energy),
-        # stopping once the max |corr| reaches the target
+        # stopping once the max |corr| reaches the target, or its floor for
+        # k = 3: two columns of three levels correlate at +-0.5 unless one is
+        # the other or its reverse (|corr| 1), which no four columns avoid
         centred = levels - levels.mean(axis=0)
         norm = np.sqrt((centred ** 2).sum(axis=0))
         corr = (centred.T @ centred) / np.outer(norm, norm)
         np.fill_diagonal(corr, 0.0)
+        floor = (0.5 if d <= 3 else 1.0) if k == 3 else 0.0
+        target = max(CORR_TARGET, floor + 1e-12)     # + rounding slack
         temp = 1e-3
         cool = np.exp(np.log(1e-4) / MAX_PROPOSALS)   # decay to temp*1e-4
         for it in range(MAX_PROPOSALS):
-            if it % 256 == 0 and float(np.abs(corr).max()) <= CORR_TARGET:
+            if it % 256 == 0 and float(np.abs(corr).max()) <= target:
                 break
             col = rng.integers(d)
             a, b = rng.integers(k), rng.integers(k)

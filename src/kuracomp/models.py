@@ -21,14 +21,15 @@ Variants (selected by name):
     "eco3-reduced"  its five-dimensional centroid reduction.
 
 State packing for the solver: y = [P_1..P_m, theta_0..theta_{n-1}] for full
-variants, y = [P_1..P_m, Delta_1(, Delta_2)] for reduced ones.  All reduced
-right-hand sides broadcast over a trailing batch axis and over array-valued
-config fields, which is what the basin/heatmap batch runner relies on.
+variants, y = [P_1..P_m, Delta_1(, Delta_2)] for reduced ones.  A reduced
+right-hand side takes y of shape (dim,) with scalar parameters or (dim, B)
+with scalar or per-member (B,) ones, the cos/sin of the frustration taken
+once per build, and writes its rows into one array of y's shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -166,9 +167,24 @@ def centroid_coeffs(cfg: ModelConfig, coupling: CentroidCoupling, H1, H2) -> Cen
     C = g12*H1*cos(phi) + g21*H2*cos(psi)
     S = g12*H1*sin(phi) - g21*H2*sin(psi)
     """
-    c = coupling.g12 * H1 * np.cos(cfg.phi) + coupling.g21 * H2 * np.cos(cfg.psi)
-    s = coupling.g12 * H1 * np.sin(cfg.phi) - coupling.g21 * H2 * np.sin(cfg.psi)
+    c, s = _cs(coupling, _frustration(cfg), H1, H2)
     return CentroidCoeffs(C=c, S=s, mu=cfg.mu)
+
+
+_Frustration = make_dataclass("_Frustration",
+                              ["cos_phi", "sin_phi", "cos_psi", "sin_psi"])
+
+
+def _frustration(cfg: ModelConfig) -> _Frustration:
+    """cos/sin of cfg.phi and cfg.psi; a built system takes them once."""
+    return _Frustration(np.cos(cfg.phi), np.sin(cfg.phi),
+                        np.cos(cfg.psi), np.sin(cfg.psi))
+
+
+def _cs(coupling, fr, H1, H2):
+    """(C, S) of ``centroid_coeffs`` from the frustration's cos/sin."""
+    a, b = coupling.g12 * H1, coupling.g21 * H2
+    return a * fr.cos_phi + b * fr.cos_psi, a * fr.sin_phi - b * fr.sin_psi
 
 
 def _take(obj, index):
@@ -181,7 +197,7 @@ def _take(obj, index):
 def _member_rhs(name, cfg, coupling):
     """A reduced variant's rhs(y) over members with the array fields of cfg
     and coupling, and the on_compact(keep) slicing them in lockstep."""
-    fn, live = _REDUCED[name][0], [cfg, coupling]
+    fn, live = _REDUCED[name][0], [cfg, coupling, _frustration(cfg)]
 
     def on_compact(keep):
         live[:] = [_take(p, keep) for p in live]
@@ -330,54 +346,67 @@ def eco3_rhs(y, cfg: ModelConfig, net):
 # centroid-reduced variants
 # ---------------------------------------------------------------------------
 
-def simple_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling):
+# _initiative(-d) is 0.5 * (2 - sin d): the same float, as numpy's sin is odd
+
+def simple_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling, fr):
     """(P1, P2, Delta) flow of the reduced two-population model."""
     P1, P2, delta = y[0], y[1], y[2]
-    h1, h2 = 1.0 - P2, 1.0 - P1
-    co = centroid_coeffs(cfg, coupling, h1, h2)
-    dP1 = cfg.r1 * P1 * (1 - P1) - cfg.beta2 * P1 * P2 * _initiative(-delta)
-    dP2 = cfg.r2 * P2 * (1 - P2) - cfg.beta1 * P2 * P1 * _initiative(delta)
-    ddelta = cfg.mu + co.S * np.cos(delta) - co.C * np.sin(delta)
-    return np.stack(np.broadcast_arrays(dP1, dP2, ddelta), axis=0)
+    sin_d, cos_d = np.sin(delta), np.cos(delta)
+    c, s = _cs(coupling, fr, 1.0 - P2, 1.0 - P1)
+    out = np.empty(y.shape)
+    np.subtract(cfg.r1 * P1 * (1 - P1),
+                cfg.beta2 * P1 * P2 * (0.5 * (2.0 - sin_d)), out=out[0, ...])
+    np.subtract(cfg.r2 * P2 * (1 - P2),
+                cfg.beta1 * P2 * P1 * (0.5 * (sin_d + 2.0)), out=out[1, ...])
+    np.subtract(cfg.mu + s * cos_d, c * sin_d, out=out[2, ...])
+    return out
 
 
-def eco2_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling):
+def eco2_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling, fr):
     """(P1, P2, Delta) flow of the reduced nondimensional ecology model."""
     P1, P2, delta = y[0], y[1], y[2]
-    h1, h2 = 1.0 - P2, 1.0 - P1
-    co = centroid_coeffs(cfg, coupling, h1, h2)
+    sin_d, cos_d = np.sin(delta), np.cos(delta)
+    c, s = _cs(coupling, fr, 1.0 - P2, 1.0 - P1)
     recruit1 = cfg.r1 * cfg.alpha * P2 / (1 + cfg.alpha * P2)
     holling = cfg.beta1 * P2 / (1 + cfg.tau * cfg.beta1 * P2)
-    dP1 = (recruit1 * P1 * (1 - P1)
-           - cfg.beta2 * P1 * P2 * _initiative(-delta) - cfg.x1 * P1)
-    dP2 = cfg.r2 * P2 * (1 - P2) - holling * P1 * _initiative(delta)
-    ddelta = cfg.mu + co.S * np.cos(delta) - co.C * np.sin(delta)
-    return np.stack(np.broadcast_arrays(dP1, dP2, ddelta), axis=0)
+    out = np.empty(y.shape)
+    np.subtract(recruit1 * P1 * (1 - P1)
+                - cfg.beta2 * P1 * P2 * (0.5 * (2.0 - sin_d)), cfg.x1 * P1,
+                out=out[0, ...])
+    np.subtract(cfg.r2 * P2 * (1 - P2), holling * P1 * (0.5 * (sin_d + 2.0)),
+                out=out[1, ...])
+    np.subtract(cfg.mu + s * cos_d, c * sin_d, out=out[2, ...])
+    return out
 
 
-def eco3_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling):
-    """(P1, P2, P3, Delta1, Delta2) flow of the reduced three-population model."""
+def eco3_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling, fr):
+    """(P1, P2, P3, Delta1, Delta2) flow of the reduced three-population
+    model; ``fr`` is unused, as expanding sin(Delta1 -+ phi) moves bits."""
     P1, P2, P3, d1, d2 = y[0], y[1], y[2], y[3], y[4]
+    sin_d1, sin_d2, sin_21 = np.sin(d1), np.sin(d2), np.sin(d2 - d1)
+    p1_1 = 1 + P1
     r1s = cfg.r1 * cfg.alpha * P2 / (1 + cfg.alpha * P2)
-    r3s = (cfg.r3 + cfg.r3_max * P1) / (1 + P1)
+    r3s = (cfg.r3 + cfg.r3_max * P1) / p1_1
     beta1s = (cfg.beta1 + cfg.beta1_min * P3) / (1 + P3)
     f12s = beta1s * P2 / (1 + cfg.tau * beta1s * P2)
-    x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P1 / (1 + P1)
+    x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P1 / p1_1
            + (cfg.x3_max - cfg.x3) * P2 / (1 + P2))
-    dP1 = (r1s * P1 * (1 - P1 / cfg.K1)
-           - cfg.beta2 * P1 * P2 * _initiative(-d1) - cfg.x1 * P1)
-    dP2 = cfg.r2 * P2 * (1 - P2 / cfg.K2) - f12s * P1 * _initiative(d1)
-    dP3 = r3s * P3 * (1 - P3 / cfg.K3) - x3s * P3
     # dimensional feedback: H = clip(1 - P_adv/K_adv, 0, 1)
     h1 = np.clip(1.0 - P2 / cfg.K2, 0.0, 1.0)
     h2 = np.clip(1.0 - P1 / cfg.K1, 0.0, 1.0)
-    blue_terms = coupling.g12 * np.sin(d1 - cfg.phi) + coupling.g13 * np.sin(d2)
-    dd1 = (cfg.mu - h1 * blue_terms
-           - h2 * (coupling.g21 * np.sin(d1 + cfg.psi)
-                   - coupling.g23 * np.sin(d2 - d1)))
-    dd2 = (cfg.nu - h1 * blue_terms
-           - coupling.g31 * np.sin(d2) - coupling.g32 * np.sin(d2 - d1))
-    return np.stack(np.broadcast_arrays(dP1, dP2, dP3, dd1, dd2), axis=0)
+    blue = h1 * (coupling.g12 * np.sin(d1 - cfg.phi) + coupling.g13 * sin_d2)
+    out = np.empty(y.shape)
+    np.subtract(r1s * P1 * (1 - P1 / cfg.K1)
+                - cfg.beta2 * P1 * P2 * (0.5 * (2.0 - sin_d1)), cfg.x1 * P1,
+                out=out[0, ...])
+    np.subtract(cfg.r2 * P2 * (1 - P2 / cfg.K2),
+                f12s * P1 * (0.5 * (sin_d1 + 2.0)), out=out[1, ...])
+    np.subtract(r3s * P3 * (1 - P3 / cfg.K3), x3s * P3, out=out[2, ...])
+    np.subtract(cfg.mu - blue, h2 * (coupling.g21 * np.sin(d1 + cfg.psi)
+                                     - coupling.g23 * sin_21), out=out[3, ...])
+    np.subtract(cfg.nu - blue - coupling.g31 * sin_d2, coupling.g32 * sin_21,
+                out=out[4, ...])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +431,7 @@ class ModelSystem:
         if self.reduced:
             raise ValueError("reconnaissance applies to full variants only")
         net = self.net
-
-        def rhs(theta):
-            return kuramoto_rhs(theta, net, 1.0)
-
-        return rhs
+        return lambda theta: kuramoto_rhs(theta, net, 1.0)
 
 
 _FULL = {
@@ -487,9 +512,10 @@ def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelS
                         else CentroidCoupling.from_config(cfg))
         labels = [f"P{i + 1}" for i in range(n_pops)]
         labels += ["Delta1", "Delta2"][:n_delta]
+        fr = _frustration(cfg)
         return ModelSystem(
             name=name, reduced=True, n_pops=n_pops, dim=n_pops + n_delta,
-            rhs=lambda y: fn(y, cfg, coupling),
+            rhs=lambda y: fn(y, cfg, coupling, fr),
             labels=labels, net=net, coupling=coupling,
         )
     raise ValueError(f"unknown model variant {name!r}; known: {MODEL_VARIANTS}")

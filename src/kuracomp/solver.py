@@ -435,10 +435,11 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
         if on_compact is not None:
             on_compact(keep)
 
+    k1 = None                # rhs(y), when the last step already took it
     for step, (t, h) in enumerate(_rk4_grid(0.0, t_end, dt)):
         if not active.size:
             break
-        k1 = rhs(y)
+        k1 = rhs(y) if k1 is None else k1
         if step % CHECK_EVERY == 0:
             bad = ~np.all(np.isfinite(k1), axis=0)
             steady = (np.max(np.abs(k1), axis=0) < STEADY_TOL) & ~bad
@@ -463,10 +464,10 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
                 winner[member] = 1 if hits[0].name == "red-extinct" else 2
                 t_event[member] = hits[0].t
                 y_final[:, member] = y_new[:, i]
-            y = y_new
+            y, k1 = y_new, f_new[:, ~anyc]      # columns are independent
             compact(~anyc)
         else:
-            y = y_new
+            y, k1 = y_new, None
     winner[active] = 0              # every other member left with its code
     y_final[:, active] = y
     return BatchOutcome(winner=winner, t_event=t_event, y_final=y_final)

@@ -155,7 +155,8 @@ def test_simple_fp4_against_newton_oracle():
 
     # independent oracle: Newton on the reduced rhs from a nearby start
     def rhs(s):
-        return models.simple_reduced_rhs(s, cfg, coup)
+        return models.simple_reduced_rhs(s, cfg, coup,
+                                         models._frustration(cfg))
 
     x = rec.state + np.array([0.01, -0.005, 0.02])
     for _ in range(60):

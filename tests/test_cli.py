@@ -235,7 +235,7 @@ def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
 def test_sweep_step_underflow_exits_3(tmp_path, monkeypatch, capsys):
     # a right-hand side that blows up at t = 2 from the sweep's P = 0.5
     monkeypatch.setitem(models._REDUCED, "simple-reduced",
-                        (lambda y, cfg, coupling: y ** 2, 2, 1))
+                        (lambda y, *params: y ** 2, 2, 1))
     assert cli.main(["sweep", "-c", "simple-cs", "-o", "task.param=beta1",
                      "-o", "task.range=[1,2]", "-o", "task.n_points=3",
                      "--out", str(tmp_path / "out")]) == 3

@@ -33,6 +33,44 @@ def test_design_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
+class _CountingRng:
+    """A generator that counts its ``integers`` calls (three per annealing
+    proposal)."""
+
+    def __init__(self, rng):
+        self.rng, self.integer_calls = rng, 0
+
+    def __getattr__(self, name):
+        if name == "integers":
+            self.integer_calls += 1
+        return getattr(self.rng, name)
+
+
+def test_design_annealing_stops_where_the_target_is_out_of_reach(monkeypatch):
+    rngs = []
+    substream = doe.substream
+
+    def counting_substream(*key):
+        rngs.append(_CountingRng(substream(*key)))
+        return rngs[-1]
+
+    monkeypatch.setattr(doe, "substream", counting_substream)
+    # the doe-glm campaign's design meets CORR_TARGET before any proposal
+    dm = doe.build_design(2, 20, [(0.5, 5.0), (-0.8, 0.8)], seed=0)
+    ranks = [[2, 11, 19, 14, 5, 12, 1, 10, 8, 17, 18, 3, 15, 9, 7, 0, 16, 4,
+              13, 6],
+             [6, 2, 14, 13, 4, 9, 11, 18, 0, 1, 10, 8, 3, 7, 17, 16, 15, 12,
+              19, 5]]
+    assert np.array_equal(dm.levels, (np.array(ranks).T + 0.5) / 20)
+    assert rngs[-1].integer_calls == 0
+    # three levels: no two columns correlate below 0.5, no four columns
+    # avoid |corr| = 1; annealing stops there, not after MAX_PROPOSALS
+    for d, floor in ((2, 0.5), (3, 0.5), (4, 1.0)):
+        dm = doe.build_design(d, 3, [(0.0, 1.0)] * d, seed=0)
+        assert dm.max_abs_corr == floor
+        assert rngs[-1].integer_calls <= 3 * 256
+
+
 def test_kde_peak_at_single_sample():
     dens = doe.kde_density(np.array([0.5]), 0.1)
     xs = np.linspace(0, 1, 201)

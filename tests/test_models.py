@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 from kuracomp import basin, cli, graphs, models, phase
 from kuracomp.models import CentroidCoupling, ModelConfig
 from kuracomp.presets import network_to_config
+from reduced_oracles import ORACLES
 
 
 def _coupling():
@@ -206,7 +207,7 @@ def test_full_vs_reduced_population_rates():
                                 (models.feedback_rhs, models.simple_reduced_rhs),
                                 (models.eco2_rhs, models.eco2_reduced_rhs)):
             df = full_fn(y_full, cfg, net2)
-            dr = red_fn(y_red, cfg, coup2)
+            dr = red_fn(y_red, cfg, coup2, models._frustration(cfg))
             assert df[0] == pytest.approx(dr[0], abs=1e-12)
             assert df[1] == pytest.approx(dr[1], abs=1e-12)
 
@@ -222,7 +223,8 @@ def test_full_vs_reduced_population_rates():
         y_full = np.concatenate([P, theta])
         y_red = np.concatenate([P, [d1, d2]])
         df = models.eco3_rhs(y_full, cfg3, net3)
-        dr = models.eco3_reduced_rhs(y_red, cfg3, coup3)
+        dr = models.eco3_reduced_rhs(y_red, cfg3, coup3,
+                                     models._frustration(cfg3))
         assert np.allclose(df[:3], dr[:3], atol=1e-12)
 
 
@@ -518,3 +520,72 @@ def test_empty_order_set_fails_at_build_time():
                                              system.net.n_total)
     assert np.all(np.isfinite(system.rhs(np.concatenate([[5.0] * 3,
                                                           theta]))))
+
+
+# ---------------------------------------------------------------------------
+# fused reduced kernels against their reference bodies
+# ---------------------------------------------------------------------------
+
+_SPECIAL = np.array([0.0, -0.0, -1.0, 1e300, np.inf, -np.inf, np.nan])
+
+
+def _values(rng, shape, lo, hi):
+    """Uniform draws on [lo, hi], about one in ten replaced by a value that
+    drives a rate to zero, a pole, an overflow or NaN."""
+    x = rng.uniform(lo, hi, shape)
+    return np.where(rng.random(shape) < 0.1,
+                    _SPECIAL[rng.integers(_SPECIAL.size, size=shape)], x)
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLES))
+@settings(max_examples=60)
+@given(batch=hst.one_of(hst.none(), hst.integers(1, 40)),
+       per_member=hst.booleans(), seed=hst.integers(0, 2 ** 32 - 1))
+def test_reduced_kernels_equal_their_oracles(variant, batch, per_member,
+                                             seed):
+    """Every reduced kernel, through build_system and through _member_rhs
+    before and after an on_compact slice, equals its reference body bitwise:
+    (dim,) states with scalar parameters, (dim, B) states with scalar or
+    per-member parameters."""
+    rng = np.random.default_rng(seed)
+    per_member = per_member and batch is not None
+    draw = lambda lo, hi: (_values(rng, (batch,), lo, hi)
+                           if per_member and rng.random() < 0.7
+                           else float(_values(rng, (), lo, hi)))
+    cfg = ModelConfig(**{f.name: draw(-4.0, 4.0) for f in fields(ModelConfig)
+                         if f.name not in ("p_exponent", "P_D")})
+    coupling = CentroidCoupling(**{f.name: draw(-2.0, 2.0)
+                                   for f in fields(CentroidCoupling)})
+    dim = models._REDUCED[variant][1] + models._REDUCED[variant][2]
+    y = _values(rng, (dim,) if batch is None else (dim, batch), -8.0, 8.0)
+    oracle = ORACLES[variant]
+    fn = models._REDUCED[variant][0]
+
+    def same(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    with np.errstate(all="ignore"):
+        want = oracle(y, cfg, coupling)
+        same(fn(y, cfg, coupling, models._frustration(cfg)), want)
+        same(models.build_system(variant, cfg, coupling=coupling).rhs(y), want)
+        rhs, on_compact = models._member_rhs(variant, cfg, coupling)
+        same(rhs(y), want)
+        if per_member:
+            keep = rng.random(batch) < 0.6
+            on_compact(keep)
+            same(rhs(y[:, keep]), oracle(y[:, keep], models._take(cfg, keep),
+                                         models._take(coupling, keep)))
+
+
+@settings(max_examples=200)
+@given(x=hst.lists(hst.floats(), min_size=1, max_size=70))
+def test_numpy_sin_is_odd(x):
+    """The fused reduced kernels take the initiative of -Delta as
+    0.5 * (2 - sin Delta); that equals 0.5 * (sin(-Delta) + 2) only while
+    numpy's sin is odd, in its array loops and on scalars alike."""
+    x = np.array(x)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(np.sin(-x), -np.sin(x), equal_nan=True)
+        for v in x[:3]:
+            assert np.array_equal(np.sin(-v), -np.sin(v), equal_nan=True)

@@ -217,6 +217,54 @@ def test_batch_matches_single_trajectory(data):
         assert batch.t_event[0] == single.t_event
 
 
+def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
+    """A step with a threshold crossing evaluates rhs at its end for the
+    bisection; the next step takes its k1 from those columns instead of
+    calling rhs again.  With one member left running to the horizon that is
+    4 calls per RK4 step (one more per crossing step before), and every
+    outcome keeps the bits it had with the extra call."""
+    cfg = ModelConfig(beta1=np.array([0.5, 1.5, 2.5, 3.5, 4.5, 1.0]),
+                      beta2=np.array([2.0, 2.0, 2.0, 1.0, 0.5, 0.2]),
+                      mu=np.array([0.1, 0.2, -0.1, 0.3, 0.0, 3.0]))
+    y0 = np.array([[0.6, 0.5, 0.4, 0.5, 0.3, 0.5],
+                   [0.4, 0.5, 0.6, 0.5, 0.7, 0.5],
+                   [0.0, 1.0, -1.0, 2.0, 0.5, 0.0]])
+    rhs, on_compact = models._member_rhs("simple-reduced", cfg,
+                                         CentroidCoupling.from_config(cfg))
+    calls, crossing_steps = [0], set()
+    scan = solver._scan_events
+
+    def counting(y):
+        calls[0] += 1
+        return rhs(y)
+
+    def spy(events, t, *args):
+        crossing_steps.add(t)
+        return scan(events, t, *args)
+
+    monkeypatch.setattr(solver, "_scan_events", spy)
+    out = solver.integrate_batch(counting, y0, 0.05, 30.0, cfg.P_D,
+                                 on_compact=on_compact)
+    assert len(crossing_steps) == 3
+    assert calls[0] == 4 * len(list(solver._rk4_grid(0.0, 30.0, 0.05)))
+    # the outcome of the run that called rhs once more per crossing step
+    assert out.winner.tolist() == [0, 0, 1, 1, 1, 0]
+    assert [x.hex() for x in out.t_event] == [
+        "0x1.e000000000000p+4", "0x1.e000000000000p+4",
+        "0x1.57a3c54e80030p+4", "0x1.d41db868cccc2p+1",
+        "0x1.bc1ad8b8cccc3p+1", "0x1.e000000000000p+4"]
+    assert [x.hex() for x in out.y_final.ravel()] == [
+        "0x1.e853d706d8d42p-2", "0x1.af7cdf49e124bp-1",
+        "0x1.fff7b0f76d6d8p-1", "0x1.fff37ec5be368p-1",
+        "0x1.ffe7eeea68938p-1", "0x1.e3d9f24558f5ep-1",
+        "0x1.c93dc70f3dbdcp-1", "0x1.5be7fad532abap-2",
+        "0x1.9edc3b106669bp-14", "0x1.7bc6d17298957p-14",
+        "0x1.7e38d536986f3p-14", "0x1.60f1629bb6526p-1",
+        "0x1.f611d26f2e032p-3", "0x1.50dcec4ad60a5p-1",
+        "0x1.995be11e8e873p-2", "0x1.b44dd85ae73ecp-1",
+        "0x1.f336bd1fd0b41p-2", "0x1.5fe16e83f1b2dp+6"]
+
+
 @pytest.mark.parametrize("t_end,dt", [(10.0, 0.01), (50.0, 0.01),
                                        (7.3, 0.02), (7.31, 0.02)])
 def test_rk4_schedule_has_no_sliver_step(t_end, dt):
@@ -371,11 +419,10 @@ def test_driver_members_equal_their_single_runs(model, data):
     method = data.draw(hst.sampled_from(["rk45", "rk4"]))
     st = IntegratorSettings(method=method, rtol=1e-7, atol=1e-9, dt_init=0.05,
                             t_end=data.draw(hst.floats(20.0, 40.0)))
-    fn = models._REDUCED[model][0]
     for j, got in enumerate(_member_runs(model, cfg, y0, st)):
         cj = models._take(cfg, j)
-        cpl = models.CentroidCoupling.from_config(cj)
-        one = solver.integrate(lambda t, y: fn(y, cj, cpl), y0[:, j], st,
+        rhs = models.build_system(model, cj).rhs
+        one = solver.integrate(lambda t, y: rhs(y), y0[:, j], st,
                                events=solver._threshold_events(cj.P_D))
         assert got.status == one.status
         assert len(got.t) == len(one.t)
