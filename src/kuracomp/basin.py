@@ -80,7 +80,6 @@ class BasinResult:
     per_cell: np.ndarray
     n_evaluated: int
     n_failed: int
-    axes: tuple = ()
 
     def boundary_fraction(self) -> float:
         """Fraction of cells adjacent (4-neighbourhood) to a cell whose
@@ -202,8 +201,7 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
     return [BasinResult(value=(np.nan if n_failed[i] > MAX_FAILED * n_eval
                                else float(np.nanmean(per_cell[i]))),
                         per_cell=per_cell[i].reshape(spec.grid),
-                        n_evaluated=n_eval, n_failed=int(n_failed[i]),
-                        axes=(np.array(p1c[i]), np.array(p2c[i])))
+                        n_evaluated=n_eval, n_failed=int(n_failed[i]))
             for i in range(n_points)]
 
 

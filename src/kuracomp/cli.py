@@ -92,7 +92,7 @@ CONFIG_SCHEMA = {
                 "y_param": {"type": "string"},
                 "y_range": _PAIR,
                 "y_points": {"type": "integer", "minimum": 2},
-                "grid": {"type": "array"},
+                "grid": {**_PAIR, "items": {"type": "integer", "minimum": 1}},
                 "phase_policy": {"enum": ["auto", "ensemble",
                                            "delta-star", "delta-grid"]},
                 "delta_resolution": {"type": "integer", "minimum": 1},
@@ -207,6 +207,8 @@ def _build(config: dict):
             if not np.isfinite([f["lo"], f["hi"]]).all() or f["lo"] >= f["hi"]:
                 raise ValidationFailure(f"factor {f['name']!r} needs a finite "
                                         "range with lo < hi")
+    if task["type"] == "simulate" and "n_sim" in task and model in _REDUCED:
+        raise ValidationFailure("task.n_sim: reduced variants have no phases")
     model_params(model, list(params) + varied, net=net)
     sv = dict(config.get("solver", {}))
     batch = task["type"] in ("basin", "heatmap", "doe") or (
@@ -294,7 +296,7 @@ def _task_sweep(config, system, cfg, net, settings, recon_T, seed, outdir):
 
 
 def _basin_spec(task, settings, seed, recon_T=50.0):
-    grid = tuple(task.get("grid", (51, 51)))
+    grid = tuple(int(r) for r in task.get("grid", (51, 51)))  # 2.0 passes
     return basin.BasinSpec(grid=grid, n_sim=task.get("n_sim", 100),
                            phase_policy=task.get("phase_policy", "auto"),
                            delta_resolution=task.get("delta_resolution", 8),

@@ -1,27 +1,31 @@
 """ODE integration and the simulation protocol.
 
-One driver, ``_drive``, integrates a batch of trajectories, y of shape
-(dim, B): an embedded Dormand-Prince 5(4) pair with per-member PI step-size
-control, or fixed-step classical RK4 (``method="rk4"``) for bit-reproducible
-baselines, with cubic-Hermite dense output and event location by bisection
-on it (|dt| <= 1e-9).  ``integrate`` is its B = 1 case, and a batch member
-equals its B = 1 run bit for bit.  RK4 runs, the batch runner,
-reconnaissance and settling share one RK4 step and one schedule:
-ceil((t_end - t0)/dt) steps, never padded with a rounding-sized sliver.
+One driver, ``_drive``, integrates everything but the event-free final-state
+loop ``_rk4`` (reconnaissance and settling): a batch y of shape (dim, B),
+stepped by an embedded Dormand-Prince 5(4) pair with per-member PI step-size
+control or by fixed-step classical RK4 (``method="rk4"``) for bit-reproducible
+baselines, with event location by bisection on the cubic-Hermite dense
+output (|dt| <= 1e-9).  ``integrate`` is its B = 1 case, ``integrate_batch``
+its outcome-only RK4 run, and a batch member equals its B = 1 run bit for
+bit.  All RK4 runs share one step and one schedule: ceil((t_end - t0)/dt)
+steps, never padded with a rounding-sized sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 where only the phase dynamics run (feedback H = 1, resources frozen),
 followed by the full hybrid system until one competitor falls below the
 extinction threshold P_D or the horizon is reached.
 
-``ensemble`` and the batch runner evaluate many trajectories at once
-(vectorised over a trailing batch axis) with integer win counts, so
-aggregation is order-independent and deterministic.
+``ensemble`` and the basin engine evaluate many trajectories at once
+through the batch runner (vectorised over a trailing batch axis) with
+integer win counts, so aggregation is order-independent and deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -40,8 +44,14 @@ __all__ = [
 ]
 
 EVENT_TIME_TOL = 1e-9
-STEADY_TOL = 1e-9        # batch members with max|dy/dt| below this are settled
-CHECK_EVERY = 25         # batch steps between steady-state/finiteness checks
+# A member fails when its RK45 step underflows ("stiff"; a non-finite error
+# estimate is never floor-accepted) or its dy/dt is not finite at a check
+# every CHECK_EVERY steps ("failed").  A trajectory run then raises
+# StiffnessError naming its first failed member and t; an outcome-only run
+# counts it (winner -1) and retires members with max|dy/dt| < STEADY_TOL.
+STEADY_TOL = 1e-9
+CHECK_EVERY = 25
+_FAILURES = {"stiff": "step size underflow", "failed": "non-finite dy/dt"}
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -59,7 +69,7 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 
 class StiffnessError(RuntimeError):
-    """Step underflow; carries the member index and partial trajectory."""
+    """A failed member (see CHECK_EVERY), its index and partial trajectory."""
 
     def __init__(self, message, trajectory=None, member=None):
         super().__init__(message)
@@ -123,9 +133,11 @@ class Trajectory:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         i = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0,
                     len(self.t) - 2)
-        return _hermite(self.t[i, None], self.y[i], self.f[i],
-                        self.t[i + 1, None], self.y[i + 1], self.f[i + 1],
-                        ts[:, None])
+        t0, h = self.t[i, None], self.t[i + 1, None] - self.t[i, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = _hermite(self.y[i], self.f[i], h, self.y[i + 1],
+                         self.f[i + 1], ts[:, None] - t0, np.float_power)
+        return np.where(h == 0, self.y[i], y)    # an empty last interval
 
     def to_csv(self, path, labels):
         header = "t," + ",".join(labels)
@@ -134,20 +146,15 @@ class Trajectory:
                    fmt="%.17g")
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    """Cubic Hermite interpolant at t, or y0 on an empty interval.  The
-    arguments broadcast, and the powers are libm pow (``float_power``), so
-    one call over many intervals equals a call per interval."""
-    h = t1 - t0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (t - t0) / h
-        s2, s3 = np.float_power(s, 2), np.float_power(s, 3)
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        y = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-    return np.where(h == 0, y0, y)
+def _hermite(y0, f0, h, y1, f1, s, power=math.pow):
+    """Cubic Hermite interpolant at offset s into a step of length h > 0
+    from (y0, f0) to (y1, f1).  The powers are libm pow, ``math.pow`` on
+    floats and ``np.float_power`` on arrays, so a call over many intervals
+    equals a call per interval."""
+    u = s / h
+    u2, u3 = power(u, 2), power(u, 3)
+    return ((2 * u3 - 3 * u2 + 1) * y0 + (u3 - 2 * u2 + u) * h * f0
+            + (-2 * u3 + 3 * u2) * y1 + (u3 - u2) * h * f1)
 
 
 def _scan_events(events, t0, y0, f0, h, y1, f1, hits):
@@ -170,13 +177,15 @@ def _scan_events(events, t0, y0, f0, h, y1, f1, hits):
 def _crossed(ev, g0, g1):
     """Whether g went from g0 to g1 across zero in the event's direction
     (elementwise): rising g0 < 0 <= g1, falling g0 > 0 >= g1."""
-    rising, falling = (g0 < 0) & (0 <= g1), (g0 > 0) & (0 >= g1)
-    return rising if ev.direction > 0 else \
-        falling if ev.direction < 0 else rising | falling
+    if ev.direction > 0:
+        return (g0 < 0) & (0 <= g1)
+    if ev.direction < 0:
+        return (g0 > 0) & (0 >= g1)
+    return ((g0 < 0) & (0 <= g1)) | ((g0 > 0) & (0 >= g1))
 
 
 def _locate_event(ev, t0, y0, f0, h, y1, f1):
-    """Bisection of the offset s in [0, h] on the step's dense interpolant
+    """Bisection of the offset s in [0, h], a float, on the step's interpolant
     down to |ds| <= 1e-9; a crossing is a sign change in (t0, t0 + h] in
     the event's direction.  Returns (t0 + s, y(t0 + s)) or None."""
     ga = ev.fn(t0, y0)
@@ -185,7 +194,7 @@ def _locate_event(ev, t0, y0, f0, h, y1, f1):
     a, b = 0.0, h
     while (b - a) > EVENT_TIME_TOL:
         m = 0.5 * (a + b)
-        gm = ev.fn(t0 + m, _hermite(0.0, y0, f0, h, y1, f1, m))
+        gm = ev.fn(t0 + m, _hermite(y0, f0, h, y1, f1, m))
         if gm == 0.0:
             a = b = m
             break
@@ -194,16 +203,16 @@ def _locate_event(ev, t0, y0, f0, h, y1, f1):
         else:
             b = m
     s = 0.5 * (a + b)
-    return t0 + s, _hermite(0.0, y0, f0, h, y1, f1, s)
+    return t0 + s, _hermite(y0, f0, h, y1, f1, s)
 
 
 def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
               events=()) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) from t0 to settings.t_end: the one-member
     case of ``_drive``.  Terminal events truncate the trajectory at the
-    located crossing; on step underflow a StiffnessError carrying the
-    partial trajectory is raised."""
-    return _drive(lambda t, y: np.asarray(rhs(t[0], y[:, 0]),
+    located crossing; a failed run (see CHECK_EVERY) raises StiffnessError
+    carrying the partial trajectory."""
+    return _drive(lambda t, y: np.asarray(rhs(np.ravel(t)[0], y[:, 0]),
                                           dtype=float)[:, None],
                   np.asarray(y0, dtype=float)[:, None], settings, t0,
                   (lambda j: events) if events else None)[0]
@@ -216,9 +225,11 @@ def _combine(coeffs, ks):
     return sum(terms[1:], terms[0])
 
 
-def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None):
-    """A Trajectory per column of y0 (dim, B); ``rhs(t, y)`` takes the live
-    members' times (n,) and states (dim, n).
+def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None,
+           dense=True):
+    """Integrate each column of y0 (dim, B); ``rhs(t, y)`` takes the live
+    members' states (dim, n) and times (n,), or at a point of the "rk4"
+    grid its shared time.
 
     "rk45" is Dormand-Prince 5(4) with PI step control (Hairer, Norsett &
     Wanner, Solving ODEs I, II.4-II.5; Gustafsson, Lundh & Soderlind, BIT 28
@@ -227,9 +238,11 @@ def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None):
     ``events(j)`` gives member j's Events and, for an index array, those
     members' Events with fns that broadcast over columns; only members whose
     step changed an event's sign are bisected, column by column.  Members
-    leave at t_end or a terminal event; ``on_compact(keep)`` slices the
-    per-member data ``rhs`` captures.  Step underflow raises StiffnessError
-    for the first member it hits.
+    leave at t_end, at a terminal event, or as steady or failed (see
+    CHECK_EVERY); ``on_compact(keep)`` slices the per-member data ``rhs``
+    captures.  Returns each member's Trajectory or, without ``dense``,
+    keeps none and returns each member's exit status ("completed", "event",
+    "steady", "stiff" or "failed"), time (B,), state (dim, B) and hits.
     """
     y = np.array(y0, dtype=float)
     B, t_end, rk4 = y.shape[1], settings.t_end, settings.method == "rk4"
@@ -237,38 +250,56 @@ def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None):
     if span <= 0:
         raise ValueError("t_end must exceed t0")
     t = np.full(B, float(t0))
-    f = np.asarray(rhs(t, y), dtype=float)
+    f = rhs(float(t0) if rk4 else t, y)
     active, hits, status = np.arange(B), [[] for _ in range(B)], ["completed"] * B
-    log = [(active, t, y, f)]             # accepted points, in time order
+    t_out, y_out = t.copy(), y.copy()            # where members left
+    log = [(active, t, y, f)] if dense else None  # accepted points in order
     h = np.full(B, min(settings.dt_init, settings.dt_max, span))
-    err_prev, grid = np.ones(B), _rk4_grid(t0, t_end, settings.dt_init)
-    while active.size:
-        if rk4:
-            step = next(grid, None)
-            if step is None:
-                break
-            hs, ok = np.full(active.size, step[1]), np.ones(active.size, bool)
-            y_new = _rk4_step(rhs, t, y, f, step[1])
-            f_new = np.asarray(rhs(t + hs, y_new), dtype=float)
+    err_prev, live = np.ones(B), None   # live: events(active), until a leave
+
+    def leave(gone, why=()):          # member i leaves with status why[i]
+        nonlocal active, t, y, f, h, err_prev, live
+        for i in np.flatnonzero(gone) if len(why) else ():
+            status[active[i]] = str(why[i])
+        t_out[active[gone]], y_out[:, active[gone]] = t[gone], y[:, gone]
+        active, t, y, f, h, err_prev = (a[..., ~gone] for a in
+                                        (active, t, y, f, h, err_prev))
+        live = None
+        if on_compact is not None:
+            on_compact(~gone)
+
+    steps = _rk4_grid(t0, t_end, settings.dt_init) if rk4 else repeat((0, 0))
+    for n, (tg, hs) in enumerate(steps):    # rk4: rhs takes the grid's time
+        if f is None:         # outcome-only rk4: rhs at a step's end only if
+            f = rhs(tg, y)    # a bisection needs it, else here
+        if n % CHECK_EVERY == 0:
+            bad = ~np.isfinite(f).all(axis=0)
+            gone = bad if dense else bad | (np.max(np.abs(f), axis=0)
+                                            < STEADY_TOL)
+            if gone.any():
+                leave(gone, np.where(bad, "failed", "steady"))
+        if not active.size:
+            break
+        if rk4:               # every step accepted: ok selects all members
+            ok, y_new, t1 = slice(None), _rk4_step(rhs, tg, y, f, hs), t + hs
+            f_new = rhs(tg + hs, y_new) if dense else None
         else:
             hs = np.minimum(np.minimum(h, t_end - t), settings.dt_max)
             stiff = hs < 1e-14 * span
             if stiff.any():
-                i = np.argmax(stiff)
-                j = active[i]
-                raise StiffnessError(
-                    f"step size underflow at t={t[i]} (member {j})",
-                    _trajectories(log, hits, ["stiff"] * B, [j])[0], j)
+                leave(stiff, ["stiff"] * stiff.size)
+                continue
             k = [f]
             for i in range(1, 7):
                 y_new = y + hs * _combine(_A[i], k)
-                k.append(np.asarray(rhs(t + _C[i] * hs, y_new), dtype=float))
+                k.append(rhs(t + _C[i] * hs, y_new))
             f_new = k[6]      # FSAL: the last stage is the solution (_A[6])
             scale = settings.atol + settings.rtol * np.maximum(np.abs(y),
                                                               np.abs(y_new))
             q = np.ascontiguousarray(np.square(hs * _combine(_E, k) / scale).T)
             err = np.sqrt(np.add.reduce(q, axis=1) / q.shape[1])   # RMS
-            ok = (err <= 1.0) | (hs <= 1e-13 * span)
+            # the floor accepts a tiny step, but never a non-finite one
+            ok = (err <= 1.0) | ((hs <= 1e-13 * span) & np.isfinite(err))
             with np.errstate(divide="ignore"):   # libm pow, unlike array **
                 grow = np.where(err > 0, 0.9 * np.float_power(err, -0.14)
                                 * np.float_power(err_prev, 0.08), 5.0)
@@ -276,35 +307,52 @@ def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None):
             h = hs * np.where(ok, np.fmin(5.0, np.fmax(0.2, grow)),
                               np.fmin(1.0, shrink))
             err_prev = np.where(ok, np.maximum(err, 1e-4), err_prev)
+            t1 = t + hs
+            if not ok.all():
+                t1, y_new, f_new = (np.where(ok, a, b) for a, b in
+                                    ((t1, t), (y_new, y), (f_new, f)))
 
-        t1, stop = t + hs, np.zeros(active.size, bool)
+        stop = None
         if events is not None:
-            maybe = ok.copy()         # one member: _scan_events checks it
-            if active.size > 1:
-                maybe &= np.logical_or.reduce([
-                    _crossed(ev, ev.fn(t, y), ev.fn(t1, y_new))
-                    for ev in events(active)])
-            for i in np.nonzero(maybe)[0]:
+            if B > 1:                # integrate's events need not broadcast
+                if live is None:     # g: the live events' fns at (t, y)
+                    live = events(active)
+                    g = [ev.fn(t, y) for ev in live]
+                # a rejected member's (t1, y_new) is its (t, y): no crossing
+                g1 = [ev.fn(t1, y_new) for ev in live]
+                maybe = reduce(np.bitwise_or, map(_crossed, live, g, g1))
+                g = g1
+                scan = np.flatnonzero(maybe) if np.count_nonzero(maybe) else ()
+            else:
+                scan = (0,) if rk4 or ok[0] else ()
+            for i in scan:
                 j = active[i]
-                hit = _scan_events(events(j), t[i], y[:, i], f[:, i], hs[i],
-                                   y_new[:, i], f_new[:, i], hits[j])
+                if f_new is None:     # outcome-only rk4
+                    f_new = rhs(tg + hs, y_new)
+                hit = _scan_events(events(j), t[i], y[:, i], f[:, i],
+                                   hs if rk4 else float(hs[i]), y_new[:, i],
+                                   f_new[:, i], hits[j])
                 if hit is not None:
+                    stop = np.zeros(active.size, bool) if stop is None else stop
                     stop[i], status[j] = True, "event"
                     t1[i], y_new[:, i] = hit
-            if stop.any():
+            if dense and stop is not None:
                 f_new = np.where(stop, rhs(t1, y_new), f_new)
-        if not ok.all():
-            t1, y_new, f_new = (np.where(ok, a, b) for a, b in
-                                ((t1, t), (y_new, y), (f_new, f)))
-        log.append((active[ok], t1[ok], y_new[:, ok], f_new[:, ok]))
+        if dense:
+            log.append((active[ok], t1[ok], y_new[:, ok], f_new[:, ok]))
         t, y, f = t1, y_new, f_new
-        done = stop if rk4 else stop | (t >= t_end)    # rk4: the whole grid
-        if done.any():
-            keep = ~done
-            active, t, y, f = active[keep], t[keep], y[:, keep], f[:, keep]
-            h, err_prev = h[keep], err_prev[keep]
-            if on_compact is not None:
-                on_compact(keep)
+        if not rk4:
+            stop = t >= t_end if stop is None else stop | (t >= t_end)
+        if stop is not None and stop.any():
+            leave(stop)
+    if not dense:
+        t_out[active], y_out[:, active] = t, y
+        return status, t_out, y_out, hits
+    for j, why in enumerate(status):
+        if why in _FAILURES:
+            raise StiffnessError(
+                f"{_FAILURES[why]} at t={t_out[j]} (member {j})",
+                _trajectories(log, hits, status, [j])[0], j)
     return _trajectories(log, hits, status, range(B))
 
 
@@ -395,7 +443,7 @@ def run_scenario(system, state0, settings: IntegratorSettings,
 
 
 # ---------------------------------------------------------------------------
-# batch runner (vectorised over members, with event bisection)
+# batch runner: _drive's outcome-only RK4 run
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -407,70 +455,24 @@ class BatchOutcome:
 
 def integrate_batch(rhs, y0, dt, t_end, p_death, *,
                     on_compact=None) -> BatchOutcome:
-    """Fixed-step RK4 over a batch; stops members on P_1/P_2 threshold
-    crossings, located inside the step as ``run_scenario`` locates them, or
-    on reaching a fixed point.
-
-    ``y0`` has shape (dim, B); ``rhs(y)`` must broadcast over the batch
-    axis.  Winners: 1 if P2 crossed p_death first, 2 if P1 did, 0 at the
-    horizon or at a steady state, -1 on numerical failure.
-
-    Decided members are removed from the batch; when the right-hand side
-    captures per-member parameter arrays, pass ``on_compact(keep_mask)``
-    to slice those arrays in lockstep.  ``p_death`` may also hold one
-    threshold per member.
+    """Fixed-step RK4 over a batch y0 (dim, B), ``rhs(y)`` broadcasting over
+    it, until each member's P_1/P_2 threshold crossing as ``run_scenario``
+    locates it; ``p_death`` may differ per member.  Winners: 1 if P2 crossed
+    p_death first, 2 if P1 did, 0 at the horizon or a steady state, -1 for a
+    failed member.  t_event and y_final are the crossing's, else t_end and
+    the last state.  ``on_compact(keep)`` slices arrays ``rhs`` captures.
     """
-    y = np.array(y0, dtype=float)
-    dim, B = y.shape
-    p_death = np.broadcast_to(np.asarray(p_death, dtype=float), (B,))
-    winner = np.full(B, -2, dtype=int)      # -2 = still running
-    t_event = np.full(B, t_end, dtype=float)
-    y_final = np.array(y)
-    active = np.arange(B)
-    step_rhs = lambda t, yy: rhs(yy)
-
-    def compact(keep):
-        nonlocal y, active, p_death
-        y, active, p_death = y[:, keep], active[keep], p_death[keep]
-        if on_compact is not None:
-            on_compact(keep)
-
-    k1 = None                # rhs(y), when the last step already took it
-    for step, (t, h) in enumerate(_rk4_grid(0.0, t_end, dt)):
-        if not active.size:
-            break
-        k1 = rhs(y) if k1 is None else k1
-        if step % CHECK_EVERY == 0:
-            bad = ~np.all(np.isfinite(k1), axis=0)
-            steady = (np.max(np.abs(k1), axis=0) < STEADY_TOL) & ~bad
-            done = bad | steady             # t_event stays t_end
-            winner[active[bad]], winner[active[steady]] = -1, 0
-            y_final[:, active[done]] = y[:, done]
-            if done.any():
-                keep = ~done
-                k1 = k1[:, keep]
-                compact(keep)
-                if not active.size:
-                    break
-        y_new = _rk4_step(step_rhs, t, y, k1, h)
-        anyc = ((y[:2] > p_death) & (y_new[:2] <= p_death)).any(axis=0)
-        if anyc.any():
-            f_new = rhs(y_new)
-            for i in np.nonzero(anyc)[0]:
-                hits = []
-                _scan_events(_threshold_events(p_death[i]), t, y[:, i],
-                             k1[:, i], h, y_new[:, i], f_new[:, i], hits)
-                member = active[i]
-                winner[member] = 1 if hits[0].name == "red-extinct" else 2
-                t_event[member] = hits[0].t
-                y_final[:, member] = y_new[:, i]
-            y, k1 = y_new, f_new[:, ~anyc]      # columns are independent
-            compact(~anyc)
-        else:
-            y, k1 = y_new, None
-    winner[active] = 0              # every other member left with its code
-    y_final[:, active] = y
-    return BatchOutcome(winner=winner, t_event=t_event, y_final=y_final)
+    p_death = np.broadcast_to(np.asarray(p_death, float), np.shape(y0)[1:])
+    status, t, y, hits = _drive(
+        lambda t, yy: rhs(yy), y0,
+        IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end),
+        events=lambda j: _threshold_events(p_death[j]),
+        on_compact=on_compact, dense=False)
+    winner = np.array([(1 if h[0].name == "red-extinct" else 2)
+                       if s == "event" else -1 if s in _FAILURES else 0
+                       for s, h in zip(status, hits)], dtype=int)
+    return BatchOutcome(winner=winner, t_event=np.where(winner > 0, t, t_end),
+                        y_final=y)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +484,6 @@ class EnsembleResult:
     n_sim: int
     counts: dict
     fractions: dict
-    winners: np.ndarray
-    t_events: np.ndarray
 
 
 def reconnoitred_phases(system, n_sim: int, seed: int, dt: float,
@@ -514,5 +514,4 @@ def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
               (("blue", 1), ("red", 2), ("stalemate", 0), ("failed", -1))}
     n_ok = max(n_sim - counts["failed"], 1)
     fractions = {k: counts[k] / n_ok for k in ("blue", "red", "stalemate")}
-    return EnsembleResult(n_sim=n_sim, counts=counts, fractions=fractions,
-                          winners=out.winner, t_events=out.t_event)
+    return EnsembleResult(n_sim=n_sim, counts=counts, fractions=fractions)

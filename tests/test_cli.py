@@ -224,6 +224,12 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
     ["doe", "-c", "simple-cs", "-o",
      'task.factors=[{"name":"beta1","lo":5.0,"hi":1.0}]',
      "-o", "task.k_init=2", "-o", "task.n_total=2"],
+    ["basin", "-c", "simple-cs", "-o", "task.grid=[2]"],
+    ["basin", "-c", "simple-cs", "-o", "task.grid=[2,2,2]"],
+    ["basin", "-c", "simple-cs", "-o", 'task.grid=["a","b"]'],
+    ["basin", "-c", "simple-cs", "-o", "task.grid=[2.5,3]"],
+    ["basin", "-c", "simple-cs", "-o", "task.grid=[0,3]"],
+    ["simulate", "-c", "simple-cs", "-o", "task.n_sim=5"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -240,6 +246,28 @@ def test_sweep_step_underflow_exits_3(tmp_path, monkeypatch, capsys):
                      "-o", "task.range=[1,2]", "-o", "task.n_points=3",
                      "--out", str(tmp_path / "out")]) == 3
     assert "step size underflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, message", [
+    ("rk45", "step size underflow"), ("rk4", "non-finite dy/dt")])
+def test_non_finite_simulation_exits_3(method, message, tmp_path, monkeypatch,
+                                       capsys):
+    # a right-hand side that turns NaN once P1 grows past 0.6 (t ~ 0.18)
+    monkeypatch.setitem(models._REDUCED, "simple-reduced",
+                        (lambda y, *params: np.where(y > 0.6, np.nan, y),
+                         2, 1))
+    assert cli.main(["simulate", "-c", "simple-cs", "-o",
+                     f"solver.method={method}",
+                     "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_basin_grid_of_integral_floats(tmp_path):
+    # JSON Schema counts 2.0 as an integer; the grid takes it as 2
+    out = tmp_path / "basin"
+    cli.run("simple-cs", overrides=["task.type=basin", "task.grid=[2.0,3]",
+                                    "solver.t_end=20"], out_dir=out, seed=0)
+    assert json.loads((out / "basin.json").read_text())["n_evaluated"] == 6
 
 
 def test_linalg_error_while_building_exits_3(tmp_path, monkeypatch):

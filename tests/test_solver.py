@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import batch_oracle
 from kuracomp import analysis, graphs, models, solver
 from kuracomp.models import CentroidCoupling, ModelConfig
 from kuracomp.solver import Event, IntegratorSettings
@@ -221,8 +224,9 @@ def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
     """A step with a threshold crossing evaluates rhs at its end for the
     bisection; the next step takes its k1 from those columns instead of
     calling rhs again.  With one member left running to the horizon that is
-    4 calls per RK4 step (one more per crossing step before), and every
-    outcome keeps the bits it had with the extra call."""
+    4 calls per RK4 step (one more per crossing step before), and winners
+    and t_event keep the bits they had with the extra call.  An event
+    member's y_final is its located crossing state (P2 at P_D here)."""
     cfg = ModelConfig(beta1=np.array([0.5, 1.5, 2.5, 3.5, 4.5, 1.0]),
                       beta2=np.array([2.0, 2.0, 2.0, 1.0, 0.5, 0.2]),
                       mu=np.array([0.1, 0.2, -0.1, 0.3, 0.0, 3.0]))
@@ -247,7 +251,8 @@ def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
                                  on_compact=on_compact)
     assert len(crossing_steps) == 3
     assert calls[0] == 4 * len(list(solver._rk4_grid(0.0, 30.0, 0.05)))
-    # the outcome of the run that called rhs once more per crossing step
+    # winners and t_event of the run that called rhs once more per
+    # crossing step
     assert out.winner.tolist() == [0, 0, 1, 1, 1, 0]
     assert [x.hex() for x in out.t_event] == [
         "0x1.e000000000000p+4", "0x1.e000000000000p+4",
@@ -255,14 +260,14 @@ def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
         "0x1.bc1ad8b8cccc3p+1", "0x1.e000000000000p+4"]
     assert [x.hex() for x in out.y_final.ravel()] == [
         "0x1.e853d706d8d42p-2", "0x1.af7cdf49e124bp-1",
-        "0x1.fff7b0f76d6d8p-1", "0x1.fff37ec5be368p-1",
-        "0x1.ffe7eeea68938p-1", "0x1.e3d9f24558f5ep-1",
+        "0x1.fff79988a27b8p-1", "0x1.fff222ad83a16p-1",
+        "0x1.ffe5c92bf166bp-1", "0x1.e3d9f24558f5ep-1",
         "0x1.c93dc70f3dbdcp-1", "0x1.5be7fad532abap-2",
-        "0x1.9edc3b106669bp-14", "0x1.7bc6d17298957p-14",
-        "0x1.7e38d536986f3p-14", "0x1.60f1629bb6526p-1",
+        "0x1.a36e2eb2a1defp-14", "0x1.a36e2eb3f2045p-14",
+        "0x1.a36e2eb93a868p-14", "0x1.60f1629bb6526p-1",
         "0x1.f611d26f2e032p-3", "0x1.50dcec4ad60a5p-1",
-        "0x1.995be11e8e873p-2", "0x1.b44dd85ae73ecp-1",
-        "0x1.f336bd1fd0b41p-2", "0x1.5fe16e83f1b2dp+6"]
+        "0x1.995baece70defp-2", "0x1.b54f7e7961669p-1",
+        "0x1.f2d256ec3bf63p-2", "0x1.5fe16e83f1b2dp+6"]
 
 
 @pytest.mark.parametrize("t_end,dt", [(10.0, 0.01), (50.0, 0.01),
@@ -287,6 +292,17 @@ def test_rk4_trajectory_equals_batch_member():
                                  -np.inf)
     assert out.winner[0] == 0
     assert np.array_equal(traj.y[-1], out.y_final[:, 0])
+    # a member that ends on an event: its y_final is the trajectory's last
+    # row, the located crossing state, in a batch beside a horizon member
+    p_death = 0.05
+    traj = solver.integrate(lambda t, y: system.rhs(y), y0, st,
+                            events=solver._threshold_events(p_death))
+    assert traj.status == "event"
+    out = solver.integrate_batch(system.rhs, np.stack([y0, y0], axis=1),
+                                 0.01, 10.0, np.array([p_death, -np.inf]))
+    assert out.winner.tolist() == [1, 0]
+    assert out.t_event[0] == traj.t[-1] == traj.events[0].t
+    assert np.array_equal(out.y_final[:, 0], traj.y[-1])
 
 
 @pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
@@ -480,3 +496,113 @@ def test_interpolate_equals_per_time_hermite_loop():
                              np.arange(6.0).reshape(3, 2), np.ones((3, 2)))
     ts = np.array([0.5, 1.0, 2.0])
     np.testing.assert_array_equal(flat.interpolate(ts), _hermite_loop(flat, ts))
+
+
+# members of the oracle test: a phase slip, a strong Blue with a high
+# threshold, one that starts extinct and settles (steady), an overflowing
+# one (failed), or anything
+_ORACLE_KINDS = {**_KINDS, "steady": dict(mu=(-0.2, 0.2)),
+                 "overflow": dict(r1=(1e308, 1.7e308))}
+
+
+def _oracle_pair(model, cfg, y0, dt, t_end):
+    """integrate_batch and its oracle on per-member parameters, each with a
+    fresh per-member rhs that ``on_compact`` slices."""
+    outs = []
+    for run in (solver.integrate_batch, batch_oracle.integrate_batch):
+        rhs, on_compact = models._member_rhs(
+            model, cfg, CentroidCoupling.from_config(cfg))
+        outs.append(run(rhs, y0, dt, t_end, cfg.P_D, on_compact=on_compact))
+    return outs
+
+
+def _assert_equal_outcomes(got, want):
+    np.testing.assert_array_equal(got.winner, want.winner)
+    np.testing.assert_array_equal(got.t_event, want.t_event)
+    # y_final differs only for event members (the crossing state there)
+    rest = got.winner < 1
+    np.testing.assert_array_equal(got.y_final[:, rest], want.y_final[:, rest])
+
+
+@pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
+                                   "eco3-reduced"])
+@settings(max_examples=6, deadline=None)
+@given(data=hst.data())
+def test_batch_runner_equals_its_oracle(model, data):
+    B = data.draw(hst.integers(2, 9))
+    kinds = [data.draw(hst.sampled_from(sorted(_ORACLE_KINDS)))
+             for _ in range(B)]
+    members = [{k: data.draw(hst.floats(*r)) for k, r in
+                {**_RANGES, **_ORACLE_KINDS[kind]}.items()} for kind in kinds]
+    cfg = ModelConfig(**{k: np.array([m[k] for m in members])
+                         for k in _RANGES})
+    n_pops = 3 if model == "eco3-reduced" else 2
+    unit, angle = hst.floats(0.05, 1.0), hst.floats(-np.pi, np.pi)
+    y0 = np.array([[0.0 if kind == "steady" else data.draw(unit)
+                    for kind in kinds] for _ in range(n_pops)]
+                  + [[data.draw(angle) for _ in range(B)]
+                     for _ in range(n_pops - 1)])
+    t_end = data.draw(hst.floats(5.0, 40.0))
+    with np.errstate(all="ignore"):
+        got, want = _oracle_pair(model, cfg, y0, 0.05, t_end)
+    _assert_equal_outcomes(got, want)
+
+
+def test_batch_runner_equals_its_oracle_on_a_full_variant():
+    cfg = ModelConfig(r1=3.0, r2=2.5, beta1=6.0, beta2=2.0, mu=0.2, phi=0.2)
+    system = models.build_system("simple", cfg, net=_small_net())
+    theta = solver.reconnoitred_phases(system, 6, seed=3, dt=0.02,
+                                       recon_T=2.0)
+    y0 = np.concatenate([np.tile([[0.5], [0.5]], 6), theta])
+    y0[:2, 4:] = [[0.9, 0.2], [0.1, 0.9]]
+    p_death = np.array([1e-4, 1e-2, 1e-4, 1e-2, 1e-4, 1e-3])
+    got = solver.integrate_batch(system.rhs, y0, 0.02, 20.0, p_death)
+    want = batch_oracle.integrate_batch(system.rhs, y0, 0.02, 20.0, p_death)
+    assert (got.winner > 0).any()
+    _assert_equal_outcomes(got, want)
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_non_finite_rhs_raises_within_bounded_steps(method):
+    """A right-hand side that turns NaN after t = 1 ends the run: RK45
+    never floor-accepts a non-finite error estimate, so its step underflows
+    short of t = 1, and RK4 finds the non-finite member at its next check."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return np.full(1, np.nan) if t > 1.0 else -y
+
+    st = IntegratorSettings(method=method, dt_init=0.01, t_end=5.0)
+    with pytest.raises(solver.StiffnessError,
+                       match=r"at t=[0-9.]+ \(member 0\)") as err:
+        solver.integrate(rhs, np.array([1.0]), st)
+    assert calls[0] < 2000
+    traj = err.value.trajectory
+    assert err.value.member == 0 and traj.t[0] == 0.0
+    if method == "rk45":
+        assert traj.status == "stiff" and traj.t[-1] <= 1.0
+        assert np.isfinite(traj.y).all()
+    else:
+        assert traj.status == "failed"
+        assert 1.0 < traj.t[-1] <= 1.0 + solver.CHECK_EVERY * 0.01
+
+
+def test_non_finite_member_fails_alone():
+    """A non-finite member is a failure (winner -1) in a batch, where the
+    other members keep their outcomes, and a StiffnessError in a scenario,
+    which used to report the NaN run as a stalemate."""
+    cfg = ModelConfig(r1=3.0, r2=2.5, beta1=4.0, beta2=2.0, mu=0.2, phi=0.2,
+                      gamma1=1.0, gamma2=1.0)
+    system = models.build_system("simple-reduced", cfg)
+    nan_system = replace(system, rhs=lambda y: np.where(
+        y[2] > 5.0, np.nan, system.rhs(y)))          # NaN for Delta > 5
+    y0 = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.1, 6.0, 0.1]])
+    out = solver.integrate_batch(nan_system.rhs, y0, 0.01, 10.0,
+                                 [1e-4, 1e-4, -np.inf])
+    one = solver.integrate_batch(system.rhs, y0[:, :1], 0.01, 10.0, 1e-4)
+    assert out.winner.tolist() == [one.winner[0], -1, 0]
+    assert out.t_event[0] == one.t_event[0] and out.t_event[1] == 10.0
+    st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
+    with pytest.raises(solver.StiffnessError, match="non-finite"):
+        solver.run_scenario(nan_system, y0[:, 1], st, p_death=1e-4)
