@@ -25,7 +25,7 @@ import numpy as np
 from .models import (CentroidCoupling, ModelConfig, _frustration, _member_rhs,
                      _take, build_system, centroid_coeffs, eco2_reduced_rhs,
                      model_params, simple_reduced_rhs)
-from .solver import (IntegratorSettings, _drive, _threshold_events,  # noqa: F401
+from .solver import (IntegratorSettings, _drive,  # noqa: F401
                      run_scenario)   # perfbench traces run_scenario here
 
 __all__ = [
@@ -631,8 +631,7 @@ def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
     rhs, on_compact = _member_rhs(variant, swept, coupling)
     p_death = np.broadcast_to(swept.P_D, values.shape)
     trajs = _drive(lambda t, y: rhs(y), np.array(y0).T, settings,
-                   events=lambda j: _threshold_events(p_death[j]),
-                   on_compact=on_compact)
+                   p_death=p_death, on_compact=on_compact)
     rows = []
     for value, fp_rows, traj in zip(values, point_rows, trajs):
         rows += fp_rows + [SweepRow(param_value=float(value),

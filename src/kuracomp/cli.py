@@ -223,7 +223,12 @@ def _build(config: dict):
     settings = IntegratorSettings(**sv)
     system = build_system(model, cfg, net=net)
     if task["type"] in ("basin", "heatmap", "doe"):
-        basin._phase_policy(_basin_spec(task, settings, seed), system)
+        policy = basin._phase_policy(_basin_spec(task, settings, seed), system)
+        for key, reader in (("n_sim", "ensemble"),
+                            ("delta_resolution", "delta-grid")):
+            if key in task and policy != reader:
+                raise ValidationFailure(f"task.{key} is read only by the "
+                                        f"{reader} phase policy, not {policy}")
     return system, cfg, system.net, settings, recon_T, seed
 
 

@@ -94,7 +94,12 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
         np.fill_diagonal(corr, 0.0)
         floor = (0.5 if d <= 3 else 1.0) if k == 3 else 0.0
         target = max(CORR_TARGET, floor + 1e-12)     # + rounding slack
-        temp = 1e-3
+        # a swap moves a correlation by multiples of s = 12/(k(k^2 - 1));
+        # at small k, leaving a plateau needs a rise in energy of the
+        # order of 4 s^2 (from |corr| s/2 to 3s/2), so start no colder.
+        # k = 3 reaches its floor downhill.
+        s = 12 / (k * (k * k - 1))
+        temp = max(1e-3, 4 * s * s) if k > 3 else 1e-3
         cool = np.exp(np.log(1e-4) / MAX_PROPOSALS)   # decay to temp*1e-4
         for it in range(MAX_PROPOSALS):
             if it % 256 == 0 and float(np.abs(corr).max()) <= target:

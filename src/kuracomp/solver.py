@@ -4,11 +4,13 @@ One driver, ``_drive``, integrates everything but the event-free final-state
 loop ``_rk4`` (reconnaissance and settling): a batch y of shape (dim, B),
 stepped by an embedded Dormand-Prince 5(4) pair with per-member PI step-size
 control or by fixed-step classical RK4 (``method="rk4"``) for bit-reproducible
-baselines, with event location by bisection on the cubic-Hermite dense
-output (|dt| <= 1e-9).  ``integrate`` is its B = 1 case, ``integrate_batch``
-its outcome-only RK4 run, and a batch member equals its B = 1 run bit for
-bit.  All RK4 runs share one step and one schedule: ceil((t_end - t0)/dt)
-steps, never padded with a rounding-sized sliver.
+baselines.  Its one event is a member's P1 or P2 (rows 0-1) falling
+through its extinction threshold P_D, located by bisection on the
+cubic-Hermite dense output (|dt| <= 1e-9).  ``integrate`` is its B = 1
+case, ``integrate_batch`` its outcome-only RK4 run, and a batch member
+equals its B = 1 run bit for bit.  All RK4 runs share one step and one
+schedule: ceil((t_end - t0)/dt) steps, never padded with a rounding-sized
+sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 where only the phase dynamics run (feedback H = 1, resources frozen),
@@ -23,8 +25,7 @@ integer win counts, so aggregation is order-independent and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -34,7 +35,6 @@ from ._rng import substream
 __all__ = [
     "IntegratorSettings",
     "Trajectory",
-    "Event",
     "StiffnessError",
     "integrate",
     "run_scenario",
@@ -102,30 +102,13 @@ class IntegratorSettings:
 
 
 @dataclass
-class Event:
-    """Scalar event g(t, y); fires on a sign change of the given direction."""
-
-    fn: callable
-    name: str = "event"
-    direction: int = 0    # -1 falling, +1 rising, 0 any
-    terminal: bool = True
-
-
-@dataclass
-class EventHit:
-    name: str
-    t: float
-    y: np.ndarray
-
-
-@dataclass
 class Trajectory:
     """Accepted integration steps with Hermite dense output."""
 
     t: np.ndarray
     y: np.ndarray            # (n_steps, dim)
     f: np.ndarray            # rhs at each step, for interpolation
-    events: list = field(default_factory=list)
+    extinct: int | None = None   # the row (0 P1, 1 P2) that crossed P_D
     status: str = "completed"
 
     def interpolate(self, ts):
@@ -157,65 +140,46 @@ def _hermite(y0, f0, h, y1, f1, s, power=math.pow):
             + (-2 * u3 + 3 * u2) * y1 + (u3 - u2) * h * f1)
 
 
-def _scan_events(events, t0, y0, f0, h, y1, f1, hits):
-    """Record every event crossing in (t0, t0 + h]; return the first
-    terminal hit (t, y) or None.  Hits are ordered by time, ties by their
-    order in ``events``."""
-    found = []
-    for ev in events:
-        loc = _locate_event(ev, t0, y0, f0, h, y1, f1)
-        if loc is not None:
-            found.append((loc[0], loc[1], ev))
-    found.sort(key=lambda item: item[0])
-    for t_ev, y_ev, ev in found:
-        hits.append(EventHit(ev.name, t_ev, y_ev))
-        if ev.terminal:
-            return t_ev, y_ev
-    return None
-
-
-def _crossed(ev, g0, g1):
-    """Whether g went from g0 to g1 across zero in the event's direction
-    (elementwise): rising g0 < 0 <= g1, falling g0 > 0 >= g1."""
-    if ev.direction > 0:
-        return (g0 < 0) & (0 <= g1)
-    if ev.direction < 0:
-        return (g0 > 0) & (0 >= g1)
-    return ((g0 < 0) & (0 <= g1)) | ((g0 > 0) & (0 >= g1))
-
-
-def _locate_event(ev, t0, y0, f0, h, y1, f1):
-    """Bisection of the offset s in [0, h], a float, on the step's interpolant
-    down to |ds| <= 1e-9; a crossing is a sign change in (t0, t0 + h] in
-    the event's direction.  Returns (t0 + s, y(t0 + s)) or None."""
-    ga = ev.fn(t0, y0)
-    if not _crossed(ev, ga, ev.fn(t0 + h, y1)):
+def _locate(p, t0, y0, f0, h, y1, f1):
+    """The threshold crossing in (t0, t0 + h]: per row 0-1 that falls from
+    above p to p or below, bisection of the offset s in [0, h], a float, on
+    the row's cubic-Hermite interpolant down to |ds| <= EVENT_TIME_TOL.  The
+    earlier crossing wins and a tie goes to row 1 (P2: Blue wins).  Returns
+    (row, t0 + s, y(t0 + s)) or None."""
+    hit = None
+    for row in (1, 0):
+        ya, fa, yb, fb = (float(v[row]) for v in (y0, f0, y1, f1))
+        if not (ya - p > 0 and yb - p <= 0):
+            continue
+        a, b = 0.0, h
+        while (b - a) > EVENT_TIME_TOL:
+            m = 0.5 * (a + b)
+            gm = _hermite(ya, fa, h, yb, fb, m) - p
+            if gm == 0.0:
+                a = b = m
+                break
+            if gm > 0:        # the sign of g(a), which stays positive
+                a = m
+            else:
+                b = m
+        s = 0.5 * (a + b)
+        if hit is None or t0 + s < hit[1]:
+            hit = row, t0 + s, s
+    if hit is None:
         return None
-    a, b = 0.0, h
-    while (b - a) > EVENT_TIME_TOL:
-        m = 0.5 * (a + b)
-        gm = ev.fn(t0 + m, _hermite(y0, f0, h, y1, f1, m))
-        if gm == 0.0:
-            a = b = m
-            break
-        if np.sign(gm) == np.sign(ga):
-            a, ga = m, gm
-        else:
-            b = m
-    s = 0.5 * (a + b)
-    return t0 + s, _hermite(y0, f0, h, y1, f1, s)
+    return hit[0], hit[1], _hermite(y0, f0, h, y1, f1, hit[2])
 
 
 def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
-              events=()) -> Trajectory:
+              p_death=None) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) from t0 to settings.t_end: the one-member
-    case of ``_drive``.  Terminal events truncate the trajectory at the
-    located crossing; a failed run (see CHECK_EVERY) raises StiffnessError
-    carrying the partial trajectory."""
+    case of ``_drive``.  With ``p_death`` the trajectory ends at the located
+    crossing of rows 0-1 through it; a failed run (see CHECK_EVERY) raises
+    StiffnessError carrying the partial trajectory."""
     return _drive(lambda t, y: np.asarray(rhs(np.ravel(t)[0], y[:, 0]),
                                           dtype=float)[:, None],
                   np.asarray(y0, dtype=float)[:, None], settings, t0,
-                  (lambda j: events) if events else None)[0]
+                  None if p_death is None else np.full(1, float(p_death)))[0]
 
 
 def _combine(coeffs, ks):
@@ -225,7 +189,7 @@ def _combine(coeffs, ks):
     return sum(terms[1:], terms[0])
 
 
-def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None,
+def _drive(rhs, y0, settings, t0=0.0, p_death=None, on_compact=None,
            dense=True):
     """Integrate each column of y0 (dim, B); ``rhs(t, y)`` takes the live
     members' states (dim, n) and times (n,), or at a point of the "rk4"
@@ -235,14 +199,13 @@ def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None,
     Wanner, Solving ODEs I, II.4-II.5; Gustafsson, Lundh & Soderlind, BIT 28
     (1988) 270): each member keeps its own t, h and error history and
     accepts or rejects its step on its own.  "rk4" steps on ``_rk4_grid``.
-    ``events(j)`` gives member j's Events and, for an index array, those
-    members' Events with fns that broadcast over columns; only members whose
-    step changed an event's sign are bisected, column by column.  Members
-    leave at t_end, at a terminal event, or as steady or failed (see
+    Members leave at t_end, at the crossing of row 0 or 1 down through
+    their ``p_death`` (B,) (status "event"), or as steady or failed (see
     CHECK_EVERY); ``on_compact(keep)`` slices the per-member data ``rhs``
     captures.  Returns each member's Trajectory or, without ``dense``,
     keeps none and returns each member's exit status ("completed", "event",
-    "steady", "stiff" or "failed"), time (B,), state (dim, B) and hits.
+    "steady", "stiff" or "failed"), time (B,), state (dim, B) and crossed
+    row (None if none).
     """
     y = np.array(y0, dtype=float)
     B, t_end, rk4 = y.shape[1], settings.t_end, settings.method == "rk4"
@@ -251,20 +214,20 @@ def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None,
         raise ValueError("t_end must exceed t0")
     t = np.full(B, float(t0))
     f = rhs(float(t0) if rk4 else t, y)
-    active, hits, status = np.arange(B), [[] for _ in range(B)], ["completed"] * B
+    active, status, rows = np.arange(B), ["completed"] * B, [None] * B
     t_out, y_out = t.copy(), y.copy()            # where members left
     log = [(active, t, y, f)] if dense else None  # accepted points in order
     h = np.full(B, min(settings.dt_init, settings.dt_max, span))
-    err_prev, live = np.ones(B), None   # live: events(active), until a leave
+    err_prev = np.ones(B)
 
     def leave(gone, why=()):          # member i leaves with status why[i]
-        nonlocal active, t, y, f, h, err_prev, live
+        nonlocal active, t, y, f, h, err_prev, p_death
         for i in np.flatnonzero(gone) if len(why) else ():
             status[active[i]] = str(why[i])
         t_out[active[gone]], y_out[:, active[gone]] = t[gone], y[:, gone]
         active, t, y, f, h, err_prev = (a[..., ~gone] for a in
                                         (active, t, y, f, h, err_prev))
-        live = None
+        p_death = None if p_death is None else p_death[~gone]
         if on_compact is not None:
             on_compact(~gone)
 
@@ -313,29 +276,20 @@ def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None,
                                     ((t1, t), (y_new, y), (f_new, f)))
 
         stop = None
-        if events is not None:
-            if B > 1:                # integrate's events need not broadcast
-                if live is None:     # g: the live events' fns at (t, y)
-                    live = events(active)
-                    g = [ev.fn(t, y) for ev in live]
-                # a rejected member's (t1, y_new) is its (t, y): no crossing
-                g1 = [ev.fn(t1, y_new) for ev in live]
-                maybe = reduce(np.bitwise_or, map(_crossed, live, g, g1))
-                g = g1
-                scan = np.flatnonzero(maybe) if np.count_nonzero(maybe) else ()
-            else:
-                scan = (0,) if rk4 or ok[0] else ()
-            for i in scan:
-                j = active[i]
+        if p_death is not None:
+            # a rejected member's y_new is its y: no crossing
+            maybe = ((y[:2] > p_death) & (y_new[:2] <= p_death)).any(axis=0)
+            for i in np.flatnonzero(maybe) if maybe.any() else ():
                 if f_new is None:     # outcome-only rk4
                     f_new = rhs(tg + hs, y_new)
-                hit = _scan_events(events(j), t[i], y[:, i], f[:, i],
-                                   hs if rk4 else float(hs[i]), y_new[:, i],
-                                   f_new[:, i], hits[j])
+                hit = _locate(float(p_death[i]), t[i], y[:, i], f[:, i],
+                              hs if rk4 else float(hs[i]), y_new[:, i],
+                              f_new[:, i])
                 if hit is not None:
+                    j = active[i]
                     stop = np.zeros(active.size, bool) if stop is None else stop
-                    stop[i], status[j] = True, "event"
-                    t1[i], y_new[:, i] = hit
+                    stop[i], status[j], rows[j] = True, "event", hit[0]
+                    t1[i], y_new[:, i] = hit[1:]
             if dense and stop is not None:
                 f_new = np.where(stop, rhs(t1, y_new), f_new)
         if dense:
@@ -347,22 +301,22 @@ def _drive(rhs, y0, settings, t0=0.0, events=None, on_compact=None,
             leave(stop)
     if not dense:
         t_out[active], y_out[:, active] = t, y
-        return status, t_out, y_out, hits
+        return status, t_out, y_out, rows
     for j, why in enumerate(status):
         if why in _FAILURES:
             raise StiffnessError(
                 f"{_FAILURES[why]} at t={t_out[j]} (member {j})",
-                _trajectories(log, hits, status, [j])[0], j)
-    return _trajectories(log, hits, status, range(B))
+                _trajectories(log, rows, status, [j])[0], j)
+    return _trajectories(log, rows, status, range(B))
 
 
-def _trajectories(log, hits, status, members):
+def _trajectories(log, rows, status, members):
     """Each member's Trajectory, as views of the emptied, time-sorted log."""
     ids, ts, ys, fs = (np.concatenate(part, axis=-1) for part in zip(*log))
     log.clear()
     order = np.argsort(ids, kind="stable")       # stable keeps time order
     ids, ts, ys, fs = ids[order], ts[order], ys.T[order], fs.T[order]
-    return [Trajectory(ts[a:b], ys[a:b], fs[a:b], hits[j], status[j])
+    return [Trajectory(ts[a:b], ys[a:b], fs[a:b], rows[j], status[j])
             for j, (a, b) in zip(members, np.searchsorted(
                 ids, [(j, j + 1) for j in members]))]
 
@@ -407,12 +361,6 @@ class ScenarioOutcome:
     trajectory: Trajectory
 
 
-def _threshold_events(p_death):
-    """P2 then P1 falling through p_death; the order makes Blue win a tie."""
-    return [Event(fn=lambda t, y, i=i: y[i] - p_death, name=name, direction=-1)
-            for i, name in ((1, "red-extinct"), (0, "blue-extinct"))]
-
-
 def run_scenario(system, state0, settings: IntegratorSettings,
                  recon_T: float = 50.0,
                  p_death: float = 1e-4) -> ScenarioOutcome:
@@ -433,13 +381,12 @@ def run_scenario(system, state0, settings: IntegratorSettings,
         y = np.concatenate([y[:m], traj.y[-1]])
 
     traj = integrate(lambda t, yy: system.rhs(yy), y, settings,
-                     events=_threshold_events(p_death))
-    if traj.status == "event" and traj.events:
-        hit = traj.events[-1]
-        winner = "blue" if hit.name == "red-extinct" else "red"
-        return ScenarioOutcome(winner=winner, t_event=hit.t, trajectory=traj)
-    return ScenarioOutcome(winner="stalemate", t_event=settings.t_end,
-                           trajectory=traj)
+                     p_death=p_death)
+    if traj.extinct is None:
+        return ScenarioOutcome(winner="stalemate", t_event=settings.t_end,
+                               trajectory=traj)
+    return ScenarioOutcome(winner="blue" if traj.extinct else "red",
+                           t_event=traj.t[-1], trajectory=traj)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +410,12 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
     the last state.  ``on_compact(keep)`` slices arrays ``rhs`` captures.
     """
     p_death = np.broadcast_to(np.asarray(p_death, float), np.shape(y0)[1:])
-    status, t, y, hits = _drive(
+    status, t, y, rows = _drive(
         lambda t, yy: rhs(yy), y0,
         IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end),
-        events=lambda j: _threshold_events(p_death[j]),
-        on_compact=on_compact, dense=False)
-    winner = np.array([(1 if h[0].name == "red-extinct" else 2)
-                       if s == "event" else -1 if s in _FAILURES else 0
-                       for s, h in zip(status, hits)], dtype=int)
+        p_death=p_death, on_compact=on_compact, dense=False)
+    winner = np.array([2 - r if r is not None else -1 if s in _FAILURES
+                       else 0 for s, r in zip(status, rows)], dtype=int)
     return BatchOutcome(winner=winner, t_event=np.where(winner > 0, t, t_end),
                         y_final=y)
 

@@ -1,15 +1,96 @@
-"""Reference body of the batch runner: its own fixed-step RK4 loop with a
-threshold-crossing pre-check, a steady-state and finiteness check every
-``CHECK_EVERY`` steps, and compaction of decided members.
-``kuracomp.solver.integrate_batch`` must equal it bitwise in winner and
-t_event.  Its y_final of an event member is the end of the crossing step,
-where the runner reports the located crossing state."""
+"""Reference bodies of the event bisector and the batch runner.
+
+The bisector is the general event API the solver had before threshold
+crossings became its only event: scalar events g(t, y) of any direction,
+terminal or not, located one by one and ordered by time.
+``kuracomp.solver._locate`` must equal ``_scan_events(_threshold_events(p),
+...)`` bitwise in crossed row, t and y.
+
+The batch runner is its own fixed-step RK4 loop with a threshold-crossing
+pre-check, a steady-state and finiteness check every ``CHECK_EVERY`` steps,
+and compaction of decided members.  ``kuracomp.solver.integrate_batch`` must
+equal it bitwise in winner and t_event.  Its y_final of an event member is
+the end of the crossing step, where the runner reports the located crossing
+state."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from kuracomp.solver import (CHECK_EVERY, STEADY_TOL, BatchOutcome,
-                             _rk4_grid, _rk4_step, _scan_events,
-                             _threshold_events)
+from kuracomp.solver import (CHECK_EVERY, EVENT_TIME_TOL, STEADY_TOL,
+                             BatchOutcome, _hermite, _rk4_grid, _rk4_step)
+
+
+@dataclass
+class Event:
+    """Scalar event g(t, y); fires on a sign change of the given direction."""
+
+    fn: callable
+    name: str = "event"
+    direction: int = 0    # -1 falling, +1 rising, 0 any
+    terminal: bool = True
+
+
+@dataclass
+class EventHit:
+    name: str
+    t: float
+    y: np.ndarray
+
+
+def _scan_events(events, t0, y0, f0, h, y1, f1, hits):
+    """Record every event crossing in (t0, t0 + h]; return the first
+    terminal hit (t, y) or None.  Hits are ordered by time, ties by their
+    order in ``events``."""
+    found = []
+    for ev in events:
+        loc = _locate_event(ev, t0, y0, f0, h, y1, f1)
+        if loc is not None:
+            found.append((loc[0], loc[1], ev))
+    found.sort(key=lambda item: item[0])
+    for t_ev, y_ev, ev in found:
+        hits.append(EventHit(ev.name, t_ev, y_ev))
+        if ev.terminal:
+            return t_ev, y_ev
+    return None
+
+
+def _crossed(ev, g0, g1):
+    """Whether g went from g0 to g1 across zero in the event's direction
+    (elementwise): rising g0 < 0 <= g1, falling g0 > 0 >= g1."""
+    if ev.direction > 0:
+        return (g0 < 0) & (0 <= g1)
+    if ev.direction < 0:
+        return (g0 > 0) & (0 >= g1)
+    return ((g0 < 0) & (0 <= g1)) | ((g0 > 0) & (0 >= g1))
+
+
+def _locate_event(ev, t0, y0, f0, h, y1, f1):
+    """Bisection of the offset s in [0, h], a float, on the step's interpolant
+    down to |ds| <= 1e-9; a crossing is a sign change in (t0, t0 + h] in
+    the event's direction.  Returns (t0 + s, y(t0 + s)) or None."""
+    ga = ev.fn(t0, y0)
+    if not _crossed(ev, ga, ev.fn(t0 + h, y1)):
+        return None
+    a, b = 0.0, h
+    while (b - a) > EVENT_TIME_TOL:
+        m = 0.5 * (a + b)
+        gm = ev.fn(t0 + m, _hermite(y0, f0, h, y1, f1, m))
+        if gm == 0.0:
+            a = b = m
+            break
+        if np.sign(gm) == np.sign(ga):
+            a, ga = m, gm
+        else:
+            b = m
+    s = 0.5 * (a + b)
+    return t0 + s, _hermite(y0, f0, h, y1, f1, s)
+
+
+def _threshold_events(p_death):
+    """P2 then P1 falling through p_death; the order makes Blue win a tie."""
+    return [Event(fn=lambda t, y, i=i: y[i] - p_death, name=name, direction=-1)
+            for i, name in ((1, "red-extinct"), (0, "blue-extinct"))]
 
 
 def integrate_batch(rhs, y0, dt, t_end, p_death, *, on_compact=None):

@@ -230,6 +230,12 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
     ["basin", "-c", "simple-cs", "-o", "task.grid=[2.5,3]"],
     ["basin", "-c", "simple-cs", "-o", "task.grid=[0,3]"],
     ["simulate", "-c", "simple-cs", "-o", "task.n_sim=5"],
+    ["basin", "-c", "simple-cs", "-o", "task.n_sim=5", "-o", "task.grid=[2,2]",
+     "-o", "solver.t_end=5"],
+    ["basin", "-c", "simple-cs", "-o", "task.delta_resolution=3",
+     "-o", "task.grid=[2,2]", "-o", "solver.t_end=5"],
+    ["basin", "-c", "fig3b", "-o", "task.delta_resolution=3",
+     "-o", "task.grid=[2,2]", "-o", "solver.t_end=5"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -316,12 +322,12 @@ def _doe_task(draw, model):
         factors.append({"name": name, "lo": lo + a * (hi - lo),
                         "hi": lo + b * (hi - lo)})
     k_init = draw(st.integers(5, 6))   # below 5 the design anneals for seconds
+    policy = draw(st.sampled_from(["delta-star", "delta-grid"]))
     return {"type": "doe", "factors": factors, "k_init": k_init,
             "n_total": k_init + draw(st.integers(0, 2)),
             "grid": draw(st.sampled_from([[1, 1], [2, 2], [2, 3]])),
-            "phase_policy": draw(st.sampled_from(["delta-star",
-                                                  "delta-grid"])),
-            "delta_resolution": 2}
+            "phase_policy": policy,
+            **({"delta_resolution": 2} if policy == "delta-grid" else {})}
 
 
 @pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced"])

@@ -71,6 +71,23 @@ def test_design_annealing_stops_where_the_target_is_out_of_reach(monkeypatch):
         assert rngs[-1].integer_calls <= 3 * 256
 
 
+def test_design_annealing_leaves_coarse_plateaus(monkeypatch):
+    # at k = 4 and 6 one swap moves a correlation by 0.2 and 0.057; these
+    # seeds used to sit at |corr| 0.2 and 0.086 for all MAX_PROPOSALS
+    rngs = []
+    substream = doe.substream
+
+    def counting_substream(*key):
+        rngs.append(_CountingRng(substream(*key)))
+        return rngs[-1]
+
+    monkeypatch.setattr(doe, "substream", counting_substream)
+    for k, seed in ((4, 3), (6, 0)):
+        dm = doe.build_design(2, k, [(0.0, 1.0)] * 2, seed=seed)
+        assert dm.max_abs_corr <= doe.CORR_TARGET
+        assert rngs[-1].integer_calls <= 3 * 4096
+
+
 def test_kde_peak_at_single_sample():
     dens = doe.kde_density(np.array([0.5]), 0.1)
     xs = np.linspace(0, 1, 201)

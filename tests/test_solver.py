@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 import batch_oracle
 from kuracomp import analysis, graphs, models, solver
 from kuracomp.models import CentroidCoupling, ModelConfig
-from kuracomp.solver import Event, IntegratorSettings
+from kuracomp.solver import IntegratorSettings
 
 
 def test_exponential_decay():
@@ -76,22 +76,22 @@ def test_dense_output_accuracy():
 
 
 def test_event_location_precision():
-    # dt_max bounds the dense-output error; the bisection window is 1e-9
+    # dt_max bounds the dense-output error; the bisection window is 1e-9.
+    # Row 0 decays to 0.5 at ln 2, row 1 only at ln 4.
     st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=5.0, dt_max=0.05)
-    ev = Event(fn=lambda t, y: y[0] - 0.5, name="half", direction=-1)
-    traj = solver.integrate(lambda t, y: -y, np.array([1.0]), st, events=[ev])
-    assert traj.status == "event"
-    assert abs(traj.events[0].t - np.log(2)) < 1e-6
+    traj = solver.integrate(lambda t, y: -y, np.array([1.0, 2.0]), st,
+                            p_death=0.5)
+    assert traj.status == "event" and traj.extinct == 0
+    assert abs(traj.t[-1] - np.log(2)) < 1e-6
 
 
 def test_event_monotone_in_threshold():
     st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=20.0)
     times = []
     for thr in (1e-2, 1e-3, 1e-4):
-        ev = Event(fn=lambda t, y, c=thr: y[0] - c, name="thr", direction=-1)
-        traj = solver.integrate(lambda t, y: -y, np.array([1.0]), st,
-                                events=[ev])
-        times.append(traj.events[0].t)
+        traj = solver.integrate(lambda t, y: -y, np.array([1.0, 2.0]), st,
+                                p_death=thr)
+        times.append(traj.t[-1])
     assert times[0] < times[1] < times[2]
 
 
@@ -236,17 +236,17 @@ def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
     rhs, on_compact = models._member_rhs("simple-reduced", cfg,
                                          CentroidCoupling.from_config(cfg))
     calls, crossing_steps = [0], set()
-    scan = solver._scan_events
+    locate = solver._locate
 
     def counting(y):
         calls[0] += 1
         return rhs(y)
 
-    def spy(events, t, *args):
+    def spy(p, t, *args):
         crossing_steps.add(t)
-        return scan(events, t, *args)
+        return locate(p, t, *args)
 
-    monkeypatch.setattr(solver, "_scan_events", spy)
+    monkeypatch.setattr(solver, "_locate", spy)
     out = solver.integrate_batch(counting, y0, 0.05, 30.0, cfg.P_D,
                                  on_compact=on_compact)
     assert len(crossing_steps) == 3
@@ -296,12 +296,12 @@ def test_rk4_trajectory_equals_batch_member():
     # row, the located crossing state, in a batch beside a horizon member
     p_death = 0.05
     traj = solver.integrate(lambda t, y: system.rhs(y), y0, st,
-                            events=solver._threshold_events(p_death))
-    assert traj.status == "event"
+                            p_death=p_death)
+    assert traj.status == "event" and traj.extinct == 1
     out = solver.integrate_batch(system.rhs, np.stack([y0, y0], axis=1),
                                  0.01, 10.0, np.array([p_death, -np.inf]))
     assert out.winner.tolist() == [1, 0]
-    assert out.t_event[0] == traj.t[-1] == traj.events[0].t
+    assert out.t_event[0] == traj.t[-1]
     assert np.array_equal(out.y_final[:, 0], traj.y[-1])
 
 
@@ -335,26 +335,16 @@ def test_batch_columns_equal_single_member_runs(model, data):
         np.testing.assert_array_equal(one.y_final[:, 0], batch.y_final[:, b])
 
 
-@pytest.mark.parametrize("direction", [0, 1])
-def test_event_on_step_boundary_recorded_once(direction):
-    # y reaches 0 exactly at t = 0.5, the end of the second step
+@pytest.mark.parametrize("row", [0, 1])
+def test_event_on_step_boundary_recorded_once(row):
+    # the row reaches P_D = 0 exactly at t = 0.5, the end of the second
+    # step; the other row stays above it
     st = IntegratorSettings(method="rk4", dt_init=0.25, t_end=1.0)
-    ev = Event(fn=lambda t, y: y[0], name="zero", direction=direction,
-               terminal=False)
-    traj = solver.integrate(lambda t, y: np.ones(1), np.array([-0.5]), st,
-                            events=[ev])
-    assert len(traj.events) == 1
-    assert traj.events[0].t == pytest.approx(0.5, abs=1e-9)
-
-
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
-def test_rising_event_ignores_falling_start_on_zero(method):
-    st = IntegratorSettings(method=method, dt_init=0.1, t_end=1.0)
-    ev = Event(fn=lambda t, y: y[0], name="rise", direction=1)
-    traj = solver.integrate(lambda t, y: -np.ones(1), np.array([0.0]), st,
-                            events=[ev])
-    assert traj.status == "completed" and not traj.events
-    assert traj.t[-1] == pytest.approx(1.0)
+    y0 = np.full(2, 1.0)
+    y0[row] = 0.5
+    traj = solver.integrate(lambda t, y: -np.ones(2), y0, st, p_death=0.0)
+    assert traj.extinct == row and len(traj.t) == 3
+    assert traj.t[-1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_trajectory_csv_headers(tmp_path):
@@ -400,9 +390,8 @@ def _member_runs(model, cfg, y0, st):
     the j-th value of each array field of ``cfg``."""
     rhs, on_compact = models._member_rhs(
         model, cfg, models.CentroidCoupling.from_config(cfg))
-    p_death = np.broadcast_to(cfg.P_D, y0.shape[1:])
     return solver._drive(lambda t, y: rhs(y), y0, st,
-                         events=lambda j: solver._threshold_events(p_death[j]),
+                         p_death=np.broadcast_to(cfg.P_D, y0.shape[1:]),
                          on_compact=on_compact)
 
 
@@ -439,15 +428,11 @@ def test_driver_members_equal_their_single_runs(model, data):
         cj = models._take(cfg, j)
         rhs = models.build_system(model, cj).rhs
         one = solver.integrate(lambda t, y: rhs(y), y0[:, j], st,
-                               events=solver._threshold_events(cj.P_D))
-        assert got.status == one.status
+                               p_death=cj.P_D)
+        assert (got.status, got.extinct) == (one.status, one.extinct)
         assert len(got.t) == len(one.t)
         for a, b in ((got.t, one.t), (got.y, one.y), (got.f, one.f)):
             np.testing.assert_array_equal(a, b)
-        assert [(h.name, h.t) for h in got.events] == \
-            [(h.name, h.t) for h in one.events]
-        for a, b in zip(got.events, one.events):
-            np.testing.assert_array_equal(a.y, b.y)
 
 
 def test_stiffness_inside_a_batch_names_the_member():
@@ -560,6 +545,52 @@ def test_batch_runner_equals_its_oracle_on_a_full_variant():
     want = batch_oracle.integrate_batch(system.rhs, y0, 0.02, 20.0, p_death)
     assert (got.winner > 0).any()
     _assert_equal_outcomes(got, want)
+
+
+# a state or slope entry: finite, zero or not finite
+_ENTRY = hst.one_of(hst.floats(-2.0, 2.0),
+                    hst.sampled_from([0.0, np.nan, np.inf, -np.inf]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=hst.data())
+def test_locator_equals_the_event_oracle(data):
+    """The threshold locator gives the general event bisector's first
+    terminal hit on the two threshold events, bitwise in row, t and y: over
+    steps of the RK4 grid's h or any RK45 h, rows that fall through p_death
+    (one, both, or both identically: a tie) and non-finite entries."""
+    B = data.draw(hst.integers(1, 3))
+    dim = data.draw(hst.integers(2, 3))
+    h = data.draw(hst.one_of(hst.sampled_from([0.01, 0.02, 0.05]),
+                             hst.floats(1e-6, 2.0)))
+    t0 = data.draw(hst.floats(0.0, 100.0))
+    # -inf: the batch runner's "no threshold"
+    p_death = [data.draw(hst.one_of(hst.floats(-1.0, 1.0), hst.just(-np.inf)))
+               for _ in range(B)]
+    for p in p_death:
+        rows = []
+        for _ in range(dim):
+            if data.draw(hst.booleans()):         # falls through p
+                ya = p + data.draw(hst.floats(0.0, 1.0))
+                yb = p - data.draw(hst.floats(0.0, 1.0))
+            else:
+                ya, yb = data.draw(_ENTRY), data.draw(_ENTRY)
+            rows.append([ya, data.draw(_ENTRY), yb, data.draw(_ENTRY)])
+        if data.draw(hst.booleans()):
+            rows[1] = rows[0]                     # an exact tie
+        y0, f0, y1, f1 = np.array(rows).T
+        hits = []
+        with np.errstate(all="ignore"):
+            want = batch_oracle._scan_events(
+                batch_oracle._threshold_events(p), t0, y0, f0, h, y1, f1,
+                hits)
+            got = solver._locate(p, t0, y0, f0, h, y1, f1)
+        if want is None:
+            assert got is None
+            continue
+        assert got[0] == (1 if hits[0].name == "red-extinct" else 0)
+        assert got[1].hex() == want[0].hex()
+        assert got[2].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
