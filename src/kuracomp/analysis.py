@@ -11,14 +11,16 @@ Fixed points of the reduced two-population variants come from their printed
 closed forms; the interior points couple Delta* back through the C/S
 coefficients and are resolved by damped fixed-point iteration (Newton
 fallback).  The interior points of the ecology variant are the roots of a
-cubic in P2, evaluated through the Cardano-style cube-root expressions.  An
-interior point is kept only when the right-hand side vanishes there to
-RESIDUAL_GATE, after a Newton polish where the iteration alone misses it.
+cubic in P2, evaluated through the Cardano-style cube-root expressions.  One
+driver serves both variants: an interior point is kept only when the
+right-hand side vanishes there to RESIDUAL_GATE, after a Newton polish where
+the iteration alone misses it, and its status describes the reported point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +38,6 @@ __all__ = [
     "simple_fixed_points",
     "eco2_fixed_points",
     "fd_jacobian",
-    "jacobian",
     "eigenvalues",
     "simple_reduced_jacobian",
     "eco2_reduced_jacobian",
@@ -219,22 +220,17 @@ def classify(eigs) -> str:
     return "stable" if np.all(re < 0) else "unstable"
 
 
-def jacobian(variant: str, state, cfg: ModelConfig,
-             coupling: CentroidCoupling) -> np.ndarray:
-    """Finite-difference Jacobian of a reduced variant at ``state``."""
-    system = build_system(variant, cfg, coupling=coupling)
-    if not system.reduced:
-        raise ValueError("jacobian() supports reduced variants")
-    return fd_jacobian(system.rhs, state)
+def _delta_row(P1, P2, d, cfg, coupling):
+    co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
+    return [coupling.g21 * np.sin(cfg.psi + d),
+            coupling.g12 * np.sin(d - cfg.phi),
+            -co.S * np.sin(d) - co.C * np.cos(d)]
 
 
 def simple_reduced_jacobian(state, cfg: ModelConfig,
                             coupling: CentroidCoupling) -> np.ndarray:
     """Hand-coded Jacobian of the reduced two-population model."""
     P1, P2, d = state
-    g1, g2 = coupling.g12, coupling.g21
-    phi, psi = cfg.phi, cfg.psi
-    co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
     sd, cd = np.sin(d), np.cos(d)
     return np.array([
         [cfg.r1 * (1 - 2 * P1) - 0.5 * cfg.beta2 * P2 * (2 - sd),
@@ -243,8 +239,7 @@ def simple_reduced_jacobian(state, cfg: ModelConfig,
         [-0.5 * cfg.beta1 * P2 * (2 + sd),
          cfg.r2 * (1 - 2 * P2) - 0.5 * cfg.beta1 * P1 * (2 + sd),
          -0.5 * cfg.beta1 * P1 * P2 * cd],
-        [g2 * np.sin(psi + d), g1 * np.sin(d - phi),
-         -co.S * sd - co.C * cd],
+        _delta_row(P1, P2, d, cfg, coupling),
     ])
 
 
@@ -252,9 +247,6 @@ def eco2_reduced_jacobian(state, cfg: ModelConfig,
                           coupling: CentroidCoupling) -> np.ndarray:
     """Hand-coded Jacobian of the reduced nondimensional ecology model."""
     P1, P2, d = state
-    g1, g2 = coupling.g12, coupling.g21
-    phi, psi = cfg.phi, cfg.psi
-    co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
     sd, cd = np.sin(d), np.cos(d)
     a, t = cfg.alpha, cfg.tau
     den_a = 1 + a * P2
@@ -266,11 +258,8 @@ def eco2_reduced_jacobian(state, cfg: ModelConfig,
     j21 = -cfg.beta1 * P2 * (sd + 2) / (2 * den_h)
     j22 = cfg.r2 * (1 - 2 * P2) - cfg.beta1 * P1 * (sd + 2) / (2 * den_h ** 2)
     j23 = -cfg.beta1 * P1 * P2 * cd / (2 * den_h)
-    return np.array([
-        [j11, j12, j13],
-        [j21, j22, j23],
-        [g2 * np.sin(psi + d), g1 * np.sin(d - phi), -co.S * sd - co.C * cd],
-    ])
+    return np.array([[j11, j12, j13], [j21, j22, j23],
+                     _delta_row(P1, P2, d, cfg, coupling)])
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +281,11 @@ class FixedPointRecord:
         return float(np.max(np.real(self.eigenvalues)))
 
 
-def _make_record(label, state, rhs, jac_fn, physical=True) -> FixedPointRecord:
+def _make_record(label, state, rhs, jac_fn) -> FixedPointRecord:
     state = np.asarray(state, dtype=float)
     residual = float(np.max(np.abs(rhs(state))))
     eigs = eigenvalues(jac_fn(state))
+    physical = np.all((state[:2] >= -1e-12) & (state[:2] <= 1 + 1e-12))
     return FixedPointRecord(
         label=label, state=state, eigenvalues=eigs,
         classification=classify(eigs), residual=residual,
@@ -305,83 +295,6 @@ def _make_record(label, state, rhs, jac_fn, physical=True) -> FixedPointRecord:
 def _delta_at(cfg, coupling, P1, P2):
     co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
     return delta_star(co.C, co.S, cfg.mu)
-
-
-def simple_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
-                        diagnostics: list = None) -> list:
-    """FP1..FP4 of the reduced two-population model.
-
-    FP1 = (1, 0), FP2 = (0, 1), FP3 = (0, 0) take Delta* directly from the
-    centroid fixed point at their feedback values; the interior FP4 solves
-    the coupled (P1, P2, Delta) system by damped fixed-point iteration
-    (damping 0.5, tolerance 1e-12, <= 1e4 iterations) with a Newton
-    fallback.  Candidates whose centroid equation has no fixed point
-    (complex sqrt(K)) are skipped with a diagnostic.
-    """
-    if coupling is None:
-        coupling = CentroidCoupling.from_config(cfg)
-    notes = diagnostics if diagnostics is not None else []
-    fr = _frustration(cfg)
-    rhs = lambda s: simple_reduced_rhs(s, cfg, coupling, fr)
-    jac = lambda s: simple_reduced_jacobian(s, cfg, coupling)
-    records = []
-    for label, (p1, p2) in (("FP1", (1.0, 0.0)), ("FP2", (0.0, 1.0)),
-                            ("FP3", (0.0, 0.0))):
-        d = _delta_at(cfg, coupling, p1, p2)
-        if d is None:
-            notes.append(f"{label}: no centroid fixed point (K < 0)")
-            continue
-        records.append(_make_record(label, (p1, p2, d), rhs, jac))
-
-    fp4 = _solve_simple_fp4(cfg, coupling, rhs, notes)
-    if fp4 is not None:
-        physical = bool(np.all((fp4[:2] >= -1e-12) & (fp4[:2] <= 1 + 1e-12)))
-        records.append(_make_record("FP4", fp4, rhs, jac, physical=physical))
-    return records
-
-
-def _simple_fp4_map(cfg, delta):
-    sd = np.sin(delta)
-    den = 4 * cfg.r1 * cfg.r2 + cfg.beta1 * cfg.beta2 * (sd ** 2 - 4)
-    if abs(den) < 1e-14:
-        return None
-    p1 = 2 * cfg.r2 * (2 * cfg.r1 + cfg.beta2 * sd - 2 * cfg.beta2) / den
-    p2 = 2 * cfg.r1 * (2 * cfg.r2 - cfg.beta1 * sd - 2 * cfg.beta1) / den
-    return p1, p2
-
-
-def _solve_simple_fp4(cfg, coupling, rhs, notes):
-    d = _delta_at(cfg, coupling, 0.5, 0.5)
-    if d is None:
-        d = 0.0
-    pm = _simple_fp4_map(cfg, d)
-    if pm is None:
-        notes.append("FP4: singular denominator")
-        return None
-    p1, p2 = pm
-    for _ in range(_FP_MAX_ITER):
-        pm = _simple_fp4_map(cfg, d)
-        if pm is None:
-            notes.append("FP4: singular denominator during iteration")
-            return None
-        p1_new = p1 + _DAMPING * (pm[0] - p1)
-        p2_new = p2 + _DAMPING * (pm[1] - p2)
-        d_tgt = _delta_at(cfg, coupling, p1_new, p2_new)
-        if d_tgt is None:
-            notes.append("FP4: centroid fixed point vanished during iteration")
-            return None
-        d_new = d + _DAMPING * (d_tgt - d)
-        change = max(abs(p1_new - p1), abs(p2_new - p2), abs(d_new - d))
-        p1, p2, d = p1_new, p2_new, d_new
-        if change < _FP_TOL:
-            break
-    state = np.array([p1, p2, d])
-    if np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
-        state = _newton_polish(rhs, state)
-        if state is None or np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
-            notes.append("FP4: iteration did not converge")
-            return None
-    return state
 
 
 def _newton_polish(rhs, state):
@@ -398,6 +311,40 @@ def _newton_polish(rhs, state):
         if not np.all(np.isfinite(x)):
             return None
     return x
+
+
+def _simple_fp4_map(cfg, delta):
+    sd = np.sin(delta)
+    den = 4 * cfg.r1 * cfg.r2 + cfg.beta1 * cfg.beta2 * (sd ** 2 - 4)
+    if abs(den) < 1e-14:
+        return None
+    p1 = 2 * cfg.r2 * (2 * cfg.r1 + cfg.beta2 * sd - 2 * cfg.beta2) / den
+    p2 = 2 * cfg.r1 * (2 * cfg.r2 - cfg.beta1 * sd - 2 * cfg.beta1) / den
+    return p1, p2
+
+
+def _solve_simple_fp4(cfg, coupling, d, notes, label):
+    p1 = p2 = None
+    for _ in range(_FP_MAX_ITER):
+        pm = _simple_fp4_map(cfg, d)
+        if pm is None:
+            during = "" if p1 is None else " during iteration"
+            notes.append(f"{label}: singular denominator{during}")
+            return None
+        if p1 is None:
+            p1, p2 = pm
+        p1_new = p1 + _DAMPING * (pm[0] - p1)
+        p2_new = p2 + _DAMPING * (pm[1] - p2)
+        d_tgt = _delta_at(cfg, coupling, p1_new, p2_new)
+        if d_tgt is None:
+            notes.append(f"{label}: centroid fixed point vanished during iteration")
+            return None
+        d_new = d + _DAMPING * (d_tgt - d)
+        change = max(abs(p1_new - p1), abs(p2_new - p2), abs(d_new - d))
+        p1, p2, d = p1_new, p2_new, d_new
+        if change < _FP_TOL:
+            break
+    return np.array([p1, p2, d])
 
 
 # -- ecology variant --------------------------------------------------------
@@ -466,50 +413,7 @@ def eco2_back_substitute(cfg: ModelConfig, p2, delta):
     return cfg.r2 / (cfg.beta1 * dlt) * (1.0 - p2) * (1.0 + cfg.tau * cfg.beta1 * p2)
 
 
-def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
-                      diagnostics: list = None) -> list:
-    """FP1..FP5 of the reduced nondimensional ecology model.
-
-    FP1: (0, 0); FP2: (0, 1); FP3-FP5: interior candidates from the cubic
-    closed forms, Delta* coupled through damped fixed-point iteration.
-    Roots with |Im| > 1e-8 are rejected; real roots outside [0, 1] (in
-    either population) are recorded with status "outside-range".
-    """
-    if coupling is None:
-        coupling = CentroidCoupling.from_config(cfg)
-    notes = diagnostics if diagnostics is not None else []
-    fr = _frustration(cfg)
-    rhs = lambda s: eco2_reduced_rhs(s, cfg, coupling, fr)
-    jac = lambda s: eco2_reduced_jacobian(s, cfg, coupling)
-    records = []
-    for label, (p1, p2) in (("FP1", (0.0, 0.0)), ("FP2", (0.0, 1.0))):
-        d = _delta_at(cfg, coupling, p1, p2)
-        if d is None:
-            notes.append(f"{label}: no centroid fixed point (K < 0)")
-            continue
-        records.append(_make_record(label, (p1, p2, d), rhs, jac))
-
-    d_init = _delta_at(cfg, coupling, 0.5, 0.5)
-    if d_init is None:
-        d_init = 0.0
-    for k, label in enumerate(("FP3", "FP4", "FP5")):
-        sol = _solve_eco2_interior(cfg, coupling, k, d_init, notes, label)
-        if sol is None:
-            continue
-        state, physical = sol
-        if np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
-            polished = _newton_polish(rhs, state)
-            if polished is not None and np.max(np.abs(rhs(polished))) <= RESIDUAL_GATE:
-                state = polished
-            else:
-                notes.append(f"{label}: residual gate failed")
-                continue
-        records.append(_make_record(label, state, rhs, jac, physical=physical))
-    return records
-
-
-def _solve_eco2_interior(cfg, coupling, branch, d_init, notes, label):
-    d = d_init
+def _solve_eco2_interior(cfg, coupling, d, notes, label, branch):
     p2 = None
     for _ in range(_FP_MAX_ITER):
         roots = eco2_cubic_roots(cfg, d)
@@ -529,12 +433,79 @@ def _solve_eco2_interior(cfg, coupling, branch, d_init, notes, label):
         d = d_new
         if change < _FP_TOL:
             break
-    p1 = float(eco2_back_substitute(cfg, p2, d))
-    physical = bool(0.0 - 1e-12 <= p2 <= 1.0 + 1e-12
-                    and 0.0 - 1e-12 <= p1 <= 1.0 + 1e-12)
-    if not physical:
-        notes.append(f"{label}: outside physical range (P1={p1:.4g}, P2={p2:.4g})")
-    return np.array([p1, p2, d]), physical
+    return np.array([float(eco2_back_substitute(cfg, p2, d)), p2, d])
+
+
+def _fixed_points(reduced_rhs, jacobian, boundary, interior, cfg, coupling,
+                  diagnostics):
+    """One variant's fixed points from its rhs, its Jacobian, its boundary
+    points as (label, (P1, P2)) and its interior solvers as (label, fn).
+    The public entries look the rhs up per call: perfbench wraps its name."""
+    if coupling is None:
+        coupling = CentroidCoupling.from_config(cfg)
+    notes = diagnostics if diagnostics is not None else []
+    fr = _frustration(cfg)
+    rhs = lambda s: reduced_rhs(s, cfg, coupling, fr)
+    jac = lambda s: jacobian(s, cfg, coupling)
+    records = []
+    for label, (p1, p2) in boundary:
+        d = _delta_at(cfg, coupling, p1, p2)
+        if d is None:
+            notes.append(f"{label}: no centroid fixed point (K < 0)")
+            continue
+        records.append(_make_record(label, (p1, p2, d), rhs, jac))
+
+    d_init = _delta_at(cfg, coupling, 0.5, 0.5)
+    if d_init is None:
+        d_init = 0.0
+    for label, solve in interior:
+        state = solve(cfg, coupling, d_init, notes, label)
+        if state is None:
+            continue
+        if np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
+            state = _newton_polish(rhs, state)
+            if state is None or np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
+                notes.append(f"{label}: residual gate failed")
+                continue
+        rec = _make_record(label, state, rhs, jac)
+        if rec.status == "outside-range":
+            notes.append(f"{label}: outside physical range "
+                         f"(P1={state[0]:.4g}, P2={state[1]:.4g})")
+        records.append(rec)
+    return records
+
+
+def simple_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
+                        diagnostics: list = None) -> list:
+    """FP1..FP4 of the reduced two-population model.
+
+    FP1 = (1, 0), FP2 = (0, 1), FP3 = (0, 0) take Delta* directly from the
+    centroid fixed point at their feedback values; the interior FP4 solves
+    the coupled (P1, P2, Delta) system by damped fixed-point iteration
+    (damping 0.5, tolerance 1e-12, <= 1e4 iterations) with a Newton
+    fallback.  Candidates whose centroid equation has no fixed point
+    (complex sqrt(K)) are skipped with a diagnostic.
+    """
+    return _fixed_points(
+        simple_reduced_rhs, simple_reduced_jacobian,
+        (("FP1", (1.0, 0.0)), ("FP2", (0.0, 1.0)), ("FP3", (0.0, 0.0))),
+        (("FP4", _solve_simple_fp4),), cfg, coupling, diagnostics)
+
+
+def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
+                      diagnostics: list = None) -> list:
+    """FP1..FP5 of the reduced nondimensional ecology model.
+
+    FP1: (0, 0); FP2: (0, 1); FP3-FP5: interior candidates from the cubic
+    closed forms, Delta* coupled through damped fixed-point iteration.
+    Roots with |Im| > 1e-8 are rejected; real roots outside [0, 1] (in
+    either population) are recorded with status "outside-range".
+    """
+    return _fixed_points(
+        eco2_reduced_rhs, eco2_reduced_jacobian,
+        (("FP1", (0.0, 0.0)), ("FP2", (0.0, 1.0))),
+        [(f"FP{3 + k}", partial(_solve_eco2_interior, branch=k))
+         for k in range(3)], cfg, coupling, diagnostics)
 
 
 # ---------------------------------------------------------------------------

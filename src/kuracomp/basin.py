@@ -81,18 +81,6 @@ class BasinResult:
     n_evaluated: int
     n_failed: int
 
-    def boundary_fraction(self) -> float:
-        """Fraction of cells adjacent (4-neighbourhood) to a cell whose
-        Blue-win value differs by at least 0.5 — an empirical bound on how
-        much a 2x grid refinement can move the basin value."""
-        g = self.per_cell
-        edge = np.zeros_like(g, dtype=bool)
-        edge[:-1, :] |= np.abs(g[:-1, :] - g[1:, :]) >= 0.5
-        edge[1:, :] |= np.abs(g[1:, :] - g[:-1, :]) >= 0.5
-        edge[:, :-1] |= np.abs(g[:, :-1] - g[:, 1:]) >= 0.5
-        edge[:, 1:] |= np.abs(g[:, 1:] - g[:, :-1]) >= 0.5
-        return float(edge.mean())
-
 
 def _cell_centres(resolution, hi):
     """Cell centres over [0, hi]; hi may hold one value per point."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -434,7 +435,6 @@ def main(argv=None) -> int:
         prog="kuracomp",
         description="coupled decision/competition dynamics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_parsers = {}
     for name in TASK_TYPES:
         p = sub.add_parser(name, help=f"run a {name} task")
         p.add_argument("--config", "-c", required=True,
@@ -443,19 +443,16 @@ def main(argv=None) -> int:
                        metavar="K=V", help="dotted-path config override")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--jobs", "-j", type=int, default=None,
-                       help="worker processes for grid tasks "
-                            "(default: logical cores)")
-        p.add_argument("--svg", action="store_true",
-                       help="emit a minimal SVG heatmap rendering")
-        run_parsers[name] = p
+        if name == "heatmap":
+            p.add_argument("--jobs", "-j", type=int,
+                           default=os.cpu_count() or 1,
+                           help="worker processes for full-variant heatmaps "
+                                "(default: logical cores)")
+            p.add_argument("--svg", action="store_true",
+                           help="emit a minimal SVG heatmap rendering")
     sub.add_parser("presets", help="list shipped configuration presets")
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and args.command != "presets":
-        import os
-
-        args.jobs = os.cpu_count() or 1
     if args.command == "presets":
         for name in preset_names():
             print(name)
@@ -464,8 +461,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = apply_overrides(config, args.override)
         config.setdefault("task", {})["type"] = args.command
+        heatmap = ({"jobs": args.jobs, "svg": args.svg}
+                   if args.command == "heatmap" else {})
         summary = run_config(config, out_dir=args.out, seed=args.seed,
-                             jobs=args.jobs, svg=args.svg)
+                             **heatmap)
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,7 @@ __all__ = [
 
 CORR_TARGET = 0.05       # design annealing stops at this max |correlation|
 MAX_PROPOSALS = 200_000  # design annealing swap budget
+STALL_PROPOSALS = 4096   # ... or after this many without a lower energy
 KAPPA = 2.0              # UCB exploration weight
 N_STARTS = 64            # acquisition multi-start seeds
 N_ASCENT = 60            # acquisition ascent iterations
@@ -87,7 +88,10 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
         # anneal on the sum of squared pair correlations (smooth energy),
         # stopping once the max |corr| reaches the target, or its floor for
         # k = 3: two columns of three levels correlate at +-0.5 unless one is
-        # the other or its reverse (|corr| 1), which no four columns avoid
+        # the other or its reverse (|corr| 1), which no four columns avoid.
+        # Other floors above the target (0.4 at (d, k) = (3, 4), 0.2 at
+        # (4, 5)) end the run once the lowest energy seen has not fallen for
+        # STALL_PROPOSALS and the current design is back at it.
         centred = levels - levels.mean(axis=0)
         norm = np.sqrt((centred ** 2).sum(axis=0))
         corr = (centred.T @ centred) / np.outer(norm, norm)
@@ -101,9 +105,16 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
         s = 12 / (k * (k * k - 1))
         temp = max(1e-3, 4 * s * s) if k > 3 else 1e-3
         cool = np.exp(np.log(1e-4) / MAX_PROPOSALS)   # decay to temp*1e-4
+        best, best_it = np.inf, 0
         for it in range(MAX_PROPOSALS):
-            if it % 256 == 0 and float(np.abs(corr).max()) <= target:
-                break
+            if it % 256 == 0:
+                if float(np.abs(corr).max()) <= target:
+                    break
+                energy = float((corr ** 2).sum())
+                if energy < best - 1e-9:             # + rounding slack
+                    best, best_it = energy, it
+                elif energy <= best + 1e-9 and it - best_it >= STALL_PROPOSALS:
+                    break
             col = rng.integers(d)
             a, b = rng.integers(k), rng.integers(k)
             if a == b:

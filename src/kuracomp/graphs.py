@@ -54,10 +54,6 @@ class Graph:
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for (u, v) in self.edges:
@@ -71,24 +67,6 @@ class Graph:
             d[u] += 1
             d[v] += 1
         return d
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        nbr = [[] for _ in range(self.n)]
-        for (u, v) in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for w in nbr[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return bool(seen.all())
 
 
 @dataclass(frozen=True)

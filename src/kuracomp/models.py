@@ -155,11 +155,6 @@ class CentroidCoeffs:
     S: float
     mu: float
 
-    @property
-    def K_disc(self):
-        """The discriminant K = C^2 + S^2 - mu^2."""
-        return self.C * self.C + self.S * self.S - self.mu ** 2
-
 
 def centroid_coeffs(cfg: ModelConfig, coupling: CentroidCoupling, H1, H2) -> CentroidCoeffs:
     """First-order phase-reduction coefficients.

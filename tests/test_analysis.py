@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from fixed_point_oracles import ORACLES
 from kuracomp import analysis, models, solver
 from kuracomp.models import CentroidCoupling, ModelConfig, centroid_coeffs
 from kuracomp.solver import IntegratorSettings
@@ -230,6 +233,133 @@ def test_eco2_back_substitution_formula():
 
 
 # ---------------------------------------------------------------------------
+# the shared fixed-point driver against the two pre-merge drivers
+# ---------------------------------------------------------------------------
+
+_FIXED_POINTS = {"simple-reduced": analysis.simple_fixed_points,
+                 "eco2-reduced": analysis.eco2_fixed_points}
+
+_NO_CENTROID_FP = dict(mu=3.0)            # K < 0 at every feedback value
+# FP4's denominator 4 r1 r2 + beta1 beta2 (sin^2 - 4) vanishes at the seed
+# Delta* = 0
+_SINGULAR_FP4 = dict(r1=2.0, r2=3.0, beta1=2.0, beta2=3.0, mu=0.0, phi=0.0,
+                     psi=0.0)
+# the damped FP5 lies outside [0, 1]; the polish lands on P = (0, 0)
+_POLISHED_INTO_RANGE = dict(r1=0.1538, r2=3.232, beta1=2.3163, beta2=4.7803,
+                            alpha=0.975, tau=0.9485, x1=0.9841, mu=0.0596,
+                            phi=2.5321, psi=1.6886, gamma1=0.2379,
+                            gamma2=0.432)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _in_range(state):
+    return bool(np.all((state[:2] >= -1e-12) & (state[:2] <= 1 + 1e-12)))
+
+
+def _assert_status_describes_state(records, notes):
+    for rec in records:
+        assert rec.status == ("verified" if _in_range(rec.state)
+                              else "outside-range")
+        note = (f"{rec.label}: outside physical range "
+                f"(P1={rec.state[0]:.4g}, P2={rec.state[1]:.4g})")
+        assert (note in notes) == (rec.status == "outside-range")
+
+
+def _assert_equals_oracle(variant, cfg, coupling):
+    want_notes, got_notes = [], []
+    want = ORACLES[variant](cfg, coupling, want_notes)
+    got = _FIXED_POINTS[variant](cfg, coupling, got_notes)
+    assert [r.label for r in got] == [r.label for r in want]
+    for g, w in zip(got, want):
+        assert _bits(g.state) == _bits(w.state)
+        assert _bits(g.eigenvalues) == _bits(w.eigenvalues)
+        assert _bits(g.residual) == _bits(w.residual)
+        assert g.classification == w.classification
+        # the oracle's eco2 status may describe the iterate before the polish
+        if w.status == ("verified" if _in_range(w.state) else "outside-range"):
+            assert g.status == w.status
+    _assert_status_describes_state(got, got_notes)
+
+    def shared(notes):      # the range notes now quote the reported state
+        return [n.replace("iteration did not converge", "residual gate failed")
+                for n in notes if "outside physical range" not in n]
+
+    assert shared(got_notes) == shared(want_notes)
+    return got_notes
+
+
+@hst.composite
+def _fixed_point_problems(draw):
+    u = lambda lo, hi: draw(hst.floats(lo, hi))
+    cfg = ModelConfig(r1=u(0.1, 4.0), r2=u(0.1, 4.0), beta1=u(0.1, 8.0),
+                      beta2=u(0.1, 8.0), alpha=u(0.5, 25.0), tau=u(0.1, 2.0),
+                      x1=u(0.0, 0.5), mu=u(-1.5, 1.5), phi=u(-np.pi, np.pi),
+                      psi=u(-np.pi, np.pi))
+    coupling = CentroidCoupling(g12=u(0.0, 2.0), g21=u(0.0, 2.0))
+    return cfg, coupling
+
+
+@pytest.mark.parametrize("variant", ["simple-reduced", "eco2-reduced"])
+@settings(max_examples=150)
+@given(problem=_fixed_point_problems())
+def test_fixed_points_equal_the_oracle(variant, problem):
+    _assert_equals_oracle(variant, *problem)
+
+
+@pytest.mark.parametrize("variant, params, note", [
+    ("simple-reduced", _NO_CENTROID_FP, "no centroid fixed point (K < 0)"),
+    ("eco2-reduced", _NO_CENTROID_FP, "no centroid fixed point (K < 0)"),
+    ("simple-reduced", _SINGULAR_FP4, "FP4: singular denominator"),
+    ("simple-reduced", dict(r1=2.75, r2=3.49, beta1=1.9, beta2=7.17, mu=-1.0,
+                            phi=0.02, psi=-0.4, gamma1=0.41, gamma2=0.65),
+     "FP4: centroid fixed point vanished during iteration"),
+    ("eco2-reduced", dict(r1=3.24, r2=3.25, beta1=4.17, beta2=2.36,
+                          alpha=1.82, tau=0.83, x1=0.2, mu=-0.91, phi=-2.84,
+                          psi=3.14, gamma1=1.3, gamma2=0.47),
+     "FP4: complex root"),
+    ("simple-reduced", dict(r1=0.16, r2=3.74, beta1=0.78, beta2=6.77, mu=0.87,
+                            phi=0.35, psi=-1.63, gamma1=1.48, gamma2=1.35),
+     "FP4: outside physical range"),
+    ("eco2-reduced", dict(r1=2.75, r2=3.49, beta1=1.9, beta2=7.17,
+                          alpha=21.87, tau=0.14, x1=0.35, mu=-1.0, phi=0.02,
+                          psi=-0.4, gamma1=0.41, gamma2=0.65),
+     "FP3: outside physical range"),
+    ("simple-reduced", dict(r1=3.8584, r2=2.8298, beta1=5.7099, beta2=2.0927,
+                            mu=0.2098, phi=-1.3603, psi=-2.2082,
+                            gamma1=0.2487, gamma2=0.3062),
+     "FP4: residual gate failed"),
+    ("simple-reduced", dict(r1=0.6183, r2=1.9844, beta1=2.9293, beta2=4.3975,
+                            mu=0.7739, phi=2.1091, psi=2.7229, gamma1=0.8918,
+                            gamma2=1.4602), "polish"),
+    ("eco2-reduced", _POLISHED_INTO_RANGE, "polish"),
+])
+def test_fixed_point_cases_equal_the_oracle(variant, params, note,
+                                            monkeypatch):
+    polished = []
+    polish = analysis._newton_polish
+    monkeypatch.setattr(analysis, "_newton_polish",
+                        lambda rhs, x: polished.append(x) or polish(rhs, x))
+    notes = _assert_equals_oracle(variant, ModelConfig(**params), None)
+    if note == "polish":
+        assert polished and not any("gate" in n for n in notes)
+    else:
+        assert any(note in n for n in notes)
+
+
+@pytest.mark.parametrize("variant", ["simple-reduced", "eco2-reduced"])
+@settings(max_examples=100)
+@given(problem=_fixed_point_problems())
+@example(problem=(ModelConfig(**_POLISHED_INTO_RANGE), None))
+def test_status_describes_the_reported_state(variant, problem):
+    notes = []
+    records = _FIXED_POINTS[variant](*problem, diagnostics=notes)
+    _assert_status_describes_state(records, notes)
+
+
+# ---------------------------------------------------------------------------
 # Jacobians, eigenvalues, classification
 # ---------------------------------------------------------------------------
 
@@ -240,11 +370,12 @@ def test_eigenvalues_identity():
 def test_fd_jacobian_matches_analytic_simple():
     cfg = _cs_config()
     coup = CentroidCoupling.from_config(cfg)
+    rhs = models.build_system("simple-reduced", cfg, coupling=coup).rhs
     rng = np.random.default_rng(11)
     for _ in range(100):
         state = np.array([rng.uniform(0, 1), rng.uniform(0, 1),
                           rng.uniform(-np.pi, np.pi)])
-        fd = analysis.jacobian("simple-reduced", state, cfg, coup)
+        fd = analysis.fd_jacobian(rhs, state)
         an = analysis.simple_reduced_jacobian(state, cfg, coup)
         assert np.max(np.abs(fd - an)) < 1e-5
 
@@ -252,11 +383,12 @@ def test_fd_jacobian_matches_analytic_simple():
 def test_fd_jacobian_matches_analytic_eco2():
     cfg = _eco_config()
     coup = CentroidCoupling.from_config(cfg)
+    rhs = models.build_system("eco2-reduced", cfg, coupling=coup).rhs
     rng = np.random.default_rng(12)
     for _ in range(100):
         state = np.array([rng.uniform(0, 1), rng.uniform(0, 1),
                           rng.uniform(-np.pi, np.pi)])
-        fd = analysis.jacobian("eco2-reduced", state, cfg, coup)
+        fd = analysis.fd_jacobian(rhs, state)
         an = analysis.eco2_reduced_jacobian(state, cfg, coup)
         assert np.max(np.abs(fd - an)) < 1e-5
 
@@ -265,7 +397,9 @@ def test_jacobian_diagonal_at_fp3():
     cfg = _cs_config()
     coup = CentroidCoupling.from_config(cfg)
     rec = {r.label: r for r in analysis.simple_fixed_points(cfg)}["FP3"]
-    fd = analysis.jacobian("simple-reduced", rec.state, cfg, coup)
+    fd = analysis.fd_jacobian(
+        models.build_system("simple-reduced", cfg, coupling=coup).rhs,
+        rec.state)
     d = rec.state[2]
     co = centroid_coeffs(cfg, coup, 1.0, 1.0)
     diag = [cfg.r1, cfg.r2, -co.C * np.cos(d) - co.S * np.sin(d)]

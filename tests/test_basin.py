@@ -164,6 +164,19 @@ def test_phase_policy_validation():
                              _spec(phase_policy="ensemble"))
 
 
+def _boundary_fraction(result):
+    """Fraction of cells adjacent (4-neighbourhood) to a cell whose Blue-win
+    value differs by at least 0.5: an empirical bound on how much a 2x grid
+    refinement can move the basin value."""
+    g = result.per_cell
+    edge = np.zeros_like(g, dtype=bool)
+    edge[:-1, :] |= np.abs(g[:-1, :] - g[1:, :]) >= 0.5
+    edge[1:, :] |= np.abs(g[1:, :] - g[:-1, :]) >= 0.5
+    edge[:, :-1] |= np.abs(g[:, :-1] - g[:, 1:]) >= 0.5
+    edge[:, 1:] |= np.abs(g[:, 1:] - g[:, :-1]) >= 0.5
+    return float(edge.mean())
+
+
 def test_refinement_bounded_by_boundary_fraction():
     # the ecology variant has a genuine interior basin boundary (transient
     # dips of P2 below the extinction threshold decide Blue success)
@@ -172,7 +185,7 @@ def test_refinement_bounded_by_boundary_fraction():
                       gamma1=1.0, gamma2=1.0)
     coarse = basin.estimate_basin("eco2-reduced", cfg, _spec(grid=(8, 8)))
     fine = basin.estimate_basin("eco2-reduced", cfg, _spec(grid=(16, 16)))
-    bf = coarse.boundary_fraction()
+    bf = _boundary_fraction(coarse)
     assert bf > 0
     assert 0.0 < coarse.value < 1.0
     assert abs(fine.value - coarse.value) <= bf

@@ -244,6 +244,21 @@ def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["basin", "-c", "simple-cs", "--svg", "-j", "2", "-o", "task.grid=[2,2]",
+     "-o", "solver.t_end=5"],
+    ["fixed-points", "-c", "eco2-supp", "--svg"],
+])
+def test_heatmap_only_flags_exit_2(args, tmp_path, capsys):
+    # only heatmap reads --svg and --jobs; any other task would ignore them
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_step_underflow_exits_3(tmp_path, monkeypatch, capsys):
     # a right-hand side that blows up at t = 2 from the sweep's P = 0.5
     monkeypatch.setitem(models._REDUCED, "simple-reduced",

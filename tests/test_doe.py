@@ -69,6 +69,13 @@ def test_design_annealing_stops_where_the_target_is_out_of_reach(monkeypatch):
         dm = doe.build_design(d, 3, [(0.0, 1.0)] * d, seed=0)
         assert dm.max_abs_corr == floor
         assert rngs[-1].integer_calls <= 3 * 256
+    # four and five levels: an exhaustive search over level permutations
+    # puts the floor at 0.4 for (d, k) = (3, 4) and 0.2 for (4, 5); these
+    # runs used to reach it and then spend all MAX_PROPOSALS
+    for d, k, seed, floor in ((3, 4, 0, 0.4), (3, 4, 1, 0.4), (4, 5, 0, 0.2)):
+        dm = doe.build_design(d, k, [(0.0, 1.0)] * d, seed=seed)
+        assert dm.max_abs_corr == pytest.approx(floor, abs=1e-9)
+        assert rngs[-1].integer_calls <= 3 * 8192
 
 
 def test_design_annealing_leaves_coarse_plateaus(monkeypatch):

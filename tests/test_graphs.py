@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import binom
 
 from kuracomp import graphs
@@ -10,7 +11,7 @@ from kuracomp import graphs
 def test_kary_tree_paper_case():
     g = graphs.gen_kary_tree(4, 2)
     assert g.n == 21
-    assert g.n_edges == 20
+    assert len(g.edges) == 20
     deg = g.degrees()
     assert deg[0] == 4                      # root
     assert np.all(deg[5:] == 1)             # leaves
@@ -36,8 +37,8 @@ def test_tree_size_error():
 
 
 def test_erdos_renyi_extremes():
-    assert graphs.gen_erdos_renyi(21, 0.0, 3).n_edges == 0
-    assert graphs.gen_erdos_renyi(21, 1.0, 3).n_edges == 210
+    assert len(graphs.gen_erdos_renyi(21, 0.0, 3).edges) == 0
+    assert len(graphs.gen_erdos_renyi(21, 1.0, 3).edges) == 210
 
 
 def test_erdos_renyi_edge_count_bounds():
@@ -46,7 +47,7 @@ def test_erdos_renyi_edge_count_bounds():
     assert coverage >= 0.999
     for seed in range(50):
         g = graphs.gen_erdos_renyi(21, 0.2, seed)
-        assert 20 <= g.n_edges <= 65
+        assert 20 <= len(g.edges) <= 65
 
 
 def test_generators_deterministic():
@@ -57,7 +58,7 @@ def test_generators_deterministic():
 
 def test_watts_strogatz_ring():
     g = graphs.gen_watts_strogatz(21, 6, 0.0, 0)
-    assert g.n_edges == 63
+    assert len(g.edges) == 63
     assert np.all(g.degrees() == 6)
     cyc = graphs.gen_watts_strogatz(6, 2, 0.0, 0)
     assert sorted(cyc.edges) == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]
@@ -65,8 +66,8 @@ def test_watts_strogatz_ring():
 
 def test_watts_strogatz_rewired():
     g = graphs.gen_watts_strogatz(21, 6, 0.4, 0)
-    assert g.n_edges == 63                  # edge count preserved
-    assert g.is_connected()
+    assert len(g.edges) == 63                  # edge count preserved
+    assert connected_components(g.adjacency())[0] == 1
     with pytest.raises(ValueError):
         graphs.gen_watts_strogatz(6, 6, 0.1, 0)
     with pytest.raises(ValueError):
