@@ -57,6 +57,9 @@ _DAMPING = 0.5
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 10_000
 _NEWTON_MAX_ITER = 50
+# a polished interior candidate this close to a boundary position in
+# (P1, P2) is that boundary point found again
+BOUNDARY_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -274,7 +277,6 @@ class FixedPointRecord:
     classification: str
     residual: float
     status: str = "verified"        # "verified" | "outside-range"
-    notes: str = ""
 
     @property
     def max_real_eig(self) -> float:
@@ -311,6 +313,15 @@ def _newton_polish(rhs, state):
         if not np.all(np.isfinite(x)):
             return None
     return x
+
+
+def _boundary_hit(state, boundary):
+    """Label of the boundary point within BOUNDARY_TOL of state's (P1, P2),
+    or None."""
+    for label, (p1, p2) in boundary:
+        if max(abs(state[0] - p1), abs(state[1] - p2)) <= BOUNDARY_TOL:
+            return label
+    return None
 
 
 def _simple_fp4_map(cfg, delta):
@@ -466,6 +477,11 @@ def _fixed_points(reduced_rhs, jacobian, boundary, interior, cfg, coupling,
             state = _newton_polish(rhs, state)
             if state is None or np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
                 notes.append(f"{label}: residual gate failed")
+                continue
+            on = _boundary_hit(state, boundary)
+            if on is not None:
+                notes.append(f"{label}: polished onto {on}'s position "
+                             f"(P1={state[0]:.3g}, P2={state[1]:.3g}), dropped")
                 continue
         rec = _make_record(label, state, rhs, jac)
         if rec.status == "outside-range":

@@ -135,10 +135,13 @@ def load_config(path_or_name: str) -> dict:
 def validate_config(config: dict) -> dict:
     import jsonschema
 
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationFailure(f"config invalid: {exc.message}") from exc
+    # CONFIG_SCHEMA is a constant, so it is not re-checked against the
+    # meta-schema here (a test does that once); best_match picks the same
+    # error that jsonschema.validate would raise
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is not None:
+        raise ValidationFailure(f"config invalid: {error.message}") from error
     return config
 
 

@@ -16,8 +16,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from ._rng import substream
 
@@ -282,6 +280,8 @@ class GaussianProcess:
 
     def fit_hyperparameters(self):
         """Marginal-likelihood ascent over log length scales / variances."""
+        from scipy import optimize
+
         x0 = np.log(np.concatenate([self.length_scales,
                                     [self.signal_var, self.noise_var]]))
 
@@ -321,6 +321,8 @@ def bo_step(x_data, z_data, ranges, seed, surrogate: GaussianProcess = None,
     together (projected gradient with per-start backtracking) using analytic
     acquisition gradients.  Deterministic for a fixed seed.
     """
+    from scipy.stats import qmc
+
     x_data = np.atleast_2d(np.asarray(x_data, dtype=float))
     z_data = np.asarray(z_data, dtype=float)
     if x_data.shape[0] < 2:

@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from ._rng import substream
 
@@ -75,6 +74,8 @@ class GlmFit:
 
 
 def _check_rank(X, names):
+    from scipy import linalg
+
     _, r, piv = linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0

@@ -5,15 +5,18 @@ Each variant had its own driver: the boundary loop, the Delta* seed at
 polish, the physical-range check and the record; each hand-coded Jacobian
 wrote its own Delta row, and the record took its status from the caller.
 ``simple`` gates inside its FP4 solver; ``eco2`` gates in its caller and
-judges the physical range on the damped iterate, before the polish.
+judges the physical range on the damped iterate, before the polish.  Both
+now drop a polished interior candidate that lands within 1e-9 of a boundary
+position in (P1, P2), with a note: the polish found that boundary point again.
 ``kuracomp.analysis._fixed_points`` must equal these bitwise in label, state,
 eigenvalues, classification and residual; its status describes the reported
 state."""
 
 import numpy as np
 
-from kuracomp.analysis import (_DAMPING, _FP_MAX_ITER, _FP_TOL, IMAG_TOL,
-                               RESIDUAL_GATE, FixedPointRecord, _delta_at,
+from kuracomp.analysis import (_DAMPING, _FP_MAX_ITER, _FP_TOL,
+                               BOUNDARY_TOL, IMAG_TOL, RESIDUAL_GATE,
+                               FixedPointRecord, _delta_at,
                                _newton_polish, _simple_fp4_map, classify,
                                eco2_back_substitute, eco2_cubic_roots,
                                eigenvalues)
@@ -29,6 +32,16 @@ def _make_record(label, state, rhs, jac_fn, physical=True):
         label=label, state=state, eigenvalues=eigs,
         classification=classify(eigs), residual=residual,
         status="verified" if physical else "outside-range")
+
+
+def _dropped_on_boundary(label, state, boundary, notes):
+    for name, (p1, p2) in boundary:
+        if (abs(state[0] - p1) <= BOUNDARY_TOL
+                and abs(state[1] - p2) <= BOUNDARY_TOL):
+            notes.append(f"{label}: polished onto {name}'s position "
+                         f"(P1={state[0]:.3g}, P2={state[1]:.3g}), dropped")
+            return True
+    return False
 
 
 def simple_reduced_jacobian(state, cfg, coupling):
@@ -80,22 +93,22 @@ def simple_fixed_points(cfg, coupling=None, diagnostics=None):
     rhs = lambda s: simple_reduced_rhs(s, cfg, coupling, fr)
     jac = lambda s: simple_reduced_jacobian(s, cfg, coupling)
     records = []
-    for label, (p1, p2) in (("FP1", (1.0, 0.0)), ("FP2", (0.0, 1.0)),
-                            ("FP3", (0.0, 0.0))):
+    boundary = (("FP1", (1.0, 0.0)), ("FP2", (0.0, 1.0)), ("FP3", (0.0, 0.0)))
+    for label, (p1, p2) in boundary:
         d = _delta_at(cfg, coupling, p1, p2)
         if d is None:
             notes.append(f"{label}: no centroid fixed point (K < 0)")
             continue
         records.append(_make_record(label, (p1, p2, d), rhs, jac))
 
-    fp4 = _solve_simple_fp4(cfg, coupling, rhs, notes)
+    fp4 = _solve_simple_fp4(cfg, coupling, rhs, notes, boundary)
     if fp4 is not None:
         physical = bool(np.all((fp4[:2] >= -1e-12) & (fp4[:2] <= 1 + 1e-12)))
         records.append(_make_record("FP4", fp4, rhs, jac, physical=physical))
     return records
 
 
-def _solve_simple_fp4(cfg, coupling, rhs, notes):
+def _solve_simple_fp4(cfg, coupling, rhs, notes, boundary):
     d = _delta_at(cfg, coupling, 0.5, 0.5)
     if d is None:
         d = 0.0
@@ -126,6 +139,8 @@ def _solve_simple_fp4(cfg, coupling, rhs, notes):
         if state is None or np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
             notes.append("FP4: iteration did not converge")
             return None
+        if _dropped_on_boundary("FP4", state, boundary, notes):
+            return None
     return state
 
 
@@ -137,7 +152,8 @@ def eco2_fixed_points(cfg, coupling=None, diagnostics=None):
     rhs = lambda s: eco2_reduced_rhs(s, cfg, coupling, fr)
     jac = lambda s: eco2_reduced_jacobian(s, cfg, coupling)
     records = []
-    for label, (p1, p2) in (("FP1", (0.0, 0.0)), ("FP2", (0.0, 1.0))):
+    boundary = (("FP1", (0.0, 0.0)), ("FP2", (0.0, 1.0)))
+    for label, (p1, p2) in boundary:
         d = _delta_at(cfg, coupling, p1, p2)
         if d is None:
             notes.append(f"{label}: no centroid fixed point (K < 0)")
@@ -158,6 +174,8 @@ def eco2_fixed_points(cfg, coupling=None, diagnostics=None):
                 state = polished
             else:
                 notes.append(f"{label}: residual gate failed")
+                continue
+            if _dropped_on_boundary(label, state, boundary, notes):
                 continue
         records.append(_make_record(label, state, rhs, jac, physical=physical))
     return records

@@ -244,7 +244,7 @@ _NO_CENTROID_FP = dict(mu=3.0)            # K < 0 at every feedback value
 # Delta* = 0
 _SINGULAR_FP4 = dict(r1=2.0, r2=3.0, beta1=2.0, beta2=3.0, mu=0.0, phi=0.0,
                      psi=0.0)
-# the damped FP5 lies outside [0, 1]; the polish lands on P = (0, 0)
+# the damped FP5 lies outside [0, 1]; the polish lands on FP1's P = (0, 0)
 _POLISHED_INTO_RANGE = dict(r1=0.1538, r2=3.232, beta1=2.3163, beta2=4.7803,
                             alpha=0.975, tau=0.9485, x1=0.9841, mu=0.0596,
                             phi=2.5321, psi=1.6886, gamma1=0.2379,
@@ -347,6 +347,20 @@ def test_fixed_point_cases_equal_the_oracle(variant, params, note,
         assert polished and not any("gate" in n for n in notes)
     else:
         assert any(note in n for n in notes)
+
+
+def test_interior_point_polished_onto_the_boundary_is_dropped():
+    notes = []
+    records = analysis.eco2_fixed_points(ModelConfig(**_POLISHED_INTO_RANGE),
+                                         diagnostics=notes)
+    assert [r.label for r in records] == ["FP1", "FP2", "FP3", "FP4"]
+    fp1 = records[0]
+    assert fp1.state[:2].tolist() == [0.0, 0.0]
+    assert fp1.state[2] == pytest.approx(-2.1127, abs=1e-4)
+    assert any(n.startswith("FP5: polished onto FP1's position (P1=")
+               and n.endswith("), dropped") for n in notes)
+    for rec in records[2:]:
+        assert np.max(np.abs(rec.state[:2])) > 1e-9
 
 
 @pytest.mark.parametrize("variant", ["simple-reduced", "eco2-reduced"])

@@ -108,6 +108,64 @@ def test_override_parsing():
         cli.apply_overrides(config, ["no_equals_sign"])
 
 
+# wrong type; unknown enum value; both at once (best_match picks one)
+_INVALID_CONFIGS = [
+    {"model": "simple-reduced", "seed": "seven", "task": {"type": "simulate"}},
+    {"model": "simple-reduced", "task": {"type": "simulate"},
+     "solver": {"method": "euler"}},
+    {"model": "nosuch", "seed": "seven", "task": {"type": "simulate"}},
+]
+
+
+def test_config_schema_is_valid():
+    import jsonschema
+
+    # validate_config builds its validator without checking the schema
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("config", _INVALID_CONFIGS)
+def test_validation_message_equals_jsonschema_validate(config):
+    import jsonschema
+
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(config, cli.CONFIG_SCHEMA)
+    with pytest.raises(cli.ValidationFailure) as got:
+        cli.validate_config(config)
+    assert str(got.value) == f"config invalid: {want.value.message}"
+
+
+_NO_SCIPY_UNTIL_DOE = """
+import sys, tempfile
+from kuracomp import cli
+
+out = tempfile.mkdtemp()
+cli.run("simple-cs", overrides=["task.type=simulate", "solver.t_end=5"],
+        out_dir=out + "/sim", seed=0)
+cli.run("simple-cs", overrides=["task.type=sweep", "task.param=beta1",
+                                "task.range=[1.8,3.0]", "task.n_points=3",
+                                "solver.t_end=5"], out_dir=out + "/sweep", seed=0)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+summary = cli.run(
+    "simple-cs",
+    overrides=["task.type=doe",
+               'task.factors=[{"name":"beta1","lo":1.0,"hi":5.0},'
+               '{"name":"phi","lo":-0.5,"hi":0.5}]',
+               "task.k_init=3", "task.n_total=4", "task.grid=[2,2]",
+               "solver.t_end=5", "solver.dt_init=0.05"],
+    out_dir=out + "/doe", seed=1)
+assert summary["n_records"] == 4, summary
+assert "scipy.optimize" in sys.modules and "scipy.stats" in sys.modules
+"""
+
+
+def test_scipy_is_loaded_only_by_the_tasks_that_use_it():
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_UNTIL_DOE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_config_hash_stable():
     a = {"model": "simple-reduced", "params": {"beta1": 2.0}}
     b = {"params": {"beta1": 2.0}, "model": "simple-reduced"}
