@@ -21,7 +21,7 @@ from kuracomp.solver import IntegratorSettings
 def integrate_centroid(C, S, mu, d0, t_end=20.0):
     st = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=t_end, dt_max=0.05)
     return solver.integrate(
-        lambda t, y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
+        lambda y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
         np.array([d0]), st)
 
 

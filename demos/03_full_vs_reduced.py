@@ -43,11 +43,9 @@ def main(beta1=3.5):
     st = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=20.0, dt_max=0.05)
 
     full = models.build_system("feedback", cfg, net=net)
-    tf = solver.integrate(lambda t, y: full.rhs(y),
-                          np.concatenate([[0.5, 0.5], theta0]), st)
+    tf = solver.integrate(full.rhs, np.concatenate([[0.5, 0.5], theta0]), st)
     red = models.build_system("simple-reduced", cfg, coupling=coup)
-    tr = solver.integrate(lambda t, y: red.rhs(y),
-                          np.array([0.5, 0.5, d0]), st)
+    tr = solver.integrate(red.rhs, np.array([0.5, 0.5, d0]), st)
 
     ts = np.linspace(0, 20, 401)
     pf = tf.interpolate(ts)[:, :2]

@@ -617,7 +617,7 @@ def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
     # one batch member per point, with the point's parameters
     rhs, on_compact = _member_rhs(variant, swept, coupling)
     p_death = np.broadcast_to(swept.P_D, values.shape)
-    trajs = _drive(lambda t, y: rhs(y), np.array(y0).T, settings,
+    trajs = _drive(rhs, np.array(y0).T, settings,
                    p_death=p_death, on_compact=on_compact)
     rows = []
     for value, fp_rows, traj in zip(values, point_rows, trajs):

@@ -32,14 +32,14 @@ import numpy as np
 from .analysis import delta_star
 from .models import (_REDUCED, _member_rhs, _take, build_system,
                      centroid_coeffs, model_params)
-from .solver import (IntegratorSettings, integrate_batch, reconnoitred_phases,
-                     _rk4)
+from .solver import (RECON_T, IntegratorSettings, _settle, integrate_batch,
+                     reconnoitred_phases)
 
 __all__ = ["BasinSpec", "BasinResult", "estimate_basin", "estimate_basins",
            "basin_heatmap", "heatmap_to_csv"]
 
-SETTLE_T = 50.0          # free three-population centroid settling time
-SETTLE_DT = 0.01
+# the free three-population centroid settling
+_SETTLE = IntegratorSettings(method="rk4", dt_init=0.01, t_end=50.0)
 MAX_FAILED = 0.01        # failed-member share above which a point is NaN
 
 
@@ -60,7 +60,7 @@ class BasinSpec:
     n_sim: int = 100                # ensemble members per cell (full variants)
     delta_resolution: int = 8       # Delta(0) values per cell (delta-grid)
     seed: int = 0
-    recon_T: float = 50.0
+    recon_T: float = RECON_T
     settings: IntegratorSettings = field(
         default_factory=lambda: IntegratorSettings(dt_init=0.01, t_end=200.0))
 
@@ -93,14 +93,11 @@ def _initial_delta3(cfg, coupling, n_points=1):
     (2, n_points).
 
     No closed form exists; integrate the free centroid subsystem (resources
-    pinned at zero, so H = 1) and take the terminal values.
+    pinned at zero, so H = 1) and take the terminal values; NaN at a point
+    whose settling failed, so its members count as failed.
     """
-    from .models import _frustration, eco3_reduced_rhs
-
-    fr = _frustration(cfg)
-    y = _rk4(lambda yy: eco3_reduced_rhs(yy, cfg, coupling, fr),
-             np.zeros((5, n_points)), SETTLE_DT, SETTLE_T)
-    return y[3:]
+    rhs, on_compact = _member_rhs("eco3-reduced", cfg, coupling)
+    return _settle(rhs, np.zeros((5, n_points)), _SETTLE, on_compact)[3:]
 
 
 def _settled_delta(system, cfg, n_points):

@@ -23,7 +23,8 @@ from . import __version__, analysis, basin, doe, stats
 from .models import (_REDUCED, MODEL_VARIANTS, ModelConfig, build_system,
                      model_params)
 from .presets import build_network, get_preset, preset_names
-from .solver import IntegratorSettings, StiffnessError, ensemble, run_scenario
+from .solver import (RECON_T, IntegratorSettings, StiffnessError, ensemble,
+                     run_scenario)
 
 TASK_TYPES = ("simulate", "fixed-points", "sweep", "basin", "heatmap",
               "doe", "glm")
@@ -223,11 +224,14 @@ def _build(config: dict):
         raise ValidationFailure(
             f"{task['type']} runs fixed-step RK4 at solver.dt_init and would "
             f"ignore solver.{', solver.'.join(ignored)}")
-    recon_T = sv.pop("recon_T", 50.0)
+    recon_T = sv.pop("recon_T", RECON_T)
     settings = IntegratorSettings(**sv)
     system = build_system(model, cfg, net=net)
+    if task["type"] == "simulate":
+        _initial_state(system, cfg, task)        # checks task.initial
     if task["type"] in ("basin", "heatmap", "doe"):
-        policy = basin._phase_policy(_basin_spec(task, settings, seed), system)
+        policy = basin._phase_policy(_basin_spec(task, settings, seed,
+                                                 recon_T), system)
         for key, reader in (("n_sim", "ensemble"),
                             ("delta_resolution", "delta-grid")):
             if key in task and policy != reader:
@@ -237,7 +241,22 @@ def _build(config: dict):
 
 
 def _initial_state(system, cfg, task):
+    """A simulate task's start state.  ValidationFailure unless each
+    task.initial entry is one the run reads, with one value per population
+    (P), centroid difference (delta; a full variant places one) or node
+    (theta): a full variant reads delta if given, else theta, and an
+    ensemble (task.n_sim) neither."""
     init, m = task.get("initial", {}), system.n_pops
+    sizes = ({"P": m, "delta": system.dim - m} if system.reduced else {"P": m}
+             if "n_sim" in task else {"P": m, "delta": 1} if "delta" in init
+             else {"P": m, "theta": system.net.n_total})
+    for key, value in init.items():
+        if key not in sizes:
+            raise ValidationFailure(f"task.initial.{key} is not read by this "
+                                    f"{system.name} simulation")
+        if np.size(value) != sizes[key]:
+            raise ValidationFailure(f"task.initial.{key} needs {sizes[key]} "
+                                    f"value(s), got {np.size(value)}")
     caps = ([cfg.K1, cfg.K2, cfg.K3][:m] if system.name.startswith("eco3")
             else [1.0] * m)
     P = np.asarray(init["P"], dtype=float) if "P" in init \
@@ -304,13 +323,13 @@ def _task_sweep(config, system, cfg, net, settings, recon_T, seed, outdir):
     return {"n_rows": len(rows)}
 
 
-def _basin_spec(task, settings, seed, recon_T=50.0):
-    grid = tuple(int(r) for r in task.get("grid", (51, 51)))  # 2.0 passes
-    return basin.BasinSpec(grid=grid, n_sim=task.get("n_sim", 100),
-                           phase_policy=task.get("phase_policy", "auto"),
-                           delta_resolution=task.get("delta_resolution", 8),
-                           seed=seed, settings=settings,
-                           p3_init=task.get("p3_init"), recon_T=recon_T)
+def _basin_spec(task, settings, seed, recon_T):
+    given = {k: task[k] for k in ("n_sim", "phase_policy", "delta_resolution",
+                                  "p3_init") if k in task}   # else BasinSpec's
+    if "grid" in task:
+        given["grid"] = tuple(int(r) for r in task["grid"])   # 2.0 passes
+    return basin.BasinSpec(seed=seed, settings=settings, recon_T=recon_T,
+                           **given)
 
 
 def _task_basin(config, system, cfg, net, settings, recon_T, seed, outdir):

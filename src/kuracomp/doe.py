@@ -89,7 +89,8 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
         # the other or its reverse (|corr| 1), which no four columns avoid.
         # Other floors above the target (0.4 at (d, k) = (3, 4), 0.2 at
         # (4, 5)) end the run once the lowest energy seen has not fallen for
-        # STALL_PROPOSALS and the current design is back at it.
+        # STALL_PROPOSALS and the current design is back at it.  The run
+        # ends on the lowest max |corr| seen at a check, or a last tie.
         centred = levels - levels.mean(axis=0)
         norm = np.sqrt((centred ** 2).sum(axis=0))
         corr = (centred.T @ centred) / np.outer(norm, norm)
@@ -104,9 +105,13 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
         temp = max(1e-3, 4 * s * s) if k > 3 else 1e-3
         cool = np.exp(np.log(1e-4) / MAX_PROPOSALS)   # decay to temp*1e-4
         best, best_it = np.inf, 0
+        kept, kept_top = levels, np.inf
         for it in range(MAX_PROPOSALS):
             if it % 256 == 0:
-                if float(np.abs(corr).max()) <= target:
+                top = float(np.abs(corr).max())
+                if top < kept_top - 1e-9:            # + rounding slack
+                    kept, kept_top = levels.copy(), top
+                if top <= target:
                     break
                 energy = float((corr ** 2).sum())
                 if energy < best - 1e-9:             # + rounding slack
@@ -129,6 +134,8 @@ def build_design(d: int, k: int, ranges, seed) -> DesignMatrix:
                 centred[[a, b], col] = centred[[b, a], col]
                 levels[[a, b], col] = levels[[b, a], col]
             temp *= cool
+        if float(np.abs(corr).max()) > kept_top + 1e-9:
+            levels = kept
         achieved = _max_abs_corr(levels)
     else:
         achieved = 0.0

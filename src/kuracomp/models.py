@@ -426,7 +426,7 @@ class ModelSystem:
         if self.reduced:
             raise ValueError("reconnaissance applies to full variants only")
         net = self.net
-        return lambda theta: kuramoto_rhs(theta, net, 1.0)
+        return lambda y: kuramoto_rhs(y, net, 1.0)
 
 
 _FULL = {

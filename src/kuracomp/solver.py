@@ -1,16 +1,16 @@
 """ODE integration and the simulation protocol.
 
-One driver, ``_drive``, integrates everything but the event-free final-state
-loop ``_rk4`` (reconnaissance and settling): a batch y of shape (dim, B),
-stepped by an embedded Dormand-Prince 5(4) pair with per-member PI step-size
-control or by fixed-step classical RK4 (``method="rk4"``) for bit-reproducible
-baselines.  Its one event is a member's P1 or P2 (rows 0-1) falling
-through its extinction threshold P_D, located by bisection on the
-cubic-Hermite dense output (|dt| <= 1e-9).  ``integrate`` is its B = 1
-case, ``integrate_batch`` its outcome-only RK4 run, and a batch member
-equals its B = 1 run bit for bit.  All RK4 runs share one step and one
-schedule: ceil((t_end - t0)/dt) steps, never padded with a rounding-sized
-sliver.
+One driver, ``_drive``, integrates everything: a batch y of shape (dim, B)
+under an autonomous ``rhs(y)``, stepped by an embedded Dormand-Prince 5(4)
+pair with per-member PI step-size control or by fixed-step classical RK4
+(``method="rk4"``) for bit-reproducible baselines.  Its one event is a
+member's P1 or P2 (rows 0-1) falling through its extinction threshold P_D,
+located by bisection on the cubic-Hermite dense output (|dt| <= 1e-9).
+``integrate`` is its B = 1 case, ``integrate_batch`` its outcome-only RK4
+run with thresholds, ``_settle`` its outcome-only run without them
+(reconnaissance and settling), and a batch member equals its B = 1 run bit
+for bit.  All RK4 runs share one step and one schedule: ceil(t_end/dt)
+steps from t = 0, never padded with a rounding-sized sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 where only the phase dynamics run (feedback H = 1, resources frozen),
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import count
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 EVENT_TIME_TOL = 1e-9
+RECON_T = 50.0           # reconnaissance time: phase-only dynamics, H = 1
 # A member fails when its RK45 step underflows ("stiff"; a non-finite error
 # estimate is never floor-accepted) or its dy/dt is not finite at a check
 # every CHECK_EVERY steps ("failed").  A trajectory run then raises
@@ -53,8 +54,7 @@ STEADY_TOL = 1e-9
 CHECK_EVERY = 25
 _FAILURES = {"stiff": "step size underflow", "failed": "non-finite dy/dt"}
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (every rhs is autonomous, so no nodes c_i)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -170,15 +170,15 @@ def _locate(p, t0, y0, f0, h, y1, f1):
     return hit[0], hit[1], _hermite(y0, f0, h, y1, f1, hit[2])
 
 
-def integrate(rhs, y0, settings: IntegratorSettings, t0: float = 0.0,
+def integrate(rhs, y0, settings: IntegratorSettings,
               p_death=None) -> Trajectory:
-    """Integrate dy/dt = rhs(t, y) from t0 to settings.t_end: the one-member
-    case of ``_drive``.  With ``p_death`` the trajectory ends at the located
-    crossing of rows 0-1 through it; a failed run (see CHECK_EVERY) raises
-    StiffnessError carrying the partial trajectory."""
-    return _drive(lambda t, y: np.asarray(rhs(np.ravel(t)[0], y[:, 0]),
-                                          dtype=float)[:, None],
-                  np.asarray(y0, dtype=float)[:, None], settings, t0,
+    """Integrate dy/dt = rhs(y) from t = 0 to settings.t_end: the one-member
+    case of ``_drive``, with ``rhs`` taking and returning 1-D states.  With
+    ``p_death`` the trajectory ends at the located crossing of rows 0-1
+    through it; a failed run (see CHECK_EVERY) raises StiffnessError
+    carrying the partial trajectory."""
+    return _drive(lambda y: np.asarray(rhs(y[:, 0]), dtype=float)[:, None],
+                  np.asarray(y0, dtype=float)[:, None], settings,
                   None if p_death is None else np.full(1, float(p_death)))[0]
 
 
@@ -189,31 +189,31 @@ def _combine(coeffs, ks):
     return sum(terms[1:], terms[0])
 
 
-def _drive(rhs, y0, settings, t0=0.0, p_death=None, on_compact=None,
-           dense=True):
-    """Integrate each column of y0 (dim, B); ``rhs(t, y)`` takes the live
-    members' states (dim, n) and times (n,), or at a point of the "rk4"
-    grid its shared time.
+def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True):
+    """Integrate each column of y0 (dim, B) from t = 0 to settings.t_end;
+    ``rhs(y)`` takes the live members' states (dim, n).
 
     "rk45" is Dormand-Prince 5(4) with PI step control (Hairer, Norsett &
     Wanner, Solving ODEs I, II.4-II.5; Gustafsson, Lundh & Soderlind, BIT 28
     (1988) 270): each member keeps its own t, h and error history and
-    accepts or rejects its step on its own.  "rk4" steps on ``_rk4_grid``.
+    accepts or rejects its step on its own.  "rk4" takes ceil(t_end/dt)
+    steps of min(dt, t_end - t); the 1e-12 margin keeps a quotient that
+    rounds just above an integer from adding a rounding-sized last step.
     Members leave at t_end, at the crossing of row 0 or 1 down through
     their ``p_death`` (B,) (status "event"), or as steady or failed (see
-    CHECK_EVERY); ``on_compact(keep)`` slices the per-member data ``rhs``
-    captures.  Returns each member's Trajectory or, without ``dense``,
-    keeps none and returns each member's exit status ("completed", "event",
-    "steady", "stiff" or "failed"), time (B,), state (dim, B) and crossed
-    row (None if none).
+    CHECK_EVERY; only a run with thresholds retires steady members);
+    ``on_compact(keep)`` slices the per-member data ``rhs`` captures.
+    Returns each member's Trajectory or, without ``dense``, keeps none and
+    returns each member's exit status ("completed", "event", "steady",
+    "stiff" or "failed"), time (B,), state (dim, B) and crossed row (None
+    if none).
     """
     y = np.array(y0, dtype=float)
-    B, t_end, rk4 = y.shape[1], settings.t_end, settings.method == "rk4"
-    span = t_end - t0
+    B, span, rk4 = y.shape[1], settings.t_end, settings.method == "rk4"
     if span <= 0:
-        raise ValueError("t_end must exceed t0")
-    t = np.full(B, float(t0))
-    f = rhs(float(t0) if rk4 else t, y)
+        raise ValueError("t_end must be positive")
+    t = np.zeros(B)
+    f = rhs(y)
     active, status, rows = np.arange(B), ["completed"] * B, [None] * B
     t_out, y_out = t.copy(), y.copy()            # where members left
     log = [(active, t, y, f)] if dense else None  # accepted points in order
@@ -231,23 +231,24 @@ def _drive(rhs, y0, settings, t0=0.0, p_death=None, on_compact=None,
         if on_compact is not None:
             on_compact(~gone)
 
-    steps = _rk4_grid(t0, t_end, settings.dt_init) if rk4 else repeat((0, 0))
-    for n, (tg, hs) in enumerate(steps):    # rk4: rhs takes the grid's time
+    dt = settings.dt_init
+    for n in range(int(np.ceil(span / dt - 1e-12))) if rk4 else count():
         if f is None:         # outcome-only rk4: rhs at a step's end only if
-            f = rhs(tg, y)    # a bisection needs it, else here
+            f = rhs(y)        # a bisection needs it, else here
         if n % CHECK_EVERY == 0:
             bad = ~np.isfinite(f).all(axis=0)
-            gone = bad if dense else bad | (np.max(np.abs(f), axis=0)
-                                            < STEADY_TOL)
+            gone = bad if dense or p_death is None else bad | (
+                np.max(np.abs(f), axis=0) < STEADY_TOL)
             if gone.any():
                 leave(gone, np.where(bad, "failed", "steady"))
         if not active.size:
             break
         if rk4:               # every step accepted: ok selects all members
-            ok, y_new, t1 = slice(None), _rk4_step(rhs, tg, y, f, hs), t + hs
-            f_new = rhs(tg + hs, y_new) if dense else None
+            hs = min(dt, span - t[0])     # the members share the grid's t
+            ok, y_new, t1 = slice(None), _rk4_step(rhs, y, f, hs), t + hs
+            f_new = rhs(y_new) if dense else None
         else:
-            hs = np.minimum(np.minimum(h, t_end - t), settings.dt_max)
+            hs = np.minimum(np.minimum(h, span - t), settings.dt_max)
             stiff = hs < 1e-14 * span
             if stiff.any():
                 leave(stiff, ["stiff"] * stiff.size)
@@ -255,7 +256,7 @@ def _drive(rhs, y0, settings, t0=0.0, p_death=None, on_compact=None,
             k = [f]
             for i in range(1, 7):
                 y_new = y + hs * _combine(_A[i], k)
-                k.append(rhs(t + _C[i] * hs, y_new))
+                k.append(rhs(y_new))
             f_new = k[6]      # FSAL: the last stage is the solution (_A[6])
             scale = settings.atol + settings.rtol * np.maximum(np.abs(y),
                                                               np.abs(y_new))
@@ -281,7 +282,7 @@ def _drive(rhs, y0, settings, t0=0.0, p_death=None, on_compact=None,
             maybe = ((y[:2] > p_death) & (y_new[:2] <= p_death)).any(axis=0)
             for i in np.flatnonzero(maybe) if maybe.any() else ():
                 if f_new is None:     # outcome-only rk4
-                    f_new = rhs(tg + hs, y_new)
+                    f_new = rhs(y_new)
                 hit = _locate(float(p_death[i]), t[i], y[:, i], f[:, i],
                               hs if rk4 else float(hs[i]), y_new[:, i],
                               f_new[:, i])
@@ -291,12 +292,12 @@ def _drive(rhs, y0, settings, t0=0.0, p_death=None, on_compact=None,
                     stop[i], status[j], rows[j] = True, "event", hit[0]
                     t1[i], y_new[:, i] = hit[1:]
             if dense and stop is not None:
-                f_new = np.where(stop, rhs(t1, y_new), f_new)
+                f_new = np.where(stop, rhs(y_new), f_new)
         if dense:
             log.append((active[ok], t1[ok], y_new[:, ok], f_new[:, ok]))
         t, y, f = t1, y_new, f_new
         if not rk4:
-            stop = t >= t_end if stop is None else stop | (t >= t_end)
+            stop = t >= span if stop is None else stop | (t >= span)
         if stop is not None and stop.any():
             leave(stop)
     if not dense:
@@ -321,32 +322,24 @@ def _trajectories(log, rows, status, members):
                 ids, [(j, j + 1) for j in members]))]
 
 
-def _rk4_step(rhs, t, y, k1, h):
-    """One classical RK4 step of size h from (t, y), given k1 = rhs(t, y)."""
-    k2 = rhs(t + h / 2, y + (h / 2) * k1)
-    k3 = rhs(t + h / 2, y + (h / 2) * k2)
-    k4 = rhs(t + h, y + h * k3)
+def _rk4_step(rhs, y, k1, h):
+    """One classical RK4 step of size h from y, given k1 = rhs(y)."""
+    k2 = rhs(y + (h / 2) * k1)
+    k3 = rhs(y + (h / 2) * k2)
+    k4 = rhs(y + h * k3)
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rk4_grid(t0, t_end, dt):
-    """The fixed-step schedule: (t, h) for ceil((t_end - t0)/dt) steps of
-    min(dt, t_end - t).  The 1e-12 margin keeps a quotient that rounds just
-    above an integer from adding a rounding-sized last step."""
-    t = t0
-    for _ in range(int(np.ceil((t_end - t0) / dt - 1e-12))):
-        h = min(dt, t_end - t)
-        yield t, h
-        t += h
-
-
-def _rk4(rhs, y, dt, t_end):
-    """Final state of fixed-step RK4 on dy/dt = rhs(y) over [0, t_end]; for
-    reconnaissance and settling, which need no events, steady stop or
-    compaction."""
-    step_rhs = lambda t, yy: rhs(yy)
-    for t, h in _rk4_grid(0.0, t_end, dt):
-        y = _rk4_step(step_rhs, t, y, rhs(y), h)
+def _settle(rhs, y, settings, on_compact=None):
+    """Each column of y (dim, B) after settings.t_end of dy/dt = rhs(y),
+    as ``_drive``'s outcome-only run without thresholds (reconnaissance and
+    the free centroid settling); t_end = 0 takes no step, and a failed
+    member's column is NaN."""
+    if settings.t_end <= 0:
+        return y
+    status, _, y, _ = _drive(rhs, y, settings, on_compact=on_compact,
+                             dense=False)
+    y[:, [why in _FAILURES for why in status]] = np.nan
     return y
 
 
@@ -362,26 +355,27 @@ class ScenarioOutcome:
 
 
 def run_scenario(system, state0, settings: IntegratorSettings,
-                 recon_T: float = 50.0,
+                 recon_T: float = RECON_T,
                  p_death: float = 1e-4) -> ScenarioOutcome:
     """Reconnaissance (phase-only, H=1) then competition until extinction.
 
     Reduced variants skip reconnaissance: their centroid difference is
-    taken as already settled.  The clock restarts at the competition phase;
-    t_event is relative to that start.
+    taken as already settled.  A failed reconnaissance raises
+    StiffnessError.  The clock restarts at the competition phase; t_event
+    is relative to that start.
     """
     y = np.asarray(state0, dtype=float).copy()
     if y.shape != (system.dim,):
         raise ValueError(f"state has shape {y.shape}, expected ({system.dim},)")
     m = system.n_pops
-    if not system.reduced and recon_T > 0:
-        phase_rhs = system.phase_rhs()
-        traj = integrate(lambda t, th: phase_rhs(th), y[m:],
-                         replace(settings, t_end=recon_T))
-        y = np.concatenate([y[:m], traj.y[-1]])
+    if not system.reduced:
+        theta = _settle(system.phase_rhs(), y[m:, None],
+                        replace(settings, t_end=recon_T))
+        if not np.isfinite(theta).all():
+            raise StiffnessError(f"reconnaissance failed before t={recon_T}")
+        y[m:] = theta[:, 0]
 
-    traj = integrate(lambda t, yy: system.rhs(yy), y, settings,
-                     p_death=p_death)
+    traj = integrate(system.rhs, y, settings, p_death=p_death)
     if traj.extinct is None:
         return ScenarioOutcome(winner="stalemate", t_event=settings.t_end,
                                trajectory=traj)
@@ -411,8 +405,7 @@ def integrate_batch(rhs, y0, dt, t_end, p_death, *,
     """
     p_death = np.broadcast_to(np.asarray(p_death, float), np.shape(y0)[1:])
     status, t, y, rows = _drive(
-        lambda t, yy: rhs(yy), y0,
-        IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end),
+        rhs, y0, IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end),
         p_death=p_death, on_compact=on_compact, dense=False)
     winner = np.array([2 - r if r is not None else -1 if s in _FAILURES
                        else 0 for s, r in zip(status, rows)], dtype=int)
@@ -435,15 +428,18 @@ def reconnoitred_phases(system, n_sim: int, seed: int, dt: float,
                         recon_T: float) -> np.ndarray:
     """Ensemble start phases, shape (n_nodes, n_sim): theta_i(0) ~ U[0, 2pi)
     i.i.d., member i from its own substream, then recon_T of phase-only
-    dynamics (H = 1); recon_T = 0 takes no step."""
+    dynamics (H = 1) by fixed-step RK4; recon_T = 0 takes no step, and a
+    failed member's phases are NaN, so the batch counts it as failed."""
     n = system.net.n_total
     theta = np.stack([substream(seed, "ensemble", i).uniform(
         0.0, 2.0 * np.pi, size=n) for i in range(n_sim)], axis=1)
-    return _rk4(system.phase_rhs(), theta, dt, recon_T)
+    return _settle(system.phase_rhs(), theta, IntegratorSettings(
+        method="rk4", dt_init=dt, t_end=recon_T))
 
 
 def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
-             recon_T: float = 50.0, p_death: float = 1e-4) -> EnsembleResult:
+             recon_T: float = RECON_T,
+             p_death: float = 1e-4) -> EnsembleResult:
     """Fixed initial resources, randomised initial phases, win fractions."""
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")

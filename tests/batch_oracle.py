@@ -11,14 +11,44 @@ pre-check, a steady-state and finiteness check every ``CHECK_EVERY`` steps,
 and compaction of decided members.  ``kuracomp.solver.integrate_batch`` must
 equal it bitwise in winner and t_event.  Its y_final of an event member is
 the end of the crossing step, where the runner reports the located crossing
-state."""
+state.
+
+``_rk4`` is the final-state loop that reconnaissance and the free centroid
+settling ran on before they became outcome-only driver runs: no events, no
+steady stop, no checks.  Both loops step with this module's own RK4 body
+and schedule, not the solver's."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from kuracomp.solver import (CHECK_EVERY, EVENT_TIME_TOL, STEADY_TOL,
-                             BatchOutcome, _hermite, _rk4_grid, _rk4_step)
+                             BatchOutcome, _hermite)
+
+
+def _rk4_step(rhs, t, y, k1, h):
+    """One classical RK4 step of size h from (t, y), given k1 = rhs(t, y)."""
+    k2 = rhs(t + h / 2, y + (h / 2) * k1)
+    k3 = rhs(t + h / 2, y + (h / 2) * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _rk4_grid(t0, t_end, dt):
+    """(t, h) for ceil((t_end - t0)/dt) steps of min(dt, t_end - t)."""
+    t = t0
+    for _ in range(int(np.ceil((t_end - t0) / dt - 1e-12))):
+        h = min(dt, t_end - t)
+        yield t, h
+        t += h
+
+
+def _rk4(rhs, y, dt, t_end):
+    """Final state of fixed-step RK4 on dy/dt = rhs(y) over [0, t_end]."""
+    step_rhs = lambda t, yy: rhs(yy)
+    for t, h in _rk4_grid(0.0, t_end, dt):
+        y = _rk4_step(step_rhs, t, y, rhs(y), h)
+    return y
 
 
 @dataclass

@@ -37,7 +37,7 @@ def test_criterion_1_closed_form_vs_numeric_centroid():
         st = IntegratorSettings(rtol=1e-10, atol=1e-13, t_end=20.0,
                                 dt_max=0.05)
         traj = solver.integrate(
-            lambda t, y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
+            lambda y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
             np.array([d0]), st)
         closed = analysis.delta_time_course(traj.t, C, S, mu, d0)
         worst = max(worst, float(np.max(np.abs(closed - traj.y[:, 0]))))
@@ -169,7 +169,7 @@ def test_criterion_5_k_regime_behaviour():
         st = IntegratorSettings(rtol=1e-10, atol=1e-12,
                                 t_end=20 * period, dt_max=0.05)
         traj = solver.integrate(
-            lambda t, y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
+            lambda y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
             np.array([0.1]), st)
         slips = (traj.y[-1, 0] - traj.y[0, 0]) / (2 * np.pi)
         measured = traj.t[-1] / slips
@@ -187,7 +187,7 @@ def test_criterion_5_k_regime_behaviour():
         d_star = analysis.delta_star(C, S, mu)
         st = IntegratorSettings(rtol=1e-11, atol=1e-13, t_end=80.0)
         traj = solver.integrate(
-            lambda t, y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
+            lambda y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
             np.array([d_star + 0.5]), st)
         gap = abs(np.mod(traj.y[-1, 0] - d_star + np.pi, 2 * np.pi) - np.pi)
         worst_gap = max(worst_gap, float(gap))
@@ -221,10 +221,9 @@ def test_criterion_6_reduction_fidelity():
         st = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=20.0,
                                 dt_max=0.05)
         full = models.build_system("feedback", cfg, net=net)
-        tf = solver.integrate(lambda t, y: full.rhs(y), y0, st)
+        tf = solver.integrate(full.rhs, y0, st)
         red = models.build_system("simple-reduced", cfg, coupling=coup)
-        tr = solver.integrate(lambda t, y: red.rhs(y),
-                              np.array([0.5, 0.5, d0]), st)
+        tr = solver.integrate(red.rhs, np.array([0.5, 0.5, d0]), st)
         ts = np.linspace(0.0, 20.0, 401)
         diff = float(np.max(np.abs(tf.interpolate(ts)[:, :2]
                                    - tr.interpolate(ts)[:, :2])))

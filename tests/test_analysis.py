@@ -104,7 +104,7 @@ def test_time_course_matches_integration_coth_branch():
     C, S, mu, d0 = 2.0, 0.0, 0.2, 3.0     # starts beyond the unstable root
     st = IntegratorSettings(rtol=1e-11, atol=1e-13, t_end=20.0, dt_max=0.05)
     traj = solver.integrate(
-        lambda t, y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
+        lambda y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
         np.array([d0]), st)
     closed = analysis.delta_time_course(traj.t, C, S, mu, d0)
     assert np.max(np.abs(closed - traj.y[:, 0])) < 1e-7

@@ -385,3 +385,30 @@ def test_cli_doe_writes_one_nan_row_for_a_failed_point(tmp_path, monkeypatch):
         if i != 2:
             a.pop("objective"), b.pop("objective")
             assert a == b
+
+
+def test_failed_settling_fails_the_points_members(monkeypatch):
+    """A point whose free centroid settling fails (here: mu = NaN) settles
+    to NaN alone, and the engine counts the members of a point that starts
+    from NaN as failed while the other points keep their values."""
+    monkeypatch.setattr(basin, "_SETTLE", IntegratorSettings(
+        method="rk4", dt_init=0.01, t_end=5.0))         # a short settling
+    coupling = CentroidCoupling(g12=0.7, g21=1.3, g13=0.4, g23=0.2, g31=0.5,
+                                g32=0.6)
+    settled = basin._initial_delta3(_cfg(alpha=5.0, mu=np.array([0.1, np.nan])),
+                                    coupling, 2)
+    assert np.isnan(settled[:, 1]).all()
+    np.testing.assert_array_equal(
+        settled[:, :1], basin._initial_delta3(_cfg(alpha=5.0, mu=0.1),
+                                              coupling, 1))
+    real = basin._initial_delta3
+    monkeypatch.setattr(basin, "_initial_delta3", lambda cfg, coupling, n: (
+        real(cfg, coupling, n) + np.where(np.arange(n) == 1, np.nan, 0.0)))
+    spec = _spec(grid=(2, 2), t_end=30.0)
+    good, bad = basin._basins("eco3-reduced",
+                              _cfg(alpha=5.0, beta1=np.array([2.3, 2.7])),
+                              spec, 2, coupling=coupling)
+    assert np.isnan(bad.value) and bad.n_failed == bad.n_evaluated == 4
+    want = basin.estimate_basin("eco3-reduced", _cfg(alpha=5.0, beta1=2.3),
+                                spec, coupling=coupling)
+    assert good.n_failed == 0 and good.value == want.value

@@ -294,6 +294,19 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
      "-o", "task.grid=[2,2]", "-o", "solver.t_end=5"],
     ["basin", "-c", "fig3b", "-o", "task.delta_resolution=3",
      "-o", "task.grid=[2,2]", "-o", "solver.t_end=5"],
+    # task.initial entries of the wrong length, or ones the run ignores
+    ["simulate", "-c", "simple-cs", "-o", 'task.initial={"P":[0.5]}'],
+    ["simulate", "-c", "simple-cs", "-o", 'task.initial={"delta":[0.1,0.2]}'],
+    ["simulate", "-c", "fig3a", "-o", 'task.initial={"theta":[0.1]}'],
+    ["simulate", "-c", "fig3a", "-o", 'task.initial={"P":[5.0,5.0]}'],
+    ["simulate", "-c", "fig3a", "-o", "task.n_sim=2",
+     "-o", 'task.initial={"P":[5.0,5.0,5.0,5.0]}'],
+    ["simulate", "-c", "fig3a", "-o", "task.n_sim=2",
+     "-o", 'task.initial={"delta":0.1}'],
+    ["simulate", "-c", "simple-cs", "-o", 'task.initial={"theta":[0.1]}'],
+    ["simulate", "-c", "paper-2pop", "-o",
+     'task.initial={"delta":0.1,"theta":[0.0,0.0]}'],
+    ["simulate", "-c", "paper-2pop", "-o", 'task.initial={"Q":[0.5,0.5]}'],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -339,6 +352,15 @@ def test_non_finite_simulation_exits_3(method, message, tmp_path, monkeypatch,
                      f"solver.method={method}",
                      "--out", str(tmp_path / "out")]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_failed_reconnaissance_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(models.ModelSystem, "phase_rhs", lambda self: (
+        lambda theta: np.full(theta.shape, np.nan)))
+    assert cli.main(["simulate", "-c", "fig3b", "-o", "solver.t_end=1",
+                     "-o", "solver.recon_T=1",
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "reconnaissance failed" in capsys.readouterr().err
 
 
 def test_basin_grid_of_integral_floats(tmp_path):

@@ -95,6 +95,16 @@ def test_design_annealing_leaves_coarse_plateaus(monkeypatch):
         assert rngs[-1].integer_calls <= 3 * 4096
 
 
+def test_design_keeps_the_lowest_max_corr_seen():
+    # the annealer lowers the sum of squared correlations, which can end on
+    # aliased columns (|corr| 1) after a check saw a better design; these
+    # seeds used to return 1.0 for s = 1, 2, 3
+    for seed in range(5):
+        dm = doe.build_design(5, 4, [(0.0, 1.0)] * 5, seed=seed)
+        assert dm.max_abs_corr < 1.0 - 1e-9
+        assert dm.max_abs_corr == doe._max_abs_corr(dm.levels)
+
+
 def test_kde_peak_at_single_sample():
     dens = doe.kde_density(np.array([0.5]), 0.1)
     xs = np.linspace(0, 1, 201)

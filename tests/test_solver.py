@@ -6,30 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import batch_oracle
-from kuracomp import analysis, graphs, models, solver
+from kuracomp import analysis, basin, cli, graphs, models, solver
+from kuracomp._rng import substream
 from kuracomp.models import CentroidCoupling, ModelConfig
 from kuracomp.solver import IntegratorSettings
 
 
 def test_exponential_decay():
     st = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=1.0)
-    traj = solver.integrate(lambda t, y: -y, np.array([1.0]), st)
+    traj = solver.integrate(lambda y: -y, np.array([1.0]), st)
     assert abs(traj.y[-1, 0] - np.exp(-1)) < 1e-8
 
 
 def test_cosine_integral():
+    # the clock is a state row (dt/dt = 1), so the rhs stays autonomous
     st = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=np.pi)
-    traj = solver.integrate(lambda t, y: np.array([np.cos(t)]),
-                            np.array([0.0]), st)
+    traj = solver.integrate(lambda y: np.array([np.cos(y[1]), 1.0]),
+                            np.array([0.0, 0.0]), st)
     assert abs(traj.y[-1, 0]) < 1e-8
     assert traj.t[-1] == pytest.approx(np.pi)
+    np.testing.assert_allclose(traj.y[:, 1], traj.t, rtol=1e-12)
 
 
 def test_centroid_ode_matches_closed_form():
     C, S, mu, d0 = 1.5, 0.4, 0.3, -0.8
     st = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=20.0, dt_max=0.1)
     traj = solver.integrate(
-        lambda t, y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
+        lambda y: np.array([mu + S * np.cos(y[0]) - C * np.sin(y[0])]),
         np.array([d0]), st)
     closed = analysis.delta_time_course(traj.t, C, S, mu, d0)
     assert np.max(np.abs(traj.y[:, 0] - closed)) < 1e-6
@@ -37,26 +40,30 @@ def test_centroid_ode_matches_closed_form():
 
 def test_rk4_fixed_step():
     st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=1.0)
-    traj = solver.integrate(lambda t, y: -y, np.array([1.0]), st)
+    traj = solver.integrate(lambda y: -y, np.array([1.0]), st)
     assert abs(traj.y[-1, 0] - np.exp(-1)) < 1e-9
     # bit-identical rerun
-    traj2 = solver.integrate(lambda t, y: -y, np.array([1.0]), st)
+    traj2 = solver.integrate(lambda y: -y, np.array([1.0]), st)
     assert np.array_equal(traj.y, traj2.y)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
-@pytest.mark.parametrize("t0, t_end", [(0.0, -1.0), (0.0, 0.0), (2.0, 1.5)])
-def test_horizon_must_exceed_start(method, t0, t_end):
+@pytest.mark.parametrize("t_end", [-1.0, 0.0])
+def test_horizon_must_exceed_start(method, t_end):
     st = IntegratorSettings(method=method, dt_init=0.01, t_end=t_end)
-    with pytest.raises(ValueError, match="t_end must exceed t0"):
-        solver.integrate(lambda t, y: -y, np.array([1.0]), st, t0=t0)
-    # the reconnaissance kernel takes zero steps on a zero horizon
-    y = np.array([1.0, 2.0])
-    assert solver._rk4(lambda yy: -yy, y, 0.01, 0.0) is y
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        solver.integrate(lambda y: -y, np.array([1.0]), st)
+    # reconnaissance takes zero steps on a zero horizon: the drawn phases
+    system = models.build_system("simple", ModelConfig(), net=_small_net())
+    theta = solver.reconnoitred_phases(system, 3, seed=4, dt=0.01,
+                                       recon_T=0.0)
+    drawn = [substream(4, "ensemble", i).uniform(0.0, 2.0 * np.pi, size=6)
+             for i in range(3)]
+    np.testing.assert_array_equal(theta, np.stack(drawn, axis=1))
 
 
 def test_tolerance_halving_property():
-    def rhs(t, y):
+    def rhs(y):
         return np.array([y[1], -np.sin(y[0])])
 
     coarse = IntegratorSettings(rtol=2e-6, atol=2e-8, t_end=10.0)
@@ -69,7 +76,7 @@ def test_tolerance_halving_property():
 
 def test_dense_output_accuracy():
     st = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=2.0, dt_max=0.2)
-    traj = solver.integrate(lambda t, y: -y, np.array([1.0]), st)
+    traj = solver.integrate(lambda y: -y, np.array([1.0]), st)
     ts = np.linspace(0.05, 1.95, 37)
     vals = traj.interpolate(ts)[:, 0]
     assert np.max(np.abs(vals - np.exp(-ts))) < 1e-8
@@ -79,7 +86,7 @@ def test_event_location_precision():
     # dt_max bounds the dense-output error; the bisection window is 1e-9.
     # Row 0 decays to 0.5 at ln 2, row 1 only at ln 4.
     st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=5.0, dt_max=0.05)
-    traj = solver.integrate(lambda t, y: -y, np.array([1.0, 2.0]), st,
+    traj = solver.integrate(lambda y: -y, np.array([1.0, 2.0]), st,
                             p_death=0.5)
     assert traj.status == "event" and traj.extinct == 0
     assert abs(traj.t[-1] - np.log(2)) < 1e-6
@@ -89,7 +96,7 @@ def test_event_monotone_in_threshold():
     st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=20.0)
     times = []
     for thr in (1e-2, 1e-3, 1e-4):
-        traj = solver.integrate(lambda t, y: -y, np.array([1.0, 2.0]), st,
+        traj = solver.integrate(lambda y: -y, np.array([1.0, 2.0]), st,
                                 p_death=thr)
         times.append(traj.t[-1])
     assert times[0] < times[1] < times[2]
@@ -98,7 +105,7 @@ def test_event_monotone_in_threshold():
 def test_stiffness_error_carries_partial_trajectory():
     st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=2.0)
     with pytest.raises(solver.StiffnessError) as err:
-        solver.integrate(lambda t, y: y ** 2, np.array([1.0]), st)
+        solver.integrate(lambda y: y ** 2, np.array([1.0]), st)
     assert err.value.trajectory is not None
     assert err.value.trajectory.t[-1] < 1.01     # blow-up at t = 1
 
@@ -146,7 +153,7 @@ def test_scenario_recon_invariance_when_settled():
     st = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=100.0)
     settle = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=200.0)
     phase_rhs = system.phase_rhs()
-    theta = solver.integrate(lambda t, th: phase_rhs(th), np.zeros(6),
+    theta = solver.integrate(phase_rhs, np.zeros(6),
                              settle).y[-1]
     y0 = np.concatenate([[0.5, 0.5], theta])
     out0 = solver.run_scenario(system, y0, st, recon_T=0.0, p_death=1e-4)
@@ -250,7 +257,7 @@ def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
     out = solver.integrate_batch(counting, y0, 0.05, 30.0, cfg.P_D,
                                  on_compact=on_compact)
     assert len(crossing_steps) == 3
-    assert calls[0] == 4 * len(list(solver._rk4_grid(0.0, 30.0, 0.05)))
+    assert calls[0] == 4 * 600           # four per step of the 0.05 grid
     # winners and t_event of the run that called rhs once more per
     # crossing step
     assert out.winner.tolist() == [0, 0, 1, 1, 1, 0]
@@ -274,7 +281,7 @@ def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
                                        (7.3, 0.02), (7.31, 0.02)])
 def test_rk4_schedule_has_no_sliver_step(t_end, dt):
     st = IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end)
-    traj = solver.integrate(lambda t, y: -y, np.array([1.0]), st)
+    traj = solver.integrate(lambda y: -y, np.array([1.0]), st)
     assert len(traj.t) - 1 == int(np.ceil(t_end / dt - 1e-12))
     assert np.diff(traj.t).min() > 1e-9
     assert traj.t[-1] == pytest.approx(t_end, abs=1e-9)
@@ -286,7 +293,7 @@ def test_rk4_trajectory_equals_batch_member():
     system = models.build_system("simple-reduced", cfg)
     y0 = np.array([0.5, 0.5, 0.1])
     st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
-    traj = solver.integrate(lambda t, y: system.rhs(y), y0, st)
+    traj = solver.integrate(system.rhs, y0, st)
     # no threshold below -inf, and the flow stays far from steady
     out = solver.integrate_batch(system.rhs, y0[:, None], 0.01, 10.0,
                                  -np.inf)
@@ -295,7 +302,7 @@ def test_rk4_trajectory_equals_batch_member():
     # a member that ends on an event: its y_final is the trajectory's last
     # row, the located crossing state, in a batch beside a horizon member
     p_death = 0.05
-    traj = solver.integrate(lambda t, y: system.rhs(y), y0, st,
+    traj = solver.integrate(system.rhs, y0, st,
                             p_death=p_death)
     assert traj.status == "event" and traj.extinct == 1
     out = solver.integrate_batch(system.rhs, np.stack([y0, y0], axis=1),
@@ -342,7 +349,7 @@ def test_event_on_step_boundary_recorded_once(row):
     st = IntegratorSettings(method="rk4", dt_init=0.25, t_end=1.0)
     y0 = np.full(2, 1.0)
     y0[row] = 0.5
-    traj = solver.integrate(lambda t, y: -np.ones(2), y0, st, p_death=0.0)
+    traj = solver.integrate(lambda y: -np.ones(2), y0, st, p_death=0.0)
     assert traj.extinct == row and len(traj.t) == 3
     assert traj.t[-1] == pytest.approx(0.5, abs=1e-9)
 
@@ -351,7 +358,7 @@ def test_trajectory_csv_headers(tmp_path):
     cfg = ModelConfig(gamma1=1.0, gamma2=1.0, mu=0.2, phi=0.2)
     system = models.build_system("simple-reduced", cfg)
     st = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=1.0)
-    traj = solver.integrate(lambda t, y: system.rhs(y),
+    traj = solver.integrate(system.rhs,
                             np.array([0.5, 0.5, 0.0]), st)
     path = tmp_path / "traj.csv"
     traj.to_csv(path, system.labels)
@@ -380,8 +387,8 @@ def test_tolerance_halving_on_case_study_preset():
     y0 = np.array([0.5, 0.5, 0.1])
     coarse = IntegratorSettings(rtol=2e-8, atol=2e-10, t_end=50.0)
     fine = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=50.0)
-    yc = solver.integrate(lambda t, y: system.rhs(y), y0, coarse).y[-1]
-    yf = solver.integrate(lambda t, y: system.rhs(y), y0, fine).y[-1]
+    yc = solver.integrate(system.rhs, y0, coarse).y[-1]
+    yf = solver.integrate(system.rhs, y0, fine).y[-1]
     assert np.max(np.abs(yc - yf)) < 2e-8 * 100
 
 
@@ -390,7 +397,7 @@ def _member_runs(model, cfg, y0, st):
     the j-th value of each array field of ``cfg``."""
     rhs, on_compact = models._member_rhs(
         model, cfg, models.CentroidCoupling.from_config(cfg))
-    return solver._drive(lambda t, y: rhs(y), y0, st,
+    return solver._drive(rhs, y0, st,
                          p_death=np.broadcast_to(cfg.P_D, y0.shape[1:]),
                          on_compact=on_compact)
 
@@ -427,7 +434,7 @@ def test_driver_members_equal_their_single_runs(model, data):
     for j, got in enumerate(_member_runs(model, cfg, y0, st)):
         cj = models._take(cfg, j)
         rhs = models.build_system(model, cj).rhs
-        one = solver.integrate(lambda t, y: rhs(y), y0[:, j], st,
+        one = solver.integrate(rhs, y0[:, j], st,
                                p_death=cj.P_D)
         assert (got.status, got.extinct) == (one.status, one.extinct)
         assert len(got.t) == len(one.t)
@@ -439,10 +446,10 @@ def test_stiffness_inside_a_batch_names_the_member():
     st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=2.0)
     y0 = np.array([[-1.0, 1.0, 0.2]])        # only member 1 blows up (t = 1)
     with pytest.raises(solver.StiffnessError) as err:
-        solver._drive(lambda t, y: y ** 2, y0, st)
+        solver._drive(lambda y: y ** 2, y0, st)
     assert err.value.member == 1
     with pytest.raises(solver.StiffnessError) as one:
-        solver.integrate(lambda t, y: y ** 2, np.array([1.0]), st)
+        solver.integrate(lambda y: y ** 2, np.array([1.0]), st)
     got, want = err.value.trajectory, one.value.trajectory
     assert got.status == "stiff" and got.t[-1] < 1.01
     np.testing.assert_array_equal(got.t, want.t)
@@ -472,7 +479,7 @@ def _hermite_loop(traj, ts):
 
 def test_interpolate_equals_per_time_hermite_loop():
     st = IntegratorSettings(rtol=1e-9, atol=1e-12, t_end=7.0)
-    traj = solver.integrate(lambda t, y: np.array([y[1], -np.sin(y[0])]),
+    traj = solver.integrate(lambda y: np.array([y[1], -np.sin(y[0])]),
                             np.array([1.0, 0.0]), st)
     ts = np.concatenate([traj.t, np.linspace(0.0, 7.0, 2001), [7.0]])
     np.testing.assert_array_equal(traj.interpolate(ts), _hermite_loop(traj, ts))
@@ -595,14 +602,15 @@ def test_locator_equals_the_event_oracle(data):
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_non_finite_rhs_raises_within_bounded_steps(method):
-    """A right-hand side that turns NaN after t = 1 ends the run: RK45
-    never floor-accepts a non-finite error estimate, so its step underflows
-    short of t = 1, and RK4 finds the non-finite member at its next check."""
+    """A right-hand side that turns NaN once y falls below e^-1 (at t = 1)
+    ends the run: RK45 never floor-accepts a non-finite error estimate, so
+    its step underflows short of t = 1, and RK4 finds the non-finite member
+    at its next check."""
     calls = [0]
 
-    def rhs(t, y):
+    def rhs(y):
         calls[0] += 1
-        return np.full(1, np.nan) if t > 1.0 else -y
+        return np.full(1, np.nan) if y[0] < np.exp(-1.0) else -y
 
     st = IntegratorSettings(method=method, dt_init=0.01, t_end=5.0)
     with pytest.raises(solver.StiffnessError,
@@ -612,7 +620,7 @@ def test_non_finite_rhs_raises_within_bounded_steps(method):
     traj = err.value.trajectory
     assert err.value.member == 0 and traj.t[0] == 0.0
     if method == "rk45":
-        assert traj.status == "stiff" and traj.t[-1] <= 1.0
+        assert traj.status == "stiff" and traj.t[-1] <= 1.0 + 1e-6
         assert np.isfinite(traj.y).all()
     else:
         assert traj.status == "failed"
@@ -637,3 +645,88 @@ def test_non_finite_member_fails_alone():
     st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
     with pytest.raises(solver.StiffnessError, match="non-finite"):
         solver.run_scenario(nan_system, y0[:, 1], st, p_death=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# reconnaissance and settling: _drive's outcome-only runs without thresholds
+# ---------------------------------------------------------------------------
+
+def test_reconnaissance_and_settling_equal_the_final_state_loop():
+    """Both equal the RK4 loop they ran on before (batch_oracle._rk4) bit
+    for bit.  The settled centroid differences reach |dy/dt| < STEADY_TOL
+    well before t = 50, so a run that retired steady members would differ."""
+    system = models.build_system("simple", ModelConfig(), net=_small_net())
+    drawn = solver.reconnoitred_phases(system, 5, seed=2, dt=0.02,
+                                       recon_T=0.0)
+    theta = solver.reconnoitred_phases(system, 5, seed=2, dt=0.02,
+                                       recon_T=7.3)
+    np.testing.assert_array_equal(
+        theta, batch_oracle._rk4(system.phase_rhs(), drawn, 0.02, 7.3))
+    cfg = ModelConfig(mu=np.array([0.1, 0.25, -0.3]),
+                      nu=np.array([-0.25, 0.2, 0.0]))
+    coupling = CentroidCoupling(g12=1.0, g21=1.0, g13=1.0, g23=1.0, g31=1.0,
+                                g32=1.0)
+    fr = models._frustration(cfg)
+    y = batch_oracle._rk4(
+        lambda y: models.eco3_reduced_rhs(y, cfg, coupling, fr),
+        np.zeros((5, 3)), 0.01, 50.0)
+    assert np.abs(models.eco3_reduced_rhs(y, cfg, coupling, fr)).max() \
+        < solver.STEADY_TOL
+    np.testing.assert_array_equal(basin._initial_delta3(cfg, coupling, 3),
+                                  y[3:])
+
+
+@pytest.mark.parametrize("preset", ["small", "fig3b"])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_scenario_equals_a_dense_reconnaissance(preset, method):
+    """run_scenario's outcome-only reconnaissance ends on the last row of
+    the dense phase-only trajectory it replaced, so every row of the
+    scenario's trajectory is the same bit for bit."""
+    if preset == "small":
+        system = models.build_system("simple", ModelConfig(
+            r1=3.0, r2=2.5, beta1=6.0, beta2=2.0, mu=0.2, phi=0.2),
+            net=_small_net())
+        y0 = np.concatenate([[0.5, 0.5], np.linspace(0.0, 3.0, 6)])
+    else:
+        config = cli.validate_config(cli.get_preset(preset))
+        system, cfg, _, _, _, _ = cli._build(config)
+        y0 = cli._initial_state(system, cfg, config["task"])
+    st = IntegratorSettings(method=method, dt_init=0.01, t_end=10.0)
+    m = system.n_pops
+    out = solver.run_scenario(system, y0, st, recon_T=7.5, p_death=1e-4)
+    theta = solver.integrate(system.phase_rhs(), y0[m:],
+                             replace(st, t_end=7.5)).y[-1]
+    want = solver.integrate(system.rhs, np.concatenate([y0[:m], theta]), st,
+                            p_death=1e-4)
+    got = out.trajectory
+    for a, b in ((got.t, want.t), (got.y, want.y), (got.f, want.f)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_failed_reconnaissance():
+    """A member whose phase rates turn NaN (here: theta_0 > pi) fails its
+    reconnaissance: its phases come back NaN and its ensemble member counts
+    as failed (winner -1) beside the others, and a scenario raises
+    StiffnessError, unless recon_T = 0 takes no step."""
+    cfg = ModelConfig(r1=3.0, r2=2.5, beta1=6.0, beta2=2.0, mu=0.2, phi=0.2)
+    system = models.build_system("simple", cfg, net=_small_net())
+    phase_rhs = system.phase_rhs()
+    system.phase_rhs = lambda: (lambda th: np.where(th[0] > np.pi, np.nan,
+                                                    phase_rhs(th)))
+    drawn = solver.reconnoitred_phases(system, 8, seed=1, dt=0.02,
+                                       recon_T=0.0)
+    theta = solver.reconnoitred_phases(system, 8, seed=1, dt=0.02,
+                                       recon_T=3.0)
+    bad = np.isnan(theta).any(axis=0)
+    assert 0 < bad.sum() < 8 and np.isnan(theta[:, bad]).all()
+    np.testing.assert_array_equal(
+        theta[:, ~bad], batch_oracle._rk4(phase_rhs, drawn[:, ~bad], 0.02, 3.0))
+    st = IntegratorSettings(method="rk4", dt_init=0.02, t_end=20.0)
+    res = solver.ensemble(system, [0.5, 0.5], 8, 1, st, recon_T=3.0)
+    assert res.counts["failed"] == bad.sum()
+    assert sum(res.counts[k] for k in ("blue", "red", "stalemate")) \
+        == (~bad).sum()
+    y0 = np.concatenate([[0.5, 0.5], np.full(6, 4.0)])
+    with pytest.raises(solver.StiffnessError, match="reconnaissance"):
+        solver.run_scenario(system, y0, st, recon_T=3.0)
+    assert solver.run_scenario(system, y0, st, recon_T=0.0).winner == "blue"
