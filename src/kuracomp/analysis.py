@@ -601,7 +601,7 @@ def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
         raise ValueError("sweep supports the reduced two-population variants")
     model_params(variant, (param,), coupling=coupling)
     if settings is None:
-        settings = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=200.0)
+        settings = IntegratorSettings(t_end=200.0)
     values = np.asarray(values, dtype=float)
     swept = cfg.with_overrides(**{param: values})
     coupling = build_system(variant, swept, coupling=coupling).coupling

@@ -31,8 +31,8 @@ import numpy as np
 
 from .analysis import delta_star
 from .models import (_REDUCED, _member_rhs, _take, build_system,
-                     centroid_coeffs, model_params)
-from .solver import (RECON_T, IntegratorSettings, _settle, integrate_batch,
+                     centroid_coeffs, model_params, resource_scale)
+from .solver import (IntegratorSettings, _settle, integrate_batch,
                      reconnoitred_phases)
 
 __all__ = ["BasinSpec", "BasinResult", "estimate_basin", "estimate_basins",
@@ -51,18 +51,18 @@ class BasinSpec:
     random initial phase configurations per cell) and "delta-star" for
     reduced ones (the centroid difference starts at its settled free
     value); "delta-grid" sweeps Delta(0) over delta_resolution values in
-    [-pi, pi) instead, making each cell a fraction.
+    [-pi, pi) instead, making each cell a fraction.  ``settings.recon_T`` is
+    the ensemble policy's reconnaissance time.
     """
 
     grid: tuple = (51, 51)          # resolution over (P1(0), P2(0))
-    p3_init: float = None           # fixed P3(0); default 0.5*K3
+    p3_init: float = None           # fixed P3(0); default half its scale
     phase_policy: str = "auto"
     n_sim: int = 100                # ensemble members per cell (full variants)
     delta_resolution: int = 8       # Delta(0) values per cell (delta-grid)
     seed: int = 0
-    recon_T: float = RECON_T
     settings: IntegratorSettings = field(
-        default_factory=lambda: IntegratorSettings(dt_init=0.01, t_end=200.0))
+        default_factory=lambda: IntegratorSettings(t_end=200.0))
 
     def __post_init__(self):
         if any(r < 1 for r in self.grid):
@@ -136,19 +136,18 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
 
     r1, r2 = spec.grid
     n_cells = r1 * r2
-    caps = (cfg.K1, cfg.K2) if system.n_pops == 3 else (1.0, 1.0)
+    caps = resource_scale(system)
     p1c, p2c = (np.broadcast_to(_cell_centres(r, k), (n_points, r))
                 for r, k in zip(spec.grid, caps))
     rows = [np.repeat(p1c, r2, axis=1)[:, :, None],
             np.tile(p2c, r1)[:, :, None]]             # (points, cells, 1)
     if system.n_pops == 3:
-        p3 = spec.p3_init if spec.p3_init is not None else 0.5 * cfg.K3
+        p3 = spec.p3_init if spec.p3_init is not None else 0.5 * caps[2]
         rows.append(np.reshape(p3, (-1, 1, 1)))
 
     settings = spec.settings
     if policy == "ensemble":
-        start = reconnoitred_phases(system, spec.n_sim, spec.seed,
-                                    settings.dt_init, spec.recon_T)
+        start = reconnoitred_phases(system, spec.n_sim, spec.seed, settings)
         start = start[:, None, None, :]               # (nodes, 1, 1, members)
     elif policy == "delta-grid":
         m = spec.delta_resolution

@@ -21,10 +21,9 @@ import numpy as np
 
 from . import __version__, analysis, basin, doe, stats
 from .models import (_REDUCED, MODEL_VARIANTS, ModelConfig, build_system,
-                     model_params)
+                     model_params, resource_scale)
 from .presets import build_network, get_preset, preset_names
-from .solver import (RECON_T, IntegratorSettings, StiffnessError, ensemble,
-                     run_scenario)
+from .solver import IntegratorSettings, StiffnessError, ensemble, run_scenario
 
 TASK_TYPES = ("simulate", "fixed-points", "sweep", "basin", "heatmap",
               "doe", "glm")
@@ -174,7 +173,7 @@ def config_hash(config: dict) -> str:
 
 
 def _build(config: dict):
-    """(system, cfg, net, settings, recon_T, seed) from a validated config."""
+    """(system, settings, seed) from a validated config."""
     model, task = config["model"], config["task"]
     if (task["type"] in ("fixed-points", "sweep")
             and model not in ("simple-reduced", "eco2-reduced")):
@@ -224,23 +223,24 @@ def _build(config: dict):
         raise ValidationFailure(
             f"{task['type']} runs fixed-step RK4 at solver.dt_init and would "
             f"ignore solver.{', solver.'.join(ignored)}")
-    recon_T = sv.pop("recon_T", RECON_T)
+    if "recon_T" in sv and model in _REDUCED:
+        raise ValidationFailure("solver.recon_T: reduced variants have no "
+                                "reconnaissance")
     settings = IntegratorSettings(**sv)
     system = build_system(model, cfg, net=net)
     if task["type"] == "simulate":
-        _initial_state(system, cfg, task)        # checks task.initial
+        _initial_state(system, task)             # checks task.initial
     if task["type"] in ("basin", "heatmap", "doe"):
-        policy = basin._phase_policy(_basin_spec(task, settings, seed,
-                                                 recon_T), system)
+        policy = basin._phase_policy(_basin_spec(task, settings, seed), system)
         for key, reader in (("n_sim", "ensemble"),
                             ("delta_resolution", "delta-grid")):
             if key in task and policy != reader:
                 raise ValidationFailure(f"task.{key} is read only by the "
                                         f"{reader} phase policy, not {policy}")
-    return system, cfg, system.net, settings, recon_T, seed
+    return system, settings, seed
 
 
-def _initial_state(system, cfg, task):
+def _initial_state(system, task):
     """A simulate task's start state.  ValidationFailure unless each
     task.initial entry is one the run reads, with one value per population
     (P), centroid difference (delta; a full variant places one) or node
@@ -257,10 +257,8 @@ def _initial_state(system, cfg, task):
         if np.size(value) != sizes[key]:
             raise ValidationFailure(f"task.initial.{key} needs {sizes[key]} "
                                     f"value(s), got {np.size(value)}")
-    caps = ([cfg.K1, cfg.K2, cfg.K3][:m] if system.name.startswith("eco3")
-            else [1.0] * m)
     P = np.asarray(init["P"], dtype=float) if "P" in init \
-        else 0.5 * np.asarray(caps)
+        else 0.5 * np.asarray(resource_scale(system))
     if system.reduced:
         delta = init.get("delta", np.zeros(system.dim - m))
         return np.concatenate([P, np.atleast_1d(np.asarray(delta, float))])
@@ -276,29 +274,27 @@ def _initial_state(system, cfg, task):
 # task runners
 # ---------------------------------------------------------------------------
 
-def _task_simulate(config, system, cfg, net, settings, recon_T, seed, outdir):
+def _task_simulate(config, system, settings, seed, outdir):
     task = config["task"]
     if "n_sim" in task:
-        res = ensemble(system, _initial_state(system, cfg, task)[:system.n_pops],
-                       task["n_sim"], seed, settings, recon_T, cfg.P_D)
+        res = ensemble(system, _initial_state(system, task)[:system.n_pops],
+                       task["n_sim"], seed, settings)
         _write_json(outdir / "ensemble.json",
                     {"fractions": res.fractions, "counts": res.counts,
                      "n_sim": res.n_sim})
         return {"fractions": res.fractions}
-    y0 = _initial_state(system, cfg, task)
-    outcome = run_scenario(system, y0, settings, recon_T=recon_T,
-                           p_death=cfg.P_D)
+    outcome = run_scenario(system, _initial_state(system, task), settings)
     outcome.trajectory.to_csv(outdir / "trajectory.csv", system.labels)
     _write_json(outdir / "outcome.json",
                 {"winner": outcome.winner, "t_event": outcome.t_event})
     return {"winner": outcome.winner, "t_event": outcome.t_event}
 
 
-def _task_fixed_points(config, system, cfg, net, settings, recon_T, seed, outdir):
+def _task_fixed_points(config, system, settings, seed, outdir):
     diags = []
     fixed_points = (analysis.eco2_fixed_points if config["model"] ==
                     "eco2-reduced" else analysis.simple_fixed_points)
-    records = fixed_points(cfg, system.coupling, diagnostics=diags)
+    records = fixed_points(system.cfg, system.coupling, diagnostics=diags)
     rows = ["label,P1,P2,Delta1,max_real_eig,class,residual,status"]
     for rec in records:
         rows.append(",".join(
@@ -311,31 +307,31 @@ def _task_fixed_points(config, system, cfg, net, settings, recon_T, seed, outdir
     return {"n_fixed_points": len(records)}
 
 
-def _task_sweep(config, system, cfg, net, settings, recon_T, seed, outdir):
+def _task_sweep(config, system, settings, seed, outdir):
     task = config["task"]
     lo, hi = task["range"]
     values = np.linspace(lo, hi, task.get("n_points", 21))
-    coupling = system.coupling if net is not None else None
-    rows = analysis.sweep_bifurcation(config["model"], cfg, task["param"],
-                                      values, coupling=coupling,
-                                      settings=settings)
+    coupling = system.coupling if system.net is not None else None
+    rows = analysis.sweep_bifurcation(config["model"], system.cfg,
+                                      task["param"], values,
+                                      coupling=coupling, settings=settings)
     analysis.sweep_to_csv(rows, outdir / "sweep.csv")
     return {"n_rows": len(rows)}
 
 
-def _basin_spec(task, settings, seed, recon_T):
+def _basin_spec(task, settings, seed):
     given = {k: task[k] for k in ("n_sim", "phase_policy", "delta_resolution",
                                   "p3_init") if k in task}   # else BasinSpec's
     if "grid" in task:
         given["grid"] = tuple(int(r) for r in task["grid"])   # 2.0 passes
-    return basin.BasinSpec(seed=seed, settings=settings, recon_T=recon_T,
-                           **given)
+    return basin.BasinSpec(seed=seed, settings=settings, **given)
 
 
-def _task_basin(config, system, cfg, net, settings, recon_T, seed, outdir):
+def _task_basin(config, system, settings, seed, outdir):
     task = config["task"]
-    spec = _basin_spec(task, settings, seed, recon_T)
-    result = basin.estimate_basin(config["model"], cfg, spec, net=net)
+    spec = _basin_spec(task, settings, seed)
+    result = basin.estimate_basin(system.name, system.cfg, spec,
+                                  net=system.net)
     np.savetxt(outdir / "basin_cells.csv", result.per_cell, delimiter=",",
                fmt="%.12g")
     _write_json(outdir / "basin.json",
@@ -344,18 +340,17 @@ def _task_basin(config, system, cfg, net, settings, recon_T, seed, outdir):
     return {"basin": result.value}
 
 
-def _task_heatmap(config, system, cfg, net, settings, recon_T, seed, outdir,
-                  jobs=1, svg=False):
+def _task_heatmap(config, system, settings, seed, outdir, jobs=1, svg=False):
     task = config["task"]
-    spec = _basin_spec(task, settings, seed, recon_T)
+    spec = _basin_spec(task, settings, seed)
     xs = np.linspace(task["x_range"][0], task["x_range"][1],
                      task.get("x_points", 21))
     ys = np.linspace(task["y_range"][0], task["y_range"][1],
                      task.get("y_points", 21))
     started = time.time()
     matrix, xv, yv = basin.basin_heatmap(
-        config["model"], cfg, task["x_param"], xs, task["y_param"], ys,
-        spec, net=net, jobs=jobs)
+        system.name, system.cfg, task["x_param"], xs, task["y_param"], ys,
+        spec, net=system.net, jobs=jobs)
     meta = {"model": config["model"], "config_hash": config_hash(config),
             "seed": seed, "x_param": task["x_param"],
             "y_param": task["y_param"],
@@ -367,18 +362,17 @@ def _task_heatmap(config, system, cfg, net, settings, recon_T, seed, outdir,
     return {"min": float(matrix.min()), "max": float(matrix.max())}
 
 
-def _task_doe(config, system, cfg, net, settings, recon_T, seed, outdir):
+def _task_doe(config, system, settings, seed, outdir):
     task = config["task"]
     factors = [(f["name"], float(f["lo"]), float(f["hi"]))
                for f in task["factors"]]
-    spec = _basin_spec(task, settings, seed, recon_T)
-    model = config["model"]
+    spec = _basin_spec(task, settings, seed)
 
     def g(X):
-        c = replace(cfg, **{name: X[:, j]
-                            for j, (name, _, _) in enumerate(factors)})
-        return [r.value for r in basin.estimate_basins(model, c, spec, len(X),
-                                                       net=net)]
+        c = replace(system.cfg, **{name: X[:, j]
+                                   for j, (name, _, _) in enumerate(factors)})
+        return [r.value for r in basin.estimate_basins(
+            system.name, c, spec, len(X), net=system.net)]
 
     records = doe.run_doe(g, [(lo, hi) for _, lo, hi in factors],
                           task["k_init"], task["n_total"], seed)
@@ -387,7 +381,7 @@ def _task_doe(config, system, cfg, net, settings, recon_T, seed, outdir):
     return {"n_records": len(records)}
 
 
-def _task_glm(config, system, cfg, net, settings, recon_T, seed, outdir):
+def _task_glm(config, system, settings, seed, outdir):
     task = config["task"]
     records, names = doe.read_doe_log(task["input"])
     good = [r for r in records if not r.failed]
@@ -510,7 +504,7 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
         raise ValidationFailure("config needs task.type")
     started = time.time()
     try:
-        system, cfg, net, settings, recon_T, master_seed = _build(config)
+        system, settings, master_seed = _build(config)
     except ValueError as exc:       # the library rejects the config
         if isinstance(exc, np.linalg.LinAlgError):
             raise
@@ -521,12 +515,8 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
         json.dump(config, fh, indent=2, sort_keys=True, default=float)
     task_type = config["task"]["type"]
     runner = _TASKS[task_type]
-    if task_type == "heatmap":
-        summary = runner(config, system, cfg, net, settings, recon_T,
-                         master_seed, outdir, jobs=jobs, svg=svg)
-    else:
-        summary = runner(config, system, cfg, net, settings, recon_T,
-                         master_seed, outdir)
+    heatmap = {"jobs": jobs, "svg": svg} if task_type == "heatmap" else {}
+    summary = runner(config, system, settings, master_seed, outdir, **heatmap)
     meta = {
         "config_hash": config_hash(config),
         "seed": master_seed,

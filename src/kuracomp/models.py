@@ -52,6 +52,7 @@ __all__ = [
     "eco3_reduced_rhs",
     "build_system",
     "model_params",
+    "resource_scale",
     "MODEL_VARIANTS",
 ]
 
@@ -149,11 +150,10 @@ class CentroidCoupling:
 
 @dataclass
 class CentroidCoeffs:
-    """C, S and mu of the centroid ODE."""
+    """C and S of the centroid ODE (its mu is the config's)."""
 
     C: float
     S: float
-    mu: float
 
 
 def centroid_coeffs(cfg: ModelConfig, coupling: CentroidCoupling, H1, H2) -> CentroidCoeffs:
@@ -163,7 +163,7 @@ def centroid_coeffs(cfg: ModelConfig, coupling: CentroidCoupling, H1, H2) -> Cen
     S = g12*H1*sin(phi) - g21*H2*sin(psi)
     """
     c, s = _cs(coupling, _frustration(cfg), H1, H2)
-    return CentroidCoeffs(C=c, S=s, mu=cfg.mu)
+    return CentroidCoeffs(C=c, S=s)
 
 
 _Frustration = make_dataclass("_Frustration",
@@ -418,6 +418,7 @@ class ModelSystem:
     dim: int
     rhs: callable            # rhs(y) -> dy, y of shape (dim,) or (dim, B)
     labels: list             # CSV column labels after "t"
+    cfg: ModelConfig         # the parameters bound into rhs (P_D among them)
     net: object = None       # full variants: frustration bound to the config
     coupling: object = None  # reduced variants only
 
@@ -459,6 +460,13 @@ _PARAMS = {"simple": _SIMPLE, "feedback": _SIMPLE + ("p_exponent",),
 _ORDER_SETS = {"feedback": (2, 2), "eco2": (2, 2), "eco3": (3, 2)}
 
 
+def resource_scale(system) -> list:
+    """Each population's resource scale: its carrying capacity K_i where the
+    variant reads one (the dimensional eco3 variants), else 1."""
+    return [getattr(system.cfg, f"K{p + 1}") if "K1" in _PARAMS[system.name]
+            else 1.0 for p in range(system.n_pops)]
+
+
 def model_params(name: str, names=(), net=None, coupling=None) -> tuple:
     """The ModelConfig fields a system of variant ``name`` built with
     ``net``/``coupling`` reads; ValueError if ``names`` holds another."""
@@ -496,7 +504,7 @@ def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelS
             name=name, reduced=False, n_pops=n_pops,
             dim=n_pops + net.n_total,
             rhs=lambda y: fn(y, cfg, net),
-            labels=labels, net=net,
+            labels=labels, cfg=cfg, net=net,
         )
     if name in _REDUCED:
         fn, n_pops, n_delta = _REDUCED[name]
@@ -511,6 +519,6 @@ def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelS
         return ModelSystem(
             name=name, reduced=True, n_pops=n_pops, dim=n_pops + n_delta,
             rhs=lambda y: fn(y, cfg, coupling, fr),
-            labels=labels, net=net, coupling=coupling,
+            labels=labels, cfg=cfg, net=net, coupling=coupling,
         )
     raise ValueError(f"unknown model variant {name!r}; known: {MODEL_VARIANTS}")

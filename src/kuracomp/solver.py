@@ -13,9 +13,10 @@ for bit.  All RK4 runs share one step and one schedule: ceil(t_end/dt)
 steps from t = 0, never padded with a rounding-sized sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
-where only the phase dynamics run (feedback H = 1, resources frozen),
-followed by the full hybrid system until one competitor falls below the
-extinction threshold P_D or the horizon is reached.
+of ``settings.recon_T`` where only the phase dynamics run (feedback H = 1,
+resources frozen), followed by the full hybrid system until one competitor
+falls below the extinction threshold ``system.cfg.P_D`` or the horizon is
+reached.
 
 ``ensemble`` and the basin engine evaluate many trajectories at once
 through the batch runner (vectorised over a trailing batch axis) with
@@ -46,10 +47,11 @@ __all__ = [
 EVENT_TIME_TOL = 1e-9
 RECON_T = 50.0           # reconnaissance time: phase-only dynamics, H = 1
 # A member fails when its RK45 step underflows ("stiff"; a non-finite error
-# estimate is never floor-accepted) or its dy/dt is not finite at a check
-# every CHECK_EVERY steps ("failed").  A trajectory run then raises
-# StiffnessError naming its first failed member and t; an outcome-only run
-# counts it (winner -1) and retires members with max|dy/dt| < STEADY_TOL.
+# estimate is never floor-accepted), or its dy/dt at a check every
+# CHECK_EVERY steps or its state at t_end is not finite ("failed").  A
+# trajectory run then raises StiffnessError naming its first failed member
+# and t; an outcome-only run counts it (winner -1) and retires members with
+# max|dy/dt| < STEADY_TOL.
 STEADY_TOL = 1e-9
 CHECK_EVERY = 25
 _FAILURES = {"stiff": "step size underflow", "failed": "non-finite dy/dt"}
@@ -79,10 +81,12 @@ class StiffnessError(RuntimeError):
 
 @dataclass
 class IntegratorSettings:
-    """Tolerances and horizon for the integrators.
+    """Tolerances and horizons for the integrators.
 
     ``dt_init`` doubles as the step of the one fixed-step RK4 kernel:
-    method="rk4", the vectorised batch runner and reconnaissance.
+    method="rk4", the vectorised batch runner and reconnaissance, whose
+    length (full variants only) is ``recon_T``.  The fields are the config's
+    ``solver`` section, field for field.
     """
 
     method: str = "rk45"
@@ -91,6 +95,7 @@ class IntegratorSettings:
     dt_init: float = 0.01
     dt_max: float = 1.0
     t_end: float = 500.0
+    recon_T: float = RECON_T
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
@@ -99,6 +104,8 @@ class IntegratorSettings:
             raise ValueError("tolerances must be positive")
         if self.dt_init <= 0 or self.dt_max <= 0:
             raise ValueError("step bounds must be positive")
+        if self.recon_T < 0:
+            raise ValueError("recon_T must be >= 0")
 
 
 @dataclass
@@ -300,8 +307,11 @@ def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True):
             stop = t >= span if stop is None else stop | (t >= span)
         if stop is not None and stop.any():
             leave(stop)
+    # rk4 members end at t_end, perhaps non-finite since their last check
+    t_out[active], y_out[:, active] = t, y
+    for j in active[~np.isfinite(y).all(axis=0)]:
+        status[j] = "failed"
     if not dense:
-        t_out[active], y_out[:, active] = t, y
         return status, t_out, y_out, rows
     for j, why in enumerate(status):
         if why in _FAILURES:
@@ -354,10 +364,10 @@ class ScenarioOutcome:
     trajectory: Trajectory
 
 
-def run_scenario(system, state0, settings: IntegratorSettings,
-                 recon_T: float = RECON_T,
-                 p_death: float = 1e-4) -> ScenarioOutcome:
-    """Reconnaissance (phase-only, H=1) then competition until extinction.
+def run_scenario(system, state0,
+                 settings: IntegratorSettings) -> ScenarioOutcome:
+    """Reconnaissance (settings.recon_T of phase-only dynamics, H=1) then
+    competition until a population falls below system.cfg.P_D.
 
     Reduced variants skip reconnaissance: their centroid difference is
     taken as already settled.  A failed reconnaissance raises
@@ -369,13 +379,14 @@ def run_scenario(system, state0, settings: IntegratorSettings,
         raise ValueError(f"state has shape {y.shape}, expected ({system.dim},)")
     m = system.n_pops
     if not system.reduced:
-        theta = _settle(system.phase_rhs(), y[m:, None],
-                        replace(settings, t_end=recon_T))
+        recon = replace(settings, t_end=settings.recon_T)
+        theta = _settle(system.phase_rhs(), y[m:, None], recon)
         if not np.isfinite(theta).all():
-            raise StiffnessError(f"reconnaissance failed before t={recon_T}")
+            raise StiffnessError("reconnaissance failed before "
+                                 f"t={recon.t_end}")
         y[m:] = theta[:, 0]
 
-    traj = integrate(system.rhs, y, settings, p_death=p_death)
+    traj = integrate(system.rhs, y, settings, p_death=system.cfg.P_D)
     if traj.extinct is None:
         return ScenarioOutcome(winner="stalemate", t_event=settings.t_end,
                                trajectory=traj)
@@ -424,22 +435,22 @@ class EnsembleResult:
     fractions: dict
 
 
-def reconnoitred_phases(system, n_sim: int, seed: int, dt: float,
-                        recon_T: float) -> np.ndarray:
+def reconnoitred_phases(system, n_sim: int, seed: int,
+                        settings: IntegratorSettings) -> np.ndarray:
     """Ensemble start phases, shape (n_nodes, n_sim): theta_i(0) ~ U[0, 2pi)
-    i.i.d., member i from its own substream, then recon_T of phase-only
-    dynamics (H = 1) by fixed-step RK4; recon_T = 0 takes no step, and a
-    failed member's phases are NaN, so the batch counts it as failed."""
+    i.i.d., member i from its own substream, then settings.recon_T of
+    phase-only dynamics (H = 1) by fixed-step RK4; recon_T = 0 takes no
+    step, and a failed member's phases are NaN, so the batch counts it as
+    failed."""
     n = system.net.n_total
     theta = np.stack([substream(seed, "ensemble", i).uniform(
         0.0, 2.0 * np.pi, size=n) for i in range(n_sim)], axis=1)
-    return _settle(system.phase_rhs(), theta, IntegratorSettings(
-        method="rk4", dt_init=dt, t_end=recon_T))
+    return _settle(system.phase_rhs(), theta, replace(
+        settings, method="rk4", t_end=settings.recon_T))
 
 
-def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
-             recon_T: float = RECON_T,
-             p_death: float = 1e-4) -> EnsembleResult:
+def ensemble(system, P0, n_sim: int, seed: int,
+             settings: IntegratorSettings) -> EnsembleResult:
     """Fixed initial resources, randomised initial phases, win fractions."""
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
@@ -447,10 +458,10 @@ def ensemble(system, P0, n_sim: int, seed: int, settings: IntegratorSettings,
         raise ValueError("ensemble applies to full variants (random phases)")
     m = system.n_pops
     P0 = np.asarray(P0, dtype=float).reshape(m)
-    theta0 = reconnoitred_phases(system, n_sim, seed, settings.dt_init, recon_T)
+    theta0 = reconnoitred_phases(system, n_sim, seed, settings)
     y0 = np.concatenate([np.repeat(P0[:, None], n_sim, axis=1), theta0], axis=0)
     out = integrate_batch(system.rhs, y0, settings.dt_init, settings.t_end,
-                          p_death)
+                          system.cfg.P_D)
     counts = {name: int((out.winner == code).sum()) for name, code in
               (("blue", 1), ("red", 2), ("stalemate", 0), ("failed", -1))}
     n_ok = max(n_sim - counts["failed"], 1)

@@ -239,9 +239,9 @@ def test_criterion_6_reduction_fidelity():
                           phi=0.2, psi=0.0, omega=omega)
     values = []
     for b1 in (1.0, 2.5, 4.0):
-        spec = basin.BasinSpec(grid=(3, 3), n_sim=6, seed=5, recon_T=10.0,
-                               settings=IntegratorSettings(dt_init=0.02,
-                                                           t_end=60.0))
+        spec = basin.BasinSpec(grid=(3, 3), n_sim=6, seed=5,
+                               settings=IntegratorSettings(
+                                   dt_init=0.02, t_end=60.0, recon_T=10.0))
         values.append(basin.estimate_basin(
             "feedback", cfg.with_overrides(beta1=b1), spec, net=net).value)
     monotone = values[0] <= values[1] <= values[2] and values[2] > values[0]
@@ -263,8 +263,8 @@ def test_criterion_7_scenario_classes():
         system = models.build_system("eco3", cfg, net=net)
         res = solver.ensemble(
             system, [5.0, 5.0, 5.0], n_sim=20, seed=42,
-            settings=IntegratorSettings(dt_init=0.01, t_end=100.0),
-            recon_T=50.0, p_death=cfg.P_D)
+            settings=IntegratorSettings(dt_init=0.01, t_end=100.0,
+                                        recon_T=50.0))
         results[name] = (want, res.fractions[want])
     ok = all(frac >= 0.8 for _, frac in results.values())
     # informational: the phi = +/- pi/4 variant from the prose
@@ -277,8 +277,8 @@ def test_criterion_7_scenario_classes():
         system = models.build_system("eco3", cfg, net=net)
         res = solver.ensemble(
             system, [5.0, 5.0, 5.0], n_sim=8, seed=42,
-            settings=IntegratorSettings(dt_init=0.01, t_end=100.0),
-            recon_T=50.0, p_death=cfg.P_D)
+            settings=IntegratorSettings(dt_init=0.01, t_end=100.0,
+                                        recon_T=50.0))
         info[name] = res.fractions
     print(f"    [info] phi=+/-pi/4 variant fractions: {info}")
     _report(7, "scenario presets classify as captioned", ok, t0,

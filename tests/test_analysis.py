@@ -516,7 +516,7 @@ def test_sweep_trajectories_equal_per_point_scenarios(param, values, method):
         system = models.build_system("simple-reduced", c)
         d0 = analysis._delta_at(c, system.coupling, 0.5, 0.5)
         y0 = np.array([0.5, 0.5, d0 if d0 is not None else 0.0])
-        one = solver.run_scenario(system, y0, st, recon_T=0.0, p_death=c.P_D)
+        one = solver.run_scenario(system, y0, st)
         assert row.attractor == analysis._label_attractor(one.trajectory)
         np.testing.assert_array_equal(row.terminal_state,
                                       one.trajectory.y[-1])

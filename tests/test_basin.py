@@ -64,9 +64,10 @@ def test_basin_full_model_ensemble():
                           xi={(0, 1): 3.0, (1, 0): 3.0}, phi=0.2, psi=0.0,
                           strategic=[(0,), (0,)], tactical=[(1, 2), (1, 2)],
                           omega=omega)
-    spec = basin.BasinSpec(grid=(3, 3), n_sim=4, seed=7, recon_T=5.0,
+    spec = basin.BasinSpec(grid=(3, 3), n_sim=4, seed=7,
                            settings=IntegratorSettings(dt_init=0.02,
-                                                       t_end=60.0))
+                                                       t_end=60.0,
+                                                       recon_T=5.0))
     res = basin.estimate_basin("simple", _cfg(beta1=6.0), spec, net=net)
     assert res.n_evaluated == 9 * 4
     assert 0.0 <= res.value <= 1.0
@@ -197,9 +198,10 @@ def test_refinement_bounded_by_boundary_fraction():
 def test_heatmap_percell_path_order_invariant():
     # full variants evaluate each parameter pair separately; two workers
     # must reproduce the single-worker matrix exactly
-    spec = basin.BasinSpec(grid=(2, 2), n_sim=3, seed=7, recon_T=2.0,
+    spec = basin.BasinSpec(grid=(2, 2), n_sim=3, seed=7,
                            settings=IntegratorSettings(dt_init=0.02,
-                                                       t_end=20.0))
+                                                       t_end=20.0,
+                                                       recon_T=2.0))
     kw = dict(spec=spec, net=_two_pop_net())
     m1, _, _ = basin.basin_heatmap("simple", _cfg(), "beta1",
                                    [1.5, 3.5], "phi", [0.1, 0.3], **kw)
@@ -297,9 +299,10 @@ def test_heatmap_frustration_is_the_configs(model):
     # estimate_basin and the full variant's network all use the config's phi
     net = _two_pop_net()
     cfg = _cfg(beta1=2.5, phi=-1.2)
-    spec = basin.BasinSpec(grid=(3, 3), n_sim=3, seed=1, recon_T=5.0,
+    spec = basin.BasinSpec(grid=(3, 3), n_sim=3, seed=1,
                            settings=IntegratorSettings(dt_init=0.02,
-                                                       t_end=60.0))
+                                                       t_end=60.0,
+                                                       recon_T=5.0))
     mat, _, _ = basin.basin_heatmap(model, cfg, "beta1", [2.5], "phi",
                                     [-1.2], spec, net=net)
     want = basin.estimate_basin(model, cfg, spec, net=net).value

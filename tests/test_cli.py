@@ -25,6 +25,7 @@ def test_presets_shipped_and_valid():
     for name in names:
         config = get_preset(name)
         cli.validate_config(config)     # schema-valid
+        cli._build(config)              # and accepted for its own task
 
 
 def test_case_study_preset_values():
@@ -398,6 +399,21 @@ def test_batch_tasks_reject_adaptive_solver_settings(args, setting, tmp_path,
     assert "fixed-step RK4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "-o", "solver.t_end=5"],
+    ["basin", "-o", "solver.t_end=5", "-o", "task.grid=[2,2]",
+     "-o", "solver.method=rk4"],
+    ["fixed-points"],
+])
+def test_reduced_variants_reject_recon_T(args, tmp_path, capsys):
+    # a reduced variant has no reconnaissance and would ignore the key
+    out = tmp_path / "out"
+    assert cli.main(args + ["-c", "simple-cs", "-o", "solver.recon_T=5",
+                            "--out", str(out)]) == 2
+    assert "solver.recon_T" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _FACTOR_SPANS = {"beta1": (0.5, 6.0), "mu": (-0.8, 0.8), "phi": (-1.0, 1.0),
                  "psi": (-1.0, 1.0), "gamma2": (0.2, 2.0),
                  "alpha": (1.0, 10.0), "x1": (0.0, 0.5)}
@@ -437,8 +453,9 @@ def test_doe_records_equal_per_point_estimate_basin(model, data):
     with tempfile.TemporaryDirectory() as out:
         cli.run_config(config, out_dir=out)
         records, names = doe.read_doe_log(Path(out) / "doe_log.csv")
-    _, cfg, net, settings_, recon_T, seed = cli._build(config)
-    spec = cli._basin_spec(config["task"], settings_, seed, recon_T)
+    system, settings_, seed = cli._build(config)
+    cfg, net = system.cfg, system.net
+    spec = cli._basin_spec(config["task"], settings_, seed)
     assert len(records) == config["task"]["n_total"]
     for rec in records:
         point = dict(zip(names, map(float, rec.x)))

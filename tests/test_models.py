@@ -16,14 +16,14 @@ def _coupling():
     return CentroidCoupling(g12=1.0, g21=1.0)
 
 
-def _k_disc(co):
-    return co.C * co.C + co.S * co.S - co.mu ** 2
+def _k_disc(co, mu):
+    return co.C * co.C + co.S * co.S - mu ** 2
 
 
 def test_centroid_coeffs_symmetric():
     cfg = ModelConfig(mu=0.0, phi=0.0, psi=0.0)
     co = models.centroid_coeffs(cfg, _coupling(), 1.0, 1.0)
-    assert (co.C, co.S, _k_disc(co)) == (2.0, 0.0, 4.0)
+    assert (co.C, co.S, _k_disc(co, cfg.mu)) == (2.0, 0.0, 4.0)
 
 
 def test_centroid_coeffs_frustrated():
@@ -31,14 +31,14 @@ def test_centroid_coeffs_frustrated():
     co = models.centroid_coeffs(cfg, _coupling(), 1.0, 1.0)
     assert co.C == pytest.approx(1.980067, abs=1e-6)
     assert co.S == pytest.approx(0.198669, abs=1e-6)
-    assert _k_disc(co) == pytest.approx(3.920133, abs=1e-6)
+    assert _k_disc(co, cfg.mu) == pytest.approx(3.920133, abs=1e-6)
 
 
 def test_centroid_coeffs_suppressed():
     cfg = ModelConfig(mu=0.3)
     co = models.centroid_coeffs(cfg, _coupling(), 0.0, 0.0)
     assert co.C == 0.0 and co.S == 0.0
-    assert _k_disc(co) == pytest.approx(-0.09)
+    assert _k_disc(co, cfg.mu) == pytest.approx(-0.09)
 
 
 def test_k_disc_invariant():
@@ -47,7 +47,7 @@ def test_k_disc_invariant():
         cfg = ModelConfig(mu=rng.normal(), phi=rng.normal(), psi=rng.normal())
         coup = CentroidCoupling(g12=rng.uniform(0, 2), g21=rng.uniform(0, 2))
         co = models.centroid_coeffs(cfg, coup, rng.uniform(), rng.uniform())
-        assert _k_disc(co) == pytest.approx(co.C ** 2 + co.S ** 2 - cfg.mu ** 2)
+        assert _k_disc(co, cfg.mu) == pytest.approx(co.C ** 2 + co.S ** 2 - cfg.mu ** 2)
 
 
 def _small_net(n1=3, n2=3, sigma=(1.0, 1.0), phi=0.0, psi=0.0):
@@ -474,6 +474,18 @@ def test_each_parameter_has_one_owner(variant, source, seed):
             with pytest.raises(ValueError, match="does not read"):
                 basin.basin_heatmap(variant, cfg, name, [1.0], "r1", [1.0],
                                     spec, net=net, coupling=coupling)
+
+
+@pytest.mark.parametrize("variant", models.MODEL_VARIANTS)
+def test_resource_scale_is_the_capacities_a_variant_reads(variant):
+    # the dimensional eco3 variants scale resources by K_i, the others by 1
+    m = 3 if variant.startswith("eco3") else 2
+    net = (_owner_net(np.random.default_rng(0), m)
+           if variant in models._FULL else None)
+    cfg = ModelConfig(K1=2.0, K2=3.0, K3=4.0)
+    system = models.build_system(variant, cfg, net=net)
+    want = [2.0, 3.0, 4.0] if m == 3 else [1.0, 1.0]
+    assert models.resource_scale(system) == want
 
 
 @pytest.mark.parametrize("variant,source",

@@ -55,8 +55,8 @@ def test_horizon_must_exceed_start(method, t_end):
         solver.integrate(lambda y: -y, np.array([1.0]), st)
     # reconnaissance takes zero steps on a zero horizon: the drawn phases
     system = models.build_system("simple", ModelConfig(), net=_small_net())
-    theta = solver.reconnoitred_phases(system, 3, seed=4, dt=0.01,
-                                       recon_T=0.0)
+    theta = solver.reconnoitred_phases(system, 3, seed=4,
+                                       settings=replace(st, recon_T=0.0))
     drawn = [substream(4, "ensemble", i).uniform(0.0, 2.0 * np.pi, size=6)
              for i in range(3)]
     np.testing.assert_array_equal(theta, np.stack(drawn, axis=1))
@@ -126,7 +126,7 @@ def test_scenario_blue_wins_with_huge_beta1():
     system = models.build_system("simple", cfg, net=net)
     y0 = np.concatenate([[0.5, 0.5], np.zeros(6)])
     st = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=100.0)
-    out = solver.run_scenario(system, y0, st, recon_T=10.0, p_death=1e-4)
+    out = solver.run_scenario(system, y0, replace(st, recon_T=10.0))
     assert out.winner == "blue"
     assert out.t_event < 100.0
 
@@ -139,8 +139,7 @@ def test_scenario_blue_cannot_win_with_zero_beta1():
     for p1 in np.linspace(0.1, 0.9, 5):
         for p2 in np.linspace(0.1, 0.9, 5):
             y0 = np.concatenate([[p1, p2], np.zeros(6)])
-            out = solver.run_scenario(system, y0, st, recon_T=0.0,
-                                      p_death=1e-4)
+            out = solver.run_scenario(system, y0, replace(st, recon_T=0.0))
             assert out.winner != "blue"
 
 
@@ -156,8 +155,8 @@ def test_scenario_recon_invariance_when_settled():
     theta = solver.integrate(phase_rhs, np.zeros(6),
                              settle).y[-1]
     y0 = np.concatenate([[0.5, 0.5], theta])
-    out0 = solver.run_scenario(system, y0, st, recon_T=0.0, p_death=1e-4)
-    out50 = solver.run_scenario(system, y0, st, recon_T=50.0, p_death=1e-4)
+    out0 = solver.run_scenario(system, y0, replace(st, recon_T=0.0))
+    out50 = solver.run_scenario(system, y0, replace(st, recon_T=50.0))
     assert out0.winner == out50.winner == "blue"
     assert out0.t_event == pytest.approx(out50.t_event, abs=1e-4)
 
@@ -167,8 +166,8 @@ def test_reduced_scenario_skips_recon():
                       gamma1=1.0, gamma2=1.0)
     system = models.build_system("simple-reduced", cfg)
     st = IntegratorSettings(rtol=1e-8, atol=1e-10, t_end=100.0)
-    out = solver.run_scenario(system, np.array([0.5, 0.5, 0.1]), st,
-                              recon_T=50.0, p_death=1e-4)
+    out = solver.run_scenario(system, np.array([0.5, 0.5, 0.1]),
+                              replace(st, recon_T=50.0))
     assert out.winner == "blue"
 
 
@@ -176,15 +175,12 @@ def test_ensemble_reproducible_and_normalised():
     net = _small_net()
     cfg = ModelConfig(r1=3.0, r2=2.5, beta1=3.0, beta2=2.0, mu=0.2, phi=0.2)
     system = models.build_system("simple", cfg, net=net)
-    st = IntegratorSettings(dt_init=0.01, t_end=60.0)
-    r1 = solver.ensemble(system, [0.5, 0.5], 8, seed=4, settings=st,
-                         recon_T=5.0)
-    r2 = solver.ensemble(system, [0.5, 0.5], 8, seed=4, settings=st,
-                         recon_T=5.0)
+    st = IntegratorSettings(dt_init=0.01, t_end=60.0, recon_T=5.0)
+    r1 = solver.ensemble(system, [0.5, 0.5], 8, seed=4, settings=st)
+    r2 = solver.ensemble(system, [0.5, 0.5], 8, seed=4, settings=st)
     assert r1.counts == r2.counts
     assert sum(v for k, v in r1.fractions.items()) == pytest.approx(1.0)
-    single = solver.ensemble(system, [0.5, 0.5], 1, seed=4, settings=st,
-                             recon_T=5.0)
+    single = solver.ensemble(system, [0.5, 0.5], 1, seed=4, settings=st)
     assert single.n_sim == 1 and sum(single.counts.values()) == 1
 
 
@@ -192,9 +188,8 @@ def test_ensemble_degenerate_no_phase_influence():
     net = _small_net()
     cfg = ModelConfig(r1=3.0, r2=2.5, beta1=0.0, beta2=0.0, mu=0.2, phi=0.2)
     system = models.build_system("simple", cfg, net=net)
-    st = IntegratorSettings(dt_init=0.02, t_end=30.0)
-    res = solver.ensemble(system, [0.5, 0.5], 10, seed=1, settings=st,
-                          recon_T=0.0)
+    st = IntegratorSettings(dt_init=0.02, t_end=30.0, recon_T=0.0)
+    res = solver.ensemble(system, [0.5, 0.5], 10, seed=1, settings=st)
     assert res.counts["stalemate"] == 10     # populations decoupled from phases
 
 
@@ -202,7 +197,8 @@ def test_ensemble_degenerate_no_phase_influence():
 @given(data=hst.data())
 def test_batch_matches_single_trajectory(data):
     # run_scenario and integrate_batch locate crossings with one bisector,
-    # so a B = 1 batch gives the RK4 scenario's winner and event time bitwise
+    # so a B = 1 batch gives the RK4 scenario's winner and event time
+    # bitwise; the scenario reads the drawn P_D from the system's config
     cfg = ModelConfig(r1=data.draw(hst.floats(0.5, 4.0)),
                       r2=data.draw(hst.floats(0.5, 4.0)),
                       beta1=data.draw(hst.floats(0.0, 8.0)),
@@ -215,12 +211,11 @@ def test_batch_matches_single_trajectory(data):
     codes = {"stalemate": 0, "blue": 1, "red": 2}
     for model in ("simple-reduced", "eco2-reduced", "eco3-reduced"):
         system = models.build_system(model, cfg)
-        caps = [cfg.K1, cfg.K2, cfg.K3] if system.n_pops == 3 else [1.0, 1.0]
+        caps = models.resource_scale(system)
         y0 = np.array([cap * data.draw(hst.floats(0.05, 1.0)) for cap in caps]
                       + [data.draw(hst.floats(-np.pi, np.pi))
                          for _ in range(system.dim - system.n_pops)])
-        single = solver.run_scenario(system, y0, st, recon_T=0.0,
-                                     p_death=cfg.P_D)
+        single = solver.run_scenario(system, y0, st)
         batch = solver.integrate_batch(system.rhs, y0[:, None], 0.02, t_end,
                                        cfg.P_D)
         assert batch.winner[0] == codes[single.winner]
@@ -327,7 +322,7 @@ def test_batch_columns_equal_single_member_runs(model, data):
                       P_D=data.draw(hst.floats(1e-3, 0.2)))
     system = models.build_system(model, cfg)
     B = data.draw(hst.integers(2, 5))
-    caps = [cfg.K1, cfg.K2, cfg.K3] if system.n_pops == 3 else [1.0, 1.0]
+    caps = models.resource_scale(system)
     rows = [[cap * data.draw(unit) for _ in range(B)] for cap in caps]
     rows += [[data.draw(hst.floats(-np.pi, np.pi)) for _ in range(B)]
              for _ in range(system.dim - system.n_pops)]
@@ -378,6 +373,8 @@ def test_settings_validation():
         IntegratorSettings(rtol=0.0)
     with pytest.raises(ValueError):
         IntegratorSettings(dt_init=-0.1)
+    with pytest.raises(ValueError, match="recon_T"):
+        IntegratorSettings(recon_T=-1.0)
 
 
 def test_tolerance_halving_on_case_study_preset():
@@ -543,8 +540,9 @@ def test_batch_runner_equals_its_oracle(model, data):
 def test_batch_runner_equals_its_oracle_on_a_full_variant():
     cfg = ModelConfig(r1=3.0, r2=2.5, beta1=6.0, beta2=2.0, mu=0.2, phi=0.2)
     system = models.build_system("simple", cfg, net=_small_net())
-    theta = solver.reconnoitred_phases(system, 6, seed=3, dt=0.02,
-                                       recon_T=2.0)
+    theta = solver.reconnoitred_phases(
+        system, 6, seed=3, settings=IntegratorSettings(dt_init=0.02,
+                                                       recon_T=2.0))
     y0 = np.concatenate([np.tile([[0.5], [0.5]], 6), theta])
     y0[:2, 4:] = [[0.9, 0.2], [0.1, 0.9]]
     p_death = np.array([1e-4, 1e-2, 1e-4, 1e-2, 1e-4, 1e-3])
@@ -627,6 +625,21 @@ def test_non_finite_rhs_raises_within_bounded_steps(method):
         assert 1.0 < traj.t[-1] <= 1.0 + solver.CHECK_EVERY * 0.01
 
 
+def test_non_finite_state_after_the_last_check_fails():
+    """An RK4 rhs that turns NaN after the last CHECK_EVERY check (y falls
+    below e^-1.05 near t = 1.05; the last check is at t = 1.0) leaves a NaN
+    state at t_end: a failure, not a completed run or a stalemate."""
+    def rhs(y):
+        return np.full(y.shape, np.nan) if (y[0] < np.exp(-1.05)).any() \
+            else -y
+
+    st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=1.2)
+    with pytest.raises(solver.StiffnessError, match=r"at t=1\.2 \(member 0\)"):
+        solver.integrate(rhs, [1.0], st)
+    out = solver.integrate_batch(rhs, np.ones((1, 1)), 0.01, 1.2, -np.inf)
+    assert out.winner.tolist() == [-1]
+
+
 def test_non_finite_member_fails_alone():
     """A non-finite member is a failure (winner -1) in a batch, where the
     other members keep their outcomes, and a StiffnessError in a scenario,
@@ -644,7 +657,7 @@ def test_non_finite_member_fails_alone():
     assert out.t_event[0] == one.t_event[0] and out.t_event[1] == 10.0
     st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
     with pytest.raises(solver.StiffnessError, match="non-finite"):
-        solver.run_scenario(nan_system, y0[:, 1], st, p_death=1e-4)
+        solver.run_scenario(nan_system, y0[:, 1], st)
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +669,9 @@ def test_reconnaissance_and_settling_equal_the_final_state_loop():
     for bit.  The settled centroid differences reach |dy/dt| < STEADY_TOL
     well before t = 50, so a run that retired steady members would differ."""
     system = models.build_system("simple", ModelConfig(), net=_small_net())
-    drawn = solver.reconnoitred_phases(system, 5, seed=2, dt=0.02,
-                                       recon_T=0.0)
-    theta = solver.reconnoitred_phases(system, 5, seed=2, dt=0.02,
-                                       recon_T=7.3)
+    st = IntegratorSettings(dt_init=0.02)
+    drawn = solver.reconnoitred_phases(system, 5, 2, replace(st, recon_T=0.0))
+    theta = solver.reconnoitred_phases(system, 5, 2, replace(st, recon_T=7.3))
     np.testing.assert_array_equal(
         theta, batch_oracle._rk4(system.phase_rhs(), drawn, 0.02, 7.3))
     cfg = ModelConfig(mu=np.array([0.1, 0.25, -0.3]),
@@ -689,11 +701,11 @@ def test_scenario_equals_a_dense_reconnaissance(preset, method):
         y0 = np.concatenate([[0.5, 0.5], np.linspace(0.0, 3.0, 6)])
     else:
         config = cli.validate_config(cli.get_preset(preset))
-        system, cfg, _, _, _, _ = cli._build(config)
-        y0 = cli._initial_state(system, cfg, config["task"])
+        system, _, _ = cli._build(config)
+        y0 = cli._initial_state(system, config["task"])
     st = IntegratorSettings(method=method, dt_init=0.01, t_end=10.0)
     m = system.n_pops
-    out = solver.run_scenario(system, y0, st, recon_T=7.5, p_death=1e-4)
+    out = solver.run_scenario(system, y0, replace(st, recon_T=7.5))
     theta = solver.integrate(system.phase_rhs(), y0[m:],
                              replace(st, t_end=7.5)).y[-1]
     want = solver.integrate(system.rhs, np.concatenate([y0[:m], theta]), st,
@@ -713,20 +725,20 @@ def test_failed_reconnaissance():
     phase_rhs = system.phase_rhs()
     system.phase_rhs = lambda: (lambda th: np.where(th[0] > np.pi, np.nan,
                                                     phase_rhs(th)))
-    drawn = solver.reconnoitred_phases(system, 8, seed=1, dt=0.02,
-                                       recon_T=0.0)
-    theta = solver.reconnoitred_phases(system, 8, seed=1, dt=0.02,
-                                       recon_T=3.0)
+    st = IntegratorSettings(method="rk4", dt_init=0.02, t_end=20.0,
+                            recon_T=3.0)
+    drawn = solver.reconnoitred_phases(system, 8, 1, replace(st, recon_T=0.0))
+    theta = solver.reconnoitred_phases(system, 8, 1, st)
     bad = np.isnan(theta).any(axis=0)
     assert 0 < bad.sum() < 8 and np.isnan(theta[:, bad]).all()
     np.testing.assert_array_equal(
         theta[:, ~bad], batch_oracle._rk4(phase_rhs, drawn[:, ~bad], 0.02, 3.0))
-    st = IntegratorSettings(method="rk4", dt_init=0.02, t_end=20.0)
-    res = solver.ensemble(system, [0.5, 0.5], 8, 1, st, recon_T=3.0)
+    res = solver.ensemble(system, [0.5, 0.5], 8, 1, st)
     assert res.counts["failed"] == bad.sum()
     assert sum(res.counts[k] for k in ("blue", "red", "stalemate")) \
         == (~bad).sum()
     y0 = np.concatenate([[0.5, 0.5], np.full(6, 4.0)])
     with pytest.raises(solver.StiffnessError, match="reconnaissance"):
-        solver.run_scenario(system, y0, st, recon_T=3.0)
-    assert solver.run_scenario(system, y0, st, recon_T=0.0).winner == "blue"
+        solver.run_scenario(system, y0, st)
+    assert solver.run_scenario(system, y0,
+                               replace(st, recon_T=0.0)).winner == "blue"
