@@ -171,8 +171,7 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
                                       _take(system.coupling, point_of))
         p_death = members.P_D
 
-    out = integrate_batch(rhs, y0, settings.dt_init, settings.t_end,
-                          p_death, on_compact=on_compact)
+    out = integrate_batch(rhs, y0, settings, p_death, on_compact=on_compact)
 
     winner = out.winner.reshape(shape)
     ok = winner >= 0

@@ -214,18 +214,14 @@ def _build(config: dict):
     if task["type"] == "simulate" and "n_sim" in task and model in _REDUCED:
         raise ValidationFailure("task.n_sim: reduced variants have no phases")
     model_params(model, list(params) + varied, net=net)
-    sv = dict(config.get("solver", {}))
-    batch = task["type"] in ("basin", "heatmap", "doe") or (
-        task["type"] == "simulate" and "n_sim" in task)
-    ignored = [k for k in ("rtol", "atol", "dt_max") if k in sv]
-    ignored += ["method"] if sv.get("method") == "rk45" else []
-    if batch and ignored:
-        raise ValidationFailure(
-            f"{task['type']} runs fixed-step RK4 at solver.dt_init and would "
-            f"ignore solver.{', solver.'.join(ignored)}")
+    sv = config.get("solver", {})
     if "recon_T" in sv and model in _REDUCED:
         raise ValidationFailure("solver.recon_T: reduced variants have no "
                                 "reconnaissance")
+    ignored = [f"solver.{k}" for k in ("rtol", "atol") if k in sv]
+    if sv.get("method") == "rk4" and ignored:
+        raise ValidationFailure("solver.method=rk4 steps at solver.dt_init "
+                                f"and would ignore {', '.join(ignored)}")
     settings = IntegratorSettings(**sv)
     system = build_system(model, cfg, net=net)
     if task["type"] == "simulate":

@@ -28,8 +28,6 @@ __all__ = [
     "assemble",
     "degree_stats",
     "default_partition",
-    "read_edge_list",
-    "write_edge_list",
 ]
 
 _MAX_NODES = 10_000_000
@@ -357,26 +355,3 @@ def xi_paper_normalization(populations, interlinks) -> dict:
         xi[(j, i)] = populations[j].n / n_pairs
     return xi
 
-
-def write_edge_list(g: Graph, path):
-    with open(path, "w") as fh:
-        for (u, v) in g.edges:
-            fh.write(f"{u} {v}\n")
-
-
-def read_edge_list(path, n: int | None = None) -> Graph:
-    edges = []
-    max_node = -1
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = map(int, line.split())
-            if u == v:
-                raise ValueError("self-loop in edge list")
-            edges.append((min(u, v), max(u, v)))
-            max_node = max(max_node, u, v)
-    if n is None:
-        n = max_node + 1
-    return Graph(n=n, edges=tuple(sorted(set(edges))))

@@ -1,5 +1,5 @@
-"""Phase-layer primitives: Kuramoto-Sakaguchi rates, order parameters,
-winding number, and the circular running-mean centroid.
+"""Phase-layer primitives: Kuramoto-Sakaguchi rates, order parameters and
+the circular running-mean centroid.
 
 The coupling sum uses the exact expansion
 
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "kuramoto_rhs",
     "order_parameter",
-    "winding_number",
     "circular_centroid",
 ]
 
@@ -61,27 +60,6 @@ def order_parameter(theta, subset=None) -> float:
     z = np.exp(1j * theta).mean(axis=0)
     r = np.abs(z)
     return float(r) if np.ndim(r) == 0 else r
-
-
-def _wrap_pi(x):
-    """Wrap to (-pi, pi]."""
-    return -((-x + np.pi) % TWO_PI - np.pi)
-
-
-def winding_number(theta) -> int:
-    """Integer winding q of the indexed phase sequence, with cyclic closure.
-
-    q = (1/2pi) * sum_i wrap(theta_{i+1} - theta_i), including the
-    wrap-around term theta_1 - theta_N; the wrapped sum is an exact
-    multiple of 2pi, so q is always an integer.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] < 2:
-        return 0
-    diffs = np.diff(theta, append=theta[:1], axis=0)
-    q = _wrap_pi(diffs).sum(axis=0) / TWO_PI
-    q = np.round(q)
-    return int(q) if np.ndim(q) == 0 else q.astype(int)
 
 
 def circular_centroid(theta):

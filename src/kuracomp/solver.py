@@ -6,11 +6,12 @@ pair with per-member PI step-size control or by fixed-step classical RK4
 (``method="rk4"``) for bit-reproducible baselines.  Its one event is a
 member's P1 or P2 (rows 0-1) falling through its extinction threshold P_D,
 located by bisection on the cubic-Hermite dense output (|dt| <= 1e-9).
-``integrate`` is its B = 1 case, ``integrate_batch`` its outcome-only RK4
-run with thresholds, ``_settle`` its outcome-only run without them
-(reconnaissance and settling), and a batch member equals its B = 1 run bit
-for bit.  All RK4 runs share one step and one schedule: ceil(t_end/dt)
-steps from t = 0, never padded with a rounding-sized sliver.
+``integrate`` is its B = 1 case, ``integrate_batch`` its outcome-only run
+with thresholds, ``_settle`` its outcome-only run without them
+(reconnaissance and settling), each by ``settings.method``, and a batch
+member equals its B = 1 run bit for bit.  All RK4 runs share one step and
+one schedule: ceil(t_end/dt) steps from t = 0, never padded with a
+rounding-sized sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 of ``settings.recon_T`` where only the phase dynamics run (feedback H = 1,
@@ -81,12 +82,13 @@ class StiffnessError(RuntimeError):
 
 @dataclass
 class IntegratorSettings:
-    """Tolerances and horizons for the integrators.
+    """Method, tolerances and horizons for the integrators.
 
-    ``dt_init`` doubles as the step of the one fixed-step RK4 kernel:
-    method="rk4", the vectorised batch runner and reconnaissance, whose
-    length (full variants only) is ``recon_T``.  The fields are the config's
-    ``solver`` section, field for field.
+    Every run, single, batched or reconnaissance (whose length, full
+    variants only, is ``recon_T``), steps by ``method``: ``dt_init`` is the
+    RK4 step and the first RK45 step, and ``rtol``, ``atol`` and ``dt_max``
+    bound the RK45 steps.  The fields are the config's ``solver`` section,
+    field for field.
     """
 
     method: str = "rk45"
@@ -395,7 +397,7 @@ def run_scenario(system, state0,
 
 
 # ---------------------------------------------------------------------------
-# batch runner: _drive's outcome-only RK4 run
+# batch runner: _drive's outcome-only run
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -405,23 +407,23 @@ class BatchOutcome:
     y_final: np.ndarray
 
 
-def integrate_batch(rhs, y0, dt, t_end, p_death, *,
+def integrate_batch(rhs, y0, settings: IntegratorSettings, p_death, *,
                     on_compact=None) -> BatchOutcome:
-    """Fixed-step RK4 over a batch y0 (dim, B), ``rhs(y)`` broadcasting over
-    it, until each member's P_1/P_2 threshold crossing as ``run_scenario``
-    locates it; ``p_death`` may differ per member.  Winners: 1 if P2 crossed
-    p_death first, 2 if P1 did, 0 at the horizon or a steady state, -1 for a
-    failed member.  t_event and y_final are the crossing's, else t_end and
-    the last state.  ``on_compact(keep)`` slices arrays ``rhs`` captures.
+    """An outcome-only ``settings.method`` run over a batch y0 (dim, B),
+    ``rhs(y)`` broadcasting over it, until each member's P_1/P_2 threshold
+    crossing as ``run_scenario`` locates it; ``p_death`` may differ per
+    member.  Winners: 1 if P2 crossed p_death first, 2 if P1 did, 0 at the
+    horizon or a steady state, -1 for a failed member.  t_event and y_final
+    are the crossing's, else settings.t_end and the last state.
+    ``on_compact(keep)`` slices arrays ``rhs`` captures.
     """
     p_death = np.broadcast_to(np.asarray(p_death, float), np.shape(y0)[1:])
-    status, t, y, rows = _drive(
-        rhs, y0, IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end),
-        p_death=p_death, on_compact=on_compact, dense=False)
+    status, t, y, rows = _drive(rhs, y0, settings, p_death=p_death,
+                                on_compact=on_compact, dense=False)
     winner = np.array([2 - r if r is not None else -1 if s in _FAILURES
                        else 0 for s, r in zip(status, rows)], dtype=int)
-    return BatchOutcome(winner=winner, t_event=np.where(winner > 0, t, t_end),
-                        y_final=y)
+    return BatchOutcome(winner=winner, y_final=y,
+                        t_event=np.where(winner > 0, t, settings.t_end))
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +441,20 @@ def reconnoitred_phases(system, n_sim: int, seed: int,
                         settings: IntegratorSettings) -> np.ndarray:
     """Ensemble start phases, shape (n_nodes, n_sim): theta_i(0) ~ U[0, 2pi)
     i.i.d., member i from its own substream, then settings.recon_T of
-    phase-only dynamics (H = 1) by fixed-step RK4; recon_T = 0 takes no
+    phase-only dynamics (H = 1) by settings.method; recon_T = 0 takes no
     step, and a failed member's phases are NaN, so the batch counts it as
     failed."""
     n = system.net.n_total
     theta = np.stack([substream(seed, "ensemble", i).uniform(
         0.0, 2.0 * np.pi, size=n) for i in range(n_sim)], axis=1)
-    return _settle(system.phase_rhs(), theta, replace(
-        settings, method="rk4", t_end=settings.recon_T))
+    return _settle(system.phase_rhs(), theta,
+                   replace(settings, t_end=settings.recon_T))
 
 
 def ensemble(system, P0, n_sim: int, seed: int,
              settings: IntegratorSettings) -> EnsembleResult:
-    """Fixed initial resources, randomised initial phases, win fractions."""
+    """Fixed initial resources, randomised initial phases, win fractions:
+    reconnaissance and competition both step by settings.method."""
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
     if system.reduced:
@@ -460,8 +463,7 @@ def ensemble(system, P0, n_sim: int, seed: int,
     P0 = np.asarray(P0, dtype=float).reshape(m)
     theta0 = reconnoitred_phases(system, n_sim, seed, settings)
     y0 = np.concatenate([np.repeat(P0[:, None], n_sim, axis=1), theta0], axis=0)
-    out = integrate_batch(system.rhs, y0, settings.dt_init, settings.t_end,
-                          system.cfg.P_D)
+    out = integrate_batch(system.rhs, y0, settings, system.cfg.P_D)
     counts = {name: int((out.winner == code).sum()) for name, code in
               (("blue", 1), ("red", 2), ("stalemate", 0), ("failed", -1))}
     n_ok = max(n_sim - counts["failed"], 1)

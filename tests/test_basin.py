@@ -279,18 +279,20 @@ def test_heatmap_entry_equals_estimate_basin(model, policy, source, data):
                                                      coupling=coupling))
     (x_name, y_name), (xs, ys) = data.draw(_heatmap_axes(axes))
     cfg = _cfg(alpha=5.0) if model == "eco3-reduced" else _cfg()
-    spec = basin.BasinSpec(grid=(2, 2), phase_policy=policy,
-                           delta_resolution=3,
-                           settings=IntegratorSettings(dt_init=0.05,
-                                                       t_end=30.0))
-    mat, _, _ = basin.basin_heatmap(model, cfg, x_name, xs, y_name, ys, spec,
-                                    net=net, coupling=coupling)
-    for j, yv in enumerate(ys):
-        for i, xv in enumerate(xs):
-            point = {x_name: xv, y_name: yv}
-            want = basin.estimate_basin(model, replace(cfg, **point), spec,
-                                        net=net, coupling=coupling).value
-            assert np.array_equal(mat[j, i], want, equal_nan=True)
+    for method in ("rk4", "rk45"):      # both batch methods, on one draw
+        spec = basin.BasinSpec(grid=(2, 2), phase_policy=policy,
+                               delta_resolution=3,
+                               settings=IntegratorSettings(
+                                   method=method, dt_init=0.05, t_end=30.0))
+        mat, _, _ = basin.basin_heatmap(model, cfg, x_name, xs, y_name, ys,
+                                        spec, net=net, coupling=coupling)
+        for j, yv in enumerate(ys):
+            for i, xv in enumerate(xs):
+                point = {x_name: xv, y_name: yv}
+                want = basin.estimate_basin(
+                    model, replace(cfg, **point), spec, net=net,
+                    coupling=coupling).value
+                assert np.array_equal(mat[j, i], want, equal_nan=True)
 
 
 @pytest.mark.parametrize("model", ["simple", "simple-reduced"])

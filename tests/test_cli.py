@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuracomp import basin, cli, doe, models
+from kuracomp import basin, cli, doe, models, solver
 from kuracomp.presets import get_preset, preset_names
 
 
@@ -381,22 +381,72 @@ def test_linalg_error_while_building_exits_3(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out")]) == 3
 
 
-@pytest.mark.parametrize("args", [
-    ["simulate", "-c", "fig3b", "-o", "task.n_sim=2"],
-    ["basin", "-c", "simple-cs"],
+_BATCH_TASKS = [
+    ["simulate", "-c", "fig3b", "-o", "task.n_sim=2",
+     "-o", "solver.recon_T=1"],
+    ["basin", "-c", "simple-cs", "-o", "task.grid=[2,2]"],
     ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
      "-o", "task.x_range=[1,2]", "-o", "task.y_param=phi",
-     "-o", "task.y_range=[0,1]"],
+     "-o", "task.y_range=[0,1]", "-o", "task.x_points=2",
+     "-o", "task.y_points=2", "-o", "task.grid=[2,2]"],
     ["doe", "-c", "simple-cs", "-o", _DOE, "-o", "task.k_init=2",
-     "-o", "task.n_total=2"],
-])
-@pytest.mark.parametrize("setting", ["solver.method=rk45", "solver.rtol=1e-6",
-                                     "solver.atol=1e-9", "solver.dt_max=0.5"])
+     "-o", "task.n_total=2", "-o", "task.grid=[2,2]"],
+]
+
+
+@pytest.mark.parametrize("args", _BATCH_TASKS)
+@pytest.mark.parametrize("setting", ["solver.rtol=1e-6", "solver.atol=1e-9"])
 def test_batch_tasks_reject_adaptive_solver_settings(args, setting, tmp_path,
                                                      capsys):
-    # batch tasks run fixed-step RK4 at dt_init and would ignore these
-    assert cli.main(args + ["-o", setting, "--out", str(tmp_path)]) == 2
-    assert "fixed-step RK4" in capsys.readouterr().err
+    # RK4 steps at dt_init and would ignore the error tolerances
+    out = tmp_path / "out"
+    assert cli.main(args + ["-o", "solver.method=rk4", "-o", setting,
+                            "--out", str(out)]) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", _BATCH_TASKS)
+@pytest.mark.parametrize("setting", ["solver.method=rk45", "solver.rtol=1e-6",
+                                     "solver.atol=1e-9", "solver.dt_max=0.5"])
+def test_batch_tasks_read_adaptive_solver_settings(args, setting, tmp_path,
+                                                   monkeypatch):
+    # every integration of a batch task runs with the configured value;
+    # the sizes are cut so that each task takes a fraction of a second
+    key, value = setting.split("=")
+    seen, drive = [], solver._drive
+
+    def spy(rhs, y0, settings, *rest, **kw):
+        seen.append(getattr(settings, key.split(".")[1]))
+        return drive(rhs, y0, settings, *rest, **kw)
+
+    monkeypatch.setattr(solver, "_drive", spy)
+    tolerance = key in ("solver.rtol", "solver.atol")   # fig3b names rk4
+    method = ["-o", "solver.method=rk45"] if tolerance else []
+    assert cli.main(args + method + ["-o", "solver.t_end=2", "-o", setting,
+                                     "--out", str(tmp_path)]) == 0
+    assert seen and set(seen) == {value if key == "solver.method"
+                                  else json.loads(value)}
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_basin_task_equals_the_library_run(method, tmp_path):
+    """The CLI basin on simple-cs runs estimate_basin at its settings: the
+    per-cell fractions are the library run's, for either method."""
+    out = tmp_path / "out"
+    assert cli.main(["basin", "-c", "simple-cs", "-o", "task.grid=[3,3]",
+                     "-o", f"solver.method={method}", "-o", "solver.t_end=60",
+                     "--out", str(out)]) == 0
+    config = get_preset("simple-cs")
+    spec = basin.BasinSpec(grid=(3, 3), settings=solver.IntegratorSettings(
+        **{**config["solver"], "method": method, "t_end": 60.0}))
+    want = basin.estimate_basin(config["model"], models.ModelConfig(
+        **config["params"]), spec)
+    np.savetxt(tmp_path / "want.csv", want.per_cell, delimiter=",",
+               fmt="%.12g")
+    assert (out / "basin_cells.csv").read_bytes() \
+        == (tmp_path / "want.csv").read_bytes()
+    assert json.loads((out / "basin.json").read_text())["value"] == want.value
 
 
 @pytest.mark.parametrize("args", [

@@ -197,8 +197,9 @@ def test_ensemble_degenerate_no_phase_influence():
 @given(data=hst.data())
 def test_batch_matches_single_trajectory(data):
     # run_scenario and integrate_batch locate crossings with one bisector,
-    # so a B = 1 batch gives the RK4 scenario's winner and event time
-    # bitwise; the scenario reads the drawn P_D from the system's config
+    # so a B = 1 batch gives the scenario's winner and event time bitwise,
+    # for either method; the scenario reads the drawn P_D from the system's
+    # config
     cfg = ModelConfig(r1=data.draw(hst.floats(0.5, 4.0)),
                       r2=data.draw(hst.floats(0.5, 4.0)),
                       beta1=data.draw(hst.floats(0.0, 8.0)),
@@ -207,7 +208,6 @@ def test_batch_matches_single_trajectory(data):
                       phi=data.draw(hst.floats(-1.0, 1.0)),
                       P_D=data.draw(hst.floats(1e-3, 0.2)))
     t_end = data.draw(hst.floats(1.0, 20.0))
-    st = IntegratorSettings(method="rk4", dt_init=0.02, t_end=t_end)
     codes = {"stalemate": 0, "blue": 1, "red": 2}
     for model in ("simple-reduced", "eco2-reduced", "eco3-reduced"):
         system = models.build_system(model, cfg)
@@ -215,11 +215,13 @@ def test_batch_matches_single_trajectory(data):
         y0 = np.array([cap * data.draw(hst.floats(0.05, 1.0)) for cap in caps]
                       + [data.draw(hst.floats(-np.pi, np.pi))
                          for _ in range(system.dim - system.n_pops)])
-        single = solver.run_scenario(system, y0, st)
-        batch = solver.integrate_batch(system.rhs, y0[:, None], 0.02, t_end,
-                                       cfg.P_D)
-        assert batch.winner[0] == codes[single.winner]
-        assert batch.t_event[0] == single.t_event
+        for method in ("rk4", "rk45"):
+            st = IntegratorSettings(method=method, dt_init=0.02, t_end=t_end)
+            single = solver.run_scenario(system, y0, st)
+            batch = solver.integrate_batch(system.rhs, y0[:, None], st,
+                                           cfg.P_D)
+            assert batch.winner[0] == codes[single.winner]
+            assert batch.t_event[0] == single.t_event
 
 
 def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
@@ -249,8 +251,10 @@ def test_batch_reuses_the_crossing_step_rhs(monkeypatch):
         return locate(p, t, *args)
 
     monkeypatch.setattr(solver, "_locate", spy)
-    out = solver.integrate_batch(counting, y0, 0.05, 30.0, cfg.P_D,
-                                 on_compact=on_compact)
+    out = solver.integrate_batch(
+        counting, y0, IntegratorSettings(method="rk4", dt_init=0.05,
+                                         t_end=30.0),
+        cfg.P_D, on_compact=on_compact)
     assert len(crossing_steps) == 3
     assert calls[0] == 4 * 600           # four per step of the 0.05 grid
     # winners and t_event of the run that called rhs once more per
@@ -290,8 +294,7 @@ def test_rk4_trajectory_equals_batch_member():
     st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
     traj = solver.integrate(system.rhs, y0, st)
     # no threshold below -inf, and the flow stays far from steady
-    out = solver.integrate_batch(system.rhs, y0[:, None], 0.01, 10.0,
-                                 -np.inf)
+    out = solver.integrate_batch(system.rhs, y0[:, None], st, -np.inf)
     assert out.winner[0] == 0
     assert np.array_equal(traj.y[-1], out.y_final[:, 0])
     # a member that ends on an event: its y_final is the trajectory's last
@@ -301,7 +304,7 @@ def test_rk4_trajectory_equals_batch_member():
                             p_death=p_death)
     assert traj.status == "event" and traj.extinct == 1
     out = solver.integrate_batch(system.rhs, np.stack([y0, y0], axis=1),
-                                 0.01, 10.0, np.array([p_death, -np.inf]))
+                                 st, np.array([p_death, -np.inf]))
     assert out.winner.tolist() == [1, 0]
     assert out.t_event[0] == traj.t[-1]
     assert np.array_equal(out.y_final[:, 0], traj.y[-1])
@@ -328,13 +331,16 @@ def test_batch_columns_equal_single_member_runs(model, data):
              for _ in range(system.dim - system.n_pops)]
     y0 = np.array(rows)
     t_end = data.draw(hst.floats(0.5, 15.0))
-    batch = solver.integrate_batch(system.rhs, y0, 0.05, t_end, cfg.P_D)
-    for b in range(B):
-        one = solver.integrate_batch(system.rhs, y0[:, b:b + 1], 0.05, t_end,
-                                     cfg.P_D)
-        assert one.winner[0] == batch.winner[b]
-        assert one.t_event[0] == batch.t_event[b]
-        np.testing.assert_array_equal(one.y_final[:, 0], batch.y_final[:, b])
+    for method in ("rk4", "rk45"):
+        st = IntegratorSettings(method=method, dt_init=0.05, t_end=t_end)
+        batch = solver.integrate_batch(system.rhs, y0, st, cfg.P_D)
+        for b in range(B):
+            one = solver.integrate_batch(system.rhs, y0[:, b:b + 1], st,
+                                         cfg.P_D)
+            assert one.winner[0] == batch.winner[b]
+            assert one.t_event[0] == batch.t_event[b]
+            np.testing.assert_array_equal(one.y_final[:, 0],
+                                          batch.y_final[:, b])
 
 
 @pytest.mark.parametrize("row", [0, 1])
@@ -497,11 +503,13 @@ _ORACLE_KINDS = {**_KINDS, "steady": dict(mu=(-0.2, 0.2)),
 def _oracle_pair(model, cfg, y0, dt, t_end):
     """integrate_batch and its oracle on per-member parameters, each with a
     fresh per-member rhs that ``on_compact`` slices."""
+    st = IntegratorSettings(method="rk4", dt_init=dt, t_end=t_end)
     outs = []
-    for run in (solver.integrate_batch, batch_oracle.integrate_batch):
+    for run, timing in ((solver.integrate_batch, (st,)),
+                        (batch_oracle.integrate_batch, (dt, t_end))):
         rhs, on_compact = models._member_rhs(
             model, cfg, CentroidCoupling.from_config(cfg))
-        outs.append(run(rhs, y0, dt, t_end, cfg.P_D, on_compact=on_compact))
+        outs.append(run(rhs, y0, *timing, cfg.P_D, on_compact=on_compact))
     return outs
 
 
@@ -537,6 +545,36 @@ def test_batch_runner_equals_its_oracle(model, data):
     _assert_equal_outcomes(got, want)
 
 
+@pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
+                                   "eco3-reduced"])
+@settings(max_examples=8, deadline=None)
+@given(data=hst.data())
+def test_rk45_winners_equal_fine_rk4_winners(model, data):
+    """At the default tolerances an RK45 batch decides each member as an
+    RK4 batch at dt = 0.005 does: the same winner."""
+    B = data.draw(hst.integers(2, 6))
+    kinds = [data.draw(hst.sampled_from(sorted(_KINDS))) for _ in range(B)]
+    members = [{k: data.draw(hst.floats(*r)) for k, r in
+                {**_RANGES, **_KINDS[kind]}.items()} for kind in kinds]
+    cfg = ModelConfig(**{k: np.array([m[k] for m in members])
+                         for k in _RANGES})
+    n_pops = 3 if model == "eco3-reduced" else 2
+    unit, angle = hst.floats(0.05, 1.0), hst.floats(-np.pi, np.pi)
+    y0 = np.array([[data.draw(unit) for _ in range(B)]
+                   for _ in range(n_pops)]
+                  + [[data.draw(angle) for _ in range(B)]
+                     for _ in range(n_pops - 1)])
+    t_end = data.draw(hst.floats(5.0, 20.0))
+    winners = []
+    for st in (IntegratorSettings(method="rk4", dt_init=0.005, t_end=t_end),
+               IntegratorSettings(t_end=t_end)):
+        rhs, on_compact = models._member_rhs(
+            model, cfg, CentroidCoupling.from_config(cfg))
+        winners.append(solver.integrate_batch(
+            rhs, y0, st, cfg.P_D, on_compact=on_compact).winner.tolist())
+    assert winners[1] == winners[0]
+
+
 def test_batch_runner_equals_its_oracle_on_a_full_variant():
     cfg = ModelConfig(r1=3.0, r2=2.5, beta1=6.0, beta2=2.0, mu=0.2, phi=0.2)
     system = models.build_system("simple", cfg, net=_small_net())
@@ -546,7 +584,8 @@ def test_batch_runner_equals_its_oracle_on_a_full_variant():
     y0 = np.concatenate([np.tile([[0.5], [0.5]], 6), theta])
     y0[:2, 4:] = [[0.9, 0.2], [0.1, 0.9]]
     p_death = np.array([1e-4, 1e-2, 1e-4, 1e-2, 1e-4, 1e-3])
-    got = solver.integrate_batch(system.rhs, y0, 0.02, 20.0, p_death)
+    got = solver.integrate_batch(system.rhs, y0, IntegratorSettings(
+        method="rk4", dt_init=0.02, t_end=20.0), p_death)
     want = batch_oracle.integrate_batch(system.rhs, y0, 0.02, 20.0, p_death)
     assert (got.winner > 0).any()
     _assert_equal_outcomes(got, want)
@@ -636,7 +675,7 @@ def test_non_finite_state_after_the_last_check_fails():
     st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=1.2)
     with pytest.raises(solver.StiffnessError, match=r"at t=1\.2 \(member 0\)"):
         solver.integrate(rhs, [1.0], st)
-    out = solver.integrate_batch(rhs, np.ones((1, 1)), 0.01, 1.2, -np.inf)
+    out = solver.integrate_batch(rhs, np.ones((1, 1)), st, -np.inf)
     assert out.winner.tolist() == [-1]
 
 
@@ -650,12 +689,12 @@ def test_non_finite_member_fails_alone():
     nan_system = replace(system, rhs=lambda y: np.where(
         y[2] > 5.0, np.nan, system.rhs(y)))          # NaN for Delta > 5
     y0 = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.1, 6.0, 0.1]])
-    out = solver.integrate_batch(nan_system.rhs, y0, 0.01, 10.0,
+    st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
+    out = solver.integrate_batch(nan_system.rhs, y0, st,
                                  [1e-4, 1e-4, -np.inf])
-    one = solver.integrate_batch(system.rhs, y0[:, :1], 0.01, 10.0, 1e-4)
+    one = solver.integrate_batch(system.rhs, y0[:, :1], st, 1e-4)
     assert out.winner.tolist() == [one.winner[0], -1, 0]
     assert out.t_event[0] == one.t_event[0] and out.t_event[1] == 10.0
-    st = IntegratorSettings(method="rk4", dt_init=0.01, t_end=10.0)
     with pytest.raises(solver.StiffnessError, match="non-finite"):
         solver.run_scenario(nan_system, y0[:, 1], st)
 
@@ -669,7 +708,7 @@ def test_reconnaissance_and_settling_equal_the_final_state_loop():
     for bit.  The settled centroid differences reach |dy/dt| < STEADY_TOL
     well before t = 50, so a run that retired steady members would differ."""
     system = models.build_system("simple", ModelConfig(), net=_small_net())
-    st = IntegratorSettings(dt_init=0.02)
+    st = IntegratorSettings(method="rk4", dt_init=0.02)
     drawn = solver.reconnoitred_phases(system, 5, 2, replace(st, recon_T=0.0))
     theta = solver.reconnoitred_phases(system, 5, 2, replace(st, recon_T=7.3))
     np.testing.assert_array_equal(
