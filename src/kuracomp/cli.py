@@ -97,7 +97,7 @@ CONFIG_SCHEMA = {
                 "phase_policy": {"enum": ["auto", "ensemble",
                                            "delta-star", "delta-grid"]},
                 "delta_resolution": {"type": "integer", "minimum": 1},
-                "factors": {"type": "array", "items": {
+                "factors": {"type": "array", "minItems": 1, "items": {
                     "type": "object", "required": ["name", "lo", "hi"],
                     "properties": {"name": {"type": "string"},
                                    "lo": {"type": "number"},
@@ -207,6 +207,10 @@ def _build(config: dict):
         varied += [f["name"] for f in task["factors"]]
         if task["n_total"] < task["k_init"]:
             raise ValidationFailure("doe needs task.n_total >= task.k_init")
+        repeated = [name for name in varied if varied.count(name) > 1]
+        if repeated:
+            raise ValidationFailure(f"factor {repeated[0]!r} is named more "
+                                    "than once in task.factors")
         for f in task["factors"]:
             if not np.isfinite([f["lo"], f["hi"]]).all() or f["lo"] >= f["hi"]:
                 raise ValidationFailure(f"factor {f['name']!r} needs a finite "
@@ -226,6 +230,8 @@ def _build(config: dict):
     system = build_system(model, cfg, net=net)
     if task["type"] == "simulate":
         _initial_state(system, task)             # checks task.initial
+    if task["type"] == "glm":
+        _scored_records(task["input"])           # checks the log
     if task["type"] in ("basin", "heatmap", "doe"):
         policy = basin._phase_policy(_basin_spec(task, settings, seed), system)
         for key, reader in (("n_sim", "ensemble"),
@@ -379,8 +385,7 @@ def _task_doe(config, system, settings, seed, outdir):
 
 def _task_glm(config, system, settings, seed, outdir):
     task = config["task"]
-    records, names = doe.read_doe_log(task["input"])
-    good = [r for r in records if not r.failed]
+    good, names = _scored_records(task["input"])
     X = np.array([r.x for r in good])
     y = np.array([r.y for r in good])
     fit = stats.fit_quasibinomial(X, y, feature_names=names)
@@ -392,6 +397,21 @@ def _task_glm(config, system, settings, seed, outdir):
     _write_json(outdir / "permutation_importance.json", imp)
     return {"converged": fit.converged,
             "dispersion": float(fit.dispersion)}
+
+
+def _scored_records(path):
+    """(records with a finite response, factor names) of the DOE log at
+    path; ValidationFailure unless it can be read and holds such a record."""
+    try:
+        records, names = doe.read_doe_log(path)
+    except OSError as exc:
+        raise ValidationFailure(f"task.input: cannot read {path}: "
+                                f"{exc.strerror}") from exc
+    good = [r for r in records if not r.failed]
+    if not good:
+        raise ValidationFailure(f"task.input: {path} holds no scored "
+                                "DOE record")
+    return good, names
 
 
 _TASKS = {

@@ -41,6 +41,21 @@ N_STARTS = 64            # acquisition multi-start seeds
 N_ASCENT = 60            # acquisition ascent iterations
 REFIT_EVERY = 10         # acquisitions between GP hyperparameter fits
 
+# The first 24 rows of the Joe-Kuo direction numbers (S. Joe and F. Y. Kuo,
+# SIAM J. Sci. Comput. 30 (2008) 2635; the new-joe-kuo-6.21201 set): each
+# dimension's primitive polynomial with its leading and trailing 1 bits, and
+# its initial direction numbers m_1..m_deg.  Dimension 1 is van der Corput.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97,
+               103, 109, 115, 131, 137, 143, 145, 157)
+_SOBOL_VINIT = (
+    (1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+    (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
+    (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49),
+    (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5),
+    (1, 3, 1, 15, 13, 25), (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103),
+    (1, 3, 7, 13, 13, 15, 69), (1, 1, 3, 13, 7, 35, 63),
+    (1, 3, 5, 9, 1, 25, 53), (1, 3, 1, 13, 9, 35, 107))
+
 
 class SurrogateError(RuntimeError):
     pass
@@ -320,16 +335,61 @@ def _from_unit(u, ranges):
     return lo + np.asarray(u, dtype=float) * (hi - lo)
 
 
+def _sobol_starts(d: int, n: int, rng) -> np.ndarray:
+    """First n points of a d-dimensional Sobol' sequence (30 bits) under a
+    linear matrix scramble and a digital shift (Matousek, J. Complexity 14
+    (1998) 527), bit for bit as scipy 1.17's ``scipy.stats.qmc.Sobol(d,
+    scramble=True, seed=rng).random(n)`` draws them: the shift and the
+    lower-triangular scramble matrices come from a child of ``rng`` spawned
+    as scipy spawns it, and the first point is the shift alone.  At most 24
+    dimensions.
+    """
+    if not 1 <= d <= len(_SOBOL_POLY):
+        raise ValueError(f"Sobol starts support 1 to {len(_SOBOL_POLY)} "
+                         f"dimensions, not {d}")
+    bits = 30
+    v = np.empty((d, bits), dtype=np.int64)
+    v[0] = 1
+    for k in range(1, d):                       # the Joe-Kuo recurrence
+        poly, row = _SOBOL_POLY[k], list(_SOBOL_VINIT[k])
+        deg = poly.bit_length() - 1
+        for j in range(deg, bits):
+            new = row[j - deg]
+            for i in range(1, deg + 1):
+                if (poly >> (deg - i)) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        v[k] = row
+    msb = np.arange(bits - 1, -1, -1)
+    v <<= msb
+    bg = rng.bit_generator
+    child = np.random.Generator(type(bg)(bg.seed_seq.spawn(1)[0]))
+    shift = (child.integers(2, size=(d, bits), dtype=np.uint32)
+             .astype(np.int64) @ (1 << np.arange(bits)))
+    ltm = np.tril(child.integers(2, size=(d, bits, bits), dtype=np.uint32)
+                  .astype(np.int64))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # scramble each direction number's bits, most significant first:
+    # one integer matmul mod 2 per dimension
+    v_bits = (v[:, :, None] >> msb) & 1
+    v = ((v_bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb)
+    # Gray-code order: point i + 1 flips the direction number at the
+    # lowest zero bit of i
+    cols = [(i ^ (i + 1)).bit_length() - 1 for i in range(n - 1)]
+    quasi = np.bitwise_xor.accumulate(np.vstack([shift, v[:, cols].T]),
+                                      axis=0)
+    return quasi * 2.0 ** -bits
+
+
 def bo_step(x_data, z_data, ranges, seed, surrogate: GaussianProcess = None,
             kappa: float = KAPPA, refit: bool = False):
     """Next acquisition point: argmax of mu(x) + kappa*sigma(x).
 
-    Multi-start local search from scrambled-Sobol seeds; all starts ascend
-    together (projected gradient with per-start backtracking) using analytic
+    Multi-start local search from N_STARTS scrambled-Sobol seeds
+    (``_sobol_starts``, at most 24 factors); all starts ascend together
+    (projected gradient with per-start backtracking) using analytic
     acquisition gradients.  Deterministic for a fixed seed.
     """
-    from scipy.stats import qmc
-
     x_data = np.atleast_2d(np.asarray(x_data, dtype=float))
     z_data = np.asarray(z_data, dtype=float)
     if x_data.shape[0] < 2:
@@ -341,9 +401,7 @@ def bo_step(x_data, z_data, ranges, seed, surrogate: GaussianProcess = None,
     if refit:
         surrogate.fit_hyperparameters()
 
-    sob = qmc.Sobol(d, scramble=True,
-                    seed=substream(seed, "doe", "acquire-starts"))
-    u = sob.random(N_STARTS)
+    u = _sobol_starts(d, N_STARTS, substream(seed, "doe", "acquire-starts"))
     mean, sd, dm, ds = surrogate.predict_with_grad(u)
     acq = mean + kappa * sd
     step = np.full(N_STARTS, 0.25)

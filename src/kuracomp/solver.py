@@ -8,10 +8,11 @@ member's P1 or P2 (rows 0-1) falling through its extinction threshold P_D,
 located by bisection on the cubic-Hermite dense output (|dt| <= 1e-9).
 ``integrate`` is its B = 1 case, ``integrate_batch`` its outcome-only run
 with thresholds, ``_settle`` its outcome-only run without them
-(reconnaissance and settling), each by ``settings.method``, and a batch
-member equals its B = 1 run bit for bit.  All RK4 runs share one step and
-one schedule: ceil(t_end/dt) steps from t = 0, never padded with a
-rounding-sized sliver.
+(reconnaissance and settling), each by ``settings.method``.  Under a
+reduced variant a batch member equals its B = 1 run bit for bit; a full
+variant's coupling is a BLAS product over the batch, whose rounding may
+depend on the batch width.  All RK4 runs share one step and one schedule:
+ceil(t_end/dt) steps from t = 0, never padded with a rounding-sized sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 of ``settings.recon_T`` where only the phase dynamics run (feedback H = 1,

@@ -157,7 +157,8 @@ summary = cli.run(
                "solver.t_end=5", "solver.dt_init=0.05"],
     out_dir=out + "/doe", seed=1)
 assert summary["n_records"] == 4, summary
-assert "scipy.optimize" in sys.modules and "scipy.stats" in sys.modules
+# the GP fit needs scipy.optimize; the Sobol starts are numpy's own
+assert "scipy.optimize" in sys.modules and "scipy.stats" not in sys.modules
 """
 
 
@@ -240,6 +241,50 @@ def test_missing_factor_range_rejected(tmp_path):
                            'task.factors=[{"name":"beta1","lo":1.0,"hi":1.0}]',
                            "task.k_init=3", "task.n_total=3"],
                 out_dir=tmp_path / "x", seed=0)
+
+
+def test_doe_without_factors_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["doe", "-c", "simple-cs", "-o", "task.factors=[]",
+                     "-o", "task.k_init=2", "-o", "task.n_total=2",
+                     "--out", str(out)]) == 2
+    assert "should be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_doe_with_a_repeated_factor_exits_2(tmp_path, capsys):
+    # the last column would silently win, under a doubled log header
+    out = tmp_path / "out"
+    assert cli.main(["doe", "-c", "simple-cs", "-o",
+                     'task.factors=[{"name":"beta1","lo":1.0,"hi":2.0},'
+                     '{"name":"phi","lo":-0.5,"hi":0.5},'
+                     '{"name":"beta1","lo":3.0,"hi":4.0}]',
+                     "-o", "task.k_init=2", "-o", "task.n_total=2",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: factor 'beta1' is named more than once")
+    assert not out.exists()
+
+
+def test_glm_with_a_missing_input_exits_2(tmp_path, capsys):
+    log, out = tmp_path / "nosuch.csv", tmp_path / "out"
+    assert cli.main(["glm", "-c", "simple-cs", "-o", f"task.input={log}",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: task.input: cannot read ") and str(log) in err
+    assert not out.exists()
+
+
+def test_glm_with_an_empty_log_exits_2(tmp_path, capsys):
+    log = tmp_path / "doe_log.csv"
+    out = tmp_path / "out"
+    doe.write_doe_log([], log, ["beta1", "mu"])      # the header only
+    assert cli.main(["glm", "-c", "simple-cs", "-o", f"task.input={log}",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: task.input: ") and str(log) in err
+    assert "no scored DOE record" in err
+    assert not out.exists()
 
 
 def test_fig3b_preset_blue_win_trajectory(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from kuracomp import doe
+from kuracomp._rng import substream
 
 
 def test_design_single_factor():
@@ -215,6 +216,42 @@ def test_bo_step_constant_targets_explore():
     # pure exploration: the chosen point sits far from the training cloud
     d_new = np.min(np.linalg.norm(x - x_next, axis=1))
     assert d_new > 0.3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 21])
+def test_sobol_starts_equal_scipy_bit_for_bit(seed):
+    from scipy.stats import qmc
+
+    for d in range(1, 25):
+        got = doe._sobol_starts(
+            d, doe.N_STARTS, substream(seed, "doe", "acquire-starts"))
+        want = qmc.Sobol(d, scramble=True, seed=substream(
+            seed, "doe", "acquire-starts")).random(doe.N_STARTS)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), d
+
+
+def test_sobol_table_equals_scipy_direction_numbers():
+    from pathlib import Path
+
+    import scipy.stats
+
+    table = np.load(Path(scipy.stats.__file__).parent
+                    / "_sobol_direction_numbers.npz")
+    n = len(doe._SOBOL_POLY)
+    assert n == len(doe._SOBOL_VINIT) == 24
+    assert np.array_equal(doe._SOBOL_POLY, table["poly"][:n])
+    vinit = np.zeros((n, table["vinit"].shape[1]), dtype=np.int64)
+    for k, row in enumerate(doe._SOBOL_VINIT):
+        vinit[k, :len(row)] = row
+    assert np.array_equal(vinit, table["vinit"][:n])
+
+
+def test_bo_step_rejects_more_factors_than_the_sobol_table():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, 1, (5, 25))
+    with pytest.raises(ValueError, match="1 to 24 dimensions, not 25"):
+        doe.bo_step(x, rng.uniform(0, 1, 5), [(0.0, 1.0)] * 25, seed=0)
 
 
 def test_run_doe_pure_design_when_budget_equals_init():
