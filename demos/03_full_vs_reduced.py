@@ -31,7 +31,7 @@ def main(beta1=3.5):
     xi = graphs.xi_paper_normalization([tree, er], links)
     omega = presets.sample_omega([21, 21], mu=0.2, nu=0.0, seed=2000)
     net = graphs.assemble([tree, er], links, sigma=[4.0, 2.0], xi=xi,
-                          phi=0.2, psi=0.0, omega=omega)
+                          omega=omega)
     coup = CentroidCoupling.from_network(net)
     print(f"reduced couplings from the network: g12 = {coup.g12:.3f}, "
           f"g21 = {coup.g21:.3f}")

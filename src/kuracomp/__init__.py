@@ -2,7 +2,7 @@
 
 Library layout:
 
-    graphs    population networks, block weight/frustration assembly
+    graphs    population networks, block-weighted network assembly
     phase     Kuramoto-Sakaguchi rates, order parameters, centroids
     models    full and centroid-reduced model right-hand sides
     solver    adaptive RK45 / fixed RK4, scenario protocol, ensembles

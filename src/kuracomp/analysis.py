@@ -44,7 +44,6 @@ __all__ = [
     "classify",
     "stability_thresholds",
     "sweep_bifurcation",
-    "eco2_cubic_coeffs",
     "eco2_cubic_roots",
 ]
 
@@ -359,19 +358,6 @@ def _solve_simple_fp4(cfg, coupling, d, notes, label):
 
 
 # -- ecology variant --------------------------------------------------------
-
-def eco2_cubic_coeffs(cfg: ModelConfig, delta) -> tuple:
-    """Coefficients (a3, a2, a1, a0) of the interior fixed-point cubic in
-    P2, from clearing denominators of dP1/dt = dP2/dt = 0."""
-    dlt = 0.5 * (np.sin(delta) + 2.0)
-    b2t = cfg.beta2 * 0.5 * (2.0 - np.sin(delta))
-    r1, r2, b1, a, t, x1 = cfg.r1, cfg.r2, cfg.beta1, cfg.alpha, cfg.tau, cfg.x1
-    a3 = r1 * a * r2 * t * b1
-    a2 = -r1 * a * r2 * (t * b1 - 1) - a * b1 * dlt * b2t
-    a1 = r1 * a * b1 * dlt - r1 * a * r2 - b1 * dlt * b2t - a * b1 * dlt * x1
-    a0 = -b1 * dlt * x1
-    return a3, a2, a1, a0
-
 
 def eco2_cubic_roots(cfg: ModelConfig, delta) -> np.ndarray:
     """The three interior-candidate roots in P2 via the cube-root closed

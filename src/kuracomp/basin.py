@@ -205,8 +205,8 @@ def estimate_basins(model: str, cfg, spec: BasinSpec, n_points: int,
 
     Fields of ``cfg`` hold a scalar or one value per point.  Reduced
     variants run as one engine call over every point; full variants run
-    one engine call per point (each point's frustration needs its own
-    network), optionally across ``jobs`` processes.
+    one engine call per point (each point reconnoitres at its own
+    frustration), optionally across ``jobs`` processes.
     """
     if model in _REDUCED:
         return _basins(model, cfg, spec, n_points, net=net, coupling=coupling)

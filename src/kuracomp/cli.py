@@ -106,7 +106,7 @@ CONFIG_SCHEMA = {
                 "n_total": {"type": "integer", "minimum": 1},
                 "input": {"type": "string"},
                 "n_repeats": {"type": "integer", "minimum": 1},
-                "p3_init": {"type": "number"},
+                "p3_init": {"type": "number", "minimum": 0},
             },
         },
     },
@@ -215,9 +215,17 @@ def _build(config: dict):
             if not np.isfinite([f["lo"], f["hi"]]).all() or f["lo"] >= f["hi"]:
                 raise ValidationFailure(f"factor {f['name']!r} needs a finite "
                                         "range with lo < hi")
+        if "p_exponent" in varied:
+            raise ValidationFailure("p_exponent cannot be a doe factor: it "
+                                    "takes the values 1 and 2 only")
     if task["type"] == "simulate" and "n_sim" in task and model in _REDUCED:
         raise ValidationFailure("task.n_sim: reduced variants have no phases")
     model_params(model, list(params) + varied, net=net)
+    # every check is an interval, so a doe factor's endpoints suffice
+    try:
+        replace(cfg, **_swept(task)).validate()
+    except ValueError as exc:
+        raise ValidationFailure(f"swept values: {exc}") from exc
     sv = config.get("solver", {})
     if "recon_T" in sv and model in _REDUCED:
         raise ValidationFailure("solver.recon_T: reduced variants have no "
@@ -232,7 +240,11 @@ def _build(config: dict):
         _initial_state(system, task)             # checks task.initial
     if task["type"] == "glm":
         _scored_records(task["input"])           # checks the log
-    if task["type"] in ("basin", "heatmap", "doe"):
+    basin_task = task["type"] in ("basin", "heatmap", "doe")
+    if "p3_init" in task and not (basin_task and system.n_pops == 3):
+        raise ValidationFailure("task.p3_init is read only by basin, heatmap "
+                                "and doe tasks on a three-population variant")
+    if basin_task:
         policy = basin._phase_policy(_basin_spec(task, settings, seed), system)
         for key, reader in (("n_sim", "ensemble"),
                             ("delta_resolution", "delta-grid")):
@@ -240,6 +252,21 @@ def _build(config: dict):
                 raise ValidationFailure(f"task.{key} is read only by the "
                                         f"{reader} phase policy, not {policy}")
     return system, settings, seed
+
+
+_AXES = {"sweep": [("param", "range", "n_points")],
+         "heatmap": [("x_param", "x_range", "x_points"),
+                     ("y_param", "y_range", "y_points")]}
+
+
+def _swept(task) -> dict:
+    """{parameter: values} a task varies: the grid of a sweep or of each
+    heatmap axis, or both endpoints of each doe factor."""
+    if task["type"] == "doe":
+        return {f["name"]: np.array([f["lo"], f["hi"]], dtype=float)
+                for f in task["factors"]}
+    return {task[name]: np.linspace(*task[span], task.get(points, 21))
+            for name, span, points in _AXES.get(task["type"], ())}
 
 
 def _initial_state(system, task):
@@ -311,8 +338,7 @@ def _task_fixed_points(config, system, settings, seed, outdir):
 
 def _task_sweep(config, system, settings, seed, outdir):
     task = config["task"]
-    lo, hi = task["range"]
-    values = np.linspace(lo, hi, task.get("n_points", 21))
+    (values,) = _swept(task).values()
     coupling = system.coupling if system.net is not None else None
     rows = analysis.sweep_bifurcation(config["model"], system.cfg,
                                       task["param"], values,
@@ -345,10 +371,7 @@ def _task_basin(config, system, settings, seed, outdir):
 def _task_heatmap(config, system, settings, seed, outdir, jobs=1, svg=False):
     task = config["task"]
     spec = _basin_spec(task, settings, seed)
-    xs = np.linspace(task["x_range"][0], task["x_range"][1],
-                     task.get("x_points", 21))
-    ys = np.linspace(task["y_range"][0], task["y_range"][1],
-                     task.get("y_points", 21))
+    xs, ys = _swept(task).values()
     started = time.time()
     matrix, xv, yv = basin.basin_heatmap(
         system.name, system.cfg, task["x_param"], xs, task["y_param"], ys,
@@ -518,6 +541,11 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
     config = validate_config(config)
     if "task" not in config or "type" not in config.get("task", {}):
         raise ValidationFailure("config needs task.type")
+    task_type = config["task"]["type"]
+    if jobs < 1:
+        raise ValidationFailure(f"jobs must be >= 1, got {jobs}")
+    if task_type != "heatmap" and (jobs != 1 or svg):
+        raise ValidationFailure("jobs and svg apply to heatmap tasks only")
     started = time.time()
     try:
         system, settings, master_seed = _build(config)
@@ -529,7 +557,6 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "resolved_config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True, default=float)
-    task_type = config["task"]["type"]
     runner = _TASKS[task_type]
     heatmap = {"jobs": jobs, "svg": svg} if task_type == "heatmap" else {}
     summary = runner(config, system, settings, master_seed, outdir, **heatmap)

@@ -271,14 +271,6 @@ class GaussianProcess:
         self._z_mean = float(self.z_train.mean())
         self._factorise()
 
-    def predict(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ks = self._kernel(x, self.x_train)
-        mean = self._z_mean + ks @ self._alpha
-        v = np.linalg.solve(self._chol, ks.T)
-        var = self.signal_var - (v ** 2).sum(axis=0)
-        return mean, np.sqrt(np.maximum(var, 1e-16))
-
     def predict_with_grad(self, x):
         """(mean, sd, dmean/dx, dsd/dx) batched over rows of x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))

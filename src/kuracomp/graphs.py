@@ -1,12 +1,12 @@
-"""Population networks and the block-coupled weight/frustration structure.
+"""Population networks and their block-coupled weight structure.
 
 Three stylised generators (complete k-ary tree, Erdos-Renyi, Watts-Strogatz)
 produce the per-population graphs.  ``assemble`` stitches populations together
 with explicit cross-population link lists into a :class:`CoupledNetwork`,
-which exposes the dense weighted adjacency ``W`` (sigma_i on internal blocks,
-xi_ij on cross blocks) and the frustration matrix ``Phi`` (phi on the 1->2
-block, psi on the 2->1 block, zero elsewhere), plus the cross-degree
-aggregates ``d_k^(ij)`` / ``d_T^(ij)`` the reduced models need.
+which holds structure only (graphs, links, weights, partition, frequencies)
+and exposes the dense weighted adjacency ``W`` (sigma_i on internal blocks,
+xi_ij on cross blocks).  The frustration is a model parameter:
+``coupling_matrices(phi, psi)`` weights ``W`` by the angles it is given.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ __all__ = [
     "Graph",
     "InterLinks",
     "CoupledNetwork",
-    "DegreeStats",
     "gen_kary_tree",
     "gen_erdos_renyi",
     "gen_watts_strogatz",
     "assemble",
-    "degree_stats",
     "default_partition",
 ]
 
@@ -87,14 +85,6 @@ class InterLinks:
         for (u, v) in self.pairs:
             a[u, v] = 1.0
         return a
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    """Per-node and total cross degrees for every ordered population pair."""
-
-    d: dict    # (pop, (i, j)) unused; keys are (i, j) -> int array over V_i
-    d_T: dict  # (i, j) -> int
 
 
 def gen_kary_tree(branching: int, layers: int) -> Graph:
@@ -176,22 +166,21 @@ def default_partition(g: Graph) -> tuple:
 
 @dataclass
 class CoupledNetwork:
-    """Multi-population network with block weights and frustration."""
+    """Multi-population network: graphs, cross links, block weights,
+    strategic/tactical partition and intrinsic frequencies."""
 
     populations: list
     interlinks: dict          # (i, j) with i < j -> InterLinks
     sigma: list               # per-population internal coupling
     xi: dict                  # ordered (i, j) -> cross coupling
-    phi: float                # frustration, population 1 -> 2
-    psi: float                # frustration, population 2 -> 1
     strategic: list           # per-population node tuples
     tactical: list            # per-population node tuples
     omega: np.ndarray         # concatenated intrinsic frequencies
     offsets: np.ndarray = field(init=False)
     _w: np.ndarray = field(init=False, default=None, repr=False)
-    _phi_mat: np.ndarray = field(init=False, default=None, repr=False)
-    _m_sin: np.ndarray = field(init=False, default=None, repr=False)
-    _m_cos: np.ndarray = field(init=False, default=None, repr=False)
+    # ((phi, psi), W*sin(Phi), W*cos(Phi)) for the last angles asked
+    _coupling: tuple = field(init=False, default=((), None, None),
+                             repr=False)
     # the phase plan models.py builds on the first full-variant RHS call
     _plan: object = field(init=False, default=None, repr=False)
 
@@ -256,34 +245,22 @@ class CoupledNetwork:
             self._w = w
         return self._w
 
-    def frustration_matrix(self) -> np.ndarray:
-        if self._phi_mat is None:
+    def coupling_matrices(self, phi, psi) -> tuple:
+        """(W*sin(Phi), W*cos(Phi)) for the frustration Phi that is phi on
+        the 1->2 block, psi on the 2->1 block and zero elsewhere; the pair
+        for the last (phi, psi) asked is kept."""
+        if self._coupling[0] != (phi, psi):
             n = self.n_total
             f = np.zeros((n, n))
             if self.n_pops >= 2:
-                f[self.nodes_of(0), self.nodes_of(1)] = self.phi
-                f[self.nodes_of(1), self.nodes_of(0)] = self.psi
-            f.setflags(write=False)
-            self._phi_mat = f
-        return self._phi_mat
-
-    def coupling_matrices(self) -> tuple:
-        """(W*sin(Phi), W*cos(Phi)) used by the phase right-hand side."""
-        if self._m_sin is None:
-            w, f = self.weight_matrix(), self.frustration_matrix()
-            self._m_sin = w * np.sin(f)
-            self._m_cos = w * np.cos(f)
-            self._m_sin.setflags(write=False)
-            self._m_cos.setflags(write=False)
-        return self._m_sin, self._m_cos
-
-    def with_frustration(self, phi: float, psi: float) -> "CoupledNetwork":
-        """Copy of this network with different frustration angles."""
-        return CoupledNetwork(
-            populations=self.populations, interlinks=self.interlinks,
-            sigma=self.sigma, xi=self.xi, phi=float(phi), psi=float(psi),
-            strategic=self.strategic, tactical=self.tactical,
-            omega=self.omega)
+                f[self.nodes_of(0), self.nodes_of(1)] = phi
+                f[self.nodes_of(1), self.nodes_of(0)] = psi
+            w = self.weight_matrix()
+            m_sin, m_cos = w * np.sin(f), w * np.cos(f)
+            m_sin.setflags(write=False)
+            m_cos.setflags(write=False)
+            self._coupling = ((phi, psi), m_sin, m_cos)
+        return self._coupling[1:]
 
     def strategic_global(self, pop: int) -> np.ndarray:
         return self.global_nodes(pop, self.strategic[pop])
@@ -292,13 +269,14 @@ class CoupledNetwork:
         return self.global_nodes(pop, self.tactical[pop])
 
 
-def assemble(populations, interlinks, sigma, xi, phi, psi,
-             strategic=None, tactical=None, omega=None) -> CoupledNetwork:
+def assemble(populations, interlinks, sigma, xi, strategic=None,
+             tactical=None, omega=None) -> CoupledNetwork:
     """Build a CoupledNetwork, validating partitions and link consistency.
 
     ``interlinks`` maps (i, j) with i < j to a list of (node in V_i,
     node in V_j) pairs; ``xi`` gives the directed couplings for both
-    orders (i, j) and (j, i).  Omega defaults to zeros.
+    orders (i, j) and (j, i).  Omega defaults to zeros.  The network holds
+    no frustration: that is the model config's phi/psi.
     """
     pops = list(populations)
     links = {}
@@ -317,31 +295,10 @@ def assemble(populations, interlinks, sigma, xi, phi, psi,
         omega = np.concatenate([np.asarray(o, dtype=float) for o in omega])
     return CoupledNetwork(
         populations=pops, interlinks=links, sigma=list(sigma), xi=dict(xi),
-        phi=float(phi), psi=float(psi),
         strategic=[tuple(s) for s in strategic],
         tactical=[tuple(t) for t in tactical],
         omega=omega,
     )
-
-
-def degree_stats(net: CoupledNetwork) -> DegreeStats:
-    """Cross degrees d_k^(ij) and totals d_T^(ij) for ordered pairs."""
-    d = {}
-    d_T = {}
-    m = net.n_pops
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            key = (min(i, j), max(i, j))
-            links = net.interlinks.get(key)
-            di = np.zeros(net.populations[i].n, dtype=int)
-            if links is not None:
-                for (u, v) in links.pairs:
-                    di[u if i < j else v] += 1
-            d[(i, j)] = di
-            d_T[(i, j)] = int(di.sum())
-    return DegreeStats(d=d, d_T=d_T)
 
 
 def xi_paper_normalization(populations, interlinks) -> dict:

@@ -64,7 +64,8 @@ class ModelConfig:
     Defaults are the dimensional three-population case-study values; the
     nondimensional variants do not read the carrying capacities K_i
     (``model_params`` lists what each variant reads).  Fields may hold
-    numpy arrays (broadcast against the state) in batched parameter sweeps.
+    numpy arrays (broadcast against the state) in batched parameter sweeps;
+    ``validate`` checks every element.
     """
 
     r1: float = 3.0           # Blue recruitment rate
@@ -102,9 +103,10 @@ class ModelConfig:
         for name in ["K1", "K2", "K3"]:
             if np.any(np.asarray(getattr(self, name)) <= 0):
                 raise ValueError(f"{name} must be > 0")
-        if not (0 < self.P_D < 0.1):
+        p_d = np.asarray(self.P_D)
+        if not np.all((0 < p_d) & (p_d < 0.1)):
             raise ValueError("P_D must satisfy 0 < P_D << 1")
-        if self.p_exponent not in (1, 2):
+        if not np.all(np.isin(self.p_exponent, (1, 2))):
             raise ValueError("p_exponent must be 1 or 2")
         return self
 
@@ -133,14 +135,10 @@ class CentroidCoupling:
 
     @classmethod
     def from_network(cls, net) -> "CentroidCoupling":
-        from .graphs import degree_stats
-
-        stats = degree_stats(net)
-        sizes = net.sizes
-
         def g(i, j):
-            d = stats.d_T.get((i, j), 0)
-            return net.xi.get((i, j), 0.0) * d / sizes[i]
+            links = net.interlinks.get((min(i, j), max(i, j)))
+            d = len(links.pairs) if links is not None else 0   # d_T^(ij)
+            return net.xi.get((i, j), 0.0) * d / net.sizes[i]
 
         kwargs = dict(g12=g(0, 1), g21=g(1, 0))
         if net.n_pops >= 3:
@@ -266,13 +264,14 @@ def _phases(theta, net, n=None):
     return s, c, th, (o[:net.n_pops], o[net.n_pops:])
 
 
-def _phase_rates(s, c, net, P, k1, k2):
-    """d(theta)/dt under feedback H = clip(1 - P_adv/K_adv, 0, 1) on
-    populations 1 and 2 and H = 1 on a third."""
+def _phase_rates(s, c, cfg, net, P, k1, k2):
+    """d(theta)/dt at cfg's frustration under feedback
+    H = clip(1 - P_adv/K_adv, 0, 1) on populations 1 and 2 and H = 1 on a
+    third."""
     h1 = np.clip(1.0 - P[1] / k2, 0.0, 1.0)
     h2 = np.clip(1.0 - P[0] / k1, 0.0, 1.0)
     h = np.stack([h1, h2, np.ones_like(h1)])[_phase_plan(net).feedback_row]
-    return _kuramoto_rates(s, c, net, h)
+    return _kuramoto_rates(s, c, net, h, cfg.phi, cfg.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def simple_rhs(y, cfg: ModelConfig, net):
     s, c, (th1, th2), _ = _phases(theta, net)
     dP1 = cfg.r1 * P[0] * (1 - P[0]) - cfg.beta2 * P[0] * P[1] * _initiative(th2 - th1)
     dP2 = cfg.r2 * P[1] * (1 - P[1]) - cfg.beta1 * P[1] * P[0] * _initiative(th1 - th2)
-    dtheta = _phase_rates(s, c, net, P, 1.0, 1.0)
+    dtheta = _phase_rates(s, c, cfg, net, P, 1.0, 1.0)
     return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
 
 
@@ -297,7 +296,7 @@ def feedback_rhs(y, cfg: ModelConfig, net):
            - cfg.beta2 * P[0] * P[1] * o_t[1] * _initiative(th2 - th1))
     dP2 = (cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
            - cfg.beta1 * P[1] * P[0] * o_t[0] * _initiative(th1 - th2))
-    dtheta = _phase_rates(s, c, net, P, 1.0, 1.0)
+    dtheta = _phase_rates(s, c, cfg, net, P, 1.0, 1.0)
     return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
 
 
@@ -312,7 +311,7 @@ def eco2_rhs(y, cfg: ModelConfig, net):
            - cfg.x1 * P[0])
     dP2 = (cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
            - holling * P[0] * o_t[0] * _initiative(th1 - th2))
-    dtheta = _phase_rates(s, c, net, P, 1.0, 1.0)
+    dtheta = _phase_rates(s, c, cfg, net, P, 1.0, 1.0)
     return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
 
 
@@ -333,7 +332,7 @@ def eco3_rhs(y, cfg: ModelConfig, net):
     dP2 = (cfg.r2 * P[1] * (1 - P[1] / cfg.K2) * o_s[1]
            - f12s * P[0] * o_t[0] * _initiative(th1 - th2))
     dP3 = r3s * P[2] * (1 - P[2] / cfg.K3) * o_s[2] - x3s * P[2]
-    dtheta = _phase_rates(s, c, net, P, cfg.K1, cfg.K2)
+    dtheta = _phase_rates(s, c, cfg, net, P, cfg.K1, cfg.K2)
     return np.concatenate([np.stack([dP1, dP2, dP3]), dtheta], axis=0)
 
 
@@ -419,15 +418,15 @@ class ModelSystem:
     rhs: callable            # rhs(y) -> dy, y of shape (dim,) or (dim, B)
     labels: list             # CSV column labels after "t"
     cfg: ModelConfig         # the parameters bound into rhs (P_D among them)
-    net: object = None       # full variants: frustration bound to the config
+    net: object = None       # full variants: the network as passed
     coupling: object = None  # reduced variants only
 
     def phase_rhs(self):
         """Phase-only dynamics with H = 1 (reconnaissance)."""
         if self.reduced:
             raise ValueError("reconnaissance applies to full variants only")
-        net = self.net
-        return lambda y: kuramoto_rhs(y, net, 1.0)
+        net, cfg = self.net, self.cfg
+        return lambda y: kuramoto_rhs(y, net, 1.0, cfg.phi, cfg.psi)
 
 
 _FULL = {
@@ -480,8 +479,8 @@ def model_params(name: str, names=(), net=None, coupling=None) -> tuple:
 
 def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelSystem:
     """Bind a variant name to its config and network/coupling data: a full
-    variant runs on ``net`` rebound to cfg.phi/psi (unless they match), a
-    reduced one takes g from ``coupling``, else ``net``, else cfg.gamma*."""
+    variant runs on ``net`` at cfg.phi/psi, a reduced one takes g from
+    ``coupling``, else ``net``, else cfg.gamma*."""
     if name in _FULL:
         fn, n_pops = _FULL[name]
         if net is None or coupling is not None:
@@ -496,8 +495,6 @@ def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelS
                     raise ValueError(f"variant {name!r} reads the {kind} order"
                                      f" parameter of population {p + 1}, "
                                      f"whose {kind} set is empty")
-        if (net.phi, net.psi) != (cfg.phi, cfg.psi):
-            net = net.with_frustration(cfg.phi, cfg.psi)
         labels = [f"P{i + 1}" for i in range(n_pops)]
         labels += [f"theta_{k}" for k in range(net.n_total)]
         return ModelSystem(

@@ -24,10 +24,11 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-def kuramoto_rhs(theta, net, h) -> np.ndarray:
+def kuramoto_rhs(theta, net, h, phi, psi) -> np.ndarray:
     """d(theta)/dt = omega_k + H_k * sum_l W_kl sin(theta_l - theta_k + Phi_kl).
 
-    ``theta`` has shape (n,) or (n, B); ``h`` broadcasts against it.
+    ``theta`` has shape (n,) or (n, B); ``h`` broadcasts against it.  Phi
+    is ``phi`` on the 1->2 block, ``psi`` on the 2->1 block, else zero.
     """
     theta = np.asarray(theta, dtype=float)
     n = net.n_total
@@ -36,12 +37,12 @@ def kuramoto_rhs(theta, net, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim > 0 and h.shape[0] not in (1, n):
         raise ValueError("h must broadcast against theta")
-    return _kuramoto_rates(np.sin(theta), np.cos(theta), net, h)
+    return _kuramoto_rates(np.sin(theta), np.cos(theta), net, h, phi, psi)
 
 
-def _kuramoto_rates(s, c, net, h) -> np.ndarray:
+def _kuramoto_rates(s, c, net, h, phi, psi) -> np.ndarray:
     """:func:`kuramoto_rhs` from s = sin(theta), c = cos(theta), unchecked."""
-    m_sin, m_cos = net.coupling_matrices()
+    m_sin, m_cos = net.coupling_matrices(phi, psi)
     coupling = c * (m_cos @ s + m_sin @ c) + s * (m_sin @ s - m_cos @ c)
     omega = net.omega if s.ndim == 1 else net.omega[:, None]
     return omega + h * coupling

@@ -9,8 +9,8 @@ as xi_ij = N_i / d_T^(ij).
 
 Intrinsic frequencies are U[0, 1] draws per competitor recentred so the
 population means hit the network section's (mu, nu) exactly, with the third
-population pinned at 0.5.  Frustration is a model parameter, which
-``models.build_system`` binds to the network.
+population pinned at 0.5.  Frustration is a model parameter: the network
+holds none, and the right-hand sides read it from the config.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def build_network(section: dict, master_seed: int):
     """Construct a CoupledNetwork from a config network section.
 
     Frequencies are an explicit ``omega`` list, else drawn at ``mu`` (and
-    ``nu`` with three populations), else zero.  The frustration is zero
-    until ``models.build_system`` binds it to a config.
+    ``nu`` with three populations), else zero.  The network holds no
+    frustration; the right-hand sides read it from the model config.
     """
     section = dict(section)
     preset = section.pop("preset", None)
@@ -114,17 +114,16 @@ def build_network(section: dict, master_seed: int):
                              section.get("nu"), master_seed)
 
     return assemble(pops, interlinks, sigma=section["sigma"], xi=xi,
-                    phi=0.0, psi=0.0, strategic=strategic, tactical=tactical,
-                    omega=omega)
+                    strategic=strategic, tactical=tactical, omega=omega)
 
 
 def network_to_config(net) -> dict:
     """Serialise a CoupledNetwork to an explicit config network section.
 
-    The result rebuilds an identical network, up to its frustration (a
-    model parameter), through ``build_network`` regardless of the master
-    seed (graphs, links, frequencies all stored verbatim), and holds only
-    JSON types, whatever integer type the network's node indices have.
+    The result rebuilds an identical network through ``build_network``
+    regardless of the master seed (graphs, links, frequencies all stored
+    verbatim), and holds only JSON types, whatever integer type the
+    network's node indices have.
     """
     return {
         "populations": [{"kind": "explicit", "n": int(g.n),

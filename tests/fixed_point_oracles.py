@@ -10,7 +10,10 @@ now drop a polished interior candidate that lands within 1e-9 of a boundary
 position in (P1, P2), with a note: the polish found that boundary point again.
 ``kuracomp.analysis._fixed_points`` must equal these bitwise in label, state,
 eigenvalues, classification and residual; its status describes the reported
-state."""
+state.
+
+``eco2_cubic_coeffs`` gives the interior cubic's coefficients, so a
+companion-matrix solve can check the closed-form roots."""
 
 import numpy as np
 
@@ -208,6 +211,19 @@ def _solve_eco2_interior(cfg, coupling, branch, d_init, notes, label):
     if not physical:
         notes.append(f"{label}: outside physical range (P1={p1:.4g}, P2={p2:.4g})")
     return np.array([p1, p2, d]), physical
+
+
+def eco2_cubic_coeffs(cfg, delta):
+    """Coefficients (a3, a2, a1, a0) of the interior fixed-point cubic in
+    P2, from clearing denominators of dP1/dt = dP2/dt = 0."""
+    dlt = 0.5 * (np.sin(delta) + 2.0)
+    b2t = cfg.beta2 * 0.5 * (2.0 - np.sin(delta))
+    r1, r2, b1, a, t, x1 = cfg.r1, cfg.r2, cfg.beta1, cfg.alpha, cfg.tau, cfg.x1
+    a3 = r1 * a * r2 * t * b1
+    a2 = -r1 * a * r2 * (t * b1 - 1) - a * b1 * dlt * b2t
+    a1 = r1 * a * b1 * dlt - r1 * a * r2 - b1 * dlt * b2t - a * b1 * dlt * x1
+    a0 = -b1 * dlt * x1
+    return a3, a2, a1, a0
 
 
 ORACLES = {"simple-reduced": simple_fixed_points,

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from fixed_point_oracles import eco2_cubic_coeffs
 from kuracomp import analysis, basin, cli, doe, graphs, models, presets, solver, stats
 from kuracomp.models import CentroidCoupling, ModelConfig, centroid_coeffs
 from kuracomp.solver import IntegratorSettings
@@ -75,8 +76,7 @@ def test_criterion_2_fixed_point_residual_gate():
         for rec in recs:
             if rec.label in ("FP3", "FP4", "FP5"):
                 n_interior += 1
-                comp = np.roots(analysis.eco2_cubic_coeffs(cfg_used,
-                                                           rec.state[2]))
+                comp = np.roots(eco2_cubic_coeffs(cfg_used, rec.state[2]))
                 worst_root = max(worst_root,
                                  float(np.min(np.abs(comp - rec.state[1]))))
     ok &= n_interior >= 3 and worst_root <= 1e-8
@@ -211,7 +211,7 @@ def test_criterion_6_reduction_fidelity():
         xi = graphs.xi_paper_normalization([tree, er], links)
         omega = presets.sample_omega([21, 21], mu=0.2, nu=0.0, seed=2000 + s)
         net = graphs.assemble([tree, er], links, sigma=[4.0, 2.0], xi=xi,
-                              phi=0.2, psi=0.0, omega=omega)
+                              omega=omega)
         coup = CentroidCoupling.from_network(net)
         co = centroid_coeffs(cfg, coup, 1.0, 1.0)
         d0 = analysis.delta_star(co.C, co.S, cfg.mu)
@@ -236,7 +236,7 @@ def test_criterion_6_reduction_fidelity():
     xi = graphs.xi_paper_normalization([tree, er], links)
     omega = presets.sample_omega([21, 21], mu=0.2, nu=0.0, seed=2000)
     net = graphs.assemble([tree, er], links, sigma=[4.0, 2.0], xi=xi,
-                          phi=0.2, psi=0.0, omega=omega)
+                          omega=omega)
     values = []
     for b1 in (1.0, 2.5, 4.0):
         spec = basin.BasinSpec(grid=(3, 3), n_sim=6, seed=5,

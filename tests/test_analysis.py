@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from fixed_point_oracles import ORACLES
+from fixed_point_oracles import ORACLES, eco2_cubic_coeffs
 from kuracomp import analysis, models, solver
 from kuracomp.models import CentroidCoupling, ModelConfig, centroid_coeffs
 from kuracomp.solver import IntegratorSettings
@@ -202,7 +202,7 @@ def test_eco2_cubic_roots_match_companion_matrix():
     cfg = _eco_config()
     for d in (-1.1, -0.4, 0.0, 0.3, 0.85, 1.2):
         closed = analysis.eco2_cubic_roots(cfg, d)
-        comp = np.roots(analysis.eco2_cubic_coeffs(cfg, d))
+        comp = np.roots(eco2_cubic_coeffs(cfg, d))
         # permutation-tolerant matching
         for root in closed:
             assert np.min(np.abs(comp - root)) < 1e-8
@@ -215,7 +215,7 @@ def test_eco2_interior_records_satisfy_cubic():
     assert interior
     for rec in interior:
         assert rec.residual <= 1e-8
-        a3, a2, a1, a0 = analysis.eco2_cubic_coeffs(cfg, rec.state[2])
+        a3, a2, a1, a0 = eco2_cubic_coeffs(cfg, rec.state[2])
         p2 = rec.state[1]
         cubic = ((a3 * p2 + a2) * p2 + a1) * p2 + a0
         scale = max(abs(a3), abs(a2), abs(a1), abs(a0))

@@ -61,7 +61,7 @@ def test_basin_full_model_ensemble():
     g2 = graphs.Graph(n=3, edges=((0, 1), (1, 2)))
     omega = [np.full(3, 0.6), np.full(3, 0.4)]
     net = graphs.assemble([g1, g2], {(0, 1): [(0, 0)]}, sigma=[2.0, 2.0],
-                          xi={(0, 1): 3.0, (1, 0): 3.0}, phi=0.2, psi=0.0,
+                          xi={(0, 1): 3.0, (1, 0): 3.0},
                           strategic=[(0,), (0,)], tactical=[(1, 2), (1, 2)],
                           omega=omega)
     spec = basin.BasinSpec(grid=(3, 3), n_sim=4, seed=7,
@@ -228,7 +228,7 @@ def test_heatmap_honours_delta_grid_policy():
 def _two_pop_net():
     g = graphs.Graph(n=3, edges=((0, 1), (1, 2)))
     return graphs.assemble([g, g], {(0, 1): [(0, 0)]}, sigma=[2.0, 2.0],
-                           xi={(0, 1): 3.0, (1, 0): 3.0}, phi=0.2, psi=0.0,
+                           xi={(0, 1): 3.0, (1, 0): 3.0},
                            strategic=[(0,), (0,)], tactical=[(1, 2), (1, 2)],
                            omega=[np.full(3, 0.6), np.full(3, 0.4)])
 
@@ -239,7 +239,7 @@ def _three_pop_net():
           if i != j}
     return graphs.assemble([g, g, g], {(0, 1): [(0, 0)], (0, 2): [(1, 0)],
                                        (1, 2): [(1, 1)]},
-                           sigma=[1.0, 1.0, 1.0], xi=xi, phi=0.3, psi=0.1)
+                           sigma=[1.0, 1.0, 1.0], xi=xi)
 
 
 _SWEEPABLE = {"beta1": (0.5, 6.0), "mu": (-0.6, 0.6), "gamma1": (0.0, 2.0),
@@ -297,8 +297,8 @@ def test_heatmap_entry_equals_estimate_basin(model, policy, source, data):
 
 @pytest.mark.parametrize("model", ["simple", "simple-reduced"])
 def test_heatmap_frustration_is_the_configs(model):
-    # a network built at phi = 0.2 swept to phi = -1.2: the heatmap entry,
-    # estimate_basin and the full variant's network all use the config's phi
+    # the network holds no frustration: the heatmap entry at phi = -1.2
+    # equals estimate_basin at the config's phi, and phi moves the value
     net = _two_pop_net()
     cfg = _cfg(beta1=2.5, phi=-1.2)
     spec = basin.BasinSpec(grid=(3, 3), n_sim=3, seed=1,
@@ -309,9 +309,9 @@ def test_heatmap_frustration_is_the_configs(model):
                                     [-1.2], spec, net=net)
     want = basin.estimate_basin(model, cfg, spec, net=net).value
     assert mat[0, 0] == want
-    at_net = basin.estimate_basin(model, replace(cfg, phi=0.2), spec,
-                                  net=net).value
-    assert want != at_net
+    other = basin.estimate_basin(model, replace(cfg, phi=0.2), spec,
+                                 net=net).value
+    assert want != other
 
 
 def _poison(monkeypatch, pick):

@@ -353,6 +353,36 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
     ["simulate", "-c", "paper-2pop", "-o",
      'task.initial={"delta":0.1,"theta":[0.0,0.0]}'],
     ["simulate", "-c", "paper-2pop", "-o", 'task.initial={"Q":[0.5,0.5]}'],
+    # swept values meet the same checks as scalar params
+    ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[-3,-1]", "-o", "task.x_points=2",
+     "-o", "task.y_param=P_D", "-o", "task.y_range=[-0.5,0.5]",
+     "-o", "task.y_points=2", "-o", "task.grid=[2,2]", "-o", "solver.t_end=4"],
+    ["doe", "-c", "simple-cs", "-o",
+     'task.factors=[{"name":"P_D","lo":0.05,"hi":0.5},'
+     '{"name":"r1","lo":-1,"hi":1}]', "-o", "task.k_init=4",
+     "-o", "task.n_total=5", "-o", "task.grid=[2,2]", "-o", "solver.t_end=4"],
+    ["sweep", "-c", "eco2-supp", "-o", "task.param=beta1",
+     "-o", "task.range=[-2,2]", "-o", "task.n_points=3",
+     "-o", "solver.t_end=5"],
+    ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[1,3]", "-o", "task.y_param=P_D",
+     "-o", "task.y_range=[1e-4,0.5]"],
+    ["heatmap", "-c", "paper-2pop", "-o", "task.x_param=p_exponent",
+     "-o", "task.x_range=[1,2]", "-o", "task.x_points=3",
+     "-o", "task.y_param=phi", "-o", "task.y_range=[0,1]"],
+    ["doe", "-c", "paper-2pop", "-o",
+     'task.factors=[{"name":"p_exponent","lo":1,"hi":2}]',
+     "-o", "task.k_init=2", "-o", "task.n_total=2"],
+    # task.p3_init where no run reads it, or below zero
+    ["basin", "-c", "simple-cs", "-o", "task.p3_init=3",
+     "-o", "task.grid=[2,2]", "-o", "solver.t_end=2"],
+    ["simulate", "-c", "fig3b", "-o", "task.p3_init=3"],
+    ["basin", "-c", "fig3b", "-o", "task.p3_init=-1"],
+    # --jobs below one
+    ["heatmap", "-c", "simple-cs", "--jobs", "0", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[1,2]", "-o", "task.y_param=phi",
+     "-o", "task.y_range=[0,1]"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -374,6 +404,39 @@ def test_heatmap_only_flags_exit_2(args, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task", [
+    {"type": "basin"},
+    {"type": "heatmap", "x_param": "beta1", "x_range": [1, 2],
+     "y_param": "phi", "y_range": [0, 1]},
+    {"type": "doe", "factors": [{"name": "beta1", "lo": 1, "hi": 2}],
+     "k_init": 2, "n_total": 2}])
+def test_p3_init_is_accepted_where_a_basin_reads_it(task):
+    config = {**get_preset("fig3b"), "task": {**task, "p3_init": 3.0}}
+    system, _, _ = cli._build(cli.validate_config(config))
+    assert system.n_pops == 3
+
+
+@pytest.mark.parametrize("task_type, extra", [
+    ("simulate", {}), ("fixed-points", {}), ("glm", {"input": "log.csv"})])
+def test_jobs_and_svg_are_rejected_outside_heatmaps(task_type, extra,
+                                                    tmp_path):
+    # run/run_config would drop them for any other task
+    config = {**get_preset("simple-cs"),
+              "task": {"type": task_type, **extra}}
+    for kwargs in ({"jobs": 4}, {"svg": True}, {"jobs": 0}):
+        with pytest.raises(cli.ValidationFailure, match="jobs"):
+            cli.run_config(json.loads(json.dumps(config)),
+                           out_dir=tmp_path / "out", **kwargs)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(cli.ValidationFailure, match="jobs must be >= 1"):
+        cli.run("simple-cs", overrides=["task.type=heatmap"], jobs=0,
+                out_dir=tmp_path / "out")
+    with pytest.raises(cli.ValidationFailure, match="heatmap tasks only"):
+        cli.run("simple-cs", overrides=["task.type=simulate",
+                                        "solver.t_end=2"],
+                jobs=4, svg=True, out_dir=tmp_path / "out")
 
 
 def test_sweep_step_underflow_exits_3(tmp_path, monkeypatch, capsys):

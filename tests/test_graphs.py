@@ -74,13 +74,41 @@ def test_watts_strogatz_rewired():
         graphs.gen_watts_strogatz(9, 3, 0.1, 0)
 
 
-def _two_pop_net(phi=0.0, psi=0.0, with_edge2=False, xi=None):
+def _two_pop_net(with_edge2=False, xi=None):
     g1 = graphs.Graph(n=2, edges=((0, 1),))
     g2 = graphs.Graph(n=2, edges=((0, 1),) if with_edge2 else ())
     xi = xi or {(0, 1): 1.0, (1, 0): 1.0}
     return graphs.assemble([g1, g2], {(0, 1): [(0, 0)]}, sigma=[1.0, 1.0],
-                           xi=xi, phi=phi, psi=psi,
-                           strategic=[(0,), (0,)], tactical=[(1,), (1,)])
+                           xi=xi, strategic=[(0,), (0,)],
+                           tactical=[(1,), (1,)])
+
+
+def _degree_stats(net):
+    """Per-node cross degrees d_k^(ij) over V_i and their totals d_T^(ij),
+    for every ordered population pair (i, j)."""
+    d, d_T = {}, {}
+    for i in range(net.n_pops):
+        for j in range(net.n_pops):
+            if i == j:
+                continue
+            links = net.interlinks.get((min(i, j), max(i, j)))
+            di = np.zeros(net.populations[i].n, dtype=int)
+            if links is not None:
+                for (u, v) in links.pairs:
+                    di[u if i < j else v] += 1
+            d[(i, j)] = di
+            d_T[(i, j)] = int(di.sum())
+    return d, d_T
+
+
+def _frustration_oracle(net, phi, psi):
+    """The dense frustration matrix: phi on the 1->2 block, psi on the
+    2->1 block, zero elsewhere."""
+    f = np.zeros((net.n_total, net.n_total))
+    if net.n_pops >= 2:
+        f[net.nodes_of(0), net.nodes_of(1)] = phi
+        f[net.nodes_of(1), net.nodes_of(0)] = psi
+    return f
 
 
 def test_assemble_minimal_counts():
@@ -100,55 +128,90 @@ def test_assemble_paper_usecase_degrees():
              (0, 2): [(i, i) for i in range(5)],
              (1, 2): [(i, i) for i in range(5, 21)]}
     xi = graphs.xi_paper_normalization([t, er, ws], links)
-    net = graphs.assemble([t, er, ws], links, sigma=[4, 2, 2], xi=xi,
-                          phi=0.5, psi=0.0)
-    st = graphs.degree_stats(net)
-    assert st.d_T[(0, 1)] == 16 and st.d_T[(1, 0)] == 16
-    assert st.d_T[(0, 2)] == 5 and st.d_T[(2, 0)] == 5
-    assert st.d_T[(1, 2)] == 16
+    net = graphs.assemble([t, er, ws], links, sigma=[4, 2, 2], xi=xi)
+    _, d_T = _degree_stats(net)
+    assert d_T[(0, 1)] == 16 and d_T[(1, 0)] == 16
+    assert d_T[(0, 2)] == 5 and d_T[(2, 0)] == 5
+    assert d_T[(1, 2)] == 16
     assert xi[(0, 1)] == pytest.approx(21 / 16)
 
 
 def test_degree_stats_simple_cases():
     net = _two_pop_net()
-    st = graphs.degree_stats(net)
-    assert st.d_T[(0, 1)] == 1 and st.d_T[(1, 0)] == 1
+    _, d_T = _degree_stats(net)
+    assert d_T[(0, 1)] == 1 and d_T[(1, 0)] == 1
     # complete bipartite 3 x 4
     g1 = graphs.Graph(n=3, edges=())
     g2 = graphs.Graph(n=4, edges=())
     pairs = [(i, j) for i in range(3) for j in range(4)]
     net2 = graphs.assemble([g1, g2], {(0, 1): pairs}, sigma=[1, 1],
-                           xi={(0, 1): 1.0, (1, 0): 1.0}, phi=0, psi=0)
-    st2 = graphs.degree_stats(net2)
-    assert st2.d_T[(0, 1)] == 12 and st2.d_T[(1, 0)] == 12
+                           xi={(0, 1): 1.0, (1, 0): 1.0})
+    d2, d_T2 = _degree_stats(net2)
+    assert d_T2[(0, 1)] == 12 and d_T2[(1, 0)] == 12
     # d_T equals the sum of per-node degrees
-    assert st2.d[(0, 1)].sum() == st2.d_T[(0, 1)]
+    assert d2[(0, 1)].sum() == d_T2[(0, 1)]
 
 
 def test_empty_interlinks():
     g1 = graphs.Graph(n=3, edges=((0, 1),))
     g2 = graphs.Graph(n=3, edges=((1, 2),))
-    net = graphs.assemble([g1, g2], {}, sigma=[1, 1], xi={}, phi=0.0, psi=0.0)
-    assert np.count_nonzero(net.frustration_matrix()) == 0
-    st = graphs.degree_stats(net)
-    assert st.d_T[(0, 1)] == 0
+    net = graphs.assemble([g1, g2], {}, sigma=[1, 1], xi={})
+    # no cross links: nothing is frustrated, whatever the angles
+    m_sin, m_cos = net.coupling_matrices(0.3, -0.1)
+    assert np.count_nonzero(m_sin) == 0
+    assert np.array_equal(m_cos, net.weight_matrix())
+    _, d_T = _degree_stats(net)
+    assert d_T[(0, 1)] == 0
 
 
 def test_frustration_block_structure():
-    net = _two_pop_net(phi=0.3, psi=-0.1, with_edge2=True)
-    f = net.frustration_matrix()
-    assert np.all(f[:2, 2:] == 0.3)
-    assert np.all(f[2:, :2] == -0.1)
-    assert np.all(f[:2, :2] == 0.0) and np.all(f[2:, 2:] == 0.0)
+    net = _two_pop_net(with_edge2=True)
+    w = net.weight_matrix()
+    m_sin, m_cos = net.coupling_matrices(0.3, -0.1)
+    assert np.array_equal(m_sin[:2, 2:], w[:2, 2:] * np.sin(0.3))
+    assert np.array_equal(m_sin[2:, :2], w[2:, :2] * np.sin(-0.1))
+    assert np.all(m_sin[:2, :2] == 0.0) and np.all(m_sin[2:, 2:] == 0.0)
+    assert np.array_equal(m_cos[:2, :2], w[:2, :2])
+    assert np.array_equal(m_cos[2:, 2:], w[2:, 2:])
+
+
+@pytest.mark.parametrize("n_pops", [1, 2, 3])
+def test_coupling_matrices_equal_the_dense_frustration_oracle(n_pops):
+    rng = np.random.default_rng(n_pops)
+    sizes = [int(n) for n in rng.integers(2, 6, n_pops)]
+    pops = [graphs.gen_erdos_renyi(n, 0.6, rng) for n in sizes]
+    links = {(i, j): sorted({(int(rng.integers(sizes[i])),
+                              int(rng.integers(sizes[j]))) for _ in range(3)})
+             for i in range(n_pops) for j in range(i + 1, n_pops)}
+    xi = {(i, j): rng.uniform(0.5, 2.0) for i in range(n_pops)
+          for j in range(n_pops) if i != j}
+    net = graphs.assemble(pops, links, sigma=rng.uniform(0.5, 2.0, n_pops),
+                          xi=xi)
+    w = net.weight_matrix()
+    for phi, psi in [(0.0, 0.0), (0.7, -0.4), (-np.pi / 2, np.pi / 2),
+                     tuple(rng.uniform(-3.0, 3.0, 2))]:
+        f = _frustration_oracle(net, phi, psi)
+        m_sin, m_cos = net.coupling_matrices(phi, psi)
+        assert np.array_equal(m_sin, w * np.sin(f))
+        assert np.array_equal(m_cos, w * np.cos(f))
+        # zero outside the 1->2 and 2->1 blocks, W itself where Phi = 0
+        assert not m_sin[f == 0.0].any()
+        assert np.array_equal(m_cos[f == 0.0], w[f == 0.0])
+        # the pair for the last angles asked is kept, and only that pair
+        again = net.coupling_matrices(phi, psi)
+        assert again[0] is m_sin and again[1] is m_cos
+        other = net.coupling_matrices(phi + 0.1, psi)
+        assert other[0] is not m_sin
+        assert np.array_equal(net.coupling_matrices(phi, psi)[0], m_sin)
 
 
 def test_partition_validation():
     g = graphs.Graph(n=3, edges=())
     with pytest.raises(ValueError, match="overlap"):
-        graphs.assemble([g], {}, sigma=[1.0], xi={}, phi=0, psi=0,
+        graphs.assemble([g], {}, sigma=[1.0], xi={},
                         strategic=[(0, 1)], tactical=[(1, 2)])
     with pytest.raises(ValueError, match="cover"):
-        graphs.assemble([g], {}, sigma=[1.0], xi={}, phi=0, psi=0,
+        graphs.assemble([g], {}, sigma=[1.0], xi={},
                         strategic=[(0,)], tactical=[(1,)])
 
 
@@ -157,7 +220,7 @@ def test_weight_matrix_invariants():
     er = graphs.gen_erdos_renyi(13, 0.3, 2)
     links = {(0, 1): [(0, 1), (2, 5), (7, 7)]}
     net = graphs.assemble([t, er], links, sigma=[1.5, 0.7],
-                          xi={(0, 1): 2.0, (1, 0): 0.5}, phi=0.1, psi=0.2)
+                          xi={(0, 1): 2.0, (1, 0): 0.5})
     w = net.weight_matrix()
     assert np.all(w >= 0)
     n1 = t.n
@@ -226,15 +289,15 @@ def test_network_config_roundtrip():
     er = graphs.gen_erdos_renyi(13, 0.3, 21)
     net = graphs.assemble([t, er], {(0, 1): [(0, 2), (4, 4)]},
                           sigma=[1.5, 0.7], xi={(0, 1): 2.0, (1, 0): 0.5},
-                          phi=0.1, psi=0.2,
                           omega=np.linspace(0, 1, t.n + er.n))
     section = network_to_config(net)
     rebuilt = build_network(section, master_seed=999)   # seed must not matter
     assert np.array_equal(rebuilt.weight_matrix(), net.weight_matrix())
-    # frustration is a model parameter, bound when a system is built
-    assert "phi" not in section and not rebuilt.frustration_matrix().any()
-    assert np.array_equal(rebuilt.with_frustration(0.1, 0.2)
-                          .frustration_matrix(), net.frustration_matrix())
+    # frustration is a model parameter, not part of the network
+    assert "phi" not in section and "psi" not in section
+    for got, want in zip(rebuilt.coupling_matrices(0.1, 0.2),
+                         net.coupling_matrices(0.1, 0.2)):
+        assert np.array_equal(got, want)
     assert np.array_equal(rebuilt.omega, net.omega)
     assert rebuilt.strategic == net.strategic
 
@@ -249,7 +312,6 @@ def test_network_config_with_numpy_indices_survives_json():
     net = graphs.assemble([g, g], {(0, 1): [tuple(order[:2]),
                                             tuple(order[2:])]},
                           sigma=[1.0, 2.0], xi={(0, 1): 1.5, (1, 0): 0.5},
-                          phi=0.0, psi=0.0,
                           strategic=[tuple(sorted(order[:2]))] * 2,
                           tactical=[tuple(sorted(order[2:]))] * 2)
     section = json.loads(json.dumps(network_to_config(net)))
@@ -258,3 +320,20 @@ def test_network_config_with_numpy_indices_survives_json():
     assert rebuilt.interlinks[(0, 1)].pairs == net.interlinks[(0, 1)].pairs
     assert rebuilt.strategic == net.strategic
     assert rebuilt.tactical == net.tactical
+
+
+@pytest.mark.parametrize("preset", ["paper-usecase", "paper-2pop"])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_centroid_coupling_reads_the_cross_degree_totals(preset, seed):
+    # g_ij = xi_ij * d_T^(ij) / N_i, with d_T summed from per-node degrees
+    from kuracomp.models import CentroidCoupling
+    from kuracomp.presets import build_network
+
+    net = build_network({"preset": preset}, seed)
+    _, d_T = _degree_stats(net)
+    got = CentroidCoupling.from_network(net)
+    for i in range(net.n_pops):
+        for j in range(net.n_pops):
+            if i != j:
+                want = net.xi.get((i, j), 0.0) * d_T[(i, j)] / net.sizes[i]
+                assert getattr(got, f"g{i + 1}{j + 1}") == want

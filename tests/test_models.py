@@ -50,12 +50,12 @@ def test_k_disc_invariant():
         assert _k_disc(co, cfg.mu) == pytest.approx(co.C ** 2 + co.S ** 2 - cfg.mu ** 2)
 
 
-def _small_net(n1=3, n2=3, sigma=(1.0, 1.0), phi=0.0, psi=0.0):
+def _small_net(n1=3, n2=3, sigma=(1.0, 1.0)):
     g1 = graphs.Graph(n=n1, edges=tuple((i, i + 1) for i in range(n1 - 1)))
     g2 = graphs.Graph(n=n2, edges=tuple((i, i + 1) for i in range(n2 - 1)))
     links = {(0, 1): [(0, 0)]}
     return graphs.assemble([g1, g2], links, sigma=list(sigma),
-                           xi={(0, 1): 1.0, (1, 0): 1.0}, phi=phi, psi=psi,
+                           xi={(0, 1): 1.0, (1, 0): 1.0},
                            strategic=[(0,), (0,)],
                            tactical=[tuple(range(1, n1)), tuple(range(1, n2))])
 
@@ -72,7 +72,7 @@ def test_simple_rhs_zero_population():
     y = _sync_state(net, [0.0, 0.0], 0.7)
     dy = models.simple_rhs(y, cfg, net)
     assert dy[0] == 0.0 and dy[1] == 0.0
-    free = phase.kuramoto_rhs(y[2:], net, 1.0)
+    free = phase.kuramoto_rhs(y[2:], net, 1.0, cfg.phi, cfg.psi)
     assert np.allclose(dy[2:], free)
 
 
@@ -92,8 +92,9 @@ def test_simple_rhs_hand_values():
 
 
 def test_feedback_equals_simple_when_synchronized():
-    net = _small_net(sigma=(2.0, 2.0), phi=0.1)
-    cfg = ModelConfig(r1=3.0, r2=2.5, beta1=2.0, beta2=2.0, p_exponent=1)
+    net = _small_net(sigma=(2.0, 2.0))
+    cfg = ModelConfig(r1=3.0, r2=2.5, beta1=2.0, beta2=2.0, p_exponent=1,
+                      phi=0.1, psi=0.0)
     y = _sync_state(net, [0.4, 0.7], 0.3)
     a = models.feedback_rhs(y, cfg, net)
     b = models.simple_rhs(y, cfg, net)
@@ -104,7 +105,7 @@ def test_feedback_antipodal_strategic_kills_logistic():
     g1 = graphs.Graph(n=4, edges=((0, 1), (1, 2), (2, 3)))
     g2 = graphs.Graph(n=4, edges=((0, 1), (1, 2), (2, 3)))
     net = graphs.assemble([g1, g2], {(0, 1): [(3, 3)]}, sigma=[1.0, 1.0],
-                          xi={(0, 1): 1.0, (1, 0): 1.0}, phi=0.0, psi=0.0,
+                          xi={(0, 1): 1.0, (1, 0): 1.0},
                           strategic=[(0, 1), (0, 1)],
                           tactical=[(2, 3), (2, 3)])
     cfg = ModelConfig(r1=3.0, r2=2.5, beta1=0.0, beta2=0.0)
@@ -166,7 +167,6 @@ def _eco3_net():
         [t, g, g], {(0, 1): [(0, 0)], (1, 2): [(2, 2)]},
         sigma=[1.0, 1.0, 1.0],
         xi={(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0},
-        phi=0.2, psi=0.0,
         strategic=[(0,), (0,), (0,)],
         tactical=[(1, 2), (1, 2), (1, 2)])
 
@@ -198,7 +198,7 @@ def test_full_vs_reduced_population_rates():
     """With internally synchronized phases the population rates of every
     full variant equal its reduced counterpart's exactly."""
     rng = np.random.default_rng(5)
-    net2 = _small_net(sigma=(2.0, 1.0), phi=0.2)
+    net2 = _small_net(sigma=(2.0, 1.0))
     coup2 = CentroidCoupling.from_network(net2)
     cfg = ModelConfig(r1=3.0, r2=2.5, beta1=2.0, beta2=2.0, mu=0.2,
                       alpha=20.0, tau=1.0, x1=0.25)
@@ -240,11 +240,11 @@ def test_initiative_factor_bounds():
 
 def test_h_clamped_when_adversary_exceeds_one():
     net = _small_net()                               # omega = 0
+    cfg = ModelConfig()
     theta = np.random.default_rng(0).uniform(0, 2 * np.pi, net.n_total)
-    free = phase.kuramoto_rhs(theta, net, 1.0)      # H = 1
+    free = phase.kuramoto_rhs(theta, net, 1.0, cfg.phi, cfg.psi)   # H = 1
     assert np.all(free != 0.0)
-    dy = models.simple_rhs(np.concatenate([[1.4, 0.2], theta]),
-                           ModelConfig(), net)
+    dy = models.simple_rhs(np.concatenate([[1.4, 0.2], theta]), cfg, net)
     h = dy[2:] / free
     assert np.all(h[net.nodes_of(1)] == 0.0)           # 1 - 1.4 clamps to 0
     assert np.allclose(h[net.nodes_of(0)], 0.8)
@@ -271,6 +271,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(P_D=0.5).validate()
     assert ModelConfig().validate() is not None
+
+
+def test_config_validation_is_elementwise():
+    # swept configs hold arrays; every element meets the scalar checks
+    ModelConfig(P_D=np.array([1e-4, 2e-4]),
+                p_exponent=np.array([1, 2, 1])).validate()
+    for bad in ({"P_D": np.array([1e-4, 0.5])},
+                {"P_D": np.array([-1e-4, 1e-4])},
+                {"p_exponent": np.array([1.0, 1.5, 2.0])},
+                {"beta1": np.array([1.0, -1.0])},
+                {"K2": np.array([1.0, 0.0])}):
+        with pytest.raises(ValueError, match="must"):
+            ModelConfig(**bad).validate()
 
 
 def test_build_system_registry():
@@ -305,7 +318,7 @@ def _oracle_rhs(variant, y, cfg, net):
     h_pop = [h1, h2] + [np.ones_like(h1)] * (m - 2)
     h = np.concatenate([np.broadcast_to(h_pop[p], (net.sizes[p],) + h1.shape)
                         for p in range(m)])
-    dtheta = phase.kuramoto_rhs(theta, net, h)
+    dtheta = phase.kuramoto_rhs(theta, net, h, cfg.phi, cfg.psi)
     i12 = models._initiative(th[1] - th[0])
     i21 = models._initiative(th[0] - th[1])
     if variant == "simple":
@@ -345,8 +358,8 @@ def _oracle_rhs(variant, y, cfg, net):
 
 def _random_net(rng, sizes):
     """Erdos-Renyi populations of the given sizes, random cross links,
-    couplings, frustration, frequencies and strategic/tactical split (both
-    sets non-empty wherever a population has two nodes or more)."""
+    couplings, frequencies and strategic/tactical split (both sets
+    non-empty wherever a population has two nodes or more)."""
     pops = [graphs.gen_erdos_renyi(n, 0.6, rng) for n in sizes]
     links, xi = {}, {}
     for i in range(len(sizes)):
@@ -362,8 +375,7 @@ def _random_net(rng, sizes):
         strategic.append(tuple(sorted(order[:k])))
         tactical.append(tuple(sorted(order[k:])))
     return graphs.assemble(pops, links, sigma=rng.uniform(0.0, 2.0, len(sizes)),
-                           xi=xi, phi=rng.uniform(-1, 1), psi=rng.uniform(-1, 1),
-                           strategic=strategic, tactical=tactical,
+                           xi=xi, strategic=strategic, tactical=tactical,
                            omega=rng.normal(size=sum(sizes)))
 
 
@@ -379,7 +391,8 @@ def test_phase_plan_rhs_equals_per_population_oracle(variant, sizes, batch,
     m = 3 if variant == "eco3" else 2
     net = _random_net(rng, sizes[:m])
     cfg = ModelConfig(p_exponent=p_exponent, K1=rng.uniform(0.5, 10.0),
-                      K2=rng.uniform(0.5, 10.0))
+                      K2=rng.uniform(0.5, 10.0), phi=rng.uniform(-1, 1),
+                      psi=rng.uniform(-1, 1))
     caps = [cfg.K1, cfg.K2, cfg.K3] if m == 3 else [1.0, 1.0]
     shape = () if batch is None else (batch,)
     # P up to 1.5 capacities, so some H clamp to 0
@@ -426,7 +439,7 @@ def _owner_net(rng, m):
     splits = [(rng.permutation(n), int(rng.integers(2, n - 1)))
               for n in sizes]
     return graphs.assemble(
-        pops, links, sigma=rng.uniform(0.5, 2.0, m), xi=xi, phi=0.0, psi=0.0,
+        pops, links, sigma=rng.uniform(0.5, 2.0, m), xi=xi,
         strategic=[tuple(sorted(o[:k])) for o, k in splits],
         tactical=[tuple(sorted(o[k:])) for o, k in splits],
         omega=rng.normal(size=sum(sizes)))
@@ -476,6 +489,32 @@ def test_each_parameter_has_one_owner(variant, source, seed):
                                     spec, net=net, coupling=coupling)
 
 
+@pytest.mark.parametrize("variant", sorted(_FULL_RHS))
+def test_full_rhs_reads_the_configs_frustration(variant):
+    # the network holds no frustration: the public full right-hand sides
+    # read cfg.phi/psi, and a built system runs on the very network passed
+    rng = np.random.default_rng(11)
+    m = 3 if variant == "eco3" else 2
+    net = _owner_net(rng, m)
+    cfg = ModelConfig(phi=0.2, psi=0.0)
+    caps = [cfg.K1, cfg.K2, cfg.K3] if m == 3 else [1.0, 1.0]
+    y = np.concatenate([rng.uniform(0.05, 0.95, m) * caps,
+                        rng.uniform(-np.pi, np.pi, net.n_total)])
+    fn = _FULL_RHS[variant]
+    base = fn(y, cfg, net)
+    for other in (replace(cfg, phi=0.9), replace(cfg, psi=-0.4),
+                  replace(cfg, phi=0.9, psi=-0.4)):
+        moved = fn(y, other, net)
+        assert not np.array_equal(moved[m:], base[m:])
+        system = models.build_system(variant, other, net=net)
+        assert system.net is net
+        assert np.array_equal(system.rhs(y), moved)
+        assert np.array_equal(system.phase_rhs()(y[m:]),
+                              phase.kuramoto_rhs(y[m:], net, 1.0, other.phi,
+                                                 other.psi))
+    assert np.array_equal(fn(y, cfg, net), base)
+
+
 @pytest.mark.parametrize("variant", models.MODEL_VARIANTS)
 def test_resource_scale_is_the_capacities_a_variant_reads(variant):
     # the dimensional eco3 variants scale resources by K_i, the others by 1
@@ -519,8 +558,7 @@ def test_empty_order_set_fails_at_build_time():
         links = {(i, j): [(0, 0)] for i in range(len(pops))
                  for j in range(i + 1, len(pops))}
         return graphs.assemble(pops, links, sigma=[1.0] * len(pops),
-                               xi=graphs.xi_paper_normalization(pops, links),
-                               phi=0.0, psi=0.0)
+                               xi=graphs.xi_paper_normalization(pops, links))
 
     cfg = ModelConfig()
     with pytest.raises(ValueError, match="tactical order parameter of "

@@ -6,17 +6,19 @@ from kuracomp import graphs, phase
 TWO_PI = 2 * np.pi
 
 
-def _pair_net(xi12=1.0, xi21=1.0, phi=0.0, psi=0.0, omega=(0.0, 0.0)):
+def _pair_net(xi12=1.0, xi21=1.0, omega=(0.0, 0.0)):
     g = graphs.Graph(n=1, edges=())
     return graphs.assemble([g, g], {(0, 1): [(0, 0)]}, sigma=[0.0, 0.0],
-                           xi={(0, 1): xi12, (1, 0): xi21}, phi=phi, psi=psi,
+                           xi={(0, 1): xi12, (1, 0): xi21},
                            strategic=[(0,), (0,)], tactical=[(), ()],
                            omega=np.asarray(omega, dtype=float))
 
 
-def _brute_rhs(theta, net, h):
+def _brute_rhs(theta, net, h, phi, psi):
     w = net.weight_matrix()
-    f = net.frustration_matrix()
+    f = np.zeros_like(w)                 # phi on 1 -> 2, psi on 2 -> 1
+    f[net.nodes_of(0), net.nodes_of(1)] = phi
+    f[net.nodes_of(1), net.nodes_of(0)] = psi
     h = np.broadcast_to(h, theta.shape[:1])
     out = np.zeros_like(theta)
     for k in range(len(theta)):
@@ -29,20 +31,20 @@ def _brute_rhs(theta, net, h):
 
 def test_two_node_rates():
     net = _pair_net()
-    rates = phase.kuramoto_rhs(np.array([0.0, np.pi / 2]), net, 1.0)
+    rates = phase.kuramoto_rhs(np.array([0.0, np.pi / 2]), net, 1.0, 0.0, 0.0)
     assert rates == pytest.approx([1.0, -1.0])
 
 
 def test_feedback_zeroes_coupling():
     net = _pair_net()
     rates = phase.kuramoto_rhs(np.array([0.0, np.pi / 2]), net,
-                               np.array([0.0, 1.0]))
+                               np.array([0.0, 1.0]), 0.0, 0.0)
     assert rates == pytest.approx([0.0, -1.0])
 
 
 def test_frustration_rate():
-    net = _pair_net(xi12=1.0, xi21=0.0, phi=0.2)
-    rates = phase.kuramoto_rhs(np.zeros(2), net, 1.0)
+    net = _pair_net(xi12=1.0, xi21=0.0)
+    rates = phase.kuramoto_rhs(np.zeros(2), net, 1.0, 0.2, 0.0)
     assert rates[0] == pytest.approx(np.sin(0.2), abs=1e-12)
     assert rates[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -53,33 +55,32 @@ def test_rhs_matches_brute_force():
     er = graphs.gen_erdos_renyi(13, 0.3, 8)
     net = graphs.assemble(
         [t, er], {(0, 1): [(0, 3), (5, 5), (9, 12)]}, sigma=[1.3, 0.6],
-        xi={(0, 1): 0.9, (1, 0): 1.7}, phi=0.4, psi=-0.2,
-        omega=rng.uniform(0, 1, t.n + er.n))
+        xi={(0, 1): 0.9, (1, 0): 1.7}, omega=rng.uniform(0, 1, t.n + er.n))
     theta = rng.uniform(-5, 5, net.n_total)
     h = rng.uniform(0, 1, net.n_total)
-    got = phase.kuramoto_rhs(theta, net, h)
-    assert np.allclose(got, _brute_rhs(theta, net, h), atol=1e-12)
+    got = phase.kuramoto_rhs(theta, net, h, 0.4, -0.2)
+    assert np.allclose(got, _brute_rhs(theta, net, h, 0.4, -0.2), atol=1e-12)
     # batched evaluation agrees column by column
     thetas = rng.uniform(-5, 5, (net.n_total, 4))
-    batched = phase.kuramoto_rhs(thetas, net, 1.0)
+    batched = phase.kuramoto_rhs(thetas, net, 1.0, 0.4, -0.2)
     for b in range(4):
-        assert np.allclose(batched[:, b],
-                           phase.kuramoto_rhs(thetas[:, b], net, 1.0))
+        assert np.allclose(batched[:, b], phase.kuramoto_rhs(
+            thetas[:, b], net, 1.0, 0.4, -0.2))
 
 
 def test_rhs_global_shift_equivariance():
-    net = _pair_net(phi=0.3, psi=0.1, omega=(0.2, 0.7))
+    net = _pair_net(omega=(0.2, 0.7))
     rng = np.random.default_rng(0)
     theta = rng.uniform(0, TWO_PI, 2)
-    r1 = phase.kuramoto_rhs(theta, net, 0.8)
-    r2 = phase.kuramoto_rhs(theta + 1.234, net, 0.8)
+    r1 = phase.kuramoto_rhs(theta, net, 0.8, 0.3, 0.1)
+    r2 = phase.kuramoto_rhs(theta + 1.234, net, 0.8, 0.3, 0.1)
     assert np.allclose(r1, r2, atol=1e-12)
 
 
 def test_rhs_dimension_mismatch():
     net = _pair_net()
     with pytest.raises(ValueError):
-        phase.kuramoto_rhs(np.zeros(3), net, 1.0)
+        phase.kuramoto_rhs(np.zeros(3), net, 1.0, 0.0, 0.0)
 
 
 def test_order_parameter_values():

@@ -110,12 +110,12 @@ def test_stiffness_error_carries_partial_trajectory():
     assert err.value.trajectory.t[-1] < 1.01     # blow-up at t = 1
 
 
-def _small_net(phi=0.2, mu=0.2, sigma=(2.0, 2.0)):
+def _small_net(mu=0.2, sigma=(2.0, 2.0)):
     g1 = graphs.Graph(n=3, edges=((0, 1), (1, 2)))
     g2 = graphs.Graph(n=3, edges=((0, 1), (1, 2)))
     omega = [np.full(3, 0.5 + mu / 2), np.full(3, 0.5 - mu / 2)]
     return graphs.assemble([g1, g2], {(0, 1): [(0, 0)]}, sigma=list(sigma),
-                           xi={(0, 1): 3.0, (1, 0): 3.0}, phi=phi, psi=0.0,
+                           xi={(0, 1): 3.0, (1, 0): 3.0},
                            strategic=[(0,), (0,)], tactical=[(1, 2), (1, 2)],
                            omega=omega)
 
@@ -146,7 +146,7 @@ def test_scenario_blue_cannot_win_with_zero_beta1():
 def test_scenario_recon_invariance_when_settled():
     # settle the phases first; more reconnaissance then only rotates the
     # locked configuration, which cannot change the outcome
-    net = _small_net(phi=0.2, mu=0.2)
+    net = _small_net(mu=0.2)
     cfg = ModelConfig(r1=3.0, r2=2.5, beta1=3.5, beta2=2.0, mu=0.2, phi=0.2)
     system = models.build_system("simple", cfg, net=net)
     st = IntegratorSettings(rtol=1e-10, atol=1e-12, t_end=100.0)
