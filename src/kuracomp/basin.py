@@ -8,8 +8,9 @@ One engine computes it for a batch of parameter points: each (point,
 initial cell, member) triple is one member of a single batch integration.
 Members start from the phase policy: reconnaissance-settled random phases
 ("ensemble", full variants), a Delta(0) grid ("delta-grid"), or the settled
-free centroid difference ("delta-star").  A cell's value is its members'
-Blue-win fraction and a point's value the mean over cells.
+free centroid difference ("delta-star", settled by the run's settings).
+A cell's value is its members' Blue-win fraction and a point's value the
+mean over cells.
 
 Failures are reported per point: a point with more than 1% failed members
 gets value NaN and its failure count, and the other points of the batch
@@ -38,8 +39,7 @@ from .solver import (IntegratorSettings, _settle, integrate_batch,
 __all__ = ["BasinSpec", "BasinResult", "estimate_basin", "estimate_basins",
            "basin_heatmap", "heatmap_to_csv"]
 
-# the free three-population centroid settling
-_SETTLE = IntegratorSettings(method="rk4", dt_init=0.01, t_end=50.0)
+SETTLE_T = 50.0          # free three-population centroid settling time
 MAX_FAILED = 0.01        # failed-member share above which a point is NaN
 
 
@@ -88,23 +88,18 @@ def _cell_centres(resolution, hi):
     return 0.5 * (edges[..., :-1] + edges[..., 1:])
 
 
-def _initial_delta3(cfg, coupling, n_points=1):
-    """Settled (Delta1, Delta2) of the three-population reduction, shape
-    (2, n_points).
-
-    No closed form exists; integrate the free centroid subsystem (resources
-    pinned at zero, so H = 1) and take the terminal values; NaN at a point
-    whose settling failed, so its members count as failed.
-    """
-    rhs, on_compact = _member_rhs("eco3-reduced", cfg, coupling)
-    return _settle(rhs, np.zeros((5, n_points)), _SETTLE, on_compact)[3:]
-
-
-def _settled_delta(system, cfg, n_points):
+def _settled_delta(system, cfg, settings, n_points):
     """Free-dynamics (H = 1) settled centroid difference(s) per point,
-    shape (n_delta, n_points); 0 where no fixed point exists."""
+    shape (n_delta, n_points); 0 where no fixed point exists.
+
+    Three populations have no closed form: the free centroid subsystem
+    (resources pinned at zero) runs SETTLE_T by ``settings`` from Delta = 0;
+    a point whose settling failed gets NaN, so its members count as failed.
+    """
     if system.n_pops == 3:
-        return _initial_delta3(cfg, system.coupling, n_points)
+        rhs, on_compact = _member_rhs("eco3-reduced", cfg, system.coupling)
+        return _settle(rhs, np.zeros((5, n_points)), settings, SETTLE_T,
+                       on_compact)[3:]
     co = centroid_coeffs(cfg, system.coupling, 1.0, 1.0)
     args = (np.broadcast_to(v, (n_points,)) for v in (co.C, co.S, cfg.mu))
     return np.array([[d if d is not None else 0.0
@@ -155,7 +150,7 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
         start = np.zeros((system.dim - system.n_pops, 1, 1, m))
         start[0, 0, 0] = d0s                          # Delta2(0) stays 0
     else:
-        start = _settled_delta(system, cfg, n_points)[:, :, None, None]
+        start = _settled_delta(system, cfg, settings, n_points)[..., None, None]
     n_mem = start.shape[-1]
     shape = (n_points, n_cells, n_mem)
     y0 = np.stack([np.broadcast_to(r, shape).ravel()

@@ -200,6 +200,8 @@ def _build(config: dict):
     if missing:
         raise ValidationFailure(f"{task['type']} needs task."
                                 + ", task.".join(missing))
+    if not np.isfinite([task[k] for k in needed if k.endswith("range")]).all():
+        raise ValidationFailure("task ranges must be finite")
     varied = [task[k] for k in needed if k.endswith("param")]
     if task["type"] == "heatmap" and varied[0] == varied[1]:
         raise ValidationFailure("heatmap needs two distinct parameter names")
@@ -211,10 +213,9 @@ def _build(config: dict):
         if repeated:
             raise ValidationFailure(f"factor {repeated[0]!r} is named more "
                                     "than once in task.factors")
-        for f in task["factors"]:
-            if not np.isfinite([f["lo"], f["hi"]]).all() or f["lo"] >= f["hi"]:
-                raise ValidationFailure(f"factor {f['name']!r} needs a finite "
-                                        "range with lo < hi")
+        for f in task["factors"]:     # non-finite ends fail validate below
+            if f["lo"] >= f["hi"]:
+                raise ValidationFailure(f"factor {f['name']!r} needs lo < hi")
         if "p_exponent" in varied:
             raise ValidationFailure("p_exponent cannot be a doe factor: it "
                                     "takes the values 1 and 2 only")

@@ -94,6 +94,9 @@ class ModelConfig:
     psi: float = 0.0          # frustration pop2 -> pop1
 
     def validate(self):
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite")
         rates = ["r1", "r2", "r3", "r3_max", "beta1", "beta2", "beta1_min",
                  "alpha", "tau", "x1", "x3", "x3_min", "x3_max",
                  "gamma1", "gamma2"]

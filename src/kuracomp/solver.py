@@ -7,12 +7,13 @@ pair with per-member PI step-size control or by fixed-step classical RK4
 member's P1 or P2 (rows 0-1) falling through its extinction threshold P_D,
 located by bisection on the cubic-Hermite dense output (|dt| <= 1e-9).
 ``integrate`` is its B = 1 case, ``integrate_batch`` its outcome-only run
-with thresholds, ``_settle`` its outcome-only run without them
-(reconnaissance and settling), each by ``settings.method``.  Under a
-reduced variant a batch member equals its B = 1 run bit for bit; a full
-variant's coupling is a BLAS product over the batch, whose rounding may
-depend on the batch width.  All RK4 runs share one step and one schedule:
-ceil(t_end/dt) steps from t = 0, never padded with a rounding-sized sliver.
+with thresholds, ``_settle`` its outcome-only run without them over the
+horizon it is given (reconnaissance and settling), each stepped by the
+``settings`` of its run.  Under a reduced variant a batch member equals its
+B = 1 run bit for bit; a full variant's coupling is a BLAS product over
+the batch, whose rounding may depend on the batch width.  All RK4 runs
+share one step and one schedule: ceil(t_end/dt) steps from t = 0, never
+padded with a rounding-sized sliver.
 
 ``run_scenario`` implements the two-phase protocol: a reconnaissance period
 of ``settings.recon_T`` where only the phase dynamics run (feedback H = 1,
@@ -28,7 +29,7 @@ integer win counts, so aggregation is order-independent and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
@@ -101,12 +102,13 @@ class IntegratorSettings:
     recon_T: float = RECON_T
 
     def __post_init__(self):
+        for name in ("rtol", "atol", "dt_init", "dt_max", "t_end", "recon_T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.method not in ("rk45", "rk4"):
             raise ValueError("method must be 'rk45' or 'rk4'")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.dt_init <= 0 or self.dt_max <= 0:
-            raise ValueError("step bounds must be positive")
+        if min(self.rtol, self.atol, self.dt_init, self.dt_max) <= 0:
+            raise ValueError("tolerances and step bounds must be positive")
         if self.recon_T < 0:
             raise ValueError("recon_T must be >= 0")
 
@@ -199,9 +201,10 @@ def _combine(coeffs, ks):
     return sum(terms[1:], terms[0])
 
 
-def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True):
-    """Integrate each column of y0 (dim, B) from t = 0 to settings.t_end;
-    ``rhs(y)`` takes the live members' states (dim, n).
+def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True,
+           t_end=None):
+    """Integrate each column of y0 (dim, B) from t = 0 to t_end, by default
+    settings.t_end; ``rhs(y)`` takes the live members' states (dim, n).
 
     "rk45" is Dormand-Prince 5(4) with PI step control (Hairer, Norsett &
     Wanner, Solving ODEs I, II.4-II.5; Gustafsson, Lundh & Soderlind, BIT 28
@@ -219,7 +222,8 @@ def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True):
     if none).
     """
     y = np.array(y0, dtype=float)
-    B, span, rk4 = y.shape[1], settings.t_end, settings.method == "rk4"
+    B, rk4 = y.shape[1], settings.method == "rk4"
+    span = settings.t_end if t_end is None else t_end
     if span <= 0:
         raise ValueError("t_end must be positive")
     t = np.zeros(B)
@@ -343,15 +347,14 @@ def _rk4_step(rhs, y, k1, h):
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _settle(rhs, y, settings, on_compact=None):
-    """Each column of y (dim, B) after settings.t_end of dy/dt = rhs(y),
-    as ``_drive``'s outcome-only run without thresholds (reconnaissance and
-    the free centroid settling); t_end = 0 takes no step, and a failed
-    member's column is NaN."""
-    if settings.t_end <= 0:
+def _settle(rhs, y, settings, t_end, on_compact=None):
+    """Each column of y (dim, B) after t_end (not settings.t_end) of
+    dy/dt = rhs(y) by ``settings``: ``_drive``'s outcome-only run without
+    thresholds.  t_end = 0 takes no step; a failed member's column is NaN."""
+    if t_end <= 0:
         return y
     status, _, y, _ = _drive(rhs, y, settings, on_compact=on_compact,
-                             dense=False)
+                             dense=False, t_end=t_end)
     y[:, [why in _FAILURES for why in status]] = np.nan
     return y
 
@@ -382,12 +385,10 @@ def run_scenario(system, state0,
         raise ValueError(f"state has shape {y.shape}, expected ({system.dim},)")
     m = system.n_pops
     if not system.reduced:
-        recon = replace(settings, t_end=settings.recon_T)
-        theta = _settle(system.phase_rhs(), y[m:, None], recon)
-        if not np.isfinite(theta).all():
-            raise StiffnessError("reconnaissance failed before "
-                                 f"t={recon.t_end}")
-        y[m:] = theta[:, 0]
+        T = settings.recon_T
+        y[m:] = _settle(system.phase_rhs(), y[m:, None], settings, T)[:, 0]
+        if not np.isfinite(y[m:]).all():
+            raise StiffnessError(f"reconnaissance failed before t={T}")
 
     traj = integrate(system.rhs, y, settings, p_death=system.cfg.P_D)
     if traj.extinct is None:
@@ -448,8 +449,7 @@ def reconnoitred_phases(system, n_sim: int, seed: int,
     n = system.net.n_total
     theta = np.stack([substream(seed, "ensemble", i).uniform(
         0.0, 2.0 * np.pi, size=n) for i in range(n_sim)], axis=1)
-    return _settle(system.phase_rhs(), theta,
-                   replace(settings, t_end=settings.recon_T))
+    return _settle(system.phase_rhs(), theta, settings, settings.recon_T)
 
 
 def ensemble(system, P0, n_sim: int, seed: int,

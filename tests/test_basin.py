@@ -396,20 +396,21 @@ def test_failed_settling_fails_the_points_members(monkeypatch):
     """A point whose free centroid settling fails (here: mu = NaN) settles
     to NaN alone, and the engine counts the members of a point that starts
     from NaN as failed while the other points keep their values."""
-    monkeypatch.setattr(basin, "_SETTLE", IntegratorSettings(
-        method="rk4", dt_init=0.01, t_end=5.0))         # a short settling
     coupling = CentroidCoupling(g12=0.7, g21=1.3, g13=0.4, g23=0.2, g31=0.5,
                                 g32=0.6)
-    settled = basin._initial_delta3(_cfg(alpha=5.0, mu=np.array([0.1, np.nan])),
-                                    coupling, 2)
-    assert np.isnan(settled[:, 1]).all()
-    np.testing.assert_array_equal(
-        settled[:, :1], basin._initial_delta3(_cfg(alpha=5.0, mu=0.1),
-                                              coupling, 1))
-    real = basin._initial_delta3
-    monkeypatch.setattr(basin, "_initial_delta3", lambda cfg, coupling, n: (
-        real(cfg, coupling, n) + np.where(np.arange(n) == 1, np.nan, 0.0)))
     spec = _spec(grid=(2, 2), t_end=30.0)
+
+    def settle(cfg, n):
+        system = models.build_system("eco3-reduced", cfg, coupling=coupling)
+        return basin._settled_delta(system, cfg, spec.settings, n)
+
+    settled = settle(_cfg(alpha=5.0, mu=np.array([0.1, np.nan])), 2)
+    assert np.isnan(settled[:, 1]).all()
+    np.testing.assert_array_equal(settled[:, :1],
+                                  settle(_cfg(alpha=5.0, mu=0.1), 1))
+    real = basin._settled_delta
+    monkeypatch.setattr(basin, "_settled_delta", lambda *args: (
+        real(*args) + np.where(np.arange(args[-1]) == 1, np.nan, 0.0)))
     good, bad = basin._basins("eco3-reduced",
                               _cfg(alpha=5.0, beta1=np.array([2.3, 2.7])),
                               spec, 2, coupling=coupling)

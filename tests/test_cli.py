@@ -383,6 +383,29 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
     ["heatmap", "-c", "simple-cs", "--jobs", "0", "-o", "task.x_param=beta1",
      "-o", "task.x_range=[1,2]", "-o", "task.y_param=phi",
      "-o", "task.y_range=[0,1]"],
+    # non-finite values: a rate, a frequency, a frustration, a coupling, a
+    # swept axis and a doe factor end, then the solver section (a NaN
+    # dt_init would step forever)
+    ["simulate", "-c", "simple-cs", "-o", "r1=NaN", "-o", "solver.t_end=2"],
+    ["simulate", "-c", "simple-cs", "-o", "mu=Infinity",
+     "-o", "solver.t_end=2"],
+    ["simulate", "-c", "simple-cs", "-o", "phi=-Infinity",
+     "-o", "solver.t_end=2"],
+    ["simulate", "-c", "simple-cs", "-o", "gamma1=NaN",
+     "-o", "solver.t_end=2"],
+    ["heatmap", "-c", "simple-cs", "-o", "task.x_param=beta1",
+     "-o", "task.x_range=[1,Infinity]", "-o", "task.y_param=phi",
+     "-o", "task.y_range=[0,1]", "-o", "solver.t_end=2"],
+    ["doe", "-c", "simple-cs", "-o",
+     'task.factors=[{"name":"beta1","lo":NaN,"hi":2}]', "-o", "task.k_init=2",
+     "-o", "task.n_total=2", "-o", "solver.t_end=2"],
+    ["simulate", "-c", "simple-cs", "-o", "solver.dt_init=NaN",
+     "-o", "solver.t_end=2"],
+    ["simulate", "-c", "simple-cs", "-o", "solver.rtol=NaN",
+     "-o", "solver.t_end=2"],
+    ["simulate", "-c", "simple-cs", "-o", "solver.t_end=Infinity"],
+    ["simulate", "-c", "fig3b", "-o", "solver.recon_T=NaN",
+     "-o", "solver.t_end=2"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -499,6 +522,8 @@ _BATCH_TASKS = [
      "-o", "task.y_points=2", "-o", "task.grid=[2,2]"],
     ["doe", "-c", "simple-cs", "-o", _DOE, "-o", "task.k_init=2",
      "-o", "task.n_total=2", "-o", "task.grid=[2,2]"],
+    ["basin", "-c", "simple-cs", "-o", "model=eco3-reduced",
+     "-o", "task.grid=[2,2]"],
 ]
 
 

@@ -284,6 +284,14 @@ def test_config_validation_is_elementwise():
                 {"K2": np.array([1.0, 0.0])}):
         with pytest.raises(ValueError, match="must"):
             ModelConfig(**bad).validate()
+    # a non-finite value, scalar or swept, in any field: rates, frequencies
+    # and frustrations alike
+    for name in (f.name for f in fields(ModelConfig)):
+        ok = getattr(ModelConfig(), name)
+        for value in (np.nan, np.inf, -np.inf):
+            for bad in (value, np.array([ok, value])):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ModelConfig(**{name: bad}).validate()
 
 
 def test_build_system_registry():

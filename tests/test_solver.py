@@ -381,6 +381,11 @@ def test_settings_validation():
         IntegratorSettings(dt_init=-0.1)
     with pytest.raises(ValueError, match="recon_T"):
         IntegratorSettings(recon_T=-1.0)
+    # a NaN dt_init would keep every RK45 step NaN and rejected forever
+    for name in ("rtol", "atol", "dt_init", "dt_max", "t_end", "recon_T"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                IntegratorSettings(**{name: value})
 
 
 def test_tolerance_halving_on_case_study_preset():
@@ -704,9 +709,12 @@ def test_non_finite_member_fails_alone():
 # ---------------------------------------------------------------------------
 
 def test_reconnaissance_and_settling_equal_the_final_state_loop():
-    """Both equal the RK4 loop they ran on before (batch_oracle._rk4) bit
-    for bit.  The settled centroid differences reach |dy/dt| < STEADY_TOL
-    well before t = 50, so a run that retired steady members would differ."""
+    """Under RK4 both equal the RK4 loop they ran on before
+    (batch_oracle._rk4) bit for bit.  The settled centroid differences
+    reach |dy/dt| < STEADY_TOL well before t = SETTLE_T, so a run that
+    retired steady members would differ.  The settling steps by the run's
+    settings, whose t_end it does not read: under RK45 at the default
+    tolerances its bits move, its value stays within 1e-7."""
     system = models.build_system("simple", ModelConfig(), net=_small_net())
     st = IntegratorSettings(method="rk4", dt_init=0.02)
     drawn = solver.reconnoitred_phases(system, 5, 2, replace(st, recon_T=0.0))
@@ -721,10 +729,16 @@ def test_reconnaissance_and_settling_equal_the_final_state_loop():
     y = batch_oracle._rk4(
         lambda y: models.eco3_reduced_rhs(y, cfg, coupling, fr),
         np.zeros((5, 3)), 0.01, 50.0)
+    assert basin.SETTLE_T == 50.0
     assert np.abs(models.eco3_reduced_rhs(y, cfg, coupling, fr)).max() \
         < solver.STEADY_TOL
-    np.testing.assert_array_equal(basin._initial_delta3(cfg, coupling, 3),
+    system = models.build_system("eco3-reduced", cfg, coupling=coupling)
+    rk4 = IntegratorSettings(method="rk4", dt_init=0.01, t_end=2.0)
+    np.testing.assert_array_equal(basin._settled_delta(system, cfg, rk4, 3),
                                   y[3:])
+    rk45 = basin._settled_delta(system, cfg, IntegratorSettings(), 3)
+    assert not np.array_equal(rk45, y[3:])
+    np.testing.assert_allclose(rk45, y[3:], rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("preset", ["small", "fig3b"])
