@@ -23,10 +23,8 @@ def main():
         net = presets.build_network(p["network"], master_seed=42)
         cfg = models.ModelConfig(**p["params"])
         system = models.build_system("eco3", cfg, net=net)
-        res = solver.ensemble(
-            system, [5.0, 5.0, 5.0], n_sim=20, seed=42,
-            settings=IntegratorSettings(dt_init=0.01, t_end=100.0,
-                                        recon_T=50.0))
+        res = solver.ensemble(system, [5.0, 5.0, 5.0], n_sim=20, seed=42,
+                              settings=IntegratorSettings(**p["solver"]))
         print(f"{name}: beta1 = {cfg.beta1}, phi = {cfg.phi:+.3f} -> "
               f"fractions {res.fractions}")
 
@@ -38,9 +36,7 @@ def main():
     rng = np.random.default_rng(7)
     theta0 = rng.uniform(0, 2 * np.pi, net.n_total)
     y0 = np.concatenate([[5.0, 5.0, 5.0], theta0])
-    out = solver.run_scenario(
-        system, y0, IntegratorSettings(method="rk4", dt_init=0.01,
-                                       t_end=100.0, recon_T=50.0))
+    out = solver.run_scenario(system, y0, IntegratorSettings(**p["solver"]))
     print(f"fig3b single run: winner = {out.winner} at t = {out.t_event:.2f}")
     out.trajectory.to_csv("demos_04_fig3b_trajectory.csv", system.labels)
     print("wrote demos_04_fig3b_trajectory.csv")

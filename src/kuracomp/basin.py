@@ -72,6 +72,8 @@ class BasinSpec:
             raise ValueError(f"unknown phase policy {self.phase_policy!r}")
         if self.delta_resolution < 1:
             raise ValueError("delta_resolution must be >= 1")
+        if self.p3_init is not None and not np.isfinite(self.p3_init):
+            raise ValueError("p3_init must be finite")
 
 
 @dataclass

@@ -287,6 +287,8 @@ def _initial_state(system, task):
         if np.size(value) != sizes[key]:
             raise ValidationFailure(f"task.initial.{key} needs {sizes[key]} "
                                     f"value(s), got {np.size(value)}")
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValidationFailure(f"task.initial.{key} must be finite")
     P = np.asarray(init["P"], dtype=float) if "P" in init \
         else 0.5 * np.asarray(resource_scale(system))
     if system.reduced:

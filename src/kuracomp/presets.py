@@ -196,8 +196,7 @@ PRESETS = {
         "params": {"r1": 3.0, "r2": 2.5, "beta1": 2.0, "beta2": 2.0,
                    "phi": 0.2, "psi": 0.0, "P_D": 1e-4},
         "network": {"preset": "paper-2pop", "mu": 0.2},
-        "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 60.0,
-                   "recon_T": 0.0},
+        "solver": {"t_end": 60.0, "recon_T": 0.0},
         "task": {"type": "simulate", "initial": {"P": [0.5, 0.5],
                                                  "delta": 0.0}},
     },
@@ -216,8 +215,7 @@ PRESETS = {
         "model": "eco3",
         "params": _eco3_params(),
         "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25},
-        "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 100.0,
-                   "recon_T": 50.0},
+        "solver": {"t_end": 100.0, "recon_T": 50.0},
         "task": {"type": "simulate", "initial": {"P": [5.0, 5.0, 5.0]}},
     },
     # scenario (a): weak tactical agility, decision disadvantage -> Red win
@@ -225,8 +223,7 @@ PRESETS = {
         "model": "eco3",
         "params": _eco3_params(beta1=1.5, phi=-np.pi / 2),
         "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25},
-        "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 100.0,
-                   "recon_T": 50.0},
+        "solver": {"t_end": 100.0, "recon_T": 50.0},
         "task": {"type": "simulate", "initial": {"P": [5.0, 5.0, 5.0]}},
     },
     # scenario (b): strong tactical agility, decision advantage -> Blue win
@@ -234,8 +231,7 @@ PRESETS = {
         "model": "eco3",
         "params": _eco3_params(beta1=5.0, phi=np.pi / 2),
         "network": {"preset": "paper-usecase", "mu": 0.25, "nu": -0.25},
-        "solver": {"method": "rk4", "dt_init": 0.01, "t_end": 100.0,
-                   "recon_T": 50.0},
+        "solver": {"t_end": 100.0, "recon_T": 50.0},
         "task": {"type": "simulate", "initial": {"P": [5.0, 5.0, 5.0]}},
     },
 }

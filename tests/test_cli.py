@@ -406,6 +406,15 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
     ["simulate", "-c", "simple-cs", "-o", "solver.t_end=Infinity"],
     ["simulate", "-c", "fig3b", "-o", "solver.recon_T=NaN",
      "-o", "solver.t_end=2"],
+    # non-finite task values: each task.initial entry and task.p3_init
+    ["simulate", "-c", "simple-cs", "-o", 'task.initial={"P":[NaN,0.5]}',
+     "-o", "solver.t_end=2"],
+    ["simulate", "-c", "paper-2pop", "-o", 'task.initial={"delta":Infinity}',
+     "-o", "solver.t_end=2"],
+    ["simulate", "-c", "paper-2pop", "-o", "task.initial={\"theta\":["
+     + ",".join(["0"] * 41 + ["-Infinity"]) + "]}", "-o", "solver.t_end=2"],
+    ["basin", "-c", "simple-cs", "-o", "model=eco3-reduced",
+     "-o", "task.grid=[2,2]", "-o", "solver.t_end=5", "-o", "task.p3_init=NaN"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -539,9 +548,20 @@ def test_batch_tasks_reject_adaptive_solver_settings(args, setting, tmp_path,
     assert not out.exists()
 
 
+def test_single_rk4_run_rejects_error_tolerances(tmp_path, capsys):
+    # the rule holds outside the batch tasks too: a fig3b scenario that
+    # names rk4 would ignore rtol
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "-c", "fig3b", "-o", "solver.method=rk4",
+                     "-o", "solver.rtol=1e-6", "--out", str(out)]) == 2
+    assert "solver.rtol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", _BATCH_TASKS)
 @pytest.mark.parametrize("setting", ["solver.method=rk45", "solver.rtol=1e-6",
-                                     "solver.atol=1e-9", "solver.dt_max=0.5"])
+                                     "solver.atol=1e-9", "solver.dt_max=0.5",
+                                     "solver.method=rk4"])
 def test_batch_tasks_read_adaptive_solver_settings(args, setting, tmp_path,
                                                    monkeypatch):
     # every integration of a batch task runs with the configured value;
@@ -554,10 +574,8 @@ def test_batch_tasks_read_adaptive_solver_settings(args, setting, tmp_path,
         return drive(rhs, y0, settings, *rest, **kw)
 
     monkeypatch.setattr(solver, "_drive", spy)
-    tolerance = key in ("solver.rtol", "solver.atol")   # fig3b names rk4
-    method = ["-o", "solver.method=rk45"] if tolerance else []
-    assert cli.main(args + method + ["-o", "solver.t_end=2", "-o", setting,
-                                     "--out", str(tmp_path)]) == 0
+    assert cli.main(args + ["-o", "solver.t_end=2", "-o", setting,
+                            "--out", str(tmp_path)]) == 0
     assert seen and set(seen) == {value if key == "solver.method"
                                   else json.loads(value)}
 
