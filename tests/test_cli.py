@@ -415,6 +415,9 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
      + ",".join(["0"] * 41 + ["-Infinity"]) + "]}", "-o", "solver.t_end=2"],
     ["basin", "-c", "simple-cs", "-o", "model=eco3-reduced",
      "-o", "task.grid=[2,2]", "-o", "solver.t_end=5", "-o", "task.p3_init=NaN"],
+    # rk4 would ignore an error tolerance in a single run, as in a batch
+    ["simulate", "-c", "fig3b", "-o", "solver.method=rk4",
+     "-o", "solver.rtol=1e-6"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -545,16 +548,6 @@ def test_batch_tasks_reject_adaptive_solver_settings(args, setting, tmp_path,
     assert cli.main(args + ["-o", "solver.method=rk4", "-o", setting,
                             "--out", str(out)]) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_single_rk4_run_rejects_error_tolerances(tmp_path, capsys):
-    # the rule holds outside the batch tasks too: a fig3b scenario that
-    # names rk4 would ignore rtol
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "-c", "fig3b", "-o", "solver.method=rk4",
-                     "-o", "solver.rtol=1e-6", "--out", str(out)]) == 2
-    assert "solver.rtol" in capsys.readouterr().err
     assert not out.exists()
 
 
