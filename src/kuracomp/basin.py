@@ -6,11 +6,12 @@ extinction threshold first (Menck et al., Nature Physics 9 (2013) 89).
 
 One engine computes it for a batch of parameter points: each (point,
 initial cell, member) triple is one member of a single batch integration.
-Members start from the phase policy: reconnaissance-settled random phases
-("ensemble", full variants), a Delta(0) grid ("delta-grid"), or the settled
-free centroid difference ("delta-star", settled by the run's settings).
-A cell's value is its members' Blue-win fraction and a point's value the
-mean over cells.
+Every basin starts after reconnaissance, so no dependence on the initial
+decision state remains: a full variant's members start from n_sim random
+phase configurations settled by reconnaissance, and a reduced variant's one
+member per cell starts from the settled free centroid difference Delta*
+(its reduced form, settled by the run's settings).  A cell's value is its
+members' Blue-win fraction and a point's value the mean over cells.
 
 Failures are reported per point: a point with more than 1% failed members
 gets value NaN and its failure count, and the other points of the batch
@@ -45,21 +46,17 @@ MAX_FAILED = 0.01        # failed-member share above which a point is NaN
 
 @dataclass
 class BasinSpec:
-    """Initial-condition grid and phase policy for basin estimation.
+    """Initial-condition grid and ensemble size for basin estimation.
 
-    phase_policy "auto" resolves to "ensemble" for full variants (n_sim
-    random initial phase configurations per cell) and "delta-star" for
-    reduced ones (the centroid difference starts at its settled free
-    value); "delta-grid" sweeps Delta(0) over delta_resolution values in
-    [-pi, pi) instead, making each cell a fraction.  ``settings.recon_T`` is
-    the ensemble policy's reconnaissance time.
+    The start follows from the variant: a full variant runs n_sim random
+    initial phase configurations per cell, reconnoitred for
+    ``settings.recon_T``; a reduced variant runs one member per cell from
+    the settled free centroid difference, and reads no n_sim.
     """
 
     grid: tuple = (51, 51)          # resolution over (P1(0), P2(0))
     p3_init: float = None           # fixed P3(0); default half its scale
-    phase_policy: str = "auto"
     n_sim: int = 100                # ensemble members per cell (full variants)
-    delta_resolution: int = 8       # Delta(0) values per cell (delta-grid)
     seed: int = 0
     settings: IntegratorSettings = field(
         default_factory=lambda: IntegratorSettings(t_end=200.0))
@@ -67,11 +64,6 @@ class BasinSpec:
     def __post_init__(self):
         if any(r < 1 for r in self.grid):
             raise ValueError("grid resolutions must be >= 1")
-        if self.phase_policy not in ("auto", "ensemble", "delta-star",
-                                     "delta-grid"):
-            raise ValueError(f"unknown phase policy {self.phase_policy!r}")
-        if self.delta_resolution < 1:
-            raise ValueError("delta_resolution must be >= 1")
         if self.p3_init is not None and not np.isfinite(self.p3_init):
             raise ValueError("p3_init must be finite")
 
@@ -108,28 +100,16 @@ def _settled_delta(system, cfg, settings, n_points):
                       for d in map(delta_star, *args)]])
 
 
-def _phase_policy(spec, system):
-    """The spec's phase policy resolved for ``system``."""
-    policy = spec.phase_policy
-    if policy == "auto":
-        return "delta-star" if system.reduced else "ensemble"
-    if system.reduced and policy == "ensemble":
-        raise ValueError("reduced variants have no phases to randomise")
-    if not system.reduced and policy != "ensemble":
-        raise ValueError("full variants use the ensemble phase policy")
-    return policy
-
-
 def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
     """The basin engine: one BasinResult per parameter point.
 
     Fields of ``cfg`` and ``coupling`` hold a scalar or one value per
     point.  Every (point, initial cell, member) triple is one member of a
-    single batch integration; the member's start state follows the phase
-    policy.  A point with more than 1% failed members gets value NaN.
+    single batch integration; a member starts from reconnoitred phases
+    (full variants) or Delta* (reduced ones).  A point with more than 1%
+    failed members gets value NaN.
     """
     system = build_system(model, cfg, net=net, coupling=coupling)
-    policy = _phase_policy(spec, system)
 
     r1, r2 = spec.grid
     n_cells = r1 * r2
@@ -143,16 +123,11 @@ def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):
         rows.append(np.reshape(p3, (-1, 1, 1)))
 
     settings = spec.settings
-    if policy == "ensemble":
+    if system.reduced:
+        start = _settled_delta(system, cfg, settings, n_points)[..., None, None]
+    else:
         start = reconnoitred_phases(system, spec.n_sim, spec.seed, settings)
         start = start[:, None, None, :]               # (nodes, 1, 1, members)
-    elif policy == "delta-grid":
-        m = spec.delta_resolution
-        d0s = -np.pi + 2.0 * np.pi * (np.arange(m) + 0.5) / m
-        start = np.zeros((system.dim - system.n_pops, 1, 1, m))
-        start[0, 0, 0] = d0s                          # Delta2(0) stays 0
-    else:
-        start = _settled_delta(system, cfg, settings, n_points)[..., None, None]
     n_mem = start.shape[-1]
     shape = (n_points, n_cells, n_mem)
     y0 = np.stack([np.broadcast_to(r, shape).ravel()
@@ -225,9 +200,8 @@ def estimate_basin(model: str, cfg, spec: BasinSpec, net=None,
                    coupling=None) -> BasinResult:
     """Blue-win fraction over the initial-condition grid.
 
-    Reduced variants run one trajectory per cell (delta-star) or
-    delta_resolution per cell (delta-grid); full variants run an n_sim
-    phase ensemble per cell.  Integration failures are excluded from the
+    Reduced variants run one trajectory per cell from Delta*; full
+    variants run an n_sim phase ensemble per cell.  Integration failures are excluded from the
     average when they are < 1% of the evaluations, otherwise a hard error
     is raised.
     """

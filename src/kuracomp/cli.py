@@ -53,13 +53,14 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "preset": {"type": "string"},
-                "populations": {"type": "array"},
+                "populations": {"type": "array", "items": {"type": "object"}},
                 "interlinks": {"type": "object"},
                 "sigma": {"type": "array", "items": {"type": "number"}},
-                "xi": {"type": ["object", "string"]},
+                "xi": {"anyOf": [{"type": "object"}, {"const": "paper"}]},
                 "mu": {"type": "number"},
                 "nu": {"type": "number"},
-                "strategic": {"type": "array"},
+                "strategic": {"type": "array", "items": {
+                    "type": "array", "items": {"type": "integer"}}},
                 "omega": {"type": "array"},
             },
         },
@@ -94,11 +95,9 @@ CONFIG_SCHEMA = {
                 "y_range": _PAIR,
                 "y_points": {"type": "integer", "minimum": 2},
                 "grid": {**_PAIR, "items": {"type": "integer", "minimum": 1}},
-                "phase_policy": {"enum": ["auto", "ensemble",
-                                           "delta-star", "delta-grid"]},
-                "delta_resolution": {"type": "integer", "minimum": 1},
                 "factors": {"type": "array", "minItems": 1, "items": {
                     "type": "object", "required": ["name", "lo", "hi"],
+                    "additionalProperties": False,
                     "properties": {"name": {"type": "string"},
                                    "lo": {"type": "number"},
                                    "hi": {"type": "number"}}}},
@@ -219,7 +218,7 @@ def _build(config: dict):
         if "p_exponent" in varied:
             raise ValidationFailure("p_exponent cannot be a doe factor: it "
                                     "takes the values 1 and 2 only")
-    if task["type"] == "simulate" and "n_sim" in task and model in _REDUCED:
+    if "n_sim" in task and model in _REDUCED:
         raise ValidationFailure("task.n_sim: reduced variants have no phases")
     model_params(model, list(params) + varied, net=net)
     # every check is an interval, so a doe factor's endpoints suffice
@@ -246,12 +245,7 @@ def _build(config: dict):
         raise ValidationFailure("task.p3_init is read only by basin, heatmap "
                                 "and doe tasks on a three-population variant")
     if basin_task:
-        policy = basin._phase_policy(_basin_spec(task, settings, seed), system)
-        for key, reader in (("n_sim", "ensemble"),
-                            ("delta_resolution", "delta-grid")):
-            if key in task and policy != reader:
-                raise ValidationFailure(f"task.{key} is read only by the "
-                                        f"{reader} phase policy, not {policy}")
+        _basin_spec(task, settings, seed)        # checks task.p3_init
     return system, settings, seed
 
 
@@ -351,8 +345,8 @@ def _task_sweep(config, system, settings, seed, outdir):
 
 
 def _basin_spec(task, settings, seed):
-    given = {k: task[k] for k in ("n_sim", "phase_policy", "delta_resolution",
-                                  "p3_init") if k in task}   # else BasinSpec's
+    given = {k: task[k] for k in ("n_sim", "p3_init")
+             if k in task}                                    # else BasinSpec's
     if "grid" in task:
         given["grid"] = tuple(int(r) for r in task["grid"])   # 2.0 passes
     return basin.BasinSpec(seed=seed, settings=settings, **given)

@@ -187,8 +187,10 @@ class CoupledNetwork:
     def __post_init__(self):
         sizes = [g.n for g in self.populations]
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        if len(self.sigma) != len(self.populations):
-            raise ValueError("sigma must have one entry per population")
+        if not (len(self.sigma) == len(self.strategic) == len(self.tactical)
+                == len(self.populations)):
+            raise ValueError("sigma and the strategic/tactical split need "
+                             "one entry per population")
         for p, (s, t) in enumerate(zip(self.strategic, self.tactical)):
             n = self.populations[p].n
             if set(s) & set(t):

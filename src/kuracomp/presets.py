@@ -18,14 +18,18 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import substream
-from .graphs import (assemble, default_partition, gen_erdos_renyi,
-                     gen_kary_tree, gen_watts_strogatz,
-                     xi_paper_normalization)
+from .graphs import (Graph, assemble, gen_erdos_renyi, gen_kary_tree,
+                     gen_watts_strogatz, xi_paper_normalization)
 
 __all__ = ["PRESETS", "preset_names", "get_preset", "build_network",
            "sample_omega"]
 
 GREEN_OMEGA = 0.5        # the pinned frequency of a third population
+
+_GRAPH_KEYS = {"kary-tree": {"branching", "layers"},     # beside "kind"
+               "erdos-renyi": {"n", "p"},
+               "watts-strogatz": {"n", "k", "p_rewire"},
+               "explicit": {"n", "edges"}}
 
 
 def sample_omega(sizes, mu, nu, seed):
@@ -58,6 +62,8 @@ def build_network(section: dict, master_seed: int):
     Frequencies are an explicit ``omega`` list, else drawn at ``mu`` (and
     ``nu`` with three populations), else zero.  The network holds no
     frustration; the right-hand sides read it from the model config.
+    ValueError for a population entry without exactly its kind's keys, an
+    interlink past the populations, or an explicit xi on an unlinked pair.
     """
     section = dict(section)
     preset = section.pop("preset", None)
@@ -67,10 +73,18 @@ def build_network(section: dict, master_seed: int):
         if preset not in bases:
             raise ValueError(f"unknown network preset {preset!r}")
         section = {**bases[preset](), **section}
+    missing = sorted({"populations", "sigma"} - section.keys())
+    if missing:
+        raise ValueError(f"network needs a preset or {' and '.join(missing)}")
 
     pops = []
     for i, spec in enumerate(section["populations"]):
-        kind = spec["kind"]
+        kind = spec.get("kind")
+        if kind not in _GRAPH_KEYS:
+            raise ValueError(f"unknown graph kind {kind!r}")
+        if spec.keys() != _GRAPH_KEYS[kind] | {"kind"}:
+            raise ValueError(f"network population {i} ({kind}) takes "
+                             f"exactly {sorted(_GRAPH_KEYS[kind])}")
         if kind == "kary-tree":
             pops.append(gen_kary_tree(spec["branching"], spec["layers"]))
         elif kind == "erdos-renyi":
@@ -81,29 +95,29 @@ def build_network(section: dict, master_seed: int):
             pops.append(gen_watts_strogatz(
                 spec["n"], spec["k"], spec["p_rewire"],
                 substream(master_seed, "network", "ws", i)))
-        elif kind == "explicit":
-            from .graphs import Graph
-
+        else:
             pops.append(Graph(n=spec["n"],
                               edges=tuple(tuple(e) for e in spec["edges"])))
-        else:
-            raise ValueError(f"unknown graph kind {kind!r}")
 
     pair = lambda key: tuple(int(v) for v in key.split("-"))    # "i-j"
     interlinks = {pair(key): [tuple(p) for p in pairs]
                   for key, pairs in section.get("interlinks", {}).items()}
+    for i, j in interlinks:
+        if not 0 <= i < j < len(pops):
+            raise ValueError(f"network interlink {i}-{j} needs "
+                             f"0 <= i < j < {len(pops)}")
     xi_section = section.get("xi", "paper")
     xi = (xi_paper_normalization(pops, interlinks) if xi_section == "paper"
           else {pair(key): float(v) for key, v in xi_section.items()})
+    for i, j in xi:
+        if not interlinks.get((min(i, j), max(i, j))):
+            raise ValueError(f"network xi {i}-{j} names a pair that no "
+                             "interlink links")
 
-    if "strategic" in section:
-        strategic = [tuple(s) for s in section["strategic"]]
+    strategic, tactical = section.get("strategic"), None   # None: default
+    if strategic is not None:
         tactical = [tuple(sorted(set(range(g.n)) - set(s)))
                     for g, s in zip(pops, strategic)]
-    else:
-        parts = [default_partition(g) for g in pops]
-        strategic = [p[0] for p in parts]
-        tactical = [p[1] for p in parts]
 
     omega = section.get("omega")
     if omega is None and "mu" in section:

@@ -133,36 +133,11 @@ def test_heatmap_rejects_bad_params():
     with pytest.raises(ValueError):
         basin.basin_heatmap("simple-reduced", _cfg(), "beta1", [1],
                             "bogus", [2], _spec())
-    with pytest.raises(ValueError, match="no phases"):
-        basin.basin_heatmap("simple-reduced", _cfg(), "beta1", [1],
-                            "mu", [0.2], _spec(phase_policy="ensemble"))
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         basin.BasinSpec(grid=(0, 5))
-
-
-def test_delta_grid_policy_gives_fractions():
-    # boundary-straddling parameters: sweeping Delta(0) yields cell values
-    # strictly between 0 and 1
-    cfg = _cfg(beta1=2.3, mu=0.9, phi=0.4)
-    spec = basin.BasinSpec(grid=(5, 5), phase_policy="delta-grid",
-                           delta_resolution=8,
-                           settings=IntegratorSettings(dt_init=0.02,
-                                                       t_end=120.0))
-    res = basin.estimate_basin("simple-reduced", cfg, spec)
-    assert res.n_evaluated == 25 * 8
-    assert np.all((res.per_cell >= 0) & (res.per_cell <= 1))
-
-
-def test_phase_policy_validation():
-    with pytest.raises(ValueError):
-        basin.BasinSpec(phase_policy="bogus")
-    cfg = _cfg()
-    with pytest.raises(ValueError):
-        basin.estimate_basin("simple-reduced", cfg,
-                             _spec(phase_policy="ensemble"))
 
 
 def _boundary_fraction(result):
@@ -210,21 +185,6 @@ def test_heatmap_percell_path_order_invariant():
     assert np.array_equal(m1, m2)
 
 
-def test_heatmap_honours_delta_grid_policy():
-    # regression: the batched reduced heatmap used to start every member at
-    # Delta* whatever the phase policy, returning [0, 1, 1] here
-    cfg = ModelConfig(beta2=3.5, gamma2=0.3, mu=0.2, phi=0.2, psi=0.0)
-    spec = _spec(t_end=120.0, phase_policy="delta-grid")
-    betas = [2.0, 2.3, 2.6]
-    mat, _, _ = basin.basin_heatmap("simple-reduced", cfg, "beta1", betas,
-                                    "psi", [0.0], spec)
-    expected = [basin.estimate_basin("simple-reduced",
-                                     cfg.with_overrides(beta1=b), spec).value
-                for b in betas]
-    assert np.array_equal(mat, [expected])
-    assert 0.0 < mat[0, 1] < 1.0
-
-
 def _two_pop_net():
     g = graphs.Graph(n=3, edges=((0, 1), (1, 2)))
     return graphs.assemble([g, g], {(0, 1): [(0, 0)]}, sigma=[2.0, 2.0],
@@ -268,22 +228,20 @@ def _source(model, source):
 
 
 @pytest.mark.parametrize("source", ["config", "coupling", "network"])
-@pytest.mark.parametrize("policy", ["delta-star", "delta-grid"])
 @pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
-                                   "eco3-reduced"])
+                                   "eco3-reduced"],
+                         ids=lambda m: f"{m}-delta-star")   # the start
 @settings(max_examples=3)
 @given(data=st.data())
-def test_heatmap_entry_equals_estimate_basin(model, policy, source, data):
+def test_heatmap_entry_equals_estimate_basin(model, source, data):
     net, coupling = _source(model, source)
     axes = set(_SWEEPABLE) & set(models.model_params(model, net=net,
                                                      coupling=coupling))
     (x_name, y_name), (xs, ys) = data.draw(_heatmap_axes(axes))
     cfg = _cfg(alpha=5.0) if model == "eco3-reduced" else _cfg()
     for method in ("rk4", "rk45"):      # both batch methods, on one draw
-        spec = basin.BasinSpec(grid=(2, 2), phase_policy=policy,
-                               delta_resolution=3,
-                               settings=IntegratorSettings(
-                                   method=method, dt_init=0.05, t_end=30.0))
+        spec = basin.BasinSpec(grid=(2, 2), settings=IntegratorSettings(
+            method=method, dt_init=0.05, t_end=30.0))
         mat, _, _ = basin.basin_heatmap(model, cfg, x_name, xs, y_name, ys,
                                         spec, net=net, coupling=coupling)
         for j, yv in enumerate(ys):

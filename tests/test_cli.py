@@ -300,6 +300,20 @@ def test_fig3b_preset_blue_win_trajectory(tmp_path):
 _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
 
 
+def _net(pop0=None, pop1=None, **changes):
+    """A short paper-2pop simulate on an explicit two-population network
+    section, with ``changes`` set (a value of None drops the key)."""
+    section = {"populations": [
+        pop0 or {"kind": "erdos-renyi", "n": 8, "p": 0.5},
+        pop1 or {"kind": "kary-tree", "branching": 2, "layers": 2}],
+        "sigma": [1, 1], "interlinks": {"0-1": [[0, 0]]}, "mu": 0.2}
+    section.update(changes)
+    section = {k: v for k, v in section.items() if v is not None}
+    return ["simulate", "-c", "paper-2pop", "-o",
+            'task.initial={"P":[0.5,0.5]}', "-o", "solver.t_end=2", "-o",
+            f"network={json.dumps(section)}"]
+
+
 @pytest.mark.parametrize("args", [
     ["fixed-points", "-c", "simple-cs", "-o", "K1=-1"],
     ["fixed-points", "-c", "fig3b"],
@@ -418,12 +432,36 @@ _DOE = ('task.factors=[{"name":"beta1","lo":1.0,"hi":5.0}]')
     # rk4 would ignore an error tolerance in a single run, as in a batch
     ["simulate", "-c", "fig3b", "-o", "solver.method=rk4",
      "-o", "solver.rtol=1e-6"],
+    # network sections that a graph kind, a link or a split cannot read
+    _net(pop0={"kind": "erdos-renyi", "n": 8, "p": 0.5, "seed": 3}),
+    _net(pop1={"kind": "kary-tree", "branching": 2, "layers": 2, "n": 99}),
+    _net(xi={"0-1": 1, "1-0": 1, "0-0": 5}),
+    _net(interlinks={"0-1": []}, xi={"0-1": 1, "1-0": 1}),
+    _net(pop0={"kind": "erdos-renyi", "n": 8}),
+    _net(interlinks={"0-1": [[0, 0]], "0-2": [[0, 0]]}),
+    _net(strategic=[[0, 1]]),
+    _net(xi="other"),
+    _net(sigma=None),
+    _net(pop0=1),
+    _net(strategic=[5, [0]]),
+    # a DOE factor key that no run reads
+    ["doe", "-c", "simple-cs", "-o",
+     'task.factors=[{"name":"beta1","lo":0.5,"hi":5,"scale":"log"}]',
+     "-o", "task.k_init=2", "-o", "task.n_total=2", "-o", "task.grid=[2,2]",
+     "-o", "solver.t_end=2"],
+    # task.n_sim on a reduced variant, whatever the task
+    ["fixed-points", "-c", "simple-cs", "-o", "task.n_sim=5"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_the_network_cases_change_a_valid_section(tmp_path):
+    # each _net case above fails by its change, not by its base section
+    assert cli.main(_net() + ["--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("args", [
@@ -627,12 +665,9 @@ def _doe_task(draw, model):
         factors.append({"name": name, "lo": lo + a * (hi - lo),
                         "hi": lo + b * (hi - lo)})
     k_init = draw(st.integers(5, 6))   # below 5 the design anneals for seconds
-    policy = draw(st.sampled_from(["delta-star", "delta-grid"]))
     return {"type": "doe", "factors": factors, "k_init": k_init,
             "n_total": k_init + draw(st.integers(0, 2)),
-            "grid": draw(st.sampled_from([[1, 1], [2, 2], [2, 3]])),
-            "phase_policy": policy,
-            **({"delta_resolution": 2} if policy == "delta-grid" else {})}
+            "grid": draw(st.sampled_from([[1, 1], [2, 2], [2, 3]]))}
 
 
 @pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced"])

@@ -213,6 +213,9 @@ def test_partition_validation():
     with pytest.raises(ValueError, match="cover"):
         graphs.assemble([g], {}, sigma=[1.0], xi={},
                         strategic=[(0,)], tactical=[(1,)])
+    with pytest.raises(ValueError, match="one entry per population"):
+        graphs.assemble([g, g], {}, sigma=[1.0, 1.0], xi={},
+                        strategic=[(0,)], tactical=[(1, 2)])
 
 
 def test_weight_matrix_invariants():
