@@ -15,18 +15,21 @@ cubic in P2, evaluated through the Cardano-style cube-root expressions.  One
 driver serves both variants: an interior point is kept only when the
 right-hand side vanishes there to RESIDUAL_GATE, after a Newton polish where
 the iteration alone misses it, and its status describes the reported point.
+The driver takes a batch of parameter points, and the damped iterations of
+all their interior candidates advance together as arrays; a point's result
+does not depend on the batch it is in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 
 import numpy as np
 
-from .models import (CentroidCoupling, ModelConfig, _frustration, _member_rhs,
-                     _take, build_system, centroid_coeffs, eco2_reduced_rhs,
-                     model_params, simple_reduced_rhs)
+from .models import (CentroidCoupling, ModelConfig, _cs, _frustration,
+                     _member_rhs, _take, build_system, centroid_coeffs,
+                     eco2_reduced_rhs, model_params, simple_reduced_rhs)
 from .solver import (IntegratorSettings, _drive,  # noqa: F401
                      run_scenario)   # perfbench traces run_scenario here
 
@@ -75,22 +78,25 @@ def _k_disc(C, S, mu):
 
 def delta_star(C, S, mu):
     """Stable fixed point of the centroid ODE (the t -> infinity limit),
-    or None when C^2 + S^2 < mu^2 (no fixed point exists).
+    NaN where C^2 + S^2 < mu^2 (no fixed point exists).  C, S and mu are
+    scalars or arrays that broadcast together.
 
     Evaluated through whichever of the two algebraically equal forms
     (C - sqrt(K))/(mu - S) == (mu + S)/(C + sqrt(K)) is well conditioned,
     which also covers the degenerate branch mu = S.
     """
-    K = _k_disc(C, S, mu)
-    if K < 0:
-        return None
-    sq = np.sqrt(K)
+    K = np.asarray(_k_disc(C, S, mu), dtype=float)
+    # NaN where K < 0 propagates through both forms to the result
+    sq = np.sqrt(K, out=np.full(K.shape, np.nan), where=K >= 0)
     d1, d2 = mu - S, C + sq
-    if abs(d1) < 1e-300 and abs(d2) < 1e-300:
-        return np.pi
-    if abs(d1) >= abs(d2):
-        return 2.0 * np.arctan((C - sq) / d1)
-    return 2.0 * np.arctan((mu + S) / d2)
+    a1, a2 = np.abs(d1), np.abs(d2)
+    first = a1 >= a2
+    num, den = np.where(first, C - sq, mu + S), np.where(first, d1, d2)
+    pole = (a1 < 1e-300) & (a2 < 1e-300)
+    if np.count_nonzero(pole):
+        return np.where(pole, np.pi, 2.0 * np.arctan(
+            num / np.where(pole, 1.0, den)))[()]
+    return (2.0 * np.arctan(num / den))[()]
 
 
 def delta_closed_form(t, C, S, mu, const):
@@ -293,9 +299,12 @@ def _make_record(label, state, rhs, jac_fn) -> FixedPointRecord:
         status="verified" if physical else "outside-range")
 
 
-def _delta_at(cfg, coupling, P1, P2):
-    co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
-    return delta_star(co.C, co.S, cfg.mu)
+def _delta_at(cfg, coupling, P1, P2, fr=None):
+    """Delta* at the feedback of populations (P1, P2), NaN where none
+    exists; ``fr`` is cfg's frustration, if already taken."""
+    c, s = _cs(coupling, _frustration(cfg) if fr is None else fr,
+               1.0 - P2, 1.0 - P1)
+    return delta_star(c, s, cfg.mu)
 
 
 def _newton_polish(rhs, state):
@@ -323,85 +332,128 @@ def _boundary_hit(state, boundary):
     return None
 
 
+_VANISHED = "centroid fixed point vanished during iteration"
+
+
+def _pow(x, k):
+    """x ** k through libm pow: a Python or numpy float's ``**`` calls it,
+    and so does np.float_power on arrays, where ``**`` would not."""
+    return x ** k if isinstance(x, float) else np.float_power(x, k)
+
+
 def _simple_fp4_map(cfg, delta):
+    """FP4's (P1, P2) at centroid difference delta, NaN where the
+    denominator is singular."""
     sd = np.sin(delta)
-    den = 4 * cfg.r1 * cfg.r2 + cfg.beta1 * cfg.beta2 * (sd ** 2 - 4)
-    if abs(den) < 1e-14:
-        return None
+    den = (4 * cfg.r1 * cfg.r2
+           + cfg.beta1 * cfg.beta2 * (_pow(sd, 2) - 4))
+    den = np.where(np.abs(den) < 1e-14, np.nan, den)
     p1 = 2 * cfg.r2 * (2 * cfg.r1 + cfg.beta2 * sd - 2 * cfg.beta2) / den
     p2 = 2 * cfg.r1 * (2 * cfg.r2 - cfg.beta1 * sd - 2 * cfg.beta1) / den
     return p1, p2
 
 
-def _solve_simple_fp4(cfg, coupling, d, notes, label):
-    p1 = p2 = None
-    for _ in range(_FP_MAX_ITER):
-        pm = _simple_fp4_map(cfg, d)
-        if pm is None:
-            during = "" if p1 is None else " during iteration"
-            notes.append(f"{label}: singular denominator{during}")
-            return None
-        if p1 is None:
-            p1, p2 = pm
-        p1_new = p1 + _DAMPING * (pm[0] - p1)
-        p2_new = p2 + _DAMPING * (pm[1] - p2)
-        d_tgt = _delta_at(cfg, coupling, p1_new, p2_new)
-        if d_tgt is None:
-            notes.append(f"{label}: centroid fixed point vanished during iteration")
-            return None
-        d_new = d + _DAMPING * (d_tgt - d)
-        change = max(abs(p1_new - p1), abs(p2_new - p2), abs(d_new - d))
-        p1, p2, d = p1_new, p2_new, d_new
-        if change < _FP_TOL:
-            break
-    return np.array([p1, p2, d])
+def _simple_fp4_step(par, state, first):
+    """One damped step of FP4 (see ``_damped_iteration``)."""
+    cfg, coupling, fr, _ = par
+    p1, p2, d = state
+    pm1, pm2 = _simple_fp4_map(cfg, d)
+    if first:
+        p1, p2 = pm1, pm2
+    p1_new = p1 + _DAMPING * (pm1 - p1)
+    p2_new = p2 + _DAMPING * (pm2 - p2)
+    d_tgt = _delta_at(cfg, coupling, p1_new, p2_new, fr)
+    d_new = d + _DAMPING * (d_tgt - d)
+    # np.maximum differs from the scalar max() only on NaN, which reaches
+    # the change of a failed candidate alone, and that change goes unread
+    change = np.maximum(np.maximum(np.abs(p1_new - p1), np.abs(p2_new - p2)),
+                        np.abs(d_new - d))
+    singular = np.isnan(pm1)
+    failed = singular | np.isnan(d_tgt)
+    reasons = []
+    if np.count_nonzero(failed):
+        why = "singular denominator" + ("" if first else " during iteration")
+        reasons = [why if s else _VANISHED for s in singular[failed]]
+    return (p1_new, p2_new, d_new), change, failed, reasons
 
 
 # -- ecology variant --------------------------------------------------------
 
-def eco2_cubic_roots(cfg: ModelConfig, delta) -> np.ndarray:
+def _complex(re, im):
+    """re + i im, built without complex arithmetic; im is a scalar or has
+    the shape of re."""
+    out = np.empty(np.shape(re), complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@cache
+def _zeta_powers():
+    """z^0, z^1, z^2 for z = exp(2 pi i / 3), each a scalar power; every
+    call shares the array, so it is read-only."""
+    zeta = np.exp(2j * np.pi / 3.0)
+    powers = np.array([zeta ** k for k in range(3)])
+    powers.flags.writeable = False
+    return powers
+
+
+def eco2_cubic_roots(cfg: ModelConfig, delta, branch=None) -> np.ndarray:
     """The three interior-candidate roots in P2 via the cube-root closed
     forms (Cardano): root_k = (F1 - z^k Ct - F2/(z^k Ct)) / (3 a3) with
     Ct = -2^(-1/3) F3, F3 = (chi + sqrt(chi^2 - 4 F2^3))^(1/3).
 
     F1, F2 and chi are evaluated from their printed expansions in the
     shorthand (delta, beta2~); both sqrt branches are tried when F3
-    degenerates.
+    degenerates.  ``delta`` and the fields of ``cfg`` may be arrays.  The
+    roots lie along the result's first axis; with ``branch`` (integers in
+    0..2 of delta's shape) each element is its branch's root only.
+
+    Each element has the bits of a scalar evaluation: powers go through
+    libm pow (``_pow``) and the complex products through real arithmetic,
+    as numpy's array power and complex multiply loops round differently.
     """
-    dlt = 0.5 * (np.sin(delta) + 2.0)
-    b2t = cfg.beta2 * 0.5 * (2.0 - np.sin(delta))
+    pw = _pow
+    sd = np.sin(delta)
+    dlt = 0.5 * (sd + 2.0)
+    b2t = cfg.beta2 * 0.5 * (2.0 - sd)
     r1, r2, b1, a, t, x1 = cfg.r1, cfg.r2, cfg.beta1, cfg.alpha, cfg.tau, cfg.x1
+    b1_2, dlt_2, b2t_2, r1_2, t_2 = (pw(v, 2) for v in (b1, dlt, b2t, r1, t))
 
     F1 = a * (b1 * dlt * b2t + (b1 * t - 1) * r1 * r2)
     xi = (2 * a + 3) * b1 * b2t * t - 2 * a * b2t + 3 * a * b1 * t * x1
-    F2 = a * (a * b1 ** 2 * dlt ** 2 * b2t ** 2 + b1 * dlt * xi * r1 * r2
-              + a * r1 ** 2 * r2 * (-3 * b1 ** 2 * dlt * t
-                                    + (1 + b1 * t + b1 ** 2 * t ** 2) * r2))
-    chi = a ** 2 * (
-        2 * b1 ** 3 * a * dlt ** 3 * b2t ** 3
-        + 3 * b1 ** 2 * dlt ** 2 * b2t * xi * r1 * r2
-        + (b1 * t - 1) * a * r1 ** 3 * r2 ** 2
-        * (-9 * b1 ** 2 * dlt * t + (2 + 5 * b1 * t + 2 * b1 ** 2 * t ** 2) * r2)
-        + 3 * b1 * dlt * r1 ** 2 * r2
-        * (-3 * a * b1 ** 2 * dlt * t * b2t
+    F2 = a * (a * b1_2 * dlt_2 * b2t_2 + b1 * dlt * xi * r1 * r2
+              + a * r1_2 * r2 * (-3 * b1_2 * dlt * t
+                                 + (1 + b1 * t + b1_2 * t_2) * r2))
+    chi = pw(a, 2) * (
+        2 * pw(b1, 3) * a * pw(dlt, 3) * pw(b2t, 3)
+        + 3 * b1_2 * dlt_2 * b2t * xi * r1 * r2
+        + (b1 * t - 1) * a * pw(r1, 3) * pw(r2, 2)
+        * (-9 * b1_2 * dlt * t + (2 + 5 * b1 * t + 2 * b1_2 * t_2) * r2)
+        + 3 * b1 * dlt * r1_2 * r2
+        * (-3 * a * b1_2 * dlt * t * b2t
            + r2 * (-xi + b1 * t * (xi + 3 * a * b2t + 9 * b1 * t * x1))))
 
     a3 = a * b1 * t * r1 * r2
-    disc = complex(chi) ** 2 - 4.0 * complex(F2) ** 3
-    sq = np.sqrt(disc)
-    f3 = (complex(chi) + sq) ** (1.0 / 3.0)
-    if abs(f3) < 1e-12 * max(1.0, abs(chi)) ** (1 / 3):
-        f3 = (complex(chi) - sq) ** (1.0 / 3.0)
-    if abs(f3) < 1e-300:
-        # triple root
-        return np.full(3, F1 / (3.0 * a3), dtype=complex)
-    ct = -(2.0 ** (-1.0 / 3.0)) * f3
-    zeta = np.exp(2j * np.pi / 3.0)
-    roots = []
-    for k in range(3):
-        c_k = (zeta ** k) * ct
-        roots.append((F1 - c_k - F2 / c_k) / (3.0 * a3))
-    return np.array(roots, dtype=complex)
+    # the discriminant's imaginary part is +0: its sign picks the sqrt branch
+    sq = np.sqrt(_complex(chi * chi - 4.0 * (F2 * (F2 * F2)), 0.0))
+    f3 = (chi + sq) ** (1.0 / 3.0)
+    degenerate = np.abs(f3) < 1e-12 * pw(np.maximum(1.0, np.abs(chi)), 1 / 3)
+    if np.count_nonzero(degenerate):
+        f3 = np.where(degenerate, (chi - sq) ** (1.0 / 3.0), f3)
+    triple = np.abs(f3) < 1e-300
+    any_triple = np.count_nonzero(triple)
+    if any_triple:
+        f3 = np.where(triple, 1.0, f3)      # a stand-in; set below
+    c = -(2.0 ** (-1.0 / 3.0))
+    ct_re, ct_im = c * f3.real - 0.0 * f3.imag, c * f3.imag + 0.0 * f3.real
+    z = _zeta_powers()
+    z = z.reshape((3,) + (1,) * ct_re.ndim) if branch is None else z[branch]
+    c_k = _complex(z.real * ct_re - z.imag * ct_im,
+                   z.real * ct_im + z.imag * ct_re)
+    roots = (F1 - c_k - F2 / c_k) / (3.0 * a3)
+    if any_triple:
+        roots = np.where(triple, _complex(F1 / (3.0 * a3), 0.0), roots)
+    return roots
 
 
 def eco2_back_substitute(cfg: ModelConfig, p2, delta):
@@ -410,71 +462,145 @@ def eco2_back_substitute(cfg: ModelConfig, p2, delta):
     return cfg.r2 / (cfg.beta1 * dlt) * (1.0 - p2) * (1.0 + cfg.tau * cfg.beta1 * p2)
 
 
-def _solve_eco2_interior(cfg, coupling, d, notes, label, branch):
-    p2 = None
-    for _ in range(_FP_MAX_ITER):
-        roots = eco2_cubic_roots(cfg, d)
-        root = roots[branch]
-        if abs(root.imag) > IMAG_TOL:
-            notes.append(f"{label}: complex root (|Im| = {abs(root.imag):.2e})")
-            return None
-        p2_tgt = float(root.real)
-        p2 = p2_tgt if p2 is None else p2 + _DAMPING * (p2_tgt - p2)
-        p1 = float(eco2_back_substitute(cfg, p2, d))
-        d_tgt = _delta_at(cfg, coupling, p1, p2)
-        if d_tgt is None:
-            notes.append(f"{label}: centroid fixed point vanished during iteration")
-            return None
-        d_new = d + _DAMPING * (d_tgt - d)
-        change = max(abs(d_new - d), abs(p2_tgt - p2))
-        d = d_new
-        if change < _FP_TOL:
+def _eco2_interior_step(par, state, first):
+    """One damped step of the interior candidates FP3..FP5, the cubic's
+    branches 0..2 (see ``_damped_iteration``)."""
+    cfg, coupling, fr, branch = par
+    _, p2, d = state
+    root = eco2_cubic_roots(cfg, d, branch)
+    im = np.abs(root.imag)
+    rejected = im > IMAG_TOL
+    p2_tgt = np.where(rejected, np.nan, root.real)
+    p2 = p2_tgt if first else p2 + _DAMPING * (p2_tgt - p2)
+    d_tgt = _delta_at(cfg, coupling, eco2_back_substitute(cfg, p2, d), p2, fr)
+    d_new = d + _DAMPING * (d_tgt - d)
+    change = np.maximum(np.abs(d_new - d), np.abs(p2_tgt - p2))
+    failed = rejected | np.isnan(d_tgt)
+    reasons = []
+    if np.count_nonzero(failed):
+        reasons = [f"complex root (|Im| = {v:.2e})" if r else _VANISHED
+                   for r, v in zip(rejected[failed], im[failed])]
+    return ((eco2_back_substitute(cfg, p2, d_new), p2, d_new), change, failed,
+            reasons)
+
+
+def _same_bits(a, b):
+    """Per candidate: do the iterates a and b hold the same bits?"""
+    return np.logical_and.reduce([x.view(np.int64) == y.view(np.int64)
+                                  for x, y in zip(a, b)])
+
+
+def _damped_iteration(step, par, d):
+    """Damped fixed-point iteration of every interior candidate at once.
+
+    Candidate j starts from Delta = d[j]; ``par`` holds the configs,
+    couplings and frustrations (index j of their array fields is its own)
+    and the branches.  ``step(par, (P1, P2, Delta), first)`` advances all
+    live candidates: it returns the new iterates, the changes, a mask of
+    the failed and why each failed, and it leaves NaN in a failed one's
+    values, which computes without floating-point warnings.  A candidate
+    leaves on failure, on a change below _FP_TOL or after _FP_MAX_ITER
+    steps.  An iterate that repeats bit for bit (Brent: against the one
+    saved at the last power-of-two step) puts its candidate on a cycle; it
+    leaves at the step on that cycle that shares its iterate with step
+    _FP_MAX_ITER.  Returns the final (P1, P2, Delta), shape (m, 3), NaN
+    where the candidate failed, and the failure notes (None elsewhere).
+    """
+    states = np.full((d.size, 3), np.nan)
+    why = [None] * d.size
+    live = np.arange(d.size)
+    end = np.full(d.size, _FP_MAX_ITER)      # the step a candidate leaves at
+    state = (np.full(d.size, np.nan), np.full(d.size, np.nan), d)
+    for n in range(1, _FP_MAX_ITER + 1):
+        state, change, failed, reasons = step(par, state, n == 1)
+        if n & (n - 1) == 0:                # n is a power of two
+            saved, saved_at = state, n
+        else:
+            cycling = state[2].view(np.int64) == saved[2].view(np.int64)
+            if np.count_nonzero(cycling):       # Delta repeats: check all
+                cycling &= _same_bits(state[:2], saved[:2])
+                end[cycling] = n + (_FP_MAX_ITER - n) % (n - saved_at)
+        leave = failed | (change < _FP_TOL) | (end == n)
+        if not np.count_nonzero(leave):
+            continue
+        for j, reason in zip(live[failed], reasons):
+            why[j] = reason
+        done = leave & ~failed
+        states[live[done]] = np.column_stack(state)[done]
+        keep = ~leave
+        if not np.count_nonzero(keep):
             break
-    return np.array([float(eco2_back_substitute(cfg, p2, d)), p2, d])
+        live, end = live[keep], end[keep]
+        par = tuple(_take(x, keep) if is_dataclass(x) else x[keep]
+                    for x in par)
+        state = tuple(x[keep] for x in state)
+        saved = tuple(x[keep] for x in saved)
+    return states, why
 
 
-def _fixed_points(reduced_rhs, jacobian, boundary, interior, cfg, coupling,
-                  diagnostics):
+def _fixed_points(reduced_rhs, jacobian, boundary, interior, step, cfg,
+                  coupling, diagnostics):
     """One variant's fixed points from its rhs, its Jacobian, its boundary
-    points as (label, (P1, P2)) and its interior solvers as (label, fn).
+    points as (label, (P1, P2)), its interior labels and their damped
+    ``step``.  Fields of cfg and coupling hold a scalar or one value per
+    point; every point's interior candidates iterate together.
     The public entries look the rhs up per call: perfbench wraps its name."""
     if coupling is None:
         coupling = CentroidCoupling.from_config(cfg)
-    notes = diagnostics if diagnostics is not None else []
-    fr = _frustration(cfg)
-    rhs = lambda s: reduced_rhs(s, cfg, coupling, fr)
-    jac = lambda s: jacobian(s, cfg, coupling)
-    records = []
+    batch = np.broadcast_shapes(*(np.shape(getattr(obj, f.name))
+                                  for obj in (cfg, coupling)
+                                  for f in fields(obj)))
+    n = batch[0] if batch else 1
+    notes = [[] for _ in range(n)]
+    records = [[] for _ in range(n)]
+    systems = []                # each point's rhs and Jacobian
+    for i in range(n):
+        c, g = _take(cfg, i), _take(coupling, i)
+        fr = _frustration(c)
+        systems.append((lambda s, c=c, g=g, fr=fr: reduced_rhs(s, c, g, fr),
+                        lambda s, c=c, g=g: jacobian(s, c, g)))
     for label, (p1, p2) in boundary:
-        d = _delta_at(cfg, coupling, p1, p2)
-        if d is None:
-            notes.append(f"{label}: no centroid fixed point (K < 0)")
-            continue
-        records.append(_make_record(label, (p1, p2, d), rhs, jac))
+        ds = np.broadcast_to(_delta_at(cfg, coupling, p1, p2), (n,))
+        for (rhs, jac), d, recs, nts in zip(systems, ds, records, notes):
+            if np.isnan(d):
+                nts.append(f"{label}: no centroid fixed point (K < 0)")
+                continue
+            recs.append(_make_record(label, (p1, p2, d), rhs, jac))
 
     d_init = _delta_at(cfg, coupling, 0.5, 0.5)
-    if d_init is None:
-        d_init = 0.0
-    for label, solve in interior:
-        state = solve(cfg, coupling, d_init, notes, label)
-        if state is None:
-            continue
-        if np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
-            state = _newton_polish(rhs, state)
-            if state is None or np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
-                notes.append(f"{label}: residual gate failed")
+    d_init = np.broadcast_to(np.where(np.isnan(d_init), 0.0, d_init), (n,))
+    k = len(interior)
+    point = np.repeat(np.arange(n), k)
+    c, g = _take(cfg, point), _take(coupling, point)
+    states, why = _damped_iteration(
+        step, (c, g, _frustration(c), np.tile(np.arange(k), n)),
+        d_init[point])
+    for i, (rhs, jac) in enumerate(systems):
+        for label, state, failed in zip(interior, states[i * k:(i + 1) * k],
+                                        why[i * k:(i + 1) * k]):
+            if failed is not None:
+                notes[i].append(f"{label}: {failed}")
                 continue
-            on = _boundary_hit(state, boundary)
-            if on is not None:
-                notes.append(f"{label}: polished onto {on}'s position "
-                             f"(P1={state[0]:.3g}, P2={state[1]:.3g}), dropped")
-                continue
-        rec = _make_record(label, state, rhs, jac)
-        if rec.status == "outside-range":
-            notes.append(f"{label}: outside physical range "
-                         f"(P1={state[0]:.4g}, P2={state[1]:.4g})")
-        records.append(rec)
-    return records
+            state = state.copy()
+            if np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
+                state = _newton_polish(rhs, state)
+                if state is None or np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
+                    notes[i].append(f"{label}: residual gate failed")
+                    continue
+                on = _boundary_hit(state, boundary)
+                if on is not None:
+                    notes[i].append(
+                        f"{label}: polished onto {on}'s position "
+                        f"(P1={state[0]:.3g}, P2={state[1]:.3g}), dropped")
+                    continue
+            rec = _make_record(label, state, rhs, jac)
+            if rec.status == "outside-range":
+                notes[i].append(f"{label}: outside physical range "
+                                f"(P1={state[0]:.4g}, P2={state[1]:.4g})")
+            records[i].append(rec)
+    if diagnostics is not None:
+        diagnostics.extend(notes if batch else notes[0])
+    return records if batch else records[0]
 
 
 def simple_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
@@ -487,11 +613,16 @@ def simple_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
     (damping 0.5, tolerance 1e-12, <= 1e4 iterations) with a Newton
     fallback.  Candidates whose centroid equation has no fixed point
     (complex sqrt(K)) are skipped with a diagnostic.
+
+    Fields of ``cfg`` and ``coupling`` may hold one value per point, as in
+    ``sweep_bifurcation``: the result is then one record list per point,
+    ``diagnostics`` receives one note list per point, and each point's
+    records and notes equal its own one-point call bit for bit.
     """
     return _fixed_points(
         simple_reduced_rhs, simple_reduced_jacobian,
         (("FP1", (1.0, 0.0)), ("FP2", (0.0, 1.0)), ("FP3", (0.0, 0.0))),
-        (("FP4", _solve_simple_fp4),), cfg, coupling, diagnostics)
+        ("FP4",), _simple_fp4_step, cfg, coupling, diagnostics)
 
 
 def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
@@ -501,13 +632,15 @@ def eco2_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
     FP1: (0, 0); FP2: (0, 1); FP3-FP5: interior candidates from the cubic
     closed forms, Delta* coupled through damped fixed-point iteration.
     Roots with |Im| > 1e-8 are rejected; real roots outside [0, 1] (in
-    either population) are recorded with status "outside-range".
+    either population) are recorded with status "outside-range".  A batch
+    of points works as in ``simple_fixed_points``.
     """
     return _fixed_points(
         eco2_reduced_rhs, eco2_reduced_jacobian,
         (("FP1", (0.0, 0.0)), ("FP2", (0.0, 1.0))),
-        [(f"FP{3 + k}", partial(_solve_eco2_interior, branch=k))
-         for k in range(3)], cfg, coupling, diagnostics)
+        ("FP3", "FP4", "FP5"), _eco2_interior_step, cfg, coupling,
+        diagnostics)
+
 
 
 # ---------------------------------------------------------------------------
@@ -593,23 +726,19 @@ def sweep_bifurcation(variant: str, cfg: ModelConfig, param: str, values,
     coupling = build_system(variant, swept, coupling=coupling).coupling
     fixed_points = (simple_fixed_points if variant == "simple-reduced"
                     else eco2_fixed_points)
-    point_rows, y0 = [], []
-    for i, value in enumerate(values):
-        c, coup = _take(swept, i), _take(coupling, i)
-        point_rows.append([SweepRow(param_value=float(value), record=rec)
-                           for rec in fixed_points(c, coup)])
-        d0 = _delta_at(c, coup, 0.5, 0.5)
-        y0.append([0.5, 0.5, d0 if d0 is not None else 0.0])
+    point_records = fixed_points(swept, coupling)
+    d0 = np.broadcast_to(_delta_at(swept, coupling, 0.5, 0.5), values.shape)
+    y0 = np.column_stack([np.full(values.shape, 0.5), np.full(values.shape, 0.5),
+                          np.where(np.isnan(d0), 0.0, d0)]).T
     # one batch member per point, with the point's parameters
     rhs, on_compact = _member_rhs(variant, swept, coupling)
     p_death = np.broadcast_to(swept.P_D, values.shape)
-    trajs = _drive(rhs, np.array(y0).T, settings,
-                   p_death=p_death, on_compact=on_compact)
+    trajs = _drive(rhs, y0, settings, p_death=p_death, on_compact=on_compact)
     rows = []
-    for value, fp_rows, traj in zip(values, point_rows, trajs):
-        rows += fp_rows + [SweepRow(param_value=float(value),
-                                    attractor=_label_attractor(traj),
-                                    terminal_state=traj.y[-1])]
+    for value, records, traj in zip(values.tolist(), point_records, trajs):
+        rows += [SweepRow(param_value=value, record=rec) for rec in records]
+        rows.append(SweepRow(param_value=value, attractor=_label_attractor(traj),
+                             terminal_state=traj.y[-1]))
     return rows
 
 

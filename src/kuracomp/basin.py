@@ -95,9 +95,8 @@ def _settled_delta(system, cfg, settings, n_points):
         return _settle(rhs, np.zeros((5, n_points)), settings, SETTLE_T,
                        on_compact)[3:]
     co = centroid_coeffs(cfg, system.coupling, 1.0, 1.0)
-    args = (np.broadcast_to(v, (n_points,)) for v in (co.C, co.S, cfg.mu))
-    return np.array([[d if d is not None else 0.0
-                      for d in map(delta_star, *args)]])
+    d = np.broadcast_to(delta_star(co.C, co.S, cfg.mu), (n_points,))
+    return np.where(np.isnan(d), 0.0, d)[None, :]
 
 
 def _basins(model, cfg, spec, n_points=1, net=None, coupling=None):

@@ -15,6 +15,8 @@ holds none, and the right-hand sides read it from the config.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ._rng import substream
@@ -30,6 +32,8 @@ _GRAPH_KEYS = {"kary-tree": {"branching", "layers"},     # beside "kind"
                "erdos-renyi": {"n", "p"},
                "watts-strogatz": {"n", "k", "p_rewire"},
                "explicit": {"n", "edges"}}
+_COUNT_KEYS = {"n", "k", "branching", "layers"}          # integers >= 1
+_PROBABILITY_KEYS = {"p", "p_rewire"}                    # numbers in [0, 1]
 
 
 def sample_omega(sizes, mu, nu, seed):
@@ -56,14 +60,34 @@ def sample_omega(sizes, mu, nu, seed):
     return out
 
 
+def _typed_population(i, spec):
+    """A population entry with its counts as ints (a whole float such as
+    2.0 passes, as in task.grid) and its probabilities checked."""
+    real = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+    spec = dict(spec)
+    for key in spec.keys() & _COUNT_KEYS:
+        v = spec[key]
+        if not (real(v) and float(v).is_integer() and v >= 1):
+            raise ValueError(f"network population {i}: {key} must be an "
+                             "integer >= 1")
+        spec[key] = int(v)
+    for key in spec.keys() & _PROBABILITY_KEYS:
+        if not (real(spec[key]) and 0 <= spec[key] <= 1):
+            raise ValueError(f"network population {i}: {key} must be a "
+                             "number in [0, 1]")
+    return spec
+
+
 def build_network(section: dict, master_seed: int):
     """Construct a CoupledNetwork from a config network section.
 
     Frequencies are an explicit ``omega`` list, else drawn at ``mu`` (and
     ``nu`` with three populations), else zero.  The network holds no
     frustration; the right-hand sides read it from the model config.
-    ValueError for a population entry without exactly its kind's keys, an
-    interlink past the populations, or an explicit xi on an unlinked pair.
+    ValueError for a population entry without exactly its kind's keys or
+    with a count that is not an integer >= 1 or a probability outside
+    [0, 1], an interlink past the populations, or an explicit xi on an
+    unlinked pair.
     """
     section = dict(section)
     preset = section.pop("preset", None)
@@ -85,6 +109,7 @@ def build_network(section: dict, master_seed: int):
         if spec.keys() != _GRAPH_KEYS[kind] | {"kind"}:
             raise ValueError(f"network population {i} ({kind}) takes "
                              f"exactly {sorted(_GRAPH_KEYS[kind])}")
+        spec = _typed_population(i, spec)
         if kind == "kary-tree":
             pops.append(gen_kary_tree(spec["branching"], spec["layers"]))
         elif kind == "erdos-renyi":

@@ -13,18 +13,102 @@ eigenvalues, classification and residual; its status describes the reported
 state.
 
 ``eco2_cubic_coeffs`` gives the interior cubic's coefficients, so a
-companion-matrix solve can check the closed-form roots."""
+companion-matrix solve can check the closed-form roots.
+
+The scalar arithmetic of the one-point-at-a-time solve is kept here as it
+was: ``delta_star`` (None where K < 0), ``_delta_at``, ``_simple_fp4_map``
+and ``eco2_cubic_roots``.  The library evaluates them over arrays of
+candidates, so these copies anchor its bits to the scalar evaluation."""
 
 import numpy as np
 
 from kuracomp.analysis import (_DAMPING, _FP_MAX_ITER, _FP_TOL,
                                BOUNDARY_TOL, IMAG_TOL, RESIDUAL_GATE,
-                               FixedPointRecord, _delta_at,
-                               _newton_polish, _simple_fp4_map, classify,
-                               eco2_back_substitute, eco2_cubic_roots,
-                               eigenvalues)
-from kuracomp.models import (CentroidCoupling, _frustration, centroid_coeffs,
-                             eco2_reduced_rhs, simple_reduced_rhs)
+                               FixedPointRecord, _newton_polish, classify,
+                               eco2_back_substitute, eigenvalues)
+from kuracomp.models import (CentroidCoupling, ModelConfig, _frustration,
+                             centroid_coeffs, eco2_reduced_rhs,
+                             simple_reduced_rhs)
+
+
+def delta_star(C, S, mu):
+    """Stable fixed point of the centroid ODE (the t -> infinity limit),
+    or None when C^2 + S^2 < mu^2 (no fixed point exists).
+
+    Evaluated through whichever of the two algebraically equal forms
+    (C - sqrt(K))/(mu - S) == (mu + S)/(C + sqrt(K)) is well conditioned,
+    which also covers the degenerate branch mu = S.
+    """
+    K = C * C + S * S - mu * mu
+    if K < 0:
+        return None
+    sq = np.sqrt(K)
+    d1, d2 = mu - S, C + sq
+    if abs(d1) < 1e-300 and abs(d2) < 1e-300:
+        return np.pi
+    if abs(d1) >= abs(d2):
+        return 2.0 * np.arctan((C - sq) / d1)
+    return 2.0 * np.arctan((mu + S) / d2)
+
+
+def _delta_at(cfg, coupling, P1, P2):
+    co = centroid_coeffs(cfg, coupling, 1.0 - P2, 1.0 - P1)
+    return delta_star(co.C, co.S, cfg.mu)
+
+
+def _simple_fp4_map(cfg, delta):
+    sd = np.sin(delta)
+    den = 4 * cfg.r1 * cfg.r2 + cfg.beta1 * cfg.beta2 * (sd ** 2 - 4)
+    if abs(den) < 1e-14:
+        return None
+    p1 = 2 * cfg.r2 * (2 * cfg.r1 + cfg.beta2 * sd - 2 * cfg.beta2) / den
+    p2 = 2 * cfg.r1 * (2 * cfg.r2 - cfg.beta1 * sd - 2 * cfg.beta1) / den
+    return p1, p2
+
+
+def eco2_cubic_roots(cfg: ModelConfig, delta) -> np.ndarray:
+    """The three interior-candidate roots in P2 via the cube-root closed
+    forms (Cardano): root_k = (F1 - z^k Ct - F2/(z^k Ct)) / (3 a3) with
+    Ct = -2^(-1/3) F3, F3 = (chi + sqrt(chi^2 - 4 F2^3))^(1/3).
+
+    F1, F2 and chi are evaluated from their printed expansions in the
+    shorthand (delta, beta2~); both sqrt branches are tried when F3
+    degenerates.
+    """
+    dlt = 0.5 * (np.sin(delta) + 2.0)
+    b2t = cfg.beta2 * 0.5 * (2.0 - np.sin(delta))
+    r1, r2, b1, a, t, x1 = cfg.r1, cfg.r2, cfg.beta1, cfg.alpha, cfg.tau, cfg.x1
+
+    F1 = a * (b1 * dlt * b2t + (b1 * t - 1) * r1 * r2)
+    xi = (2 * a + 3) * b1 * b2t * t - 2 * a * b2t + 3 * a * b1 * t * x1
+    F2 = a * (a * b1 ** 2 * dlt ** 2 * b2t ** 2 + b1 * dlt * xi * r1 * r2
+              + a * r1 ** 2 * r2 * (-3 * b1 ** 2 * dlt * t
+                                    + (1 + b1 * t + b1 ** 2 * t ** 2) * r2))
+    chi = a ** 2 * (
+        2 * b1 ** 3 * a * dlt ** 3 * b2t ** 3
+        + 3 * b1 ** 2 * dlt ** 2 * b2t * xi * r1 * r2
+        + (b1 * t - 1) * a * r1 ** 3 * r2 ** 2
+        * (-9 * b1 ** 2 * dlt * t + (2 + 5 * b1 * t + 2 * b1 ** 2 * t ** 2) * r2)
+        + 3 * b1 * dlt * r1 ** 2 * r2
+        * (-3 * a * b1 ** 2 * dlt * t * b2t
+           + r2 * (-xi + b1 * t * (xi + 3 * a * b2t + 9 * b1 * t * x1))))
+
+    a3 = a * b1 * t * r1 * r2
+    disc = complex(chi) ** 2 - 4.0 * complex(F2) ** 3
+    sq = np.sqrt(disc)
+    f3 = (complex(chi) + sq) ** (1.0 / 3.0)
+    if abs(f3) < 1e-12 * max(1.0, abs(chi)) ** (1 / 3):
+        f3 = (complex(chi) - sq) ** (1.0 / 3.0)
+    if abs(f3) < 1e-300:
+        # triple root
+        return np.full(3, F1 / (3.0 * a3), dtype=complex)
+    ct = -(2.0 ** (-1.0 / 3.0)) * f3
+    zeta = np.exp(2j * np.pi / 3.0)
+    roots = []
+    for k in range(3):
+        c_k = (zeta ** k) * ct
+        roots.append((F1 - c_k - F2 / c_k) / (3.0 * a3))
+    return np.array(roots, dtype=complex)
 
 
 def _make_record(label, state, rhs, jac_fn, physical=True):

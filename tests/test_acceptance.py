@@ -105,7 +105,7 @@ def test_criterion_3_threshold_reproduction_heatmap():
         c = cfg.with_overrides(phi=float(ph))
         co = centroid_coeffs(c, CentroidCoupling.from_config(c), 1.0, 0.0)
         d1 = analysis.delta_star(co.C, co.S, c.mu)
-        if d1 is None:
+        if np.isnan(d1):
             continue
         threshold = c.r2 / (1 + 0.5 * np.sin(d1))
         if not betas[1] < threshold < betas[-2]:

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +36,9 @@ def test_delta_star_limit_value():
 
 
 def test_delta_star_nonexistence():
-    assert analysis.delta_star(1.0, 0.5, 2.0) is None
+    assert np.isnan(analysis.delta_star(1.0, 0.5, 2.0))
+    d = analysis.delta_star(np.array([1.0, 2.0]), 0.5, np.array([2.0, 0.2]))
+    assert np.isnan(d[0]) and d[1] == analysis.delta_star(2.0, 0.5, 0.2)
 
 
 def test_delta_star_is_stable_root():
@@ -335,6 +339,13 @@ def test_fixed_points_equal_the_oracle(variant, problem):
                             mu=0.7739, phi=2.1091, psi=2.7229, gamma1=0.8918,
                             gamma2=1.4602), "polish"),
     ("eco2-reduced", _POLISHED_INTO_RANGE, "polish"),
+    # FP4 wanders for _FP_MAX_ITER steps without repeating an iterate
+    ("simple-reduced", dict(r1=1.9048467365346315, r2=1.5056960931772485,
+                            beta1=1.972698333588266, beta2=1.972698333588266,
+                            mu=2.2271262954351222e-158, phi=2.136273354072342,
+                            psi=2.136273354072342, gamma1=1.5056960931772485,
+                            gamma2=0.14287544931940446),
+     "FP4: polished onto FP2's position"),
 ])
 def test_fixed_point_cases_equal_the_oracle(variant, params, note,
                                             monkeypatch):
@@ -361,6 +372,56 @@ def test_interior_point_polished_onto_the_boundary_is_dropped():
                and n.endswith("), dropped") for n in notes)
     for rec in records[2:]:
         assert np.max(np.abs(rec.state[:2])) > 1e-9
+
+
+def _stack(objs):
+    """One config (or coupling) whose fields hold one value per object."""
+    return replace(objs[0], **{f.name: np.array([getattr(o, f.name)
+                                                  for o in objs])
+                               for f in fields(objs[0])})
+
+
+# Under simple-reduced, FP4 of the first point wanders for _FP_MAX_ITER
+# steps without repeating an iterate; under eco2-reduced, FP3 of the second
+# repeats its iterate from step 66 on, so its result is the step it shares
+# with _FP_MAX_ITER on that cycle.
+_AT_THE_CAP = [
+    (ModelConfig(r1=1.9048467365346315, r2=1.5056960931772485,
+                 beta1=1.972698333588266, beta2=1.972698333588266,
+                 alpha=25.0, tau=1.972698333588266, x1=0.34794809307352353,
+                 mu=2.2271262954351222e-158, phi=2.136273354072342,
+                 psi=2.136273354072342),
+     CentroidCoupling(g12=1.5056960931772485, g21=0.14287544931940446)),
+    (ModelConfig(r1=3.7208378204040864, r2=0.5, beta1=5.054590954668978,
+                 beta2=5.826215711694953, alpha=21.8010474038784,
+                 tau=0.99999, x1=8.171990527796443e-14,
+                 mu=0.8348419324837388, phi=0.8348419324837388,
+                 psi=-2.977299993796024),
+     CentroidCoupling(g12=0.8348419324837388, g21=1.9771327504386682)),
+    (_eco_config(), CentroidCoupling()),
+]
+
+
+@pytest.mark.parametrize("variant", ["simple-reduced", "eco2-reduced"])
+@settings(max_examples=40)
+@given(problems=hst.lists(_fixed_point_problems(), min_size=1, max_size=12))
+@example(problems=_AT_THE_CAP)
+def test_batch_points_equal_their_one_point_calls(variant, problems):
+    # the points of one batch iterate together; each must come out as its
+    # own one-point call, bit for bit, notes included
+    batch_notes = []
+    batch = _FIXED_POINTS[variant](*map(_stack, zip(*problems)), batch_notes)
+    assert len(batch) == len(batch_notes) == len(problems)
+    for (cfg, coupling), got, got_notes in zip(problems, batch, batch_notes):
+        want_notes = []
+        want = _FIXED_POINTS[variant](cfg, coupling, want_notes)
+        assert got_notes == want_notes
+        assert ([(r.label, r.status, r.classification) for r in got]
+                == [(r.label, r.status, r.classification) for r in want])
+        for g, w in zip(got, want):
+            assert _bits(g.state) == _bits(w.state)
+            assert _bits(g.eigenvalues) == _bits(w.eigenvalues)
+            assert _bits(g.residual) == _bits(w.residual)
 
 
 @pytest.mark.parametrize("variant", ["simple-reduced", "eco2-reduced"])
@@ -515,7 +576,7 @@ def test_sweep_trajectories_equal_per_point_scenarios(param, values, method):
         c = cfg.with_overrides(**{param: row.param_value})
         system = models.build_system("simple-reduced", c)
         d0 = analysis._delta_at(c, system.coupling, 0.5, 0.5)
-        y0 = np.array([0.5, 0.5, d0 if d0 is not None else 0.0])
+        y0 = np.array([0.5, 0.5, 0.0 if np.isnan(d0) else d0])
         one = solver.run_scenario(system, y0, st)
         assert row.attractor == analysis._label_attractor(one.trajectory)
         np.testing.assert_array_equal(row.terminal_state,

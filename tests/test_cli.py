@@ -451,6 +451,18 @@ def _net(pop0=None, pop1=None, **changes):
      "-o", "solver.t_end=2"],
     # task.n_sim on a reduced variant, whatever the task
     ["fixed-points", "-c", "simple-cs", "-o", "task.n_sim=5"],
+    # population counts that are not integers >= 1 and probabilities that
+    # are not numbers in [0, 1]
+    _net(pop0={"kind": "erdos-renyi", "n": 2.5, "p": 0.5}),
+    _net(pop0={"kind": "erdos-renyi", "n": True, "p": 0.5}),
+    _net(pop1={"kind": "kary-tree", "branching": "2", "layers": 2}),
+    _net(pop1={"kind": "kary-tree", "branching": 2, "layers": 0}),
+    _net(pop0={"kind": "watts-strogatz", "n": 8, "k": 2.0000001,
+               "p_rewire": 0.1}),
+    _net(pop0={"kind": "explicit", "n": None, "edges": []}),
+    _net(pop0={"kind": "erdos-renyi", "n": 8, "p": 1.5}),
+    _net(pop0={"kind": "erdos-renyi", "n": 8, "p": True}),
+    _net(pop0={"kind": "watts-strogatz", "n": 8, "k": 2, "p_rewire": "0.1"}),
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"

@@ -325,6 +325,23 @@ def test_network_config_with_numpy_indices_survives_json():
     assert rebuilt.tactical == net.tactical
 
 
+def test_whole_float_counts_build_the_same_network():
+    # a population count given as a whole float passes, as task.grid's does
+    from kuracomp.presets import build_network
+
+    def section(n, branching):
+        return {"populations": [
+            {"kind": "erdos-renyi", "n": n, "p": 0.5},
+            {"kind": "kary-tree", "branching": branching, "layers": 2}],
+            "sigma": [1, 1], "interlinks": {"0-1": [[0, 0]]}}
+
+    got = build_network(section(8.0, 2.0), master_seed=3)
+    want = build_network(section(8, 2), master_seed=3)
+    assert list(got.sizes) == list(want.sizes) == [8, 7]
+    assert all(type(n) is int for n in got.sizes)
+    assert np.array_equal(got.weight_matrix(), want.weight_matrix())
+
+
 @pytest.mark.parametrize("preset", ["paper-usecase", "paper-2pop"])
 @pytest.mark.parametrize("seed", [0, 7, 42])
 def test_centroid_coupling_reads_the_cross_degree_totals(preset, seed):
