@@ -3,7 +3,9 @@
 Commands: simulate, fixed-points, sweep, basin, heatmap, doe, glm, presets.
 Every run echoes its resolved config (with hash) into the output directory
 so any artifact can be reproduced exactly from the echo plus the master
-seed.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
+seed.  A run first removes every artifact its task may write, so each file
+it writes is new and none is left from an earlier run into the same
+directory.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -444,6 +446,18 @@ _TASKS = {
     "glm": _task_glm,
 }
 
+# the files each task may write beside resolved_config.json and
+# metadata.json; run_config removes them all before a run writes anything
+_ARTIFACTS = {
+    "simulate": ("ensemble.json", "trajectory.csv", "outcome.json"),
+    "fixed-points": ("fixed_points.csv", "diagnostics.json"),
+    "sweep": ("sweep.csv",),
+    "basin": ("basin_cells.csv", "basin.json"),
+    "heatmap": ("heatmap.csv", "heatmap.csv.json", "heatmap.svg"),
+    "doe": ("doe_log.csv",),
+    "glm": ("glm_coefficients.csv", "permutation_importance.json"),
+}
+
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
@@ -551,9 +565,14 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
             raise
         raise ValidationFailure(str(exc)) from exc
     outdir = Path(config.get("output", "out"))
+    names = ("resolved_config.json", "metadata.json", *_ARTIFACTS[task_type])
+    # a rerun writes new files: truncating the last run's in place is slow
+    # on some file systems, writes through links, and leaves behind the
+    # artifacts that this run does not write
+    for name in names:
+        (outdir / name).unlink(missing_ok=True)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "resolved_config.json", "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True, default=float)
+    _write_json(outdir / "resolved_config.json", config)
     runner = _TASKS[task_type]
     heatmap = {"jobs": jobs, "svg": svg} if task_type == "heatmap" else {}
     summary = runner(config, system, settings, master_seed, outdir, **heatmap)
@@ -561,6 +580,8 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
         "config_hash": config_hash(config),
         "seed": master_seed,
         "task": task_type,
+        "artifacts": sorted(name for name in names if name == "metadata.json"
+                            or (outdir / name).exists()),
         "versions": {"kuracomp": __version__, "numpy": np.__version__},
         "wall_time_s": time.time() - started,
     }

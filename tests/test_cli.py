@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -82,6 +84,8 @@ def test_simulate_preset_and_artifacts(tmp_path):
     assert (out / "resolved_config.json").exists()
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["task"] == "simulate" and "config_hash" in meta
+    assert meta["artifacts"] == ["metadata.json", "outcome.json",
+                                 "resolved_config.json", "trajectory.csv"]
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,P1,P2,Delta1"
 
@@ -703,3 +707,138 @@ def test_doe_records_equal_per_point_estimate_basin(model, data):
         want = basin.estimate_basin(model, replace(cfg, **point), spec,
                                     net=net).value
         assert np.array_equal(rec.y, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# reruns into one output directory
+# ---------------------------------------------------------------------------
+
+_GLM_LOG = "iter,source,beta1,phi,basin,objective\n" + "".join(
+    f"{i},initial,{1 + 0.5 * i},{0.1 * (3 * i % 8) - 0.35},"
+    f"{0.1 + 0.1 * i},0\n" for i in range(8))
+
+_SMOKE = ["solver.method=rk4", "solver.dt_init=0.05", "solver.t_end=4"]
+
+# one smoke-size run per task, each writing every artifact it can
+_EVERY_TASK = {
+    "simulate": ("simple-cs", ["task.type=simulate"], {}),
+    "ensemble": ("fig3b", ["task.n_sim=2", "solver.recon_T=1"], {}),
+    "fixed-points": ("simple-cs", ["beta1=10"], {}),      # diagnostics.json
+    "sweep": ("simple-cs", ["task.type=sweep", "task.param=beta1",
+                            "task.range=[1.8,3.0]", "task.n_points=3"], {}),
+    "basin": ("simple-cs", ["task.type=basin", "task.grid=[2,2]"], {}),
+    "heatmap": ("simple-cs", ["task.type=heatmap", "task.x_param=beta1",
+                              "task.x_range=[1,2]", "task.x_points=2",
+                              "task.y_param=phi", "task.y_range=[0,1]",
+                              "task.y_points=2", "task.grid=[2,2]"],
+                {"svg": True}),
+    "doe": ("simple-cs", ["task.type=doe", _DOE, "task.k_init=5",
+                          "task.n_total=5", "task.grid=[2,2]"], {}),
+    "glm": ("simple-cs", ["task.type=glm", "task.input={log}"], {}),
+}
+
+
+def _run_smoke(run, out, seed, tmp_path):
+    preset, overrides, kwargs = run
+    log = tmp_path / "doe_log.csv"
+    log.write_text(_GLM_LOG)
+    overrides = [o.replace("{log}", str(log)) for o in overrides]
+    cli.run(preset, overrides=overrides + _SMOKE, out_dir=out, seed=seed,
+            **kwargs)
+
+
+def _comparable(path):
+    """A file's bytes, but a heatmap's runtime dropped from its sidecar."""
+    if path.name != "heatmap.csv.json":
+        return path.read_bytes()
+    meta = json.loads(path.read_text())
+    del meta["runtime_s"]
+    return meta
+
+
+@pytest.mark.parametrize("case", list(_EVERY_TASK))
+def test_rerun_writes_new_files_named_in_the_task_table(case, tmp_path):
+    out = tmp_path / "out"
+    _run_smoke(_EVERY_TASK[case], out, 0, tmp_path)
+    task = json.loads((out / "metadata.json").read_text())["task"]
+    table = {"resolved_config.json", "metadata.json", *cli._ARTIFACTS[task]}
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(first) <= table
+    listed = json.loads(first["metadata.json"])["artifacts"]
+    assert listed == sorted(first)
+
+    links = tmp_path / "links"
+    links.mkdir()
+    for name in first:
+        os.link(out / name, links / name)
+    _run_smoke(_EVERY_TASK[case], out, 1, tmp_path)
+    rerun = {p.name: _comparable(p) for p in out.iterdir()}
+    for name, data in first.items():
+        assert (links / name).read_bytes() == data, name   # not written to
+        assert (links / name).stat().st_ino != (out / name).stat().st_ino
+
+    shutil.rmtree(out)
+    _run_smoke(_EVERY_TASK[case], out, 1, tmp_path)
+    fresh = {p.name: _comparable(p) for p in out.iterdir()}
+    assert rerun.keys() == fresh.keys()
+    for name in fresh.keys() - {"metadata.json"}:
+        assert rerun[name] == fresh[name], name
+
+
+@pytest.mark.parametrize("first, second, stale", [
+    ("fixed-points", ("simple-cs", [], {}), {"diagnostics.json"}),
+    ("heatmap", (*_EVERY_TASK["heatmap"][:2], {}), {"heatmap.svg"}),
+    ("simulate", _EVERY_TASK["ensemble"], {"trajectory.csv", "outcome.json"}),
+    ("ensemble", _EVERY_TASK["simulate"], {"ensemble.json"})])
+def test_rerun_leaves_no_artifact_it_does_not_write(first, second, stale,
+                                                    tmp_path):
+    out = tmp_path / "out"
+    _run_smoke(_EVERY_TASK[first], out, 0, tmp_path)
+    assert stale <= {p.name for p in out.iterdir()}
+    _run_smoke(second, out, 0, tmp_path)
+    written = {p.name for p in out.iterdir()}
+    assert not written & stale
+    listed = json.loads((out / "metadata.json").read_text())["artifacts"]
+    assert listed == sorted(written)
+
+
+def test_failed_rerun_leaves_no_artifact_of_the_last_run(tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "out"
+    args = ["simulate", "-c", "simple-cs", "-o", "solver.t_end=2",
+            "--out", str(out)]
+    assert cli.main(args) == 0
+    assert (out / "trajectory.csv").exists()
+    # a right-hand side that turns NaN once P1 grows past 0.6
+    monkeypatch.setitem(models._REDUCED, "simple-reduced",
+                        (lambda y, *params: np.where(y > 0.6, np.nan, y),
+                         2, 1))
+    assert cli.main(args) == 3
+    assert {p.name for p in out.iterdir()} == {"resolved_config.json"}
+
+
+def test_rejected_rerun_touches_nothing(tmp_path):
+    out = tmp_path / "out"
+    args = ["simulate", "-c", "simple-cs", "-o", "solver.t_end=2",
+            "--out", str(out)]
+    assert cli.main(args) == 0
+
+    def listing():
+        return {p.name: (p.stat().st_ino, p.read_bytes())
+                for p in out.iterdir()}
+
+    before = listing()
+    assert cli.main(args + ["-o", "r1=NaN"]) == 2
+    assert listing() == before
+
+
+def test_rerun_does_not_write_through_a_symlink(tmp_path):
+    out = tmp_path / "fps"
+    out.mkdir()
+    target = tmp_path / "elsewhere.csv"
+    target.write_text("kept\n")
+    (out / "fixed_points.csv").symlink_to(target)
+    cli.run("simple-cs", out_dir=out, seed=0)
+    assert target.read_text() == "kept\n"
+    assert not (out / "fixed_points.csv").is_symlink()
+    assert (out / "fixed_points.csv").read_text().startswith("label,")
