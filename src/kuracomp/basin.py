@@ -25,7 +25,6 @@ so results are independent of evaluation order; a heatmap entry equals
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
@@ -234,8 +233,7 @@ def basin_heatmap(model: str, cfg, x_name: str, x_values, y_name: str,
     return matrix, x_values, y_values
 
 
-def heatmap_to_csv(matrix, x_values, y_values, path, meta: dict = None,
-                   started: float = None):
+def heatmap_to_csv(matrix, x_values, y_values, path, meta: dict = None):
     """First row = x-axis values, first column = y-axis values, body =
     basin fractions; companion .json metadata next to the CSV."""
     with open(path, "w") as fh:
@@ -243,8 +241,5 @@ def heatmap_to_csv(matrix, x_values, y_values, path, meta: dict = None,
         for yv, row in zip(y_values, matrix):
             fh.write(f"{yv:.12g}," + ",".join(f"{v:.12g}" for v in row) + "\n")
     if meta is not None:
-        meta = dict(meta)
-        if started is not None:
-            meta["runtime_s"] = time.time() - started
         with open(str(path) + ".json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -371,7 +371,6 @@ def _task_heatmap(config, system, settings, seed, outdir, jobs=1, svg=False):
     task = config["task"]
     spec = _basin_spec(task, settings, seed)
     xs, ys = _swept(task).values()
-    started = time.time()
     matrix, xv, yv = basin.basin_heatmap(
         system.name, system.cfg, task["x_param"], xs, task["y_param"], ys,
         spec, net=system.net, jobs=jobs)
@@ -379,8 +378,7 @@ def _task_heatmap(config, system, settings, seed, outdir, jobs=1, svg=False):
             "seed": seed, "x_param": task["x_param"],
             "y_param": task["y_param"],
             "resolutions": [int(xs.size), int(ys.size), list(spec.grid)]}
-    basin.heatmap_to_csv(matrix, xv, yv, outdir / "heatmap.csv", meta=meta,
-                         started=started)
+    basin.heatmap_to_csv(matrix, xv, yv, outdir / "heatmap.csv", meta=meta)
     if svg:
         _write_svg_heatmap(matrix, outdir / "heatmap.svg")
     return {"min": float(matrix.min()), "max": float(matrix.max())}
@@ -566,6 +564,12 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
         raise ValidationFailure(str(exc)) from exc
     outdir = Path(config.get("output", "out"))
     names = ("resolved_config.json", "metadata.json", *_ARTIFACTS[task_type])
+    for path in (outdir, *outdir.parents):
+        if path.exists() and not path.is_dir():
+            raise ValidationFailure(f"output: {path} is not a directory")
+    for path in (outdir / name for name in names):
+        if path.is_dir() and not path.is_symlink():
+            raise ValidationFailure(f"output: {path} is a directory")
     # a rerun writes new files: truncating the last run's in place is slow
     # on some file systems, writes through links, and leaves behind the
     # artifacts that this run does not write

@@ -20,6 +20,10 @@ Variants (selected by name):
                     provisioning, recruitment/decay modulation).
     "eco3-reduced"  its five-dimensional centroid reduction.
 
+Each family's resource law (simple, eco2, eco3) is written once: a full
+variant feeds it its network centroids' initiatives and, with feedback, the
+order-parameter powers; its reduced variant feeds it Delta's initiatives.
+
 State packing for the solver: y = [P_1..P_m, theta_0..theta_{n-1}] for full
 variants, y = [P_1..P_m, Delta_1(, Delta_2)] for reduced ones.  A reduced
 right-hand side takes y of shape (dim,) with scalar parameters or (dim, B)
@@ -267,76 +271,96 @@ def _phases(theta, net, n=None):
     return s, c, th, (o[:net.n_pops], o[net.n_pops:])
 
 
-def _phase_rates(s, c, cfg, net, P, k1, k2):
-    """d(theta)/dt at cfg's frustration under feedback
-    H = clip(1 - P_adv/K_adv, 0, 1) on populations 1 and 2 and H = 1 on a
-    third."""
-    h1 = np.clip(1.0 - P[1] / k2, 0.0, 1.0)
-    h2 = np.clip(1.0 - P[0] / k1, 0.0, 1.0)
-    h = np.stack([h1, h2, np.ones_like(h1)])[_phase_plan(net).feedback_row]
-    return _kuramoto_rates(s, c, net, h, cfg.phi, cfg.psi)
+# ---------------------------------------------------------------------------
+# resource laws, one per family
+# ---------------------------------------------------------------------------
+
+# law(out, cfg, P, i1, i2, fb) writes the population rows of dy into out;
+# i1 = I(th2 - th1) and i2 = I(th1 - th2) weight the reductions of
+# populations 1 and 2, and fb is (O_S^n, O_T^n), or None without feedback.
+# Products and differences run in their written order, which fixes the bits.
+def _simple_law(out, cfg, P, i1, i2, fb):
+    """Logistic growth, bilinear reduction ("simple", "feedback")."""
+    P1, P2 = P[0], P[1]
+    g1, g2 = cfg.r1 * P1 * (1 - P1), cfg.r2 * P2 * (1 - P2)
+    l1, l2 = cfg.beta2 * P1 * P2, cfg.beta1 * P2 * P1
+    if fb is not None:
+        o_s, o_t = fb
+        g1, g2, l1, l2 = g1 * o_s[0], g2 * o_s[1], l1 * o_t[1], l2 * o_t[0]
+    np.subtract(g1, l1 * i1, out=out[0, ...])
+    np.subtract(g2, l2 * i2, out=out[1, ...])
+
+
+def _eco2_law(out, cfg, P, i1, i2, fb):
+    """Sigmoidal recruitment, Holling reduction, Blue withdrawal."""
+    P1, P2 = P[0], P[1]
+    recruit1 = cfg.r1 * cfg.alpha * P2 / (1 + cfg.alpha * P2)
+    holling = cfg.beta1 * P2 / (1 + cfg.tau * cfg.beta1 * P2)
+    g1, g2 = recruit1 * P1 * (1 - P1), cfg.r2 * P2 * (1 - P2)
+    l1, l2 = cfg.beta2 * P1 * P2, holling * P1
+    if fb is not None:
+        o_s, o_t = fb
+        g1, g2, l1, l2 = g1 * o_s[0], g2 * o_s[1], l1 * o_t[1], l2 * o_t[0]
+    np.subtract(g1 - l1 * i1, cfg.x1 * P1, out=out[0, ...])
+    np.subtract(g2, l2 * i2, out=out[1, ...])
+
+
+def _eco3_law(out, cfg, P, i1, i2, fb):
+    """Dimensional three-population law; population 3 is non-trophic."""
+    P1, P2, P3 = P[0], P[1], P[2]
+    r1s = cfg.r1 * cfg.alpha * P2 / (1 + cfg.alpha * P2)
+    r3s = (cfg.r3 + cfg.r3_max * P1) / (1 + P1)
+    beta1s = (cfg.beta1 + cfg.beta1_min * P3) / (1 + P3)
+    f12s = beta1s * P2 / (1 + cfg.tau * beta1s * P2)
+    x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P1 / (1 + P1)
+           + (cfg.x3_max - cfg.x3) * P2 / (1 + P2))
+    g1, g2 = r1s * P1 * (1 - P1 / cfg.K1), cfg.r2 * P2 * (1 - P2 / cfg.K2)
+    g3, l1, l2 = r3s * P3 * (1 - P3 / cfg.K3), cfg.beta2 * P1 * P2, f12s * P1
+    if fb is not None:
+        o_s, o_t = fb
+        g1, g2, l1, l2 = g1 * o_s[0], g2 * o_s[1], l1 * o_t[1], l2 * o_t[0]
+        g3 = g3 * o_s[2]
+    np.subtract(g1 - l1 * i1, cfg.x1 * P1, out=out[0, ...])
+    np.subtract(g2, l2 * i2, out=out[1, ...])
+    np.subtract(g3, x3s * P3, out=out[2, ...])
 
 
 # ---------------------------------------------------------------------------
 # full (networked) variants
 # ---------------------------------------------------------------------------
 
+def _full_rhs(law, n_pops, n, y, cfg, net, k1, k2):
+    """The law's rows from the network's centroids (powers for an exponent n),
+    then d(theta)/dt under H = clip(1 - P_adv/K_adv, 0, 1), 1 on a third."""
+    P, theta = y[:n_pops], y[n_pops:]
+    s, c, (th1, th2), fb = _phases(theta, net, n)
+    out = np.empty(y.shape)
+    law(out, cfg, P, _initiative(th2 - th1), _initiative(th1 - th2), fb)
+    h1 = np.clip(1.0 - P[1] / k2, 0.0, 1.0)
+    h2 = np.clip(1.0 - P[0] / k1, 0.0, 1.0)
+    h = np.stack([h1, h2, np.ones_like(h1)])[_phase_plan(net).feedback_row]
+    out[n_pops:] = _kuramoto_rates(s, c, net, h, cfg.phi, cfg.psi)
+    return out
+
+
 def simple_rhs(y, cfg: ModelConfig, net):
-    """Two-population logistic/bilinear competition with full phase vector."""
-    P, theta = y[:2], y[2:]
-    s, c, (th1, th2), _ = _phases(theta, net)
-    dP1 = cfg.r1 * P[0] * (1 - P[0]) - cfg.beta2 * P[0] * P[1] * _initiative(th2 - th1)
-    dP2 = cfg.r2 * P[1] * (1 - P[1]) - cfg.beta1 * P[1] * P[0] * _initiative(th1 - th2)
-    dtheta = _phase_rates(s, c, cfg, net, P, 1.0, 1.0)
-    return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
+    """Full "simple": two populations and the phase vector."""
+    return _full_rhs(_simple_law, 2, None, y, cfg, net, 1.0, 1.0)
 
 
 def feedback_rhs(y, cfg: ModelConfig, net):
-    """"simple" plus order-parameter feedback O_S^n on growth, O_T^n on reduction."""
-    P, theta = y[:2], y[2:]
-    s, c, (th1, th2), (o_s, o_t) = _phases(theta, net, cfg.p_exponent)
-    dP1 = (cfg.r1 * P[0] * (1 - P[0]) * o_s[0]
-           - cfg.beta2 * P[0] * P[1] * o_t[1] * _initiative(th2 - th1))
-    dP2 = (cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
-           - cfg.beta1 * P[1] * P[0] * o_t[0] * _initiative(th1 - th2))
-    dtheta = _phase_rates(s, c, cfg, net, P, 1.0, 1.0)
-    return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
+    """Full "simple" with order-parameter feedback."""
+    return _full_rhs(_simple_law, 2, cfg.p_exponent, y, cfg, net, 1.0, 1.0)
 
 
 def eco2_rhs(y, cfg: ModelConfig, net):
-    """Nondimensional ecology variant, two populations, full phase vector."""
-    P, theta = y[:2], y[2:]
-    s, c, (th1, th2), (o_s, o_t) = _phases(theta, net, cfg.p_exponent)
-    recruit1 = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
-    holling = cfg.beta1 * P[1] / (1 + cfg.tau * cfg.beta1 * P[1])
-    dP1 = (recruit1 * P[0] * (1 - P[0]) * o_s[0]
-           - cfg.beta2 * P[0] * P[1] * o_t[1] * _initiative(th2 - th1)
-           - cfg.x1 * P[0])
-    dP2 = (cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
-           - holling * P[0] * o_t[0] * _initiative(th1 - th2))
-    dtheta = _phase_rates(s, c, cfg, net, P, 1.0, 1.0)
-    return np.concatenate([np.stack([dP1, dP2]), dtheta], axis=0)
+    """Full nondimensional two-population ecology variant."""
+    return _full_rhs(_eco2_law, 2, cfg.p_exponent, y, cfg, net, 1.0, 1.0)
 
 
 def eco3_rhs(y, cfg: ModelConfig, net):
-    """Dimensional three-population variant; the third population is
-    non-trophic (no reduction terms touch it)."""
-    P, theta = y[:3], y[3:]
-    s, c, (th1, th2), (o_s, o_t) = _phases(theta, net, cfg.p_exponent)
-    r1s = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
-    r3s = (cfg.r3 + cfg.r3_max * P[0]) / (1 + P[0])
-    beta1s = (cfg.beta1 + cfg.beta1_min * P[2]) / (1 + P[2])
-    f12s = beta1s * P[1] / (1 + cfg.tau * beta1s * P[1])
-    x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P[0] / (1 + P[0])
-           + (cfg.x3_max - cfg.x3) * P[1] / (1 + P[1]))
-    dP1 = (r1s * P[0] * (1 - P[0] / cfg.K1) * o_s[0]
-           - cfg.beta2 * P[0] * P[1] * o_t[1] * _initiative(th2 - th1)
-           - cfg.x1 * P[0])
-    dP2 = (cfg.r2 * P[1] * (1 - P[1] / cfg.K2) * o_s[1]
-           - f12s * P[0] * o_t[0] * _initiative(th1 - th2))
-    dP3 = r3s * P[2] * (1 - P[2] / cfg.K3) * o_s[2] - x3s * P[2]
-    dtheta = _phase_rates(s, c, cfg, net, P, cfg.K1, cfg.K2)
-    return np.concatenate([np.stack([dP1, dP2, dP3]), dtheta], axis=0)
+    """Full dimensional three-population variant."""
+    return _full_rhs(_eco3_law, 3, cfg.p_exponent, y, cfg, net, cfg.K1, cfg.K2)
 
 
 # ---------------------------------------------------------------------------
@@ -345,60 +369,38 @@ def eco3_rhs(y, cfg: ModelConfig, net):
 
 # _initiative(-d) is 0.5 * (2 - sin d): the same float, as numpy's sin is odd
 
-def simple_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling, fr):
-    """(P1, P2, Delta) flow of the reduced two-population model."""
+def _reduced2_rhs(law, y, cfg, coupling, fr):
+    """(P1, P2, Delta) flow of a two-population law's reduction."""
     P1, P2, delta = y[0], y[1], y[2]
     sin_d, cos_d = np.sin(delta), np.cos(delta)
     c, s = _cs(coupling, fr, 1.0 - P2, 1.0 - P1)
     out = np.empty(y.shape)
-    np.subtract(cfg.r1 * P1 * (1 - P1),
-                cfg.beta2 * P1 * P2 * (0.5 * (2.0 - sin_d)), out=out[0, ...])
-    np.subtract(cfg.r2 * P2 * (1 - P2),
-                cfg.beta1 * P2 * P1 * (0.5 * (sin_d + 2.0)), out=out[1, ...])
+    law(out, cfg, (P1, P2), 0.5 * (2.0 - sin_d), 0.5 * (sin_d + 2.0), None)
     np.subtract(cfg.mu + s * cos_d, c * sin_d, out=out[2, ...])
     return out
+
+
+def simple_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling, fr):
+    """(P1, P2, Delta) flow of the reduced "simple" model."""
+    return _reduced2_rhs(_simple_law, y, cfg, coupling, fr)
 
 
 def eco2_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling, fr):
-    """(P1, P2, Delta) flow of the reduced nondimensional ecology model."""
-    P1, P2, delta = y[0], y[1], y[2]
-    sin_d, cos_d = np.sin(delta), np.cos(delta)
-    c, s = _cs(coupling, fr, 1.0 - P2, 1.0 - P1)
-    recruit1 = cfg.r1 * cfg.alpha * P2 / (1 + cfg.alpha * P2)
-    holling = cfg.beta1 * P2 / (1 + cfg.tau * cfg.beta1 * P2)
-    out = np.empty(y.shape)
-    np.subtract(recruit1 * P1 * (1 - P1)
-                - cfg.beta2 * P1 * P2 * (0.5 * (2.0 - sin_d)), cfg.x1 * P1,
-                out=out[0, ...])
-    np.subtract(cfg.r2 * P2 * (1 - P2), holling * P1 * (0.5 * (sin_d + 2.0)),
-                out=out[1, ...])
-    np.subtract(cfg.mu + s * cos_d, c * sin_d, out=out[2, ...])
-    return out
+    """(P1, P2, Delta) flow of the reduced eco2 model."""
+    return _reduced2_rhs(_eco2_law, y, cfg, coupling, fr)
 
 
 def eco3_reduced_rhs(y, cfg: ModelConfig, coupling: CentroidCoupling, fr):
     """(P1, P2, P3, Delta1, Delta2) flow of the reduced three-population
     model; ``fr`` is unused, as expanding sin(Delta1 -+ phi) moves bits."""
-    P1, P2, P3, d1, d2 = y[0], y[1], y[2], y[3], y[4]
+    P, d1, d2 = y[:3], y[3], y[4]
     sin_d1, sin_d2, sin_21 = np.sin(d1), np.sin(d2), np.sin(d2 - d1)
-    p1_1 = 1 + P1
-    r1s = cfg.r1 * cfg.alpha * P2 / (1 + cfg.alpha * P2)
-    r3s = (cfg.r3 + cfg.r3_max * P1) / p1_1
-    beta1s = (cfg.beta1 + cfg.beta1_min * P3) / (1 + P3)
-    f12s = beta1s * P2 / (1 + cfg.tau * beta1s * P2)
-    x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P1 / p1_1
-           + (cfg.x3_max - cfg.x3) * P2 / (1 + P2))
-    # dimensional feedback: H = clip(1 - P_adv/K_adv, 0, 1)
-    h1 = np.clip(1.0 - P2 / cfg.K2, 0.0, 1.0)
-    h2 = np.clip(1.0 - P1 / cfg.K1, 0.0, 1.0)
-    blue = h1 * (coupling.g12 * np.sin(d1 - cfg.phi) + coupling.g13 * sin_d2)
     out = np.empty(y.shape)
-    np.subtract(r1s * P1 * (1 - P1 / cfg.K1)
-                - cfg.beta2 * P1 * P2 * (0.5 * (2.0 - sin_d1)), cfg.x1 * P1,
-                out=out[0, ...])
-    np.subtract(cfg.r2 * P2 * (1 - P2 / cfg.K2),
-                f12s * P1 * (0.5 * (sin_d1 + 2.0)), out=out[1, ...])
-    np.subtract(r3s * P3 * (1 - P3 / cfg.K3), x3s * P3, out=out[2, ...])
+    _eco3_law(out, cfg, P, 0.5 * (2.0 - sin_d1), 0.5 * (sin_d1 + 2.0), None)
+    # dimensional feedback: H = clip(1 - P_adv/K_adv, 0, 1)
+    h1 = np.clip(1.0 - P[1] / cfg.K2, 0.0, 1.0)
+    h2 = np.clip(1.0 - P[0] / cfg.K1, 0.0, 1.0)
+    blue = h1 * (coupling.g12 * np.sin(d1 - cfg.phi) + coupling.g13 * sin_d2)
     np.subtract(cfg.mu - blue, h2 * (coupling.g21 * np.sin(d1 + cfg.psi)
                                      - coupling.g23 * sin_21), out=out[3, ...])
     np.subtract(cfg.nu - blue - coupling.g31 * sin_d2, coupling.g32 * sin_21,
@@ -458,9 +460,6 @@ _PARAMS = {"simple": _SIMPLE, "feedback": _SIMPLE + ("p_exponent",),
            "simple-reduced": _SIMPLE + ("mu",),
            "eco2-reduced": _ECO2 + ("mu",), "eco3-reduced": _ECO3 + ("mu", "nu")}
 
-# populations whose (strategic, tactical) order parameters a variant reads
-_ORDER_SETS = {"feedback": (2, 2), "eco2": (2, 2), "eco3": (3, 2)}
-
 
 def resource_scale(system) -> list:
     """Each population's resource scale: its carrying capacity K_i where the
@@ -491,8 +490,9 @@ def build_system(name: str, cfg: ModelConfig, net=None, coupling=None) -> ModelS
                              "no coupling")
         if net.n_pops != n_pops:
             raise ValueError(f"variant {name!r} needs {n_pops} populations")
-        for kind, n in zip(("strategic", "tactical"),
-                           _ORDER_SETS.get(name, (0, 0))):
+        # feedback reads every strategic set and tactical sets 1 and 2
+        n_sets = (n_pops, 2) if "p_exponent" in _PARAMS[name] else (0, 0)
+        for kind, n in zip(("strategic", "tactical"), n_sets):
             for p in range(n):
                 if not getattr(net, kind)[p]:
                     raise ValueError(f"variant {name!r} reads the {kind} order"

@@ -747,15 +747,6 @@ def _run_smoke(run, out, seed, tmp_path):
             **kwargs)
 
 
-def _comparable(path):
-    """A file's bytes, but a heatmap's runtime dropped from its sidecar."""
-    if path.name != "heatmap.csv.json":
-        return path.read_bytes()
-    meta = json.loads(path.read_text())
-    del meta["runtime_s"]
-    return meta
-
-
 @pytest.mark.parametrize("case", list(_EVERY_TASK))
 def test_rerun_writes_new_files_named_in_the_task_table(case, tmp_path):
     out = tmp_path / "out"
@@ -772,14 +763,14 @@ def test_rerun_writes_new_files_named_in_the_task_table(case, tmp_path):
     for name in first:
         os.link(out / name, links / name)
     _run_smoke(_EVERY_TASK[case], out, 1, tmp_path)
-    rerun = {p.name: _comparable(p) for p in out.iterdir()}
+    rerun = {p.name: p.read_bytes() for p in out.iterdir()}
     for name, data in first.items():
         assert (links / name).read_bytes() == data, name   # not written to
         assert (links / name).stat().st_ino != (out / name).stat().st_ino
 
     shutil.rmtree(out)
     _run_smoke(_EVERY_TASK[case], out, 1, tmp_path)
-    fresh = {p.name: _comparable(p) for p in out.iterdir()}
+    fresh = {p.name: p.read_bytes() for p in out.iterdir()}
     assert rerun.keys() == fresh.keys()
     for name in fresh.keys() - {"metadata.json"}:
         assert rerun[name] == fresh[name], name
@@ -842,3 +833,26 @@ def test_rerun_does_not_write_through_a_symlink(tmp_path):
     assert target.read_text() == "kept\n"
     assert not (out / "fixed_points.csv").is_symlink()
     assert (out / "fixed_points.csv").read_text().startswith("label,")
+
+
+@pytest.mark.parametrize("blocked", ["artifact", "out"])
+def test_unusable_output_path_exits_2_touching_nothing(blocked, tmp_path,
+                                                       capsys):
+    """A directory at an artifact's name, or --out naming a file, exits 2
+    with an error line before the run removes or writes anything."""
+    d = tmp_path / "d"
+    if blocked == "artifact":
+        (d / "fixed_points.csv" / "x").mkdir(parents=True)
+        (d / "diagnostics.json").write_text("last run\n")
+    else:
+        d.write_text("a file\n")
+
+    def listing():
+        return sorted((str(p.relative_to(tmp_path)),
+                       p.is_file() and p.read_bytes())
+                      for p in tmp_path.rglob("*"))
+
+    before = listing()
+    assert cli.main(["fixed-points", "-c", "simple-cs", "--out", str(d)]) == 2
+    assert capsys.readouterr().err.startswith("error: output: ")
+    assert listing() == before

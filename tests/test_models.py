@@ -327,41 +327,49 @@ def _oracle_rhs(variant, y, cfg, net):
     h = np.concatenate([np.broadcast_to(h_pop[p], (net.sizes[p],) + h1.shape)
                         for p in range(m)])
     dtheta = phase.kuramoto_rhs(theta, net, h, cfg.phi, cfg.psi)
+    if variant == "simple":
+        rows = _oracle_rows(variant, P, cfg, th)
+    else:
+        n = cfg.p_exponent
+        o_s = [phase.order_parameter(theta, net.strategic_global(p)) ** n
+               for p in range(m)]
+        o_t = [phase.order_parameter(theta, net.tactical_global(p)) ** n
+               for p in range(2)]
+        rows = _oracle_rows(variant, P, cfg, th, o_s, o_t)
+    return np.concatenate([np.stack(rows), dtheta])
+
+
+def _oracle_rows(variant, P, cfg, th, o_s=None, o_t=None):
+    """A full variant's resource rows written out from the centroids th and
+    the order-parameter powers o_s, o_t (None for "simple")."""
     i12 = models._initiative(th[1] - th[0])
     i21 = models._initiative(th[0] - th[1])
     if variant == "simple":
-        dP = [cfg.r1 * P[0] * (1 - P[0]) - cfg.beta2 * P[0] * P[1] * i12,
-              cfg.r2 * P[1] * (1 - P[1]) - cfg.beta1 * P[1] * P[0] * i21]
-        return np.concatenate([np.stack(dP), dtheta])
-    n = cfg.p_exponent
-    o_s = [phase.order_parameter(theta, net.strategic_global(p)) ** n
-           for p in range(m)]
-    o_t = [phase.order_parameter(theta, net.tactical_global(p)) ** n
-           for p in range(2)]
+        return [cfg.r1 * P[0] * (1 - P[0]) - cfg.beta2 * P[0] * P[1] * i12,
+                cfg.r2 * P[1] * (1 - P[1]) - cfg.beta1 * P[1] * P[0] * i21]
     if variant == "feedback":
-        dP = [cfg.r1 * P[0] * (1 - P[0]) * o_s[0]
-              - cfg.beta2 * P[0] * P[1] * o_t[1] * i12,
-              cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
-              - cfg.beta1 * P[1] * P[0] * o_t[0] * i21]
-    elif variant == "eco2":
+        return [cfg.r1 * P[0] * (1 - P[0]) * o_s[0]
+                - cfg.beta2 * P[0] * P[1] * o_t[1] * i12,
+                cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
+                - cfg.beta1 * P[1] * P[0] * o_t[0] * i21]
+    if variant == "eco2":
         recruit1 = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
         holling = cfg.beta1 * P[1] / (1 + cfg.tau * cfg.beta1 * P[1])
-        dP = [recruit1 * P[0] * (1 - P[0]) * o_s[0]
-              - cfg.beta2 * P[0] * P[1] * o_t[1] * i12 - cfg.x1 * P[0],
-              cfg.r2 * P[1] * (1 - P[1]) * o_s[1] - holling * P[0] * o_t[0] * i21]
-    else:
-        r1s = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
-        r3s = (cfg.r3 + cfg.r3_max * P[0]) / (1 + P[0])
-        beta1s = (cfg.beta1 + cfg.beta1_min * P[2]) / (1 + P[2])
-        f12s = beta1s * P[1] / (1 + cfg.tau * beta1s * P[1])
-        x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P[0] / (1 + P[0])
-               + (cfg.x3_max - cfg.x3) * P[1] / (1 + P[1]))
-        dP = [r1s * P[0] * (1 - P[0] / cfg.K1) * o_s[0]
-              - cfg.beta2 * P[0] * P[1] * o_t[1] * i12 - cfg.x1 * P[0],
-              cfg.r2 * P[1] * (1 - P[1] / cfg.K2) * o_s[1]
-              - f12s * P[0] * o_t[0] * i21,
-              r3s * P[2] * (1 - P[2] / cfg.K3) * o_s[2] - x3s * P[2]]
-    return np.concatenate([np.stack(dP), dtheta])
+        return [recruit1 * P[0] * (1 - P[0]) * o_s[0]
+                - cfg.beta2 * P[0] * P[1] * o_t[1] * i12 - cfg.x1 * P[0],
+                cfg.r2 * P[1] * (1 - P[1]) * o_s[1]
+                - holling * P[0] * o_t[0] * i21]
+    r1s = cfg.r1 * cfg.alpha * P[1] / (1 + cfg.alpha * P[1])
+    r3s = (cfg.r3 + cfg.r3_max * P[0]) / (1 + P[0])
+    beta1s = (cfg.beta1 + cfg.beta1_min * P[2]) / (1 + P[2])
+    f12s = beta1s * P[1] / (1 + cfg.tau * beta1s * P[1])
+    x3s = (cfg.x3 - (cfg.x3 - cfg.x3_min) * P[0] / (1 + P[0])
+           + (cfg.x3_max - cfg.x3) * P[1] / (1 + P[1]))
+    return [r1s * P[0] * (1 - P[0] / cfg.K1) * o_s[0]
+            - cfg.beta2 * P[0] * P[1] * o_t[1] * i12 - cfg.x1 * P[0],
+            cfg.r2 * P[1] * (1 - P[1] / cfg.K2) * o_s[1]
+            - f12s * P[0] * o_t[0] * i21,
+            r3s * P[2] * (1 - P[2] / cfg.K3) * o_s[2] - x3s * P[2]]
 
 
 def _random_net(rng, sizes):
@@ -422,6 +430,33 @@ def test_phase_plan_rhs_equals_per_population_oracle(variant, sizes, batch,
     got = _FULL_RHS[variant](y, cfg, net)
     assert got.shape == want.shape == y.shape
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", sorted(_FULL_RHS))
+@settings(max_examples=60)
+@given(batch=hst.one_of(hst.none(), hst.integers(1, 6)),
+       p_exponent=hst.sampled_from([1, 2]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_full_resource_rows_equal_the_written_out_law(variant, batch,
+                                                      p_exponent, seed):
+    """A full variant's resource rows equal its law written out above bit
+    for bit, given the centroids and order-parameter powers of _phases."""
+    rng = np.random.default_rng(seed)
+    m = 3 if variant == "eco3" else 2
+    net = _random_net(rng, [int(n) for n in rng.integers(1, 7, m)])
+    cfg = ModelConfig(**{f.name: rng.uniform(0.1, 4.0)
+                         for f in fields(ModelConfig)
+                         if f.name not in ("p_exponent", "P_D")},
+                      p_exponent=p_exponent)
+    caps = [cfg.K1, cfg.K2, cfg.K3] if m == 3 else [1.0, 1.0]
+    shape = () if batch is None else (batch,)
+    P = np.stack([rng.uniform(0.0, 1.5 * k, shape) for k in caps])
+    theta = rng.uniform(-10.0, 10.0, (net.n_total,) + shape)
+    _, _, th, fb = models._phases(
+        theta, net, None if variant == "simple" else p_exponent)
+    want = np.stack(_oracle_rows(variant, P, cfg, th, *(fb or ())))
+    got = _FULL_RHS[variant](np.concatenate([P, theta]), cfg, net)[:m]
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
