@@ -15,9 +15,11 @@ cubic in P2, evaluated through the Cardano-style cube-root expressions.  One
 driver serves both variants: an interior point is kept only when the
 right-hand side vanishes there to RESIDUAL_GATE, after a Newton polish where
 the iteration alone misses it, and its status describes the reported point.
-The driver takes a batch of parameter points, and the damped iterations of
-all their interior candidates advance together as arrays; a point's result
-does not depend on the batch it is in.
+The driver takes a batch of parameter points: the damped iterations of all
+their interior candidates advance together as arrays, and the records of
+all points are built in one pass (one rhs call for the residuals, one
+Jacobian call and one eigenvalue call over the stack of matrices); a point's
+result does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -221,11 +223,23 @@ def eigenvalues(matrix) -> np.ndarray:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
+_CLASSES = ("unstable", "stable", "nonhyperbolic")
+
+
+def _class_index(re):
+    """Index into _CLASSES of each row of eigenvalue real parts."""
+    return np.where(np.any(np.abs(re) <= _HYPERBOLIC_TOL, axis=-1), 2,
+                    np.all(re < 0, axis=-1))
+
+
 def classify(eigs) -> str:
-    re = np.real(np.asarray(eigs))
-    if np.any(np.abs(re) <= _HYPERBOLIC_TOL):
-        return "nonhyperbolic"
-    return "stable" if np.all(re < 0) else "unstable"
+    return _CLASSES[int(_class_index(np.real(np.asarray(eigs))))]
+
+
+def _pow(x, k):
+    """x ** k through libm pow: a Python or numpy float's ``**`` calls it,
+    and so does np.float_power on arrays, where ``**`` would not."""
+    return x ** k if isinstance(x, float) else np.float_power(x, k)
 
 
 def _delta_row(P1, P2, d, cfg, coupling):
@@ -235,12 +249,26 @@ def _delta_row(P1, P2, d, cfg, coupling):
             -co.S * np.sin(d) - co.C * np.cos(d)]
 
 
+def _matrix(rows):
+    """The 3 x 3 matrix of entries ``rows``: (3, 3) from scalars, a stack
+    (m, 3, 3) from (m,) columns."""
+    out = np.empty(np.broadcast_shapes(*(np.shape(v) for row in rows
+                                         for v in row)) + (3, 3))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[..., i, j] = v
+    return out
+
+
+# A Jacobian takes a state (3,) with scalar parameters, or (3, m) columns
+# with scalar or per-column (m,) ones, and then returns the (m, 3, 3) stack;
+# each matrix has the bits of its column's scalar call.
 def simple_reduced_jacobian(state, cfg: ModelConfig,
                             coupling: CentroidCoupling) -> np.ndarray:
     """Hand-coded Jacobian of the reduced two-population model."""
     P1, P2, d = state
     sd, cd = np.sin(d), np.cos(d)
-    return np.array([
+    return _matrix([
         [cfg.r1 * (1 - 2 * P1) - 0.5 * cfg.beta2 * P2 * (2 - sd),
          -0.5 * cfg.beta2 * P1 * (2 - sd),
          0.5 * cfg.beta2 * P1 * P2 * cd],
@@ -261,13 +289,15 @@ def eco2_reduced_jacobian(state, cfg: ModelConfig,
     den_h = 1 + t * cfg.beta1 * P2
     j11 = (2 * a * (1 - 2 * P1) * cfg.r1 * P2
            + den_a * (cfg.beta2 * P2 * (sd - 2) - 2 * cfg.x1)) / (2 * den_a)
-    j12 = 0.5 * P1 * cfg.beta2 * (sd - 2) - a * (P1 - 1) * P1 * cfg.r1 / den_a ** 2
+    j12 = (0.5 * P1 * cfg.beta2 * (sd - 2)
+           - a * (P1 - 1) * P1 * cfg.r1 / _pow(den_a, 2))
     j13 = 0.5 * cfg.beta2 * P1 * P2 * cd
     j21 = -cfg.beta1 * P2 * (sd + 2) / (2 * den_h)
-    j22 = cfg.r2 * (1 - 2 * P2) - cfg.beta1 * P1 * (sd + 2) / (2 * den_h ** 2)
+    j22 = (cfg.r2 * (1 - 2 * P2)
+           - cfg.beta1 * P1 * (sd + 2) / (2 * _pow(den_h, 2)))
     j23 = -cfg.beta1 * P1 * P2 * cd / (2 * den_h)
-    return np.array([[j11, j12, j13], [j21, j22, j23],
-                     _delta_row(P1, P2, d, cfg, coupling)])
+    return _matrix([[j11, j12, j13], [j21, j22, j23],
+                    _delta_row(P1, P2, d, cfg, coupling)])
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +316,6 @@ class FixedPointRecord:
     @property
     def max_real_eig(self) -> float:
         return float(np.max(np.real(self.eigenvalues)))
-
-
-def _make_record(label, state, rhs, jac_fn) -> FixedPointRecord:
-    state = np.asarray(state, dtype=float)
-    residual = float(np.max(np.abs(rhs(state))))
-    eigs = eigenvalues(jac_fn(state))
-    physical = np.all((state[:2] >= -1e-12) & (state[:2] <= 1 + 1e-12))
-    return FixedPointRecord(
-        label=label, state=state, eigenvalues=eigs,
-        classification=classify(eigs), residual=residual,
-        status="verified" if physical else "outside-range")
 
 
 def _delta_at(cfg, coupling, P1, P2, fr=None):
@@ -333,12 +352,6 @@ def _boundary_hit(state, boundary):
 
 
 _VANISHED = "centroid fixed point vanished during iteration"
-
-
-def _pow(x, k):
-    """x ** k through libm pow: a Python or numpy float's ``**`` calls it,
-    and so does np.float_power on arrays, where ``**`` would not."""
-    return x ** k if isinstance(x, float) else np.float_power(x, k)
 
 
 def _simple_fp4_map(cfg, delta):
@@ -543,7 +556,9 @@ def _fixed_points(reduced_rhs, jacobian, boundary, interior, step, cfg,
     """One variant's fixed points from its rhs, its Jacobian, its boundary
     points as (label, (P1, P2)), its interior labels and their damped
     ``step``.  Fields of cfg and coupling hold a scalar or one value per
-    point; every point's interior candidates iterate together.
+    point; every point's interior candidates iterate together, and the
+    records of all points are built in one pass: one rhs call for their
+    residuals, one Jacobian call and one eigenvalue call over the stack.
     The public entries look the rhs up per call: perfbench wraps its name."""
     if coupling is None:
         coupling = CentroidCoupling.from_config(cfg)
@@ -552,52 +567,82 @@ def _fixed_points(reduced_rhs, jacobian, boundary, interior, step, cfg,
                                   for f in fields(obj)))
     n = batch[0] if batch else 1
     notes = [[] for _ in range(n)]
-    records = [[] for _ in range(n)]
-    systems = []                # each point's rhs and Jacobian
-    for i in range(n):
-        c, g = _take(cfg, i), _take(coupling, i)
-        fr = _frustration(c)
-        systems.append((lambda s, c=c, g=g, fr=fr: reduced_rhs(s, c, g, fr),
-                        lambda s, c=c, g=g: jacobian(s, c, g)))
+    # the candidates to record: each one's point, label and (P1, P2, Delta)
+    point, labels, states = [], [], []
     for label, (p1, p2) in boundary:
-        ds = np.broadcast_to(_delta_at(cfg, coupling, p1, p2), (n,))
-        for (rhs, jac), d, recs, nts in zip(systems, ds, records, notes):
-            if np.isnan(d):
-                nts.append(f"{label}: no centroid fixed point (K < 0)")
-                continue
-            recs.append(_make_record(label, (p1, p2, d), rhs, jac))
+        d = np.broadcast_to(_delta_at(cfg, coupling, p1, p2), (n,))
+        for i in np.flatnonzero(np.isnan(d)):
+            notes[i].append(f"{label}: no centroid fixed point (K < 0)")
+        at = np.flatnonzero(~np.isnan(d))
+        point.append(at)
+        labels += [label] * at.size
+        states.append(np.stack(np.broadcast_arrays(p1, p2, d[at]), axis=1))
 
     d_init = _delta_at(cfg, coupling, 0.5, 0.5)
     d_init = np.broadcast_to(np.where(np.isnan(d_init), 0.0, d_init), (n,))
     k = len(interior)
-    point = np.repeat(np.arange(n), k)
-    c, g = _take(cfg, point), _take(coupling, point)
-    states, why = _damped_iteration(
+    owner = np.repeat(np.arange(n), k)      # each candidate's point
+    c, g = _take(cfg, owner), _take(coupling, owner)
+    found, why = _damped_iteration(
         step, (c, g, _frustration(c), np.tile(np.arange(k), n)),
-        d_init[point])
-    for i, (rhs, jac) in enumerate(systems):
-        for label, state, failed in zip(interior, states[i * k:(i + 1) * k],
-                                        why[i * k:(i + 1) * k]):
-            if failed is not None:
-                notes[i].append(f"{label}: {failed}")
-                continue
-            state = state.copy()
-            if np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
-                state = _newton_polish(rhs, state)
-                if state is None or np.max(np.abs(rhs(state))) > RESIDUAL_GATE:
-                    notes[i].append(f"{label}: residual gate failed")
-                    continue
-                on = _boundary_hit(state, boundary)
-                if on is not None:
-                    notes[i].append(
-                        f"{label}: polished onto {on}'s position "
-                        f"(P1={state[0]:.3g}, P2={state[1]:.3g}), dropped")
-                    continue
-            rec = _make_record(label, state, rhs, jac)
-            if rec.status == "outside-range":
-                notes[i].append(f"{label}: outside physical range "
-                                f"(P1={state[0]:.4g}, P2={state[1]:.4g})")
-            records[i].append(rec)
+        d_init[owner])
+    converged = np.flatnonzero([w is None for w in why])
+    n_boundary = len(labels)
+    point.append(owner[converged])
+    labels += [interior[j % k] for j in converged]
+    states.append(found[converged])
+    point, states = np.concatenate(point), np.concatenate(states)
+
+    c, g = _take(cfg, point), _take(coupling, point)
+    residual = np.max(np.abs(reduced_rhs(states.T, c, g, _frustration(c))),
+                      axis=0)
+    keep = np.ones(point.size, bool)
+    # an interior candidate that misses the gate gets a Newton polish under
+    # its own point's scalar rhs
+    missed = np.flatnonzero(residual[n_boundary:] > RESIDUAL_GATE)
+    for j in n_boundary + missed:
+        c, g = _take(cfg, point[j]), _take(coupling, point[j])
+        fr = _frustration(c)
+        rhs = lambda s: reduced_rhs(s, c, g, fr)
+        state = _newton_polish(rhs, states[j])
+        res = np.inf if state is None else np.max(np.abs(rhs(state)))
+        cand = converged[j - n_boundary]
+        if res > RESIDUAL_GATE:
+            why[cand] = "residual gate failed"
+        elif (on := _boundary_hit(state, boundary)) is not None:
+            why[cand] = (f"polished onto {on}'s position "
+                         f"(P1={state[0]:.3g}, P2={state[1]:.3g}), dropped")
+        else:
+            states[j], residual[j] = state, res
+            continue
+        keep[j] = False
+
+    p = states[:, :2]
+    physical = np.all((p >= -1e-12) & (p <= 1 + 1e-12), axis=1)
+    # the boundary points lie in range; an interior one outside gets a note
+    for j in n_boundary + np.flatnonzero((keep & ~physical)[n_boundary:]):
+        why[converged[j - n_boundary]] = (
+            f"outside physical range "
+            f"(P1={states[j, 0]:.4g}, P2={states[j, 1]:.4g})")
+    for i in range(n):
+        notes[i] += [f"{label}: {w}" for label, w
+                     in zip(interior, why[i * k:(i + 1) * k]) if w is not None]
+
+    keep = np.flatnonzero(keep)
+    point, states = point[keep], states[keep]
+    eigs = eigenvalues(jacobian(states.T, _take(cfg, point),
+                                _take(coupling, point)))
+    # each record keeps the dtype of its own matrix's eigvals: real when
+    # all its imaginary parts are zero
+    real = np.all(eigs.imag == 0.0, axis=1)
+    classes = _class_index(eigs.real)
+    records = [[] for _ in range(n)]
+    for j, i in enumerate(keep):
+        records[point[j]].append(FixedPointRecord(
+            label=labels[i], state=states[j],
+            eigenvalues=eigs[j].real if real[j] else eigs[j],
+            classification=_CLASSES[classes[j]], residual=float(residual[i]),
+            status="verified" if physical[i] else "outside-range"))
     if diagnostics is not None:
         diagnostics.extend(notes if batch else notes[0])
     return records if batch else records[0]
@@ -617,7 +662,8 @@ def simple_fixed_points(cfg: ModelConfig, coupling: CentroidCoupling = None,
     Fields of ``cfg`` and ``coupling`` may hold one value per point, as in
     ``sweep_bifurcation``: the result is then one record list per point,
     ``diagnostics`` receives one note list per point, and each point's
-    records and notes equal its own one-point call bit for bit.
+    records and notes equal its own one-point call bit for bit.  The
+    records of all points are built in one pass.
     """
     return _fixed_points(
         simple_reduced_rhs, simple_reduced_jacobian,

@@ -579,17 +579,28 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
     _write_json(outdir / "resolved_config.json", config)
     runner = _TASKS[task_type]
     heatmap = {"jobs": jobs, "svg": svg} if task_type == "heatmap" else {}
-    summary = runner(config, system, settings, master_seed, outdir, **heatmap)
-    meta = {
-        "config_hash": config_hash(config),
-        "seed": master_seed,
-        "task": task_type,
-        "artifacts": sorted(name for name in names if name == "metadata.json"
-                            or (outdir / name).exists()),
-        "versions": {"kuracomp": __version__, "numpy": np.__version__},
-        "wall_time_s": time.time() - started,
-    }
-    _write_json(outdir / "metadata.json", meta)
+
+    def write_metadata(**status):
+        _write_json(outdir / "metadata.json", {
+            "config_hash": config_hash(config),
+            "seed": master_seed,
+            "task": task_type,
+            "artifacts": sorted(name for name in names
+                                if name == "metadata.json"
+                                or (outdir / name).exists()),
+            "versions": {"kuracomp": __version__, "numpy": np.__version__},
+            "wall_time_s": time.time() - started,
+            **status,
+        })
+
+    # a failed run still says what it was and why it failed
+    try:
+        summary = runner(config, system, settings, master_seed, outdir,
+                         **heatmap)
+    except Exception as exc:
+        write_metadata(status="failed", error=f"{type(exc).__name__}: {exc}")
+        raise
+    write_metadata(status="ok")
     return summary
 
 

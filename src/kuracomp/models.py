@@ -33,6 +33,7 @@ once per build, and writes its rows into one array of y's shape.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
@@ -188,10 +189,12 @@ def _cs(coupling, fr, H1, H2):
 
 
 def _take(obj, index):
-    """Copy of a config/coupling with every array field indexed."""
-    return replace(obj, **{f.name: getattr(obj, f.name)[index]
-                           for f in fields(obj)
-                           if np.ndim(getattr(obj, f.name))})
+    """Copy of a config/coupling/frustration with every array field indexed
+    (an int or float field skips the np.ndim test)."""
+    out = copy(obj)
+    vars(out).update({name: v[index] for name, v in vars(obj).items()
+                      if not isinstance(v, (int, float)) and np.ndim(v)})
+    return out
 
 
 def _member_rhs(name, cfg, coupling):

@@ -11,7 +11,12 @@ with thresholds, ``_settle`` its outcome-only run without them over the
 horizon it is given (reconnaissance and settling), each stepped by the
 ``settings`` of its run.  Under a reduced variant a batch member equals its
 B = 1 run bit for bit; a full variant's coupling is a BLAS product over
-the batch, whose rounding may depend on the batch width.  All RK4 runs
+the batch, whose rounding may depend on the batch width and on the memory
+layout of the state.  A compaction (``a[..., ~gone]``) hands the next step
+F-ordered columns, and the out-of-place stage sum of ``_combine`` returns
+C-ordered ones; an in-place sum gives the same values on every call but
+keeps the F order, and so moved fig3a's reconnoitred phases (RK45, 20
+members, OpenBLAS on one thread) by up to 2.3e-14.  All RK4 runs
 share one step and one schedule: ceil(t_end/dt) steps from t = 0, never
 padded with a rounding-sized sliver.
 
@@ -196,7 +201,9 @@ def integrate(rhs, y0, settings: IntegratorSettings,
 
 def _combine(coeffs, ks):
     """sum_i coeffs[i]*ks[i] accumulated in index order, zero terms skipped;
-    elementwise, unlike a BLAS contraction, so no member depends on B."""
+    elementwise, unlike a BLAS contraction, so no member depends on B.  Out
+    of place on purpose: its C-ordered result fixes a full variant's bits
+    (see the module docstring)."""
     terms = [c * k for c, k in zip(coeffs, ks) if c]
     return sum(terms[1:], terms[0])
 

@@ -468,6 +468,74 @@ def test_fd_jacobian_matches_analytic_eco2():
         assert np.max(np.abs(fd - an)) < 1e-5
 
 
+_JACOBIANS = {"simple-reduced": analysis.simple_reduced_jacobian,
+              "eco2-reduced": analysis.eco2_reduced_jacobian}
+
+
+@pytest.mark.parametrize("variant", sorted(_JACOBIANS))
+@settings(max_examples=60)
+@given(m=hst.integers(1, 30), seed=hst.integers(0, 2 ** 32 - 1))
+def test_batched_jacobians_equal_their_column_calls(variant, m, seed):
+    """A (3, m) state with per-column parameters gives the (m, 3, 3) stack
+    of the columns' scalar calls bit for bit, and a scalar call gives the
+    reference body's matrix bit for bit."""
+    from fixed_point_oracles import (eco2_reduced_jacobian,
+                                     simple_reduced_jacobian)
+    oracle = {"simple-reduced": simple_reduced_jacobian,
+              "eco2-reduced": eco2_reduced_jacobian}[variant]
+    rng = np.random.default_rng(seed)
+    draw = lambda lo, hi: (rng.uniform(lo, hi, m) if rng.random() < 0.6
+                           else float(rng.uniform(lo, hi)))
+    cfg = ModelConfig(r1=draw(0, 4), r2=draw(0, 4), beta1=draw(0, 8),
+                      beta2=draw(0, 8), alpha=draw(0, 25), tau=draw(0, 2),
+                      x1=draw(0, 0.5), mu=draw(-1.5, 1.5),
+                      phi=draw(-np.pi, np.pi), psi=draw(-np.pi, np.pi))
+    coupling = CentroidCoupling(g12=draw(0, 2), g21=draw(0, 2))
+    states = np.stack([rng.uniform(-0.5, 1.5, m), rng.uniform(-0.5, 1.5, m),
+                       rng.uniform(-np.pi, np.pi, m)])
+    with np.errstate(all="ignore"):
+        stack = _JACOBIANS[variant](states, cfg, coupling)
+        assert stack.shape == (m, 3, 3)
+        for j in range(m):
+            c, g = models._take(cfg, j), models._take(coupling, j)
+            one = _JACOBIANS[variant](states[:, j], c, g)
+            assert one.shape == (3, 3)
+            assert stack[j].tobytes() == one.tobytes()
+            assert one.tobytes() == oracle(states[:, j], c, g).tobytes()
+
+
+@pytest.mark.parametrize("variant", sorted(_JACOBIANS))
+def test_records_take_one_jacobian_and_one_eigvals_call(variant,
+                                                        monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        return lambda *a, **kw: calls.append(name) or fn(*a, **kw)
+
+    name = _JACOBIANS[variant].__name__
+    monkeypatch.setattr(analysis, name, spy(name, _JACOBIANS[variant]))
+    monkeypatch.setattr(np.linalg, "eigvals", spy("eigvals",
+                                                  np.linalg.eigvals))
+    cfg = (_cs_config if variant == "simple-reduced" else _eco_config)(
+        beta1=np.linspace(1.0, 10.0, 25))
+    records = _FIXED_POINTS[variant](cfg)
+    assert sum(map(len, records)) > len(records) == 25
+    assert sorted(calls) == sorted(["eigvals", name])
+    # the stack's eigvals is complex when any matrix's is; each record keeps
+    # the dtype of its own matrix's call
+    kinds = set()
+    for i, recs in enumerate(records):
+        c = models._take(cfg, i)
+        for rec in recs:
+            jac = _JACOBIANS[variant](rec.state, c,
+                                      CentroidCoupling.from_config(c))
+            want = np.linalg.eigvals(jac)
+            assert rec.eigenvalues.tobytes() == want.tobytes()
+            assert rec.eigenvalues.dtype == want.dtype
+            kinds.add(want.dtype.kind)
+    assert kinds == {"f", "c"}
+
+
 def test_jacobian_diagonal_at_fp3():
     cfg = _cs_config()
     coup = CentroidCoupling.from_config(cfg)

@@ -800,12 +800,20 @@ def test_failed_rerun_leaves_no_artifact_of_the_last_run(tmp_path,
             "--out", str(out)]
     assert cli.main(args) == 0
     assert (out / "trajectory.csv").exists()
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "ok" and "error" not in meta
     # a right-hand side that turns NaN once P1 grows past 0.6
     monkeypatch.setitem(models._REDUCED, "simple-reduced",
                         (lambda y, *params: np.where(y > 0.6, np.nan, y),
                          2, 1))
     assert cli.main(args) == 3
-    assert {p.name for p in out.iterdir()} == {"resolved_config.json"}
+    # the failed run leaves its config and a metadata.json that says why
+    assert {p.name for p in out.iterdir()} == {"resolved_config.json",
+                                               "metadata.json"}
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "failed" and meta["task"] == "simulate"
+    assert meta["error"].startswith("StiffnessError: ")
+    assert meta["artifacts"] == ["metadata.json", "resolved_config.json"]
 
 
 def test_rejected_rerun_touches_nothing(tmp_path):

@@ -675,6 +675,45 @@ def test_reduced_kernels_equal_their_oracles(variant, batch, per_member,
                                          models._take(coupling, keep)))
 
 
+def _replace_take(obj, index):
+    """The slice ``models._take`` stands for: every array field indexed,
+    rebuilt through dataclasses.replace."""
+    return replace(obj, **{f.name: getattr(obj, f.name)[index]
+                           for f in fields(obj)
+                           if np.ndim(getattr(obj, f.name))})
+
+
+@settings(max_examples=100)
+@given(batch=hst.integers(1, 12), seed=hst.integers(0, 2 ** 32 - 1))
+def test_take_equals_the_replace_slice(batch, seed):
+    """_take copies the object and indexes only its array fields; the
+    result equals the replace-based slice field for field, in type, shape
+    and bits, for an integer, a mask and an index array, and leaves the
+    original as it was."""
+    rng = np.random.default_rng(seed)
+    draw = lambda: (_values(rng, (batch,), -4.0, 4.0) if rng.random() < 0.5
+                    else float(_values(rng, (), -4.0, 4.0)))
+    cfg = ModelConfig(**{f.name: draw() for f in fields(ModelConfig)
+                         if f.name != "p_exponent"})
+    coupling = CentroidCoupling(**{f.name: draw()
+                                   for f in fields(CentroidCoupling)})
+    with np.errstate(invalid="ignore"):
+        objs = (cfg, coupling, models._frustration(cfg))
+    before = [replace(obj) for obj in objs]
+    for index in (int(rng.integers(batch)), rng.random(batch) < 0.5,
+                  rng.integers(batch, size=int(rng.integers(0, 2 * batch)))):
+        for obj in objs:
+            got, want = models._take(obj, index), _replace_take(obj, index)
+            assert type(got) is type(want) and got is not obj
+            for f in fields(obj):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                assert type(g) is type(w) and np.shape(g) == np.shape(w)
+                assert np.array_equal(g, w, equal_nan=True)
+    for obj, old in zip(objs, before):
+        for f in fields(obj):
+            assert getattr(obj, f.name) is getattr(old, f.name)
+
+
 @settings(max_examples=200)
 @given(x=hst.lists(hst.floats(), min_size=1, max_size=70))
 def test_numpy_sin_is_odd(x):
