@@ -272,11 +272,15 @@ class GaussianProcess:
         self._factorise()
 
     def predict_with_grad(self, x):
-        """(mean, sd, dmean/dx, dsd/dx) batched over rows of x."""
+        """(mean, sd, dmean/dx, dsd/dx) batched over rows of x.  The scaled
+        differences are factor-major, (d, m, n); the einsums read dks as a
+        C-contiguous (m, n, d) copy, as their summation order follows it."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        diff = (x[:, None, :] - self.x_train[None, :, :]) / self.length_scales
-        ks = self.signal_var * np.exp(-0.5 * (diff ** 2).sum(axis=-1))
-        dks = -ks[:, :, None] * diff / self.length_scales   # (m, n, d)
+        ls = self.length_scales[:, None, None]
+        diff = (np.ascontiguousarray(x.T)[:, :, None]
+                - np.ascontiguousarray(self.x_train.T)[:, None, :]) / ls
+        ks = self.signal_var * np.exp(-0.5 * _last_axis_sum(diff ** 2))
+        dks = np.ascontiguousarray((-ks * diff / ls).transpose(1, 2, 0))
         mean = self._z_mean + ks @ self._alpha
         dmean = np.einsum("mnd,n->md", dks, self._alpha)
         w = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, ks.T)).T
@@ -313,6 +317,18 @@ class GaussianProcess:
         bounds += [(np.log(1e-4), np.log(100.0)), (np.log(1e-8), np.log(1.0))]
         res = optimize.minimize(neg_lml, x0, method="L-BFGS-B", bounds=bounds)
         neg_lml(res.x)
+
+
+def _last_axis_sum(a):
+    """a.sum(0) over a (d, ...) stack, rounded as numpy's ``.sum(-1)`` rounds
+    a contiguous axis (d <= 128): in order below 8 terms, else in 8 strided
+    accumulators added pairwise, then the remaining d % 8 terms in order."""
+    d, r = a.shape[0], a.shape[0] % 8
+    if d < 8:
+        return np.add.reduce(a, axis=0)
+    s = np.add.reduce(a[:d - r].reshape(-1, 8, *a.shape[1:]), axis=0)
+    s = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+    return np.add.reduce([s, *a[d - r:]], axis=0)
 
 
 def _unit(x, ranges):

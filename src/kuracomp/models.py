@@ -339,9 +339,10 @@ def _full_rhs(law, n_pops, n, y, cfg, net, k1, k2):
     s, c, (th1, th2), fb = _phases(theta, net, n)
     out = np.empty(y.shape)
     law(out, cfg, P, _initiative(th2 - th1), _initiative(th1 - th2), fb)
-    h1 = np.clip(1.0 - P[1] / k2, 0.0, 1.0)
-    h2 = np.clip(1.0 - P[0] / k1, 0.0, 1.0)
-    h = np.stack([h1, h2, np.ones_like(h1)])[_phase_plan(net).feedback_row]
+    h = np.ones((3,) + P.shape[1:])
+    h[0], h[1] = 1.0 - P[1] / k2, 1.0 - P[0] / k1
+    np.minimum(np.maximum(h[:2], 0.0, out=h[:2]), 1.0, out=h[:2])   # clip
+    h = h[_phase_plan(net).feedback_row]
     out[n_pops:] = _kuramoto_rates(s, c, net, h, cfg.phi, cfg.psi)
     return out
 

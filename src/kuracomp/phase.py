@@ -68,16 +68,18 @@ def circular_centroid(theta):
 
     At step n the incoming phase is shifted by the 2pi*k minimising
     |theta_n - c + 2pi k| before averaging; the tie at exactly pi breaks
-    toward the smaller k.  Accepts shape (n,) or (n, B); reduces over the
-    first axis.
+    toward the smaller k.  Accepts shape (n, ...); reduces over the first
+    axis, in place: 2pi k - (c - t) is t - c + 2pi k to the bit.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape[0] < 1:
         raise ValueError("centroid of an empty phase set")
     c = np.array(theta[0], dtype=float, copy=True)
+    d, k = np.empty_like(c), np.empty_like(c)
     for n in range(2, theta.shape[0] + 1):
-        t = theta[n - 1]
-        k = np.ceil((c - t) / TWO_PI - 0.5)
-        c = c + (t - c + TWO_PI * k) / n
+        np.subtract(c, theta[n - 1], out=d)
+        np.subtract(np.divide(d, TWO_PI, out=k), 0.5, out=k)
+        np.multiply(np.ceil(k, out=k), TWO_PI, out=k)
+        np.add(c, np.divide(np.subtract(k, d, out=k), n, out=k), out=c)
     out = np.mod(c, TWO_PI)
     return float(out) if np.ndim(out) == 0 else out

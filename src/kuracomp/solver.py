@@ -12,10 +12,11 @@ horizon it is given (reconnaissance and settling), each stepped by the
 ``settings`` of its run.  Under a reduced variant a batch member equals its
 B = 1 run bit for bit; a full variant's coupling is a BLAS product over
 the batch, whose rounding may depend on the batch width and on the memory
-layout of the state.  A compaction (``a[..., ~gone]``) hands the next step
-F-ordered columns, and the out-of-place stage sum of ``_combine`` returns
-C-ordered ones; an in-place sum gives the same values on every call but
-keeps the F order, and so moved fig3a's reconnoitred phases (RK45, 20
+layout of the state.  An RK45 step sums each stage's terms in tableau
+order over one C-ordered (7, dim, n) stack, so stages 3-7 reach ``rhs``
+C-ordered, and forms stage 2 from ``f`` itself, which a compaction
+(``a[..., ~gone]``) leaves F-ordered.  These layouts fix a full variant's
+bits: an F-ordered stage sum moved fig3a's reconnoitred phases (RK45, 20
 members, OpenBLAS on one thread) by up to 2.3e-14.  All RK4 runs
 share one step and one schedule: ceil(t_end/dt) steps from t = 0, never
 padded with a rounding-sized sliver.
@@ -64,18 +65,18 @@ STEADY_TOL = 1e-9
 CHECK_EVERY = 25
 _FAILURES = {"stiff": "step size underflow", "failed": "non-finite dy/dt"}
 
-# Dormand-Prince 5(4) tableau (every rhs is autonomous, so no nodes c_i)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau (every rhs is autonomous, so no nodes c_i): stage
+# 2 is f/5; stages 3-7, then the error, read stack rows sel with nonzero a
+_A = [(slice(2), [3 / 40, 9 / 40]),
+      (slice(3), [44 / 45, -56 / 15, 32 / 9]),
+      (slice(4), [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+      (slice(5), [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                  -5103 / 18656]),
+      ([0, 2, 3, 4, 5], [35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                         11 / 84]),
+      ([0, 2, 3, 4, 5, 6], [71 / 57600, -71 / 16695, 71 / 1920,
+                            -17253 / 339200, 22 / 525, -1 / 40])]
+_A = [(sel, np.array(a)[:, None, None]) for sel, a in _A]
 
 
 class StiffnessError(RuntimeError):
@@ -199,15 +200,6 @@ def integrate(rhs, y0, settings: IntegratorSettings,
                   None if p_death is None else np.full(1, float(p_death)))[0]
 
 
-def _combine(coeffs, ks):
-    """sum_i coeffs[i]*ks[i] accumulated in index order, zero terms skipped;
-    elementwise, unlike a BLAS contraction, so no member depends on B.  Out
-    of place on purpose: its C-ordered result fixes a full variant's bits
-    (see the module docstring)."""
-    terms = [c * k for c, k in zip(coeffs, ks) if c]
-    return sum(terms[1:], terms[0])
-
-
 def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True,
            t_end=None):
     """Integrate each column of y0 (dim, B) from t = 0 to t_end, by default
@@ -270,38 +262,42 @@ def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True,
             f_new = rhs(y_new) if dense else None
         else:
             hs = np.minimum(np.minimum(h, span - t), settings.dt_max)
-            stiff = hs < 1e-14 * span
-            if stiff.any():
-                leave(stiff, ["stiff"] * stiff.size)
+            if (h_min := hs.min()) < 1e-14 * span:
+                leave(hs < 1e-14 * span, ["stiff"] * hs.size)
                 continue
-            k = [f]
-            for i in range(1, 7):
-                y_new = y + hs * _combine(_A[i], k)
-                k.append(rhs(y_new))
-            f_new = k[6]      # FSAL: the last stage is the solution (_A[6])
+            k = np.empty((7,) + y.shape)    # the stages (see the docstring)
+            k[0], y_new = f, y + hs * (0.2 * f)
+            k[1] = f_new = rhs(y_new)
+            for i, (sel, a) in enumerate(_A[:5], 2):
+                y_new = y + hs * np.add.reduce(a * k[sel], axis=0)
+                k[i] = f_new = rhs(y_new)   # FSAL: stage 7 is rhs(y_new)
             scale = settings.atol + settings.rtol * np.maximum(np.abs(y),
                                                               np.abs(y_new))
-            q = np.ascontiguousarray(np.square(hs * _combine(_E, k) / scale).T)
+            sel, a = _A[5]
+            q = np.ascontiguousarray(np.square(
+                hs * np.add.reduce(a * k[sel], axis=0) / scale).T)
             err = np.sqrt(np.add.reduce(q, axis=1) / q.shape[1])   # RMS
-            # the floor accepts a tiny step, but never a non-finite one
-            ok = (err <= 1.0) | ((hs <= 1e-13 * span) & np.isfinite(err))
-            with np.errstate(divide="ignore"):   # libm pow, unlike array **
-                grow = np.where(err > 0, 0.9 * np.float_power(err, -0.14)
-                                * np.float_power(err_prev, 0.08), 5.0)
-                shrink = np.fmax(0.1, 0.9 * np.float_power(err, -0.2))
-            h = hs * np.where(ok, np.fmin(5.0, np.fmax(0.2, grow)),
-                              np.fmin(1.0, shrink))
-            err_prev = np.where(ok, np.maximum(err, 1e-4), err_prev)
+            ok = err <= 1.0
+            if h_min <= 1e-13 * span:   # the floor accepts a tiny step,
+                ok |= (hs <= 1e-13 * span) & np.isfinite(err)  # not a NaN
             t1 = t + hs
-            if not ok.all():
-                t1, y_new, f_new = (np.where(ok, a, b) for a, b in
-                                    ((t1, t), (y_new, y), (f_new, f)))
+            with np.errstate(divide="ignore"):   # libm pow, unlike array **
+                h = hs * np.fmin(5.0, np.fmax(0.2, np.where(
+                    err > 0, 0.9 * np.float_power(err, -0.14)
+                    * np.float_power(err_prev, 0.08), 5.0)))
+                if ok.all():
+                    err_prev, ok = np.maximum(err, 1e-4), slice(None)
+                else:       # a NaN err shrinks h tenfold, as fmax drops it
+                    h = np.where(ok, h, hs * np.fmin(1.0, np.fmax(
+                        0.1, 0.9 * np.float_power(err, -0.2))))
+                    err_prev = np.where(ok, np.maximum(err, 1e-4), err_prev)
+                    t1, y_new, f_new = (np.where(ok, a, b) for a, b in
+                                        ((t1, t), (y_new, y), (f_new, f)))
 
         stop = None
-        if p_death is not None:
-            # a rejected member's y_new is its y: no crossing
-            maybe = ((y[:2] > p_death) & (y_new[:2] <= p_death)).any(axis=0)
-            for i in np.flatnonzero(maybe) if maybe.any() else ():
+        # a crossing ends at or below p_death (a rejected member's y_new is y)
+        if p_death is not None and (low := y_new[:2] <= p_death).any():
+            for i in np.flatnonzero(((y[:2] > p_death) & low).any(axis=0)):
                 if f_new is None:     # outcome-only rk4
                     f_new = rhs(y_new)
                 hit = _locate(float(p_death[i]), t[i], y[:, i], f[:, i],
@@ -314,10 +310,10 @@ def _drive(rhs, y0, settings, p_death=None, on_compact=None, dense=True,
                     t1[i], y_new[:, i] = hit[1:]
             if dense and stop is not None:
                 f_new = np.where(stop, rhs(y_new), f_new)
-        if dense:
+        if dense and active[ok].size:     # a step that all reject logs nothing
             log.append((active[ok], t1[ok], y_new[:, ok], f_new[:, ok]))
         t, y, f = t1, y_new, f_new
-        if not rk4:
+        if not rk4 and t.max() >= span:
             stop = t >= span if stop is None else stop | (t >= span)
         if stop is not None and stop.any():
             leave(stop)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from kuracomp import doe
@@ -154,6 +156,43 @@ def _predict(gp, x):
     v = np.linalg.solve(gp._chol, ks.T)
     var = gp.signal_var - (v ** 2).sum(axis=0)
     return mean, np.sqrt(np.maximum(var, 1e-16))
+
+
+def _predict_with_grad_mnd(gp, x):
+    """GaussianProcess.predict_with_grad over an (m, n, d) difference tensor,
+    as it was written before the factor-major layout."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    diff = (x[:, None, :] - gp.x_train[None, :, :]) / gp.length_scales
+    ks = gp.signal_var * np.exp(-0.5 * (diff ** 2).sum(axis=-1))
+    dks = -ks[:, :, None] * diff / gp.length_scales   # (m, n, d)
+    mean = gp._z_mean + ks @ gp._alpha
+    dmean = np.einsum("mnd,n->md", dks, gp._alpha)
+    w = np.linalg.solve(gp._chol.T, np.linalg.solve(gp._chol, ks.T)).T
+    var = gp.signal_var - (ks * w).sum(axis=1)
+    sd = np.sqrt(np.maximum(var, 1e-16))
+    dvar = -2.0 * np.einsum("mn,mnd->md", w, dks)
+    dsd = dvar / (2.0 * sd[:, None])
+    return mean, sd, dmean, dsd
+
+
+@pytest.mark.parametrize("d", range(1, 25))
+@settings(max_examples=4, deadline=None)
+@given(data=hst.data())
+def test_gp_prediction_equals_the_mnd_formulation(d, data):
+    """Bit for bit at every design dimension: numpy sums a contiguous last
+    axis in order below 8 terms and in 8 accumulators from 8 on, and an
+    einsum's summation order follows its operands' layout."""
+    n, m = data.draw(hst.integers(2, 40)), data.draw(hst.integers(1, 64))
+    scales = data.draw(hst.lists(hst.floats(0.01, 10.0), min_size=d,
+                                 max_size=d))
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+    gp = doe.GaussianProcess(d=d, length_scales=np.array(scales),
+                             signal_var=data.draw(hst.floats(0.01, 100.0)))
+    gp.condition(rng.uniform(size=(n, d)), rng.normal(size=n))
+    x = rng.uniform(size=(m, d))
+    for got, want in zip(gp.predict_with_grad(x),
+                         _predict_with_grad_mnd(gp, x)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_gp_interpolates_training_targets():

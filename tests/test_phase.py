@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from kuracomp import graphs, phase
 
@@ -171,6 +175,32 @@ def test_centroid_synchronized():
     theta = np.full(6, 2.5)
     assert phase.circular_centroid(theta) == pytest.approx(2.5, abs=1e-12)
     assert phase.order_parameter(theta) == pytest.approx(1.0, abs=1e-12)
+
+
+def _centroid_loop(theta):
+    """circular_centroid of one phase vector, one Python float at a time."""
+    c = theta[0]
+    for n, t in enumerate(theta[1:], 2):
+        k = math.ceil((c - t) / TWO_PI - 0.5)
+        c = c + (t - c + TWO_PI * k) / n
+    return c % TWO_PI
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data())
+def test_centroid_equals_the_scalar_recurrence(data):
+    """Bit for bit against the scalar recurrence, over (n,), (n, B) and
+    (n, 2, B) phases that span up to about 30 turns."""
+    B = data.draw(hst.integers(1, 20))
+    shape = (data.draw(hst.integers(1, 30)),) + data.draw(
+        hst.sampled_from([(), (B,), (2, B)]))
+    spread = data.draw(hst.sampled_from([0.5, np.pi, 100.0]))
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+    theta = rng.uniform(-spread, spread, shape)
+    got = np.asarray(phase.circular_centroid(theta))
+    for idx in np.ndindex(shape[1:]):
+        want = _centroid_loop(theta[(slice(None),) + idx].tolist())
+        assert float(got[idx]).hex() == want.hex()
 
 
 def test_centroid_batched():

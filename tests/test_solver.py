@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import batch_oracle
+import rk45_oracle
 from kuracomp import analysis, basin, cli, graphs, models, solver
 from kuracomp._rng import substream
 from kuracomp.models import CentroidCoupling, ModelConfig
@@ -647,11 +648,14 @@ def test_non_finite_rhs_raises_within_bounded_steps(method):
     """A right-hand side that turns NaN once y falls below e^-1 (at t = 1)
     ends the run: RK45 never floor-accepts a non-finite error estimate, so
     its step underflows short of t = 1, and RK4 finds the non-finite member
-    at its next check."""
+    at its next check.  A NaN error estimate shrinks h tenfold; a run that
+    kept h would step on for ever, so the rhs stops it at 2000 calls."""
     calls = [0]
 
     def rhs(y):
         calls[0] += 1
+        if calls[0] >= 2000:
+            raise RuntimeError("the run did not end")
         return np.full(1, np.nan) if y[0] < np.exp(-1.0) else -y
 
     st = IntegratorSettings(method=method, dt_init=0.01, t_end=5.0)
@@ -795,3 +799,130 @@ def test_failed_reconnaissance():
         solver.run_scenario(system, y0, st)
     assert solver.run_scenario(system, y0,
                                replace(st, recon_T=0.0)).winner == "blue"
+
+
+# ---------------------------------------------------------------------------
+# the RK45 step against the list-sum step it replaced (tests/rk45_oracle.py)
+# ---------------------------------------------------------------------------
+
+def _run(drive, make_rhs, y0, st, p_death, dense, t_end=None):
+    """One drive on a fresh rhs; a StiffnessError as (member, [trajectory])."""
+    rhs, on_compact = make_rhs()
+    try:
+        return drive(rhs, y0, st, p_death=p_death, on_compact=on_compact,
+                     dense=dense, t_end=t_end)
+    except solver.StiffnessError as err:
+        return err.member, [err.trajectory]
+
+
+def _assert_same_bits(got, want):
+    """Equal drive results: statuses, crossed rows, and every array's bytes."""
+    if isinstance(got, solver.Trajectory):
+        got, want = ((g.t, g.y, g.f, g.extinct, g.status) for g in (got, want))
+    if isinstance(got, np.ndarray):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    elif isinstance(got, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+    else:
+        assert got == want
+
+
+def _assert_drive_equals_oracle(make_rhs, y0, st, p_death=None, dense=True,
+                                t_end=None):
+    with np.errstate(all="ignore"):
+        got, want = (_run(drive, make_rhs, y0, st, p_death, dense, t_end)
+                     for drive in (solver._drive, rk45_oracle.drive))
+    _assert_same_bits(got, want)
+
+
+# members of the step oracle test: those of the batch oracle test, with a
+# steady one coupled strongly enough to settle within t_end, and one so
+# fast that its steps shrink to the floor (1e-13 t_end), where one is
+# floor-accepted, and then underflow (stiff); a slower one would crawl at
+# its stability limit, above the floor
+_STEP_KINDS = {**_ORACLE_KINDS, "floor": dict(r1=(1e15, 1e16)),
+               "steady": dict(mu=(-0.2, 0.2), gamma1=(1.0, 1.5),
+                              gamma2=(1.0, 1.5))}
+
+
+@pytest.mark.parametrize("model", ["simple-reduced", "eco2-reduced",
+                                   "eco3-reduced"])
+@settings(max_examples=12, deadline=None)
+@given(data=hst.data())
+def test_rk45_step_equals_the_list_sum_step(model, data):
+    """``_drive``'s stage-stack step equals the list-sum step bit for bit on
+    reduced batches with per-member parameters at B = 1-40: a phase slip,
+    an extinction (P_D crossing and compaction), a steady member, an
+    overflowing one (a NaN error estimate), a floor-accepted one, at loose
+    (rejections) or default tolerances, with or without thresholds, dense
+    or outcome-only."""
+    B = data.draw(hst.integers(1, 40))
+    kinds = [data.draw(hst.sampled_from(sorted(_STEP_KINDS)))
+             for _ in range(B)]
+    members = [{k: data.draw(hst.floats(*r)) for k, r in
+                {**_RANGES, **_STEP_KINDS[kind]}.items()} for kind in kinds]
+    cfg = ModelConfig(**{k: np.array([m[k] for m in members])
+                         for k in _RANGES})
+    n_pops = 3 if model == "eco3-reduced" else 2
+    unit, angle = hst.floats(0.05, 1.0), hst.floats(-np.pi, np.pi)
+    y0 = np.array([[0.0 if kind == "steady" else data.draw(unit)
+                    for kind in kinds] for _ in range(n_pops)]
+                  + [[data.draw(angle) for _ in range(B)]
+                     for _ in range(n_pops - 1)])
+    rtol = data.draw(hst.sampled_from([1e-3, 1e-8]))
+    st = IntegratorSettings(rtol=rtol, atol=rtol / 100,
+                            dt_init=data.draw(hst.sampled_from([1.0, 0.05])),
+                            dt_max=data.draw(hst.sampled_from([1.0, 0.2])),
+                            t_end=data.draw(hst.floats(2.0, 40.0)))
+    p_death = cfg.P_D if data.draw(hst.booleans()) else None
+    _assert_drive_equals_oracle(
+        lambda: models._member_rhs(model, cfg,
+                                   CentroidCoupling.from_config(cfg)),
+        y0, st, p_death, dense=data.draw(hst.booleans()))
+
+
+def test_rk45_step_equals_the_list_sum_step_on_a_full_network():
+    """A full variant's bits follow the memory layout of each stage's state,
+    and a compaction leaves y and f F-ordered, so stage 2 must be formed
+    from f itself.  fig3a's 63 nodes make the coupling product round by
+    layout (on a 6-node network both layouts round alike).  Members leave
+    the reconnaissance at its horizon and the competition at crossings of
+    P_D, at different steps, so later steps run on compacted columns."""
+    system, _, _ = cli._build(cli.validate_config(cli.get_preset("fig3a")))
+    st = IntegratorSettings(t_end=3.0, recon_T=2.0)
+    theta = np.stack([substream(5, "ensemble", i).uniform(
+        0.0, 2 * np.pi, system.net.n_total) for i in range(8)], axis=1)
+    _assert_drive_equals_oracle(lambda: (system.phase_rhs(), None), theta, st,
+                                dense=False, t_end=st.recon_T)
+    y0 = np.concatenate([np.full((3, 8), 5.0), theta])
+    y0[0, :4] = y0[1, 4:] = [1.0, 2.0, 3.0, 4.0]
+    p_death = np.array([1e-4, 2.0, 1e-4, 1e-4, 1e-4, 3.0, 1e-4, 1.0])
+    status, t, _, _ = solver._drive(system.rhs, y0, st, p_death, dense=False)
+    assert status.count("event") == len(set(t[t < 3.0])) == 3
+    for dense in (True, False):
+        _assert_drive_equals_oracle(lambda: (system.rhs, None), y0, st,
+                                    p_death, dense)
+
+
+def test_rejected_steps_log_no_points(monkeypatch):
+    """A dense run with rejections returns exactly its accepted points: a
+    step that every member rejects adds no entry to the log."""
+    entries, calls = [], [0]
+    trajectories = solver._trajectories
+
+    def spy(log, *args):
+        entries.extend(len(ids) for ids, *_ in log)
+        return trajectories(log, *args)
+
+    def rhs(y):
+        calls[0] += 1
+        return -50.0 * y
+
+    monkeypatch.setattr(solver, "_trajectories", spy)
+    traj = solver.integrate(rhs, [1.0], IntegratorSettings(dt_init=1.0,
+                                                           t_end=1.0))
+    attempts = (calls[0] - 1) // 6
+    assert attempts > len(traj.t) - 1          # some steps were rejected
+    assert entries == [1] * len(traj.t)
