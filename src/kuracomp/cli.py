@@ -1,10 +1,10 @@
 """Command-line driver: JSON configs in, CSV/JSON artifacts out.
 
-Commands: simulate, fixed-points, sweep, basin, heatmap, doe, glm, presets.
-Every run echoes its resolved config (with hash) into the output directory
-so any artifact can be reproduced exactly from the echo plus the master
-seed.  A run first removes every artifact its task may write, so each file
-it writes is new and none is left from an earlier run into the same
+Commands: one per task in ``_TASKS``, which holds each task's contract, and
+presets.  Every run echoes its resolved config (with hash) into the output
+directory so any artifact can be reproduced exactly from the echo plus the
+master seed.  A run first removes every artifact its task may write, so each
+file it writes is new and none is left from an earlier run into the same
 directory.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
@@ -16,7 +16,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,363 @@ from .models import (_REDUCED, MODEL_VARIANTS, ModelConfig, build_system,
 from .presets import build_network, get_preset, preset_names
 from .solver import IntegratorSettings, StiffnessError, ensemble, run_scenario
 
-TASK_TYPES = ("simulate", "fixed-points", "sweep", "basin", "heatmap",
-              "doe", "glm")
-
 _PARAM_FIELDS = [f.name for f in fields(ModelConfig)]
+
+
+class ValidationFailure(ValueError):
+    pass
+
+
+def load_config(path_or_name: str) -> dict:
+    """Load a config from a JSON file path or a shipped preset name."""
+    name = path_or_name[:-5] if path_or_name.endswith(".json") else path_or_name
+    path = Path(path_or_name)
+    if path.exists():
+        try:
+            with open(path) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise ValidationFailure(f"cannot read {path}: "
+                                    f"{exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationFailure(f"malformed JSON in {path}: {exc}") from exc
+        if not isinstance(config, dict) or not isinstance(
+                config.get("task", {}), dict):
+            raise ValidationFailure(f"config invalid: {path} and its task "
+                                    "must be JSON objects")
+        return config
+    if name in preset_names():
+        return get_preset(name)
+    raise ValidationFailure(f"no such config file or preset: {path_or_name}")
+
+
+def validate_config(config: dict) -> dict:
+    import jsonschema
+
+    # CONFIG_SCHEMA is a constant, so it is not re-checked against the
+    # meta-schema here (a test does that once); best_match picks the same
+    # error that jsonschema.validate would raise
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is not None:
+        raise ValidationFailure(f"config invalid: {error.message}") from error
+    return config
+
+
+def apply_overrides(config: dict, overrides) -> dict:
+    """Apply dotted-path key=value overrides (values parsed as JSON)."""
+    for item in overrides or ():
+        if "=" not in item:
+            raise ValidationFailure(f"override {item!r} is not KEY=VALUE")
+        key, raw = item.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        node = config
+        parts = key.split(".")
+        if len(parts) == 1 and parts[0] in _PARAM_FIELDS:
+            parts = ["params", parts[0]]       # bare model parameter names
+        for part in parts[:-1]:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValidationFailure(f"override path {key!r} not an object")
+        node[parts[-1]] = value
+    return config
+
+
+def config_hash(config: dict) -> str:
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _build(config: dict) -> dict:
+    """The runner's inputs, each built and checked once: system, settings,
+    seed, swept, and start, spec or log where the task reads task.initial,
+    task.grid or task.input.  ValidationFailure (or ValueError) if not."""
+    model, task, kind = config["model"], config["task"], config["task"]["type"]
+    entry = _TASKS[kind]
+    if model not in entry.variants:
+        raise ValidationFailure(f"{kind} supports the "
+                                f"{' and '.join(entry.variants)} variants")
+    params = dict(config.get("params", {}))
+    cfg = ModelConfig(**params).validate()
+    seed = int(config.get("seed", 0))
+    net = None
+    if "network" in config:
+        net = build_network(config["network"], seed)
+        drawn = {"mu", "nu"} if net.n_pops == 3 else {"mu"}
+        if ({"mu", "nu", "omega"} & config["network"].keys()
+                not in ([set()] if model in _REDUCED else [{"omega"}, drawn])):
+            raise ValidationFailure(
+                "a full variant's network frequencies are network.omega or "
+                f"drawn at network.{'/'.join(sorted(drawn))}; a reduced "
+                "variant reads none from its network")
+    needed = [key for axis in entry.axes for key in axis[:2]] + [*entry.needs]
+    missing = [k for k in needed if k not in task]
+    if missing:
+        raise ValidationFailure(f"{kind} needs task." + ", task.".join(missing))
+    if not np.isfinite([task[span] for _, span, _ in entry.axes]).all():
+        raise ValidationFailure("task ranges must be finite")
+    varied = [task[name] for name, _, _ in entry.axes]
+    if len(set(varied)) < len(varied):
+        raise ValidationFailure(f"{kind} needs two distinct parameter names")
+    if "factors" in entry.needs:
+        varied += [f["name"] for f in task["factors"]]
+        if task["n_total"] < task["k_init"]:
+            raise ValidationFailure(f"{kind} needs task.n_total >= task.k_init")
+        repeated = [name for name in varied if varied.count(name) > 1]
+        if repeated:
+            raise ValidationFailure(f"factor {repeated[0]!r} is named more "
+                                    "than once in task.factors")
+        for f in task["factors"]:     # non-finite ends fail validate below
+            if f["lo"] >= f["hi"]:
+                raise ValidationFailure(f"factor {f['name']!r} needs lo < hi")
+        if "p_exponent" in varied:
+            raise ValidationFailure(f"p_exponent cannot be a {kind} factor: "
+                                    "it takes the values 1 and 2 only")
+    if "n_sim" in task and model in _REDUCED:
+        raise ValidationFailure("task.n_sim: reduced variants have no phases")
+    model_params(model, list(params) + varied, net=net)
+    # every check is an interval, so a doe factor's endpoints suffice
+    swept = _swept(task)
+    try:
+        replace(cfg, **swept).validate()
+    except ValueError as exc:
+        raise ValidationFailure(f"swept values: {exc}") from exc
+    sv = config.get("solver", {})
+    if "recon_T" in sv and model in _REDUCED:
+        raise ValidationFailure("solver.recon_T: reduced variants have no "
+                                "reconnaissance")
+    ignored = [f"solver.{k}" for k in ("rtol", "atol") if k in sv]
+    if sv.get("method") == "rk4" and ignored:
+        raise ValidationFailure("solver.method=rk4 steps at solver.dt_init "
+                                f"and would ignore {', '.join(ignored)}")
+    settings = IntegratorSettings(**sv)
+    system = build_system(model, cfg, net=net)
+    inputs = {"system": system, "settings": settings, "seed": seed,
+              "swept": swept}
+    if "initial" in entry.reads:
+        inputs["start"] = _initial_state(system, task)
+    if "input" in entry.needs:
+        inputs["log"] = _scored_records(task["input"])
+    if "p3_init" in task and not ("p3_init" in entry.reads
+                                  and system.n_pops == 3):
+        *rest, last = [k for k, t in _TASKS.items() if "p3_init" in t.reads]
+        raise ValidationFailure(f"task.p3_init is read only by "
+                                f"{', '.join(rest)} and {last} tasks on a "
+                                "three-population variant")
+    if "grid" in entry.reads:
+        inputs["spec"] = _basin_spec(task, settings, seed)  # checks p3_init
+    return inputs
+
+
+def _swept(task) -> dict:
+    """{parameter: values} a task varies: the grid of each swept axis, or
+    both endpoints of each doe factor."""
+    entry = _TASKS[task["type"]]
+    if "factors" in entry.needs:
+        return {f["name"]: np.array([f["lo"], f["hi"]], dtype=float)
+                for f in task["factors"]}
+    return {task[name]: np.linspace(*task[span], task.get(points, 21))
+            for name, span, points in entry.axes}
+
+
+def _initial_state(system, task):
+    """The start state that task.initial gives.  ValidationFailure unless each
+    task.initial entry is one the run reads, with one value per population
+    (P), centroid difference (delta; a full variant places one) or node
+    (theta): a full variant reads delta if given, else theta, and an
+    ensemble (task.n_sim) neither."""
+    init, m = task.get("initial", {}), system.n_pops
+    sizes = ({"P": m, "delta": system.dim - m} if system.reduced else {"P": m}
+             if "n_sim" in task else {"P": m, "delta": 1} if "delta" in init
+             else {"P": m, "theta": system.net.n_total})
+    for key, value in init.items():
+        if key not in sizes:
+            raise ValidationFailure(f"task.initial.{key} is not read by this "
+                                    f"{system.name} simulation")
+        if np.size(value) != sizes[key]:
+            raise ValidationFailure(f"task.initial.{key} needs {sizes[key]} "
+                                    f"value(s), got {np.size(value)}")
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValidationFailure(f"task.initial.{key} must be finite")
+    P = np.asarray(init["P"], dtype=float) if "P" in init \
+        else 0.5 * np.asarray(resource_scale(system))
+    if system.reduced:
+        delta = init.get("delta", np.zeros(system.dim - m))
+        return np.concatenate([P, np.atleast_1d(np.asarray(delta, float))])
+    theta = np.zeros(system.net.n_total)
+    if "delta" in init:
+        theta[system.net.nodes_of(1)] = -float(np.atleast_1d(init["delta"])[0])
+    elif "theta" in init:
+        theta = np.asarray(init["theta"], dtype=float)
+    return np.concatenate([P, theta])
+
+
+# ---------------------------------------------------------------------------
+# task runners: each takes the config, its output directory, the run flags
+# and the inputs _build made, by name, and writes its artifacts
+# ---------------------------------------------------------------------------
+
+def _task_simulate(config, outdir, system, settings, seed, start, **_):
+    task = config["task"]
+    if "n_sim" in task:
+        res = ensemble(system, start[:system.n_pops], task["n_sim"], seed,
+                       settings)
+        _write_json(outdir / "ensemble.json",
+                    {"fractions": res.fractions, "counts": res.counts,
+                     "n_sim": res.n_sim})
+        return {"fractions": res.fractions}
+    outcome = run_scenario(system, start, settings)
+    outcome.trajectory.to_csv(outdir / "trajectory.csv", system.labels)
+    summary = {"winner": outcome.winner, "t_event": outcome.t_event}
+    _write_json(outdir / "outcome.json", summary)
+    return summary
+
+
+def _task_fixed_points(config, outdir, system, **_):
+    diags = []
+    fixed_points = (analysis.eco2_fixed_points if config["model"] ==
+                    "eco2-reduced" else analysis.simple_fixed_points)
+    records = fixed_points(system.cfg, system.coupling, diagnostics=diags)
+    rows = ["label,P1,P2,Delta1,max_real_eig,class,residual,status"]
+    for rec in records:
+        rows.append(",".join(
+            [rec.label] + [f"{v:.12g}" for v in rec.state]
+            + [f"{rec.max_real_eig:.12g}", rec.classification,
+               f"{rec.residual:.3g}", rec.status]))
+    (outdir / "fixed_points.csv").write_text("\n".join(rows) + "\n")
+    if diags:
+        _write_json(outdir / "diagnostics.json", {"notes": diags})
+    return {"n_fixed_points": len(records)}
+
+
+def _task_sweep(config, outdir, system, settings, swept, **_):
+    ((param, values),) = swept.items()
+    coupling = system.coupling if system.net is not None else None
+    rows = analysis.sweep_bifurcation(config["model"], system.cfg, param,
+                                      values, coupling=coupling,
+                                      settings=settings)
+    analysis.sweep_to_csv(rows, outdir / "sweep.csv")
+    return {"n_rows": len(rows)}
+
+
+def _basin_spec(task, settings, seed):
+    given = {k: task[k] for k in _SPEC if k in task}       # else BasinSpec's
+    if "grid" in task:
+        given["grid"] = tuple(int(r) for r in task["grid"])   # 2.0 passes
+    return basin.BasinSpec(seed=seed, settings=settings, **given)
+
+
+def _task_basin(config, outdir, system, spec, **_):
+    result = basin.estimate_basin(system.name, system.cfg, spec,
+                                  net=system.net)
+    np.savetxt(outdir / "basin_cells.csv", result.per_cell, delimiter=",",
+               fmt="%.12g")
+    _write_json(outdir / "basin.json",
+                {"value": result.value, "n_evaluated": result.n_evaluated,
+                 "n_failed": result.n_failed})
+    return {"basin": result.value}
+
+
+def _task_heatmap(config, outdir, system, seed, swept, spec, jobs, svg, **_):
+    (x_param, xs), (y_param, ys) = swept.items()
+    matrix, xv, yv = basin.basin_heatmap(
+        system.name, system.cfg, x_param, xs, y_param, ys, spec,
+        net=system.net, jobs=jobs)
+    meta = {"model": config["model"], "config_hash": config_hash(config),
+            "seed": seed, "x_param": x_param, "y_param": y_param,
+            "resolutions": [int(xs.size), int(ys.size), list(spec.grid)]}
+    basin.heatmap_to_csv(matrix, xv, yv, outdir / "heatmap.csv", meta=meta)
+    if svg:
+        _write_svg_heatmap(matrix, outdir / "heatmap.svg")
+    return {"min": float(matrix.min()), "max": float(matrix.max())}
+
+
+def _task_doe(config, outdir, system, seed, swept, spec, **_):
+    task = config["task"]                 # swept holds each factor's (lo, hi)
+
+    def g(X):
+        c = replace(system.cfg, **dict(zip(swept, X.T)))
+        return [r.value for r in basin.estimate_basins(
+            system.name, c, spec, len(X), net=system.net)]
+
+    records = doe.run_doe(g, list(swept.values()), task["k_init"],
+                          task["n_total"], seed)
+    doe.write_doe_log(records, outdir / "doe_log.csv", list(swept))
+    return {"n_records": len(records)}
+
+
+def _task_glm(config, outdir, seed, log, **_):
+    X, y, names = log
+    fit = stats.fit_quasibinomial(X, y, feature_names=names)
+    table = stats.deviance_anova(X, y, term_order=names)
+    stats.write_coefficient_table(fit, table, outdir / "glm_coefficients.csv")
+    imp = stats.permutation_importance(
+        fit, X, y, n_repeats=config["task"].get("n_repeats", 10), seed=seed)
+    _write_json(outdir / "permutation_importance.json", imp)
+    return {"converged": fit.converged,
+            "dispersion": float(fit.dispersion)}
+
+
+def _scored_records(path):
+    """(factor values X, responses y, factor names) of the DOE log records at
+    path with a finite response; ValidationFailure unless it can be read and
+    holds such a record."""
+    try:
+        records, names = doe.read_doe_log(path)
+    except OSError as exc:
+        raise ValidationFailure(f"task.input: cannot read {path}: "
+                                f"{exc.strerror}") from exc
+    except ValueError as exc:                        # a malformed log
+        raise ValidationFailure(f"task.input: {exc}") from exc
+    good = [r for r in records if not r.failed]
+    if not good:
+        raise ValidationFailure(f"task.input: {path} holds no scored "
+                                "DOE record")
+    return np.array([r.x for r in good]), np.array([r.y for r in good]), names
+
+
+@dataclass(frozen=True)
+class _Task:
+    """A task's contract with the CLI."""
+
+    run: Callable             # runner(config, outdir, jobs, svg, **inputs)
+    artifacts: tuple          # files it may write, which run_config removes
+    reads: tuple = ()         # task keys read with a default, beyond axes
+    needs: tuple = ()         # task keys read without a default, beyond axes
+    axes: tuple = ()          # (param, range, points) of each swept axis
+    variants: tuple = MODEL_VARIANTS
+    flags: tuple = ()         # run_config keywords, also command-line options
+
+
+_SPEC = ("grid", "n_sim", "p3_init")            # the keys _basin_spec reads
+
+_TASKS = {
+    "simulate": _Task(_task_simulate, ("ensemble.json", "trajectory.csv",
+                                       "outcome.json"),
+                      reads=("initial", "n_sim")),
+    "fixed-points": _Task(_task_fixed_points, ("fixed_points.csv",
+                                               "diagnostics.json"),
+                          variants=("simple-reduced", "eco2-reduced")),
+    "sweep": _Task(_task_sweep, ("sweep.csv",),
+                   axes=(("param", "range", "n_points"),),
+                   variants=("simple-reduced", "eco2-reduced")),
+    "basin": _Task(_task_basin, ("basin_cells.csv", "basin.json"),
+                   reads=_SPEC),
+    "heatmap": _Task(_task_heatmap, ("heatmap.csv", "heatmap.csv.json",
+                                     "heatmap.svg"), reads=_SPEC,
+                     axes=(("x_param", "x_range", "x_points"),
+                           ("y_param", "y_range", "y_points")),
+                     flags=("jobs", "svg")),
+    "doe": _Task(_task_doe, ("doe_log.csv",), reads=_SPEC,
+                 needs=("factors", "k_init", "n_total")),
+    "glm": _Task(_task_glm, ("glm_coefficients.csv",
+                             "permutation_importance.json"),
+                 reads=("n_repeats",), needs=("input",)),
+}
+
 
 _PAIR = {"type": "array", "items": {"type": "number"},      # (lo, hi)
          "minItems": 2, "maxItems": 2}
@@ -84,7 +438,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["type"],
             "properties": {
-                "type": {"enum": list(TASK_TYPES)},
+                "type": {"enum": list(_TASKS)},
                 "initial": {"type": "object"},
                 "n_sim": {"type": "integer", "minimum": 1},
                 "param": {"type": "string"},
@@ -111,349 +465,6 @@ CONFIG_SCHEMA = {
             },
         },
     },
-}
-
-
-class ValidationFailure(ValueError):
-    pass
-
-
-def load_config(path_or_name: str) -> dict:
-    """Load a config from a JSON file path or a shipped preset name."""
-    name = path_or_name[:-5] if path_or_name.endswith(".json") else path_or_name
-    path = Path(path_or_name)
-    if path.exists():
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"malformed JSON in {path}: {exc}") from exc
-    if name in preset_names():
-        return get_preset(name)
-    raise ValidationFailure(f"no such config file or preset: {path_or_name}")
-
-
-def validate_config(config: dict) -> dict:
-    import jsonschema
-
-    # CONFIG_SCHEMA is a constant, so it is not re-checked against the
-    # meta-schema here (a test does that once); best_match picks the same
-    # error that jsonschema.validate would raise
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
-    if error is not None:
-        raise ValidationFailure(f"config invalid: {error.message}") from error
-    return config
-
-
-def apply_overrides(config: dict, overrides) -> dict:
-    """Apply dotted-path key=value overrides (values parsed as JSON)."""
-    for item in overrides or ():
-        if "=" not in item:
-            raise ValidationFailure(f"override {item!r} is not KEY=VALUE")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = config
-        parts = key.split(".")
-        if len(parts) == 1 and parts[0] in _PARAM_FIELDS:
-            parts = ["params", parts[0]]       # bare model parameter names
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ValidationFailure(f"override path {key!r} not an object")
-        node[parts[-1]] = value
-    return config
-
-
-def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _build(config: dict):
-    """(system, settings, seed) from a validated config."""
-    model, task = config["model"], config["task"]
-    if (task["type"] in ("fixed-points", "sweep")
-            and model not in ("simple-reduced", "eco2-reduced")):
-        raise ValidationFailure(f"{task['type']} supports the simple-reduced"
-                                " and eco2-reduced variants")
-    params = dict(config.get("params", {}))
-    cfg = ModelConfig(**params).validate()
-    seed = int(config.get("seed", 0))
-    net = None
-    if "network" in config:
-        net = build_network(config["network"], seed)
-        drawn = {"mu", "nu"} if net.n_pops == 3 else {"mu"}
-        if ({"mu", "nu", "omega"} & config["network"].keys()
-                not in ([set()] if model in _REDUCED else [{"omega"}, drawn])):
-            raise ValidationFailure(
-                "a full variant's network frequencies are network.omega or "
-                f"drawn at network.{'/'.join(sorted(drawn))}; a reduced "
-                "variant reads none from its network")
-    needed = {"sweep": ("param", "range"),       # read without a default
-              "heatmap": ("x_param", "x_range", "y_param", "y_range"),
-              "doe": ("factors", "k_init", "n_total"),
-              "glm": ("input",)}.get(task["type"], ())
-    missing = [k for k in needed if k not in task]
-    if missing:
-        raise ValidationFailure(f"{task['type']} needs task."
-                                + ", task.".join(missing))
-    if not np.isfinite([task[k] for k in needed if k.endswith("range")]).all():
-        raise ValidationFailure("task ranges must be finite")
-    varied = [task[k] for k in needed if k.endswith("param")]
-    if task["type"] == "heatmap" and varied[0] == varied[1]:
-        raise ValidationFailure("heatmap needs two distinct parameter names")
-    if task["type"] == "doe":
-        varied += [f["name"] for f in task["factors"]]
-        if task["n_total"] < task["k_init"]:
-            raise ValidationFailure("doe needs task.n_total >= task.k_init")
-        repeated = [name for name in varied if varied.count(name) > 1]
-        if repeated:
-            raise ValidationFailure(f"factor {repeated[0]!r} is named more "
-                                    "than once in task.factors")
-        for f in task["factors"]:     # non-finite ends fail validate below
-            if f["lo"] >= f["hi"]:
-                raise ValidationFailure(f"factor {f['name']!r} needs lo < hi")
-        if "p_exponent" in varied:
-            raise ValidationFailure("p_exponent cannot be a doe factor: it "
-                                    "takes the values 1 and 2 only")
-    if "n_sim" in task and model in _REDUCED:
-        raise ValidationFailure("task.n_sim: reduced variants have no phases")
-    model_params(model, list(params) + varied, net=net)
-    # every check is an interval, so a doe factor's endpoints suffice
-    try:
-        replace(cfg, **_swept(task)).validate()
-    except ValueError as exc:
-        raise ValidationFailure(f"swept values: {exc}") from exc
-    sv = config.get("solver", {})
-    if "recon_T" in sv and model in _REDUCED:
-        raise ValidationFailure("solver.recon_T: reduced variants have no "
-                                "reconnaissance")
-    ignored = [f"solver.{k}" for k in ("rtol", "atol") if k in sv]
-    if sv.get("method") == "rk4" and ignored:
-        raise ValidationFailure("solver.method=rk4 steps at solver.dt_init "
-                                f"and would ignore {', '.join(ignored)}")
-    settings = IntegratorSettings(**sv)
-    system = build_system(model, cfg, net=net)
-    if task["type"] == "simulate":
-        _initial_state(system, task)             # checks task.initial
-    if task["type"] == "glm":
-        _scored_records(task["input"])           # checks the log
-    basin_task = task["type"] in ("basin", "heatmap", "doe")
-    if "p3_init" in task and not (basin_task and system.n_pops == 3):
-        raise ValidationFailure("task.p3_init is read only by basin, heatmap "
-                                "and doe tasks on a three-population variant")
-    if basin_task:
-        _basin_spec(task, settings, seed)        # checks task.p3_init
-    return system, settings, seed
-
-
-_AXES = {"sweep": [("param", "range", "n_points")],
-         "heatmap": [("x_param", "x_range", "x_points"),
-                     ("y_param", "y_range", "y_points")]}
-
-
-def _swept(task) -> dict:
-    """{parameter: values} a task varies: the grid of a sweep or of each
-    heatmap axis, or both endpoints of each doe factor."""
-    if task["type"] == "doe":
-        return {f["name"]: np.array([f["lo"], f["hi"]], dtype=float)
-                for f in task["factors"]}
-    return {task[name]: np.linspace(*task[span], task.get(points, 21))
-            for name, span, points in _AXES.get(task["type"], ())}
-
-
-def _initial_state(system, task):
-    """A simulate task's start state.  ValidationFailure unless each
-    task.initial entry is one the run reads, with one value per population
-    (P), centroid difference (delta; a full variant places one) or node
-    (theta): a full variant reads delta if given, else theta, and an
-    ensemble (task.n_sim) neither."""
-    init, m = task.get("initial", {}), system.n_pops
-    sizes = ({"P": m, "delta": system.dim - m} if system.reduced else {"P": m}
-             if "n_sim" in task else {"P": m, "delta": 1} if "delta" in init
-             else {"P": m, "theta": system.net.n_total})
-    for key, value in init.items():
-        if key not in sizes:
-            raise ValidationFailure(f"task.initial.{key} is not read by this "
-                                    f"{system.name} simulation")
-        if np.size(value) != sizes[key]:
-            raise ValidationFailure(f"task.initial.{key} needs {sizes[key]} "
-                                    f"value(s), got {np.size(value)}")
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
-            raise ValidationFailure(f"task.initial.{key} must be finite")
-    P = np.asarray(init["P"], dtype=float) if "P" in init \
-        else 0.5 * np.asarray(resource_scale(system))
-    if system.reduced:
-        delta = init.get("delta", np.zeros(system.dim - m))
-        return np.concatenate([P, np.atleast_1d(np.asarray(delta, float))])
-    theta = np.zeros(system.net.n_total)
-    if "delta" in init:
-        theta[system.net.nodes_of(1)] = -float(np.atleast_1d(init["delta"])[0])
-    elif "theta" in init:
-        theta = np.asarray(init["theta"], dtype=float)
-    return np.concatenate([P, theta])
-
-
-# ---------------------------------------------------------------------------
-# task runners
-# ---------------------------------------------------------------------------
-
-def _task_simulate(config, system, settings, seed, outdir):
-    task = config["task"]
-    if "n_sim" in task:
-        res = ensemble(system, _initial_state(system, task)[:system.n_pops],
-                       task["n_sim"], seed, settings)
-        _write_json(outdir / "ensemble.json",
-                    {"fractions": res.fractions, "counts": res.counts,
-                     "n_sim": res.n_sim})
-        return {"fractions": res.fractions}
-    outcome = run_scenario(system, _initial_state(system, task), settings)
-    outcome.trajectory.to_csv(outdir / "trajectory.csv", system.labels)
-    _write_json(outdir / "outcome.json",
-                {"winner": outcome.winner, "t_event": outcome.t_event})
-    return {"winner": outcome.winner, "t_event": outcome.t_event}
-
-
-def _task_fixed_points(config, system, settings, seed, outdir):
-    diags = []
-    fixed_points = (analysis.eco2_fixed_points if config["model"] ==
-                    "eco2-reduced" else analysis.simple_fixed_points)
-    records = fixed_points(system.cfg, system.coupling, diagnostics=diags)
-    rows = ["label,P1,P2,Delta1,max_real_eig,class,residual,status"]
-    for rec in records:
-        rows.append(",".join(
-            [rec.label] + [f"{v:.12g}" for v in rec.state]
-            + [f"{rec.max_real_eig:.12g}", rec.classification,
-               f"{rec.residual:.3g}", rec.status]))
-    (outdir / "fixed_points.csv").write_text("\n".join(rows) + "\n")
-    if diags:
-        _write_json(outdir / "diagnostics.json", {"notes": diags})
-    return {"n_fixed_points": len(records)}
-
-
-def _task_sweep(config, system, settings, seed, outdir):
-    task = config["task"]
-    (values,) = _swept(task).values()
-    coupling = system.coupling if system.net is not None else None
-    rows = analysis.sweep_bifurcation(config["model"], system.cfg,
-                                      task["param"], values,
-                                      coupling=coupling, settings=settings)
-    analysis.sweep_to_csv(rows, outdir / "sweep.csv")
-    return {"n_rows": len(rows)}
-
-
-def _basin_spec(task, settings, seed):
-    given = {k: task[k] for k in ("n_sim", "p3_init")
-             if k in task}                                    # else BasinSpec's
-    if "grid" in task:
-        given["grid"] = tuple(int(r) for r in task["grid"])   # 2.0 passes
-    return basin.BasinSpec(seed=seed, settings=settings, **given)
-
-
-def _task_basin(config, system, settings, seed, outdir):
-    task = config["task"]
-    spec = _basin_spec(task, settings, seed)
-    result = basin.estimate_basin(system.name, system.cfg, spec,
-                                  net=system.net)
-    np.savetxt(outdir / "basin_cells.csv", result.per_cell, delimiter=",",
-               fmt="%.12g")
-    _write_json(outdir / "basin.json",
-                {"value": result.value, "n_evaluated": result.n_evaluated,
-                 "n_failed": result.n_failed})
-    return {"basin": result.value}
-
-
-def _task_heatmap(config, system, settings, seed, outdir, jobs=1, svg=False):
-    task = config["task"]
-    spec = _basin_spec(task, settings, seed)
-    xs, ys = _swept(task).values()
-    matrix, xv, yv = basin.basin_heatmap(
-        system.name, system.cfg, task["x_param"], xs, task["y_param"], ys,
-        spec, net=system.net, jobs=jobs)
-    meta = {"model": config["model"], "config_hash": config_hash(config),
-            "seed": seed, "x_param": task["x_param"],
-            "y_param": task["y_param"],
-            "resolutions": [int(xs.size), int(ys.size), list(spec.grid)]}
-    basin.heatmap_to_csv(matrix, xv, yv, outdir / "heatmap.csv", meta=meta)
-    if svg:
-        _write_svg_heatmap(matrix, outdir / "heatmap.svg")
-    return {"min": float(matrix.min()), "max": float(matrix.max())}
-
-
-def _task_doe(config, system, settings, seed, outdir):
-    task = config["task"]
-    factors = [(f["name"], float(f["lo"]), float(f["hi"]))
-               for f in task["factors"]]
-    spec = _basin_spec(task, settings, seed)
-
-    def g(X):
-        c = replace(system.cfg, **{name: X[:, j]
-                                   for j, (name, _, _) in enumerate(factors)})
-        return [r.value for r in basin.estimate_basins(
-            system.name, c, spec, len(X), net=system.net)]
-
-    records = doe.run_doe(g, [(lo, hi) for _, lo, hi in factors],
-                          task["k_init"], task["n_total"], seed)
-    doe.write_doe_log(records, outdir / "doe_log.csv",
-                      [name for name, _, _ in factors])
-    return {"n_records": len(records)}
-
-
-def _task_glm(config, system, settings, seed, outdir):
-    task = config["task"]
-    good, names = _scored_records(task["input"])
-    X = np.array([r.x for r in good])
-    y = np.array([r.y for r in good])
-    fit = stats.fit_quasibinomial(X, y, feature_names=names)
-    table = stats.deviance_anova(X, y, term_order=names)
-    stats.write_coefficient_table(fit, table, outdir / "glm_coefficients.csv")
-    imp = stats.permutation_importance(fit, X, y,
-                                       n_repeats=task.get("n_repeats", 10),
-                                       seed=seed)
-    _write_json(outdir / "permutation_importance.json", imp)
-    return {"converged": fit.converged,
-            "dispersion": float(fit.dispersion)}
-
-
-def _scored_records(path):
-    """(records with a finite response, factor names) of the DOE log at
-    path; ValidationFailure unless it can be read and holds such a record."""
-    try:
-        records, names = doe.read_doe_log(path)
-    except OSError as exc:
-        raise ValidationFailure(f"task.input: cannot read {path}: "
-                                f"{exc.strerror}") from exc
-    good = [r for r in records if not r.failed]
-    if not good:
-        raise ValidationFailure(f"task.input: {path} holds no scored "
-                                "DOE record")
-    return good, names
-
-
-_TASKS = {
-    "simulate": _task_simulate,
-    "fixed-points": _task_fixed_points,
-    "sweep": _task_sweep,
-    "basin": _task_basin,
-    "heatmap": _task_heatmap,
-    "doe": _task_doe,
-    "glm": _task_glm,
-}
-
-# the files each task may write beside resolved_config.json and
-# metadata.json; run_config removes them all before a run writes anything
-_ARTIFACTS = {
-    "simulate": ("ensemble.json", "trajectory.csv", "outcome.json"),
-    "fixed-points": ("fixed_points.csv", "diagnostics.json"),
-    "sweep": ("sweep.csv",),
-    "basin": ("basin_cells.csv", "basin.json"),
-    "heatmap": ("heatmap.csv", "heatmap.csv.json", "heatmap.svg"),
-    "doe": ("doe_log.csv",),
-    "glm": ("glm_coefficients.csv", "permutation_importance.json"),
 }
 
 
@@ -489,8 +500,7 @@ def _write_svg_heatmap(matrix, path):
 def run(config_path: str, overrides=(), out_dir=None, seed=None, jobs: int = 1,
         svg: bool = False) -> dict:
     """Validate, execute, and write artifacts; returns a result summary."""
-    config = load_config(config_path)
-    config = apply_overrides(config, overrides)
+    config = apply_overrides(load_config(config_path), overrides)
     return run_config(config, out_dir=out_dir, seed=seed, jobs=jobs, svg=svg)
 
 
@@ -499,7 +509,7 @@ def main(argv=None) -> int:
         prog="kuracomp",
         description="coupled decision/competition dynamics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in TASK_TYPES:
+    for name, entry in _TASKS.items():
         p = sub.add_parser(name, help=f"run a {name} task")
         p.add_argument("--config", "-c", required=True,
                        help="config JSON path or preset name")
@@ -507,7 +517,7 @@ def main(argv=None) -> int:
                        metavar="K=V", help="dotted-path config override")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        if name == "heatmap":
+        if entry.flags:
             p.add_argument("--jobs", "-j", type=int,
                            default=os.cpu_count() or 1,
                            help="worker processes for full-variant heatmaps "
@@ -522,13 +532,12 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        config = load_config(args.config)
-        config = apply_overrides(config, args.override)
-        config.setdefault("task", {})["type"] = args.command
-        heatmap = ({"jobs": args.jobs, "svg": args.svg}
-                   if args.command == "heatmap" else {})
-        summary = run_config(config, out_dir=args.out, seed=args.seed,
-                             **heatmap)
+        # the command is the task type, set as the last override
+        summary = run(args.config, [*args.override,
+                                    f"task.type={args.command}"],
+                      out_dir=args.out, seed=args.seed,
+                      **{flag: getattr(args, flag)
+                         for flag in _TASKS[args.command].flags})
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -548,22 +557,24 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
     if out_dir is not None:
         config["output"] = str(out_dir)
     config = validate_config(config)
-    if "task" not in config or "type" not in config.get("task", {}):
+    if "task" not in config:              # the schema requires its type
         raise ValidationFailure("config needs task.type")
     task_type = config["task"]["type"]
+    entry = _TASKS[task_type]
     if jobs < 1:
         raise ValidationFailure(f"jobs must be >= 1, got {jobs}")
-    if task_type != "heatmap" and (jobs != 1 or svg):
-        raise ValidationFailure("jobs and svg apply to heatmap tasks only")
+    if not entry.flags and (jobs != 1 or svg):
+        (taker,) = [name for name, t in _TASKS.items() if t.flags]
+        raise ValidationFailure(f"jobs and svg apply to {taker} tasks only")
     started = time.time()
     try:
-        system, settings, master_seed = _build(config)
+        inputs = _build(config)
     except ValueError as exc:       # the library rejects the config
         if isinstance(exc, np.linalg.LinAlgError):
             raise
         raise ValidationFailure(str(exc)) from exc
     outdir = Path(config.get("output", "out"))
-    names = ("resolved_config.json", "metadata.json", *_ARTIFACTS[task_type])
+    names = ("resolved_config.json", "metadata.json", *entry.artifacts)
     for path in (outdir, *outdir.parents):
         if path.exists() and not path.is_dir():
             raise ValidationFailure(f"output: {path} is not a directory")
@@ -577,13 +588,11 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
         (outdir / name).unlink(missing_ok=True)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "resolved_config.json", config)
-    runner = _TASKS[task_type]
-    heatmap = {"jobs": jobs, "svg": svg} if task_type == "heatmap" else {}
 
     def write_metadata(**status):
         _write_json(outdir / "metadata.json", {
             "config_hash": config_hash(config),
-            "seed": master_seed,
+            "seed": inputs["seed"],
             "task": task_type,
             "artifacts": sorted(name for name in names
                                 if name == "metadata.json"
@@ -595,8 +604,7 @@ def run_config(config: dict, out_dir=None, seed=None, jobs: int = 1,
 
     # a failed run still says what it was and why it failed
     try:
-        summary = runner(config, system, settings, master_seed, outdir,
-                         **heatmap)
+        summary = entry.run(config, outdir, jobs=jobs, svg=svg, **inputs)
     except Exception as exc:
         write_metadata(status="failed", error=f"{type(exc).__name__}: {exc}")
         raise

@@ -538,13 +538,19 @@ def write_doe_log(records, path, factor_names):
 
 
 def read_doe_log(path):
-    """Inverse of write_doe_log: (records, factor_names)."""
+    """Inverse of write_doe_log: (records, factor_names).  ValueError, naming
+    the line, unless the log has a header and each row as many cells."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
+        if len(header) < 4:            # iter,source,<factors>,basin,objective
+            raise ValueError(f"{path}, line 1: no DOE log header")
         names = header[2:-2]
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} "
+                                 f"cell(s) where the header has {len(header)}")
             x = np.array([float(v) for v in row[2:-2]])
             y, z = float(row[-2]), float(row[-1])
             records.append(DesignRecord(

@@ -55,6 +55,7 @@ __all__ = [
 
 EVENT_TIME_TOL = 1e-9
 RECON_T = 50.0           # reconnaissance time: phase-only dynamics, H = 1
+RTOL_MIN = 100 * np.finfo(float).eps     # scipy's solve_ivp floor on rtol
 # A member fails when its RK45 step underflows ("stiff"; a non-finite error
 # estimate is never floor-accepted), or its dy/dt at a check every
 # CHECK_EVERY steps or its state at t_end is not finite ("failed").  A
@@ -115,6 +116,9 @@ class IntegratorSettings:
             raise ValueError("method must be 'rk45' or 'rk4'")
         if min(self.rtol, self.atol, self.dt_init, self.dt_max) <= 0:
             raise ValueError("tolerances and step bounds must be positive")
+        if self.rtol < RTOL_MIN:
+            raise ValueError(f"rtol must be >= {RTOL_MIN:.3g}: below it the "
+                             "RK45 error estimate vanishes in round-off")
         if self.recon_T < 0:
             raise ValueError("recon_T must be >= 0")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -46,12 +47,20 @@ def test_presets_command_lists_names():
 
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    out = tmp_path / "out"
-    proc = _run_cli(["simulate", "-c", str(bad), "--out", str(out)])
-    assert proc.returncode == 2
-    assert not out.exists()
+    # not JSON, not a JSON object, a task that is not one, and a directory
+    for text in ("{not json", "[1,2]", '{"model": "simple-reduced", "task": 3}',
+                 None):
+        bad = tmp_path / "bad.json"
+        if text is None:
+            bad.unlink()
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        out = tmp_path / "out"
+        proc = _run_cli(["simulate", "-c", str(bad), "--out", str(out)])
+        assert proc.returncode == 2, text
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert not out.exists()
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -282,13 +291,19 @@ def test_glm_with_a_missing_input_exits_2(tmp_path, capsys):
 def test_glm_with_an_empty_log_exits_2(tmp_path, capsys):
     log = tmp_path / "doe_log.csv"
     out = tmp_path / "out"
-    doe.write_doe_log([], log, ["beta1", "mu"])      # the header only
-    assert cli.main(["glm", "-c", "simple-cs", "-o", f"task.input={log}",
-                     "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: task.input: ") and str(log) in err
-    assert "no scored DOE record" in err
-    assert not out.exists()
+    header = "iter,source,beta1,mu,basin,objective\n"
+    # the header only, no header at all, and a row shorter than the header
+    for text, reason in [(header, "holds no scored DOE record"),
+                         ("", "line 1: no DOE log header"),
+                         (header + "0,initial,1.0,0.5\n",
+                          "line 2: 4 cell(s) where the header has 6")]:
+        log.write_text(text)
+        assert cli.main(["glm", "-c", "simple-cs", "-o", f"task.input={log}",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: task.input: ") and str(log) in err
+        assert reason in err
+        assert not out.exists()
 
 
 def test_fig3b_preset_blue_win_trajectory(tmp_path):
@@ -467,6 +482,12 @@ def _net(pop0=None, pop1=None, **changes):
     _net(pop0={"kind": "erdos-renyi", "n": 8, "p": 1.5}),
     _net(pop0={"kind": "erdos-renyi", "n": 8, "p": True}),
     _net(pop0={"kind": "watts-strogatz", "n": 8, "k": 2, "p_rewire": "0.1"}),
+    # a config path that cannot be read, a task that is not an object, and
+    # an rtol below 100 eps, where RK45's error estimate vanishes
+    ["simulate", "-c", str(Path(__file__).parent)],
+    ["simulate", "-c", "simple-cs", "-o", "task=3"],
+    ["simulate", "-c", "simple-cs", "-o", "solver.rtol=1e-30",
+     "-o", "solver.t_end=2"],
 ])
 def test_config_rejected_by_library_exits_2(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -503,7 +524,7 @@ def test_heatmap_only_flags_exit_2(args, tmp_path, capsys):
      "k_init": 2, "n_total": 2}])
 def test_p3_init_is_accepted_where_a_basin_reads_it(task):
     config = {**get_preset("fig3b"), "task": {**task, "p3_init": 3.0}}
-    system, _, _ = cli._build(cli.validate_config(config))
+    system = cli._build(cli.validate_config(config))["system"]
     assert system.n_pops == 3
 
 
@@ -698,9 +719,9 @@ def test_doe_records_equal_per_point_estimate_basin(model, data):
     with tempfile.TemporaryDirectory() as out:
         cli.run_config(config, out_dir=out)
         records, names = doe.read_doe_log(Path(out) / "doe_log.csv")
-    system, settings_, seed = cli._build(config)
-    cfg, net = system.cfg, system.net
-    spec = cli._basin_spec(config["task"], settings_, seed)
+    inputs = cli._build(config)
+    cfg, net = inputs["system"].cfg, inputs["system"].net
+    spec = cli._basin_spec(config["task"], inputs["settings"], inputs["seed"])
     assert len(records) == config["task"]["n_total"]
     for rec in records:
         point = dict(zip(names, map(float, rec.x)))
@@ -752,7 +773,8 @@ def test_rerun_writes_new_files_named_in_the_task_table(case, tmp_path):
     out = tmp_path / "out"
     _run_smoke(_EVERY_TASK[case], out, 0, tmp_path)
     task = json.loads((out / "metadata.json").read_text())["task"]
-    table = {"resolved_config.json", "metadata.json", *cli._ARTIFACTS[task]}
+    table = {"resolved_config.json", "metadata.json",
+             *cli._TASKS[task].artifacts}
     first = {p.name: p.read_bytes() for p in out.iterdir()}
     assert set(first) <= table
     listed = json.loads(first["metadata.json"])["artifacts"]
@@ -774,6 +796,37 @@ def test_rerun_writes_new_files_named_in_the_task_table(case, tmp_path):
     assert rerun.keys() == fresh.keys()
     for name in fresh.keys() - {"metadata.json"}:
         assert rerun[name] == fresh[name], name
+
+
+def test_the_task_table_is_the_single_source(capsys):
+    # the schema's task types and the CLI's subcommands are the table's keys
+    schema = cli.CONFIG_SCHEMA["properties"]["task"]["properties"]["type"]
+    assert schema["enum"] == list(cli._TASKS)
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    commands = re.search(r"\{(.*?)\}", capsys.readouterr().out).group(1)
+    assert commands.split(",") == [*cli._TASKS, "presets"]
+
+
+# the inputs _build makes besides the swept values, which every task makes
+_BUILT = {"simulate": ["_initial_state"], "ensemble": ["_initial_state"],
+          "basin": ["_basin_spec"], "heatmap": ["_basin_spec"],
+          "doe": ["_basin_spec"], "glm": ["read_doe_log"]}
+
+
+@pytest.mark.parametrize("case", list(_EVERY_TASK))
+def test_each_task_input_is_built_once(case, tmp_path, monkeypatch):
+    # the runners take what _build made: a glm run reads its log once
+    calls = []
+    for owner, name in [(cli, "_initial_state"), (cli, "_basin_spec"),
+                        (cli, "_swept"), (doe, "read_doe_log")]:
+        def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    _run_smoke(_EVERY_TASK[case], tmp_path / "out", 0, tmp_path)
+    assert sorted(calls) == sorted(["_swept", *_BUILT.get(case, [])])
 
 
 @pytest.mark.parametrize("first, second, stale", [

@@ -48,7 +48,8 @@ def _four_ways(name):
     solver_section["t_end"] = min(solver_section["t_end"], T_END)
     if "recon_T" in solver_section:
         solver_section["recon_T"] = min(solver_section["recon_T"], RECON_T)
-    system, settings, _ = cli._build(config)
+    inputs = cli._build(config)
+    system, settings = inputs["system"], inputs["settings"]
     rk4 = replace(settings, method="rk4")
     return system, cli._initial_state(system, config["task"]), {
         "rk4": rk4, "fine": replace(rk4, dt_init=rk4.dt_init / 2),

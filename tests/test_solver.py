@@ -382,6 +382,10 @@ def test_settings_validation():
         IntegratorSettings(dt_init=-0.1)
     with pytest.raises(ValueError, match="recon_T"):
         IntegratorSettings(recon_T=-1.0)
+    # scipy's floor: below 100 eps RK45's error estimate vanishes in round-off
+    with pytest.raises(ValueError, match="rtol must be >= 2.22e-14"):
+        IntegratorSettings(rtol=1e-30)
+    IntegratorSettings(rtol=100 * np.finfo(float).eps)     # the floor passes
     # a NaN dt_init would keep every RK45 step NaN and rejected forever
     for name in ("rtol", "atol", "dt_init", "dt_max", "t_end", "recon_T"):
         for value in (np.nan, np.inf, -np.inf):
@@ -758,7 +762,7 @@ def test_scenario_equals_a_dense_reconnaissance(preset, method):
         y0 = np.concatenate([[0.5, 0.5], np.linspace(0.0, 3.0, 6)])
     else:
         config = cli.validate_config(cli.get_preset(preset))
-        system, _, _ = cli._build(config)
+        system = cli._build(config)["system"]
         y0 = cli._initial_state(system, config["task"])
     st = IntegratorSettings(method=method, dt_init=0.01, t_end=10.0)
     m = system.n_pops
@@ -890,7 +894,7 @@ def test_rk45_step_equals_the_list_sum_step_on_a_full_network():
     layout (on a 6-node network both layouts round alike).  Members leave
     the reconnaissance at its horizon and the competition at crossings of
     P_D, at different steps, so later steps run on compacted columns."""
-    system, _, _ = cli._build(cli.validate_config(cli.get_preset("fig3a")))
+    system = cli._build(cli.validate_config(cli.get_preset("fig3a")))["system"]
     st = IntegratorSettings(t_end=3.0, recon_T=2.0)
     theta = np.stack([substream(5, "ensemble", i).uniform(
         0.0, 2 * np.pi, system.net.n_total) for i in range(8)], axis=1)
